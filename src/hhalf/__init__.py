@@ -72,6 +72,7 @@ from .period import (
     PeriodMatrix,
     SiegelReport,
     equivariance_defect,
+    graph_distance,
     integrability_residual,
     period_from_json,
     period_matrix,
@@ -98,7 +99,6 @@ from .pullback import (
 )
 from .quantum import (
     QuantumOperator,
-    deformed_structure,
     diagonal_limit,
     diagonal_limit_line,
     diagonal_report,

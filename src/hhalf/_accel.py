@@ -1,66 +1,15 @@
-"""Hot numerical kernels, compiled with numba when it is available.
-
-Setting the environment variable HHALF_NO_NUMBA=1 before import forces
-the pure numpy fallbacks.  Both implementations are kept importable so
-they can be cross checked; the compiled and the vectorized paths sum
-in different orders, so agreement is to rounding, not bit for bit.
-"""
-
-import os
+"""Hot numerical kernels: pointwise synthesis and the Douglas pair sum."""
 
 import numpy as np
 
-NUMBA_AVAILABLE = False
-if os.environ.get("HHALF_NO_NUMBA", "") != "1":
-    try:
-        from numba import njit
 
-        NUMBA_AVAILABLE = True
-    except ImportError:
-        pass
-
-
-def _synth_at_loop(c, n, x):
-    # Horner evaluation of sum_{k=-n..n} c[n+k] e^{ikx} at arbitrary
-    # points; c has length 2n+1 with index k stored at n+k.
-    m = x.shape[0]
-    out = np.empty(m, np.complex128)
-    for j in range(m):
-        cr = np.cos(x[j])
-        ci = np.sin(x[j])
-        z = complex(cr, ci)
-        zb = complex(cr, -ci)
-        accp = 0.0 + 0.0j
-        accm = 0.0 + 0.0j
-        for k in range(n, 0, -1):
-            accp = (accp + c[n + k]) * z
-            accm = (accm + c[n - k]) * zb
-        out[j] = accp + accm + c[n]
-    return out
-
-
-def _douglas_pair_loop(fx, fy, tx, ty):
-    # Sum over the full product grid of |fx_i - fy_j|^2 / sin^2 of the
-    # half angle.  The caller guarantees tx_i != ty_j modulo 2 pi.
-    m = fx.shape[0]
-    total = 0.0
-    for i in range(m):
-        fi = fx[i]
-        ti = tx[i]
-        for j in range(m):
-            d = fi - fy[j]
-            s = np.sin(0.5 * (ti - ty[j]))
-            total += (d.real * d.real + d.imag * d.imag) / (s * s)
-    return total
-
-
-def synth_at_reference(c, n, x):
+def synth_at(c, n, x):
     """Vectorized evaluation of the trig polynomial, numpy only."""
     ks = np.arange(-n, n + 1)
     return np.exp(1j * np.multiply.outer(np.asarray(x, float), ks)) @ c
 
 
-def douglas_pair_reference(fx, fy, tx, ty):
+def douglas_pair_sum(fx, fy, tx, ty):
     """Blocked numpy version of the product-grid energy sum."""
     total = 0.0
     m = fx.shape[0]
@@ -73,18 +22,7 @@ def douglas_pair_reference(fx, fy, tx, ty):
     return total
 
 
-if NUMBA_AVAILABLE:
-    # Serial, no fastmath: results must be reproducible run to run.
-    synth_at = njit(cache=True)(_synth_at_loop)
-    douglas_pair_sum = njit(cache=True)(_douglas_pair_loop)
-    # Warm up so the first real call does not pay the compile stall.
-    synth_at(np.zeros(3, np.complex128), 1, np.array([0.0, 1.0]))
-    douglas_pair_sum(
-        np.zeros(2, np.complex128),
-        np.zeros(2, np.complex128),
-        np.array([0.0, 1.0]),
-        np.array([0.5, 1.5]),
-    )
-else:
-    synth_at = synth_at_reference
-    douglas_pair_sum = douglas_pair_reference
+# perfbench reads these names; each kernel is its own reference.
+NUMBA_AVAILABLE = False
+synth_at_reference = synth_at
+douglas_pair_reference = douglas_pair_sum

@@ -470,13 +470,6 @@ _handlers = {
 }
 
 
-def _add_common(parser):
-    parser.add_argument("--grid", type=int, help="sample count M")
-    parser.add_argument("--seed", type=int, help="seed for randomized trials")
-    parser.add_argument("--out", help="report path; .csv selects the table")
-    parser.add_argument("--tol", type=float, help="pass tolerance")
-
-
 def _build_parser():
     parser = _Parser(
         prog="hhalf",
@@ -500,10 +493,31 @@ def _build_parser():
         "kernel": "welding kernel diagonal limits with a value table",
         "invariance-suite": "run the full property catalog",
     }
+    # Every subcommand takes --out; these flags only where they are read.
+    reads = {
+        "energy": ("--grid", "--tol"),
+        "pullback-matrix": ("--grid",),
+        "period": ("--grid",),
+        "siegel-check": ("--grid", "--tol"),
+        "rauch-check": ("--grid",),
+        "equivariance": ("--grid", "--tol"),
+        "integrability": ("--grid", "--tol", "--seed"),
+        "kernel": ("--grid", "--tol"),
+        "invariance-suite": ("--seed",),
+    }
+    flags = {
+        "--grid": {"type": int, "help": "sample count M"},
+        "--seed": {"type": int, "help": "seed for randomized trials"},
+        "--tol": {"type": float, "help": "pass tolerance"},
+    }
     parsers = {}
     for name in _handlers:
         parsers[name] = sub.add_parser(name, help=helps[name])
-        _add_common(parsers[name])
+        parsers[name].add_argument(
+            "--out", help="report path; .csv selects the table"
+        )
+        for flag in reads.get(name, ()):
+            parsers[name].add_argument(flag, **flags[flag])
 
     for name in ("norm", "hilbert", "energy", "quantum-hs"):
         parsers[name].add_argument("--input", help="circle function JSON")

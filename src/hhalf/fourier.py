@@ -308,3 +308,19 @@ def function_from_json(obj):
         seen.add(n)
         c[bandlimit + n] = value
     return CircleFunction(bandlimit, c, True if real else None)
+
+
+def matrix_to_json(matrix):
+    """Rows of {"re", "im"} objects for a complex matrix."""
+    return [
+        [{"re": float(v.real), "im": float(v.imag)} for v in row]
+        for row in matrix
+    ]
+
+
+def matrix_from_json(rows):
+    """Inverse of matrix_to_json."""
+    return np.array(
+        [[complex(v["re"], v["im"]) for v in row] for row in rows],
+        dtype=np.complex128,
+    )

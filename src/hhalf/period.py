@@ -13,8 +13,21 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import AliasingError, ConditioningError, ValidationError
-from .fourier import analyze, h_half_norm, synthesize
-from .maps import CircleMap, compose, make_map, rauch_flow
+from .fourier import (
+    analyze,
+    h_half_norm,
+    matrix_from_json,
+    matrix_to_json,
+    synthesize,
+)
+from .maps import (
+    CircleMap,
+    compose,
+    descriptor_from_json,
+    descriptor_to_json,
+    make_map,
+    rauch_flow,
+)
 from .pullback import BlockOperator, apply_operator, pullback_matrix
 
 condition_limit = 1e12
@@ -108,28 +121,32 @@ def siegel_action(t, p):
     return PeriodMatrix(p.cutoff, moved, None, condition)
 
 
-def _graph_basis(z):
-    return np.vstack([np.eye(z.shape[0]), z])
+def graph_distance(z, t, w):
+    """Sine of the largest principal angle between graph(z) and t . graph(w).
+
+    The graph of a period matrix Z is the column span of [I; Z]; the
+    value is basis independent and vanishes when the spans agree.
+    """
+    n = z.shape[0]
+    q1 = np.linalg.qr(np.vstack([np.eye(n), z]))[0]
+    q2 = np.linalg.qr(t.full() @ np.vstack([np.eye(n), w]))[0]
+    # The sines of the principal angles are the singular values of the
+    # residual of Q2 against span(Q1); unlike sqrt(1 - cos^2) this has
+    # no cancellation floor near zero.
+    residual = q2 - q1 @ (q1.conj().T @ q2)
+    return float(np.linalg.norm(residual, 2))
 
 
 def equivariance_defect(outer, inner, cutoff, grid):
     """Principal-angle distance certifying Z(phi o psi) = psi . Z(phi).
 
     Compares the graph of the composite period matrix with the image
-    of the graph of Z(phi) under the block matrix of psi; the value is
-    the sine of the largest principal angle between the two column
-    spans, so it is basis independent.
+    of the graph of Z(phi) under the block matrix of psi.
     """
     composed = period_matrix(compose(outer, inner), cutoff, grid)
     z_outer = period_matrix(outer, cutoff, grid)
     t_inner = pullback_matrix(inner, cutoff, grid)
-    q1 = np.linalg.qr(_graph_basis(composed.Z))[0]
-    q2 = np.linalg.qr(t_inner.full() @ _graph_basis(z_outer.Z))[0]
-    # The sines of the principal angles are the singular values of the
-    # residual of Q2 against span(Q1); unlike sqrt(1 - cos^2) this has
-    # no cancellation floor near zero.
-    residual = q2 - q1 @ (q1.conj().T @ q2)
-    return float(np.linalg.norm(residual, 2))
+    return graph_distance(composed.Z, t_inner, z_outer.Z)
 
 
 def rauch_derivative(m, cutoff):
@@ -271,25 +288,14 @@ def integrability_residual(j_source, trial_functions, grid, cutoff=None):
 
 
 def period_to_json(p):
-    from .maps import descriptor_to_json
-
-    rows = [
-        [{"re": float(v.real), "im": float(v.imag)} for v in row]
-        for row in p.Z
-    ]
     source = None if p.source is None else descriptor_to_json(p.source)
-    return {"cutoff": p.cutoff, "Z": rows, "source": source}
+    return {"cutoff": p.cutoff, "Z": matrix_to_json(p.Z), "source": source}
 
 
 def period_from_json(obj):
-    from .maps import descriptor_from_json
-
     try:
         cutoff = int(obj["cutoff"])
-        z = np.array(
-            [[complex(v["re"], v["im"]) for v in row] for row in obj["Z"]],
-            dtype=np.complex128,
-        )
+        z = matrix_from_json(obj["Z"])
         source = obj.get("source")
         if source is not None:
             source = descriptor_from_json(source)

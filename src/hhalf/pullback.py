@@ -12,7 +12,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import AliasingError, ValidationError
-from .fourier import CircleFunction, analyze, evaluate_at
+from .fourier import (
+    CircleFunction,
+    analyze,
+    evaluate_at,
+    matrix_from_json,
+    matrix_to_json,
+)
 from .maps import evaluate_lift, lift_bandwidth
 from .symplectic import symplectic_form
 
@@ -146,54 +152,9 @@ def apply_operator(t, f):
     return CircleFunction(n, coeffs, real=True if f.real else None)
 
 
-def operator_norm_estimate(t, rel_tol=1e-6, max_iter=400000, window=100):
-    """Largest singular value of the full matrix by power iteration.
-
-    Deterministic start vector; Rayleigh quotient of the Gram matrix.
-    Near-unitary operators have singular values clustered within 1e-4
-    of the top, where the per-step change vastly under-reports the
-    remaining error, so convergence is judged on whole windows: the
-    geometric tail is extrapolated from successive window increments
-    and iteration stops only after two consecutive windows whose
-    projected remainder is far below the tolerance.  The returned
-    Rayleigh value approaches the norm from below, so upper-bound
-    checks against it stay one sided.
-    """
-    m = t.full()
-    g = np.conj(m.T) @ m
-    n = m.shape[0]
-    x = 1.0 / np.sqrt(np.arange(1.0, n + 1.0))
-    x = x.astype(np.complex128) / np.linalg.norm(x)
-    sigma = 0.0
-    marks = []
-    confirmations = 0
-    iterations = 0
-    while iterations < max_iter:
-        for _ in range(window):
-            iterations += 1
-            y = g @ x
-            norm_y = np.linalg.norm(y)
-            if norm_y == 0.0:
-                return 0.0
-            s2 = float(np.real(np.vdot(x, y)))
-            sigma = float(np.sqrt(max(s2, 0.0)))
-            x = y / norm_y
-        marks.append(sigma)
-        if len(marks) < 3:
-            continue
-        gain_prev = marks[-2] - marks[-3]
-        gain = marks[-1] - marks[-2]
-        if gain <= 0:
-            break
-        ratio = min(gain / gain_prev, 1 - 1e-12) if gain_prev > 0 else 0.0
-        remaining = gain * ratio / (1 - ratio)
-        if remaining <= 0.05 * rel_tol * sigma and gain <= 0.05 * rel_tol * sigma:
-            confirmations += 1
-            if confirmations >= 2:
-                break
-        else:
-            confirmations = 0
-    return sigma
+def operator_norm_estimate(t):
+    """Largest singular value of the full 2N x 2N matrix."""
+    return float(np.linalg.norm(t.full(), 2))
 
 
 def invariance_defect(m, f, g, grid):
@@ -208,25 +169,13 @@ def invariance_defect(m, f, g, grid):
 
 
 def operator_to_json(t):
-    def block(matrix):
-        return [
-            [{"re": float(v.real), "im": float(v.imag)} for v in row]
-            for row in matrix
-        ]
-
-    return {"cutoff": t.cutoff, "A": block(t.A), "B": block(t.B)}
+    return {"cutoff": t.cutoff, "A": matrix_to_json(t.A), "B": matrix_to_json(t.B)}
 
 
 def operator_from_json(obj):
     try:
         cutoff = int(obj["cutoff"])
-
-        def block(rows):
-            return np.array(
-                [[complex(v["re"], v["im"]) for v in row] for row in rows],
-                dtype=np.complex128,
-            )
-
-        return BlockOperator(cutoff, block(obj["A"]), block(obj["B"]))
+        a, b = matrix_from_json(obj["A"]), matrix_from_json(obj["B"])
+        return BlockOperator(cutoff, a, b)
     except (KeyError, TypeError, ValueError) as exc:
         raise ValidationError("malformed BlockOperator object: %s" % exc)

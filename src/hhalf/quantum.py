@@ -16,7 +16,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NumericalError, ValidationError
-from .fourier import derivative, evaluate_at, norm_squared, zero_function
+from .fourier import (
+    derivative,
+    evaluate_at,
+    matrix_from_json,
+    matrix_to_json,
+    norm_squared,
+    zero_function,
+)
 from .maps import (
     Compose,
     Identity,
@@ -27,8 +34,6 @@ from .maps import (
     periodic_part,
     periodic_values,
 )
-from .period import structure_from_map
-from .pullback import pullback_matrix
 
 eps = np.finfo(float).eps
 two_pi = 2.0 * np.pi
@@ -380,15 +385,6 @@ def fractional_linear(coefficients):
     return value, slope
 
 
-def deformed_structure(h, cutoff, grid):
-    """Complex structure T_h J0 T_h^{-1} induced by a circle map.
-
-    The result squares to -I up to truncation and its -i eigenspace is
-    the graph of the period matrix of h.
-    """
-    return structure_from_map(pullback_matrix(h, cutoff, grid))
-
-
 def diagonal_report(h, order, x, deltas=default_deltas):
     """Diagnostic record for one diagonal limit, JSON-ready."""
     limit, classical, defect = diagonal_limit(h, order, x, deltas)
@@ -407,10 +403,7 @@ def quantum_operator_to_json(op):
     return {
         "cutoff": op.cutoff,
         "source_bandlimit": op.source_bandlimit,
-        "entries": [
-            [{"re": float(v.real), "im": float(v.imag)} for v in row]
-            for row in op.entries
-        ],
+        "entries": matrix_to_json(op.entries),
     }
 
 
@@ -425,13 +418,7 @@ def quantum_operator_from_json(obj):
             "quantum operator object needs cutoff, source_bandlimit, entries"
         )
     try:
-        entries = np.array(
-            [
-                [complex(v["re"], v["im"]) for v in row]
-                for row in obj["entries"]
-            ],
-            np.complex128,
-        )
+        entries = matrix_from_json(obj["entries"])
     except (TypeError, KeyError, IndexError) as exc:
         raise ValidationError("malformed quantum operator entries") from exc
     return QuantumOperator(

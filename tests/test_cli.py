@@ -466,10 +466,19 @@ class TestPlumbing:
         assert run(["bogus"], capsys)[0] == 1
         assert run(["norm", "--modes", cos_modes, "--bogus"], capsys)[0] == 1
         assert run([], capsys)[0] == 1
+        # Flags exist only on the subcommands that read them.
+        for argv in (
+            ["period", "--map", rotation_map, "--tol", "5", "--seed", "3"],
+            ["hilbert", "--modes", cos_modes, "--tol", "-1"],
+            ["rauch-check", "--m", "1", "--tol", "1e-30"],
+            ["quantum-hs", "--modes", cos_modes, "--grid", "64"],
+        ):
+            code, _, err = run(argv, capsys)
+            assert code == 1 and "unrecognized arguments" in err
 
     def test_grid_override_is_validated(self, capsys):
         code, _, err = run(
-            ["norm", "--modes", cos_modes, "--grid", "8"], capsys
+            ["period", "--map", '{"type": "identity"}', "--grid", "8"], capsys
         )
         assert code == 1 and "4 * cutoff" in err
 

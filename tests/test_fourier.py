@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 from numpy.testing import assert_allclose
 
-from hhalf import _accel
 from hhalf.errors import GridError, ValidationError
 from hhalf.fourier import (
     CircleFunction,
@@ -245,12 +244,13 @@ class TestSynthesis:
         assert_allclose(values, np.cos(grid.points()), atol=1e-14)
 
     def test_evaluate_matches_reference(self):
+        # Pointwise synthesis against the independent FFT path.
         rng = np.random.default_rng(3)
-        f = random_real_function(20, rng)
-        x = rng.uniform(0, 2 * np.pi, 50)
-        got = evaluate_at(f, x)
-        want = _accel.synth_at_reference(f.coeffs, f.bandlimit, x).real
-        assert_allclose(got, want, rtol=1e-12, atol=1e-13)
+        for bandlimit in (1, 8, 20, 64):
+            f = random_real_function(bandlimit, rng)
+            grid = SampleGrid(256, 0.01)
+            got = evaluate_at(f, grid.points())
+            assert_allclose(got, synthesize(f, grid), rtol=0, atol=1e-13)
 
 
 class TestDouglas:
@@ -273,18 +273,6 @@ class TestDouglas:
     def test_zero_offset_rejected(self):
         with pytest.raises(GridError):
             douglas_energy(cos_theta, SampleGrid(64))
-
-    def test_kernel_paths_agree(self):
-        rng = np.random.default_rng(2)
-        f = random_real_function(8, rng)
-        grid = SampleGrid(64, 0.03)
-        cell = 2 * np.pi / 64
-        shifted = SampleGrid(64, 0.03 + 0.5 * cell)
-        fx = synthesize(f, grid).astype(np.complex128)
-        fy = synthesize(f, shifted).astype(np.complex128)
-        a = _accel.douglas_pair_sum(fx, fy, grid.points(), shifted.points())
-        b = _accel.douglas_pair_reference(fx, fy, grid.points(), shifted.points())
-        assert_allclose(a, b, rtol=1e-12)
 
 
 class TestPoisson:

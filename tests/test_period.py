@@ -73,7 +73,9 @@ def symmetric_contractions(draw, cutoff=4):
     raw = (flat[::2] + 1j * flat[1::2]).reshape(cutoff, cutoff)
     sym = raw + raw.T
     top = np.linalg.svd(sym, compute_uv=False)[0]
-    if top > 0:
+    # 0.4 / top overflows for a subnormal top; such a matrix is
+    # already a contraction and is kept unscaled.
+    if top >= np.finfo(float).tiny:
         sym = sym * (0.4 / top)
     return PeriodMatrix(cutoff, sym)
 

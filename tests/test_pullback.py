@@ -259,7 +259,7 @@ class TestOperatorNorm:
             t = pullback_matrix(make_map(descriptor, grid), 16, grid)
             estimate = operator_norm_estimate(t)
             exact = float(np.linalg.svd(t.full(), compute_uv=False)[0])
-            assert abs(estimate - exact) <= 1e-6 * exact
+            assert abs(estimate - exact) <= 1e-12 * exact
 
     def test_shear_flow_norm_value(self):
         t = pullback_matrix(make_map(flow(sin_two_theta, 0.05), grid), 16, grid)

@@ -23,10 +23,11 @@ from hhalf.maps import (
     power,
     rotation,
 )
+from hhalf.period import structure_from_map
+from hhalf.pullback import pullback_matrix
 from hhalf.quantum import (
     QuantumOperator,
     _extrapolate,
-    deformed_structure,
     default_deltas,
     diagonal_limit,
     diagonal_limit_line,
@@ -422,12 +423,16 @@ class TestLineRealization:
 
 class TestDeformedStructure:
     def test_identity_gives_the_reference_structure(self):
-        j = deformed_structure(make_map(identity(), grid), 8, grid)
+        j = structure_from_map(
+            pullback_matrix(make_map(identity(), grid), 8, grid)
+        )
         assert np.max(np.abs(j.A + 1j * np.eye(8))) <= 1e-13
         assert np.max(np.abs(j.B)) <= 1e-13
 
     def test_moebius_preserves_the_reference_structure(self):
-        j = deformed_structure(make_map(moebius(0.3, 1.0), grid), 16, grid)
+        j = structure_from_map(
+            pullback_matrix(make_map(moebius(0.3, 1.0), grid), 16, grid)
+        )
         assert np.max(np.abs(j.A + 1j * np.eye(16))) <= 1e-6
         assert np.max(np.abs(j.B)) <= 1e-6
         assert np.max(np.abs(j.A + 1j * np.eye(16))) <= 1e-12
@@ -435,7 +440,7 @@ class TestDeformedStructure:
 
     def test_flow_structure_squares_to_minus_one(self):
         m = make_map(flow(sin_field(2), 0.05), grid)
-        j = deformed_structure(m, 16, grid)
+        j = structure_from_map(pullback_matrix(m, 16, grid))
         defect = np.max(np.abs((j @ j).full() + np.eye(32)))
         assert defect <= 1e-6
         assert defect <= 1e-12
@@ -444,7 +449,7 @@ class TestDeformedStructure:
         from hhalf.period import period_matrix
 
         m = make_map(flow(sin_field(2), 0.05), grid)
-        j = deformed_structure(m, 16, grid)
+        j = structure_from_map(pullback_matrix(m, 16, grid))
         graph = np.vstack([np.eye(16), period_matrix(m, 16, grid).Z])
         assert np.max(np.abs(j.full() @ graph + 1j * graph)) <= 1e-12
 
