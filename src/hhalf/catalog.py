@@ -96,15 +96,15 @@ def coset_representatives():
     return [item for item in catalog_descriptors() if item[0] in keep]
 
 
-def trial_functions(count, bandlimit, seed, decay=1.5):
-    """Reproducible random real functions with decaying spectra."""
+def trial_functions(count, bandlimit, seed):
+    """Reproducible random real functions, mode k scaled by k^-1.5."""
     rng = np.random.default_rng(seed)
     out = []
     for _ in range(count):
         modes = {}
         for k in range(1, bandlimit + 1):
             value = complex(rng.standard_normal(), rng.standard_normal())
-            value /= k**decay
+            value /= k**1.5
             modes[k] = value
             modes[-k] = np.conj(value)
         out.append(from_modes(bandlimit, modes))

@@ -19,7 +19,7 @@ from dataclasses import replace
 import numpy as np
 
 from .catalog import trial_functions
-from .config import config_from_env
+from .config import config_from_env, json_argument as _json_argument
 from .errors import NumericalError, ValidationError
 from .fourier import (
     SampleGrid,
@@ -69,24 +69,6 @@ class _Parser(argparse.ArgumentParser):
     # through the validation channel so bad input is always exit 1.
     def error(self, message):
         raise ValidationError(message)
-
-
-def _json_argument(value, flag):
-    """Inline JSON when the value starts with '{', else a file path."""
-    if value.lstrip().startswith("{"):
-        try:
-            return json.loads(value)
-        except json.JSONDecodeError as exc:
-            raise ValidationError("%s is not valid JSON: %s" % (flag, exc))
-    try:
-        with open(value) as handle:
-            return json.load(handle)
-    except OSError as exc:
-        raise ValidationError("cannot read %s file: %s" % (flag, exc))
-    except json.JSONDecodeError as exc:
-        raise ValidationError(
-            "%s file %s is not valid JSON: %s" % (flag, value, exc)
-        )
 
 
 def _function_from_modes(obj):
@@ -271,7 +253,7 @@ def _period_argument(args, cfg):
 def _cmd_siegel_check(args, cfg):
     tol = _tolerance(args, cfg.matrix_tol)
     p = _period_argument(args, cfg)
-    report = siegel_membership(p, tol)
+    report = siegel_membership(p)
     symmetric = report.symmetry_defect <= tol * (1.0 + report.sigma_max)
     out = {
         "command": "siegel-check",

@@ -1,6 +1,7 @@
 """Run configuration shared by the command line subcommands."""
 
 import json
+import math
 import os
 
 from dataclasses import dataclass
@@ -73,7 +74,9 @@ def config_from_json(obj):
         )
     try:
         return RunConfig(**obj)
-    except TypeError as exc:
+    except ValidationError:
+        raise
+    except (TypeError, ValueError, OverflowError) as exc:
         raise ValidationError("malformed RunConfig object: %s" % exc)
 
 
@@ -81,34 +84,48 @@ def config_to_json(cfg):
     return {name: getattr(cfg, name) for name in _fields}
 
 
-def load_config(path):
+def _finite(text):
+    value = float(text)
+    if not math.isfinite(value):
+        raise ValueError("non-finite number %s" % text)
+    return value
+
+
+def json_argument(value, name):
+    """Inline JSON when the value starts with '{', else a file path.
+
+    NaN, Infinity and numbers that overflow to infinity are refused
+    like any other malformed input.
+    """
+    strict = {"parse_constant": _finite, "parse_float": _finite}
+    if value.lstrip().startswith("{"):
+        try:
+            return json.loads(value, **strict)
+        except ValueError as exc:
+            raise ValidationError("%s is not valid JSON: %s" % (name, exc))
     try:
-        with open(path) as handle:
-            obj = json.load(handle)
+        with open(value) as handle:
+            return json.load(handle, **strict)
     except OSError as exc:
-        raise ValidationError("cannot read config %s: %s" % (path, exc))
-    except json.JSONDecodeError as exc:
-        raise ValidationError("config %s is not valid JSON: %s" % (path, exc))
-    return config_from_json(obj)
+        raise ValidationError("cannot read %s file: %s" % (name, exc))
+    except ValueError as exc:
+        raise ValidationError(
+            "%s file %s is not valid JSON: %s" % (name, value, exc)
+        )
+
+
+def load_config(path):
+    return config_from_json(json_argument(path, "config"))
 
 
 def config_from_env(environ=None):
     """Default config, overridden by HHP_CONFIG.
 
     The variable holds either inline JSON (leading brace) or the path
-    of a JSON file, matching the inline-or-path convention of the
-    command line flags.
+    of a JSON file, read as the command line flags are.
     """
     environ = os.environ if environ is None else environ
     value = environ.get(config_env_var, "")
     if not value:
         return RunConfig()
-    if value.lstrip().startswith("{"):
-        try:
-            obj = json.loads(value)
-        except json.JSONDecodeError as exc:
-            raise ValidationError(
-                "%s is not valid JSON: %s" % (config_env_var, exc)
-            )
-        return config_from_json(obj)
-    return load_config(value)
+    return config_from_json(json_argument(value, config_env_var))

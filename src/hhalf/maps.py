@@ -1,10 +1,10 @@
 """Orientation-preserving circle maps through monotone lifts.
 
-Every map carries an analytic descriptor and dense lift samples on a
-certification grid.  Lift evaluation always goes through the
-descriptor, so values at arbitrary angles are exact up to rounding;
-the samples exist to certify monotonicity and to feed spectral work
-on the periodic part of the lift.
+Every map carries an analytic descriptor and dense lift samples on its
+sample grid.  Lift evaluation goes through the descriptor, so values at
+arbitrary angles are exact up to rounding; the samples are that same
+evaluation on the grid, done once, and they certify monotonicity, feed
+spectral work on the periodic part and are the lift pullbacks read.
 """
 
 from dataclasses import dataclass
@@ -126,65 +126,50 @@ def descriptor_degree(d):
     return 1
 
 
-def _lift_values(d, x):
-    """Continuous lift of the descriptor at arbitrary angles (array)."""
+def _walk(d, x):
+    """Lift of the descriptor at arbitrary angles and its periodic part.
+
+    The periodic part lift(x) - degree*x is walked, not formed from lift
+    values, which would lose its low bits where |x| dominates; rotations
+    stay exact, which matters for kernels built from lift differences.
+    """
     if isinstance(d, Identity):
-        return x.copy()
+        return x.copy(), np.zeros(x.shape)
     if isinstance(d, Rotation):
-        return x + d.alpha
+        return x + d.alpha, np.full(x.shape, d.alpha)
     if isinstance(d, Power):
-        return float(d.k) * x
+        return float(d.k) * x, np.zeros(x.shape)
     if isinstance(d, Moebius):
         # w = e^{i beta} (z - a)/(1 - conj(a) z) on |z| = 1 factors as
         # e^{i(theta+beta)} conj(D)/D with D = 1 - conj(a) e^{i theta};
         # Re D > 0, so the angle never wraps and the lift is smooth.
-        big_d = 1.0 - np.conj(d.a) * np.exp(1j * x)
-        return x + d.beta - 2.0 * np.angle(big_d)
+        turn = 2.0 * np.angle(1.0 - np.conj(d.a) * np.exp(1j * x))
+        return x + d.beta - turn, d.beta - turn
     if isinstance(d, Flow):
-        return x + d.eps * evaluate_at(d.v, x)
+        part = d.eps * evaluate_at(d.v, x)
+        return x + part, part
     if isinstance(d, RauchFlow):
-        return x - (2.0 * d.eps / (d.m + 1)) * np.sin((d.m + 2) * x)
+        part = -(2.0 * d.eps / (d.m + 1)) * np.sin((d.m + 2) * x)
+        return x + part, part
     if isinstance(d, Compose):
-        y = x
+        lift, part = x, np.zeros(x.shape)
         for item in reversed(d.maps):
-            y = _lift_values(item, y)
-        return y
+            lift, step = _walk(item, lift)
+            part = descriptor_degree(item) * part + step
+        return lift, part
     if isinstance(d, Inverse):
-        return _invert_lift(d.of, x)
+        lift = _invert_lift(d.of, x)
+        return lift, -_walk(d.of, lift)[1]
     raise ValidationError("unknown map descriptor %r" % (d,))
+
+
+def _lift_values(d, x):
+    return _walk(d, x)[0]
 
 
 def periodic_values(d, x):
-    """Periodic part lift(x) - degree*x, evaluated without cancellation.
-
-    Forming this difference from lift values loses the low bits of the
-    periodic part whenever |x| dominates it; walking the descriptor
-    keeps constants (rotations) exact, which matters for kernels built
-    from lift differences.
-    """
-    x = np.asarray(x, float)
-    if isinstance(d, (Identity, Power)):
-        return np.zeros(x.shape)
-    if isinstance(d, Rotation):
-        return np.full(x.shape, d.alpha)
-    if isinstance(d, Moebius):
-        big_d = 1.0 - np.conj(d.a) * np.exp(1j * x)
-        return d.beta - 2.0 * np.angle(big_d)
-    if isinstance(d, Flow):
-        return d.eps * evaluate_at(d.v, x)
-    if isinstance(d, RauchFlow):
-        return -(2.0 * d.eps / (d.m + 1)) * np.sin((d.m + 2) * x)
-    if isinstance(d, Compose):
-        part = np.zeros(x.shape)
-        value = x
-        for item in reversed(d.maps):
-            step = periodic_values(item, value)
-            part = descriptor_degree(item) * part + step
-            value = descriptor_degree(item) * value + step
-        return part
-    if isinstance(d, Inverse):
-        return -periodic_values(d.of, _invert_lift(d.of, x))
-    raise ValidationError("unknown map descriptor %r" % (d,))
+    """Periodic part lift(x) - degree*x, evaluated without cancellation."""
+    return _walk(d, np.asarray(x, float))[1]
 
 
 def _invert_lift(d, targets):
@@ -210,7 +195,7 @@ def _invert_lift(d, targets):
 
 @dataclass(frozen=True)
 class CircleMap:
-    """A constructed map: descriptor, certification grid, lift samples."""
+    """A constructed map: descriptor, sample grid, lift on that grid."""
 
     descriptor: object
     grid: SampleGrid
@@ -295,30 +280,30 @@ def periodic_part(m, bandlimit=None):
     return analyze(m.lift_samples - m.degree * points, m.grid, bandlimit)
 
 
-def lift_bandwidth(m, rel_tol=1e-12):
+def lift_bandwidth(m):
     """Largest active mode of the periodic part, by coefficient size."""
     part = periodic_part(m)
     mags = np.abs(part.coeffs)
-    floor = rel_tol * max(1.0, float(mags.max()))
+    floor = 1e-12 * max(1.0, float(mags.max()))
     active = np.nonzero(mags > floor)[0]
     if active.size == 0:
         return 0
     return int(np.max(np.abs(active - part.bandlimit)))
 
 
-def qs_ratio(m, scales=(np.pi / 4.0, np.pi / 8.0)):
+def qs_ratio(m):
     """Sampled quasisymmetry ratio, a lower bound for the true constant.
 
-    For each grid cell midpoint x and half-length t the ratio
-    (lift(x+t)-lift(x))/(lift(x)-lift(x-t)) is formed; the report is
-    the maximum of ratio and 1/ratio over all samples.
+    For each grid cell midpoint x and half-length t in (pi/4, pi/8)
+    the ratio (lift(x+t)-lift(x))/(lift(x)-lift(x-t)) is formed; the
+    report is the maximum of ratio and 1/ratio over all samples.
     """
     if m.degree != 1:
         raise ValidationError("quasisymmetry ratio is defined for degree 1")
     mids = m.grid.points() + np.pi / m.grid.size
     center = _lift_values(m.descriptor, mids)
     worst = 1.0
-    for t in scales:
+    for t in (np.pi / 4.0, np.pi / 8.0):
         upper = _lift_values(m.descriptor, mids + t) - center
         lower = center - _lift_values(m.descriptor, mids - t)
         ratio = upper / lower

@@ -33,6 +33,16 @@ from .pullback import BlockOperator, apply_operator, pullback_matrix
 condition_limit = 1e12
 
 
+def _right_divide(numerator, denominator, name):
+    """numerator @ inv(denominator) and cond(denominator), or a refusal."""
+    condition = float(np.linalg.cond(denominator))
+    if not condition < condition_limit:
+        raise ConditioningError(
+            "%s is numerically singular (cond %.3e)" % (name, condition)
+        )
+    return np.linalg.solve(denominator.T, numerator.T).T, condition
+
+
 @dataclass(frozen=True)
 class PeriodMatrix:
     """Symmetric contraction Z describing a deformed polarization."""
@@ -76,21 +86,15 @@ def period_matrix(m, cutoff, grid):
     trust is refused.
     """
     t = pullback_matrix(m, cutoff, grid)
-    condition = float(np.linalg.cond(t.A))
-    if not condition < condition_limit:
-        raise ConditioningError(
-            "plus block is numerically singular (cond %.3e)" % condition
-        )
-    z = np.linalg.solve(t.A.T, np.conj(t.B).T).T
+    z, condition = _right_divide(np.conj(t.B), t.A, "plus block")
     return PeriodMatrix(cutoff, z, m.descriptor, condition)
 
 
-def siegel_membership(p, tol=1e-6):
+def siegel_membership(p):
     """Report symmetry and contraction diagnostics for Z.
 
     The smallest eigenvalue is taken on the Hermitian part of
-    I - Z conj(Z), which is the exact matrix whenever the symmetry
-    defect is within tol.
+    I - Z conj(Z), which is the exact matrix when Z is symmetric.
     """
     z = p.Z
     defect = float(np.max(np.abs(z - z.T))) if z.size else 0.0
@@ -112,12 +116,7 @@ def siegel_action(t, p):
     z = p.Z
     denominator = t.A + t.B @ z
     numerator = np.conj(t.B) + np.conj(t.A) @ z
-    condition = float(np.linalg.cond(denominator))
-    if not condition < condition_limit:
-        raise ConditioningError(
-            "A + B Z is numerically singular (cond %.3e)" % condition
-        )
-    moved = np.linalg.solve(denominator.T, numerator.T).T
+    moved, condition = _right_divide(numerator, denominator, "A + B Z")
     return PeriodMatrix(p.cutoff, moved, None, condition)
 
 
@@ -195,16 +194,14 @@ def _base_structure(cutoff):
     return np.diag(diag)
 
 
+def _conjugated_structure(basis, cutoff, name):
+    raw = _right_divide(basis @ _base_structure(cutoff), basis, name)[0]
+    return _resymmetrized(raw, cutoff)
+
+
 def structure_from_map(t):
     """Complex structure T J0 T^{-1} conjugated from the reference one."""
-    condition = float(np.linalg.cond(t.full()))
-    if not condition < condition_limit:
-        raise ConditioningError(
-            "operator is numerically singular (cond %.3e)" % condition
-        )
-    dense = t.full()
-    raw = np.linalg.solve(dense.T, (dense @ _base_structure(t.cutoff)).T).T
-    return _resymmetrized(raw, t.cutoff)
+    return _conjugated_structure(t.full(), t.cutoff, "operator")
 
 
 def structure_from_period(p):
@@ -213,13 +210,7 @@ def structure_from_period(p):
     basis = np.block(
         [[np.eye(n), np.conj(p.Z)], [p.Z, np.eye(n)]]
     )
-    condition = float(np.linalg.cond(basis))
-    if not condition < condition_limit:
-        raise ConditioningError(
-            "graph basis is numerically singular (cond %.3e)" % condition
-        )
-    raw = np.linalg.solve(basis.T, (basis @ _base_structure(n)).T).T
-    return _resymmetrized(raw, n)
+    return _conjugated_structure(basis, n, "graph basis")
 
 
 def _pointwise_product(f, g, grid, cutoff):

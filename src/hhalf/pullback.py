@@ -4,7 +4,8 @@ The operator V_phi f = f o phi - mean acts on the real Hilbert space;
 its complexification has the block form (w+, w-) -> (A w+ + B w-,
 conj(B) w+ + conj(A) w-) in the normalized basis e^{ik theta}/sqrt(k),
 k = 1..cutoff, and conjugates.  Matrix entries are Fourier integrals
-of powers of w = e^{i lift}, evaluated by FFT on the sample grid.
+of powers of w = e^{i lift}, evaluated by FFT of the map's own lift
+samples; c_r(conj(w)^q) = conj(c_{-r}(w^q)) gives B from A's FFTs.
 """
 
 from dataclasses import dataclass
@@ -19,11 +20,13 @@ from .fourier import (
     matrix_from_json,
     matrix_to_json,
 )
-from .maps import evaluate_lift, lift_bandwidth
+from .maps import lift_bandwidth
 from .symplectic import symplectic_form
 
 
 def _aliasing_guard(bandlimit, degree, m, grid):
+    if grid != m.grid:
+        raise ValidationError("pullback needs the map's own sample grid")
     # Heuristic: the composed spectrum spreads by roughly the product
     # of the bandlimit, the map degree, and the lift bandwidth, and the
     # grid must resolve it.  Refusing beats returning aliased numbers.
@@ -42,8 +45,7 @@ def pullback_function(m, f, grid):
     identities see the full spread spectrum of the composition.
     """
     _aliasing_guard(f.bandlimit, m.degree, m, grid)
-    lift = evaluate_lift(m, grid.points())
-    samples = evaluate_at(f, lift)
+    samples = evaluate_at(f, m.lift_samples)
     return analyze(samples, grid, (grid.size - 1) // 2)
 
 
@@ -97,31 +99,29 @@ def pullback_matrix(m, cutoff, grid):
     """Assemble the truncated block matrix of V_phi.
 
     A[p-1, q-1] = sqrt(p/q) c_p(w^q) and B[r-1, s-1] = sqrt(r/s)
-    c_r(w^{-s}), with w = e^{i lift} sampled on the grid and the
-    coefficients c_p read off by FFT.
+    c_r(w^{-s}), with w = e^{i lift} on the map's grid.  Column q of
+    both blocks comes from one FFT of w^q: c_p(w^q) is read at bin p
+    and c_r(w^{-q}) = conj(c_{-r}(w^q)) at bin size - r.
     """
     if m.degree != 1:
         raise ValidationError("block matrices are defined for degree-1 maps")
     _aliasing_guard(cutoff, 1, m, grid)
     size = grid.size
-    lift = evaluate_lift(m, grid.points())
-    w = np.exp(1j * lift)
+    w = np.exp(1j * m.lift_samples)
     ps = np.arange(1, cutoff + 1)
     phases = np.exp(-1j * ps * grid.offset)
     roots = np.sqrt(ps.astype(float))
     a = np.empty((cutoff, cutoff), np.complex128)
     b = np.empty((cutoff, cutoff), np.complex128)
     wq = w.copy()
-    wbar = np.conj(w)
-    wbs = wbar.copy()
     for q in range(1, cutoff + 1):
-        coeffs = np.fft.fft(wq)[1 : cutoff + 1] / size * phases
+        spectrum = np.fft.fft(wq)
+        coeffs = spectrum[1 : cutoff + 1] / size * phases
         a[:, q - 1] = (roots / roots[q - 1]) * coeffs
-        coeffs = np.fft.fft(wbs)[1 : cutoff + 1] / size * phases
+        coeffs = np.conj(spectrum[size - ps]) / size * phases
         b[:, q - 1] = (roots / roots[q - 1]) * coeffs
         if q < cutoff:
             wq *= w
-            wbs *= wbar
     return BlockOperator(cutoff, a, b)
 
 

@@ -476,6 +476,25 @@ class TestPlumbing:
             code, _, err = run(argv, capsys)
             assert code == 1 and "unrecognized arguments" in err
 
+    @pytest.mark.parametrize(
+        "config, argv",
+        [
+            (None, ["siegel-check", "--matrix",
+                    '{"cutoff": 1, "Z": [[{"re": NaN, "im": 0}]]}']),
+            (None, ["norm", "--modes", '{"1": 1e999}']),
+            ('{"cutoff": Infinity}', ["norm", "--modes", cos_modes]),
+            ('{"cutoff": "abc"}', ["norm", "--modes", cos_modes]),
+        ],
+    )
+    def test_non_finite_and_malformed_numbers_are_input_errors(
+        self, config, argv, capsys, monkeypatch
+    ):
+        if config is not None:
+            monkeypatch.setenv("HHP_CONFIG", config)
+        code, out, err = run(argv, capsys)
+        assert code == 1 and out == ""
+        assert err.startswith("error:")
+
     def test_grid_override_is_validated(self, capsys):
         code, _, err = run(
             ["period", "--map", '{"type": "identity"}', "--grid", "8"], capsys
