@@ -114,11 +114,18 @@ def _descriptor_argument(value):
     return descriptor_from_json(_json_argument(value, "--map"))
 
 
-def _single_map(args):
+def _map_argument(args, cfg):
     maps = getattr(args, "map", None) or []
     if len(maps) != 1:
         raise ValidationError("this subcommand wants --map exactly once")
-    return _descriptor_argument(maps[0])
+    return make_map(_descriptor_argument(maps[0]), _grid(cfg))
+
+
+def _map_given(args):
+    given_map = bool(getattr(args, "map", None))
+    if given_map == (getattr(args, "matrix", None) is not None):
+        raise ValidationError("give exactly one of --map or --matrix")
+    return given_map
 
 
 def _matrix_argument(value):
@@ -221,32 +228,23 @@ def _cmd_energy(args, cfg):
 
 
 def _cmd_pullback_matrix(args, cfg):
-    grid = _grid(cfg)
-    m = make_map(_single_map(args), grid)
-    return operator_to_json(pullback_matrix(m, cfg.cutoff, grid)), None, 0
+    m = _map_argument(args, cfg)
+    return operator_to_json(pullback_matrix(m, cfg.cutoff, m.grid)), None, 0
 
 
 def _cmd_period(args, cfg):
-    grid = _grid(cfg)
-    m = make_map(_single_map(args), grid)
-    return period_to_json(period_matrix(m, cfg.cutoff, grid)), None, 0
+    m = _map_argument(args, cfg)
+    return period_to_json(period_matrix(m, cfg.cutoff, m.grid)), None, 0
 
 
 def _period_argument(args, cfg):
-    given_map = bool(getattr(args, "map", None))
-    given_matrix = getattr(args, "matrix", None) is not None
-    if given_map == given_matrix:
-        raise ValidationError("give exactly one of --map or --matrix")
-    if given_map:
-        grid = _grid(cfg)
-        m = make_map(_single_map(args), grid)
-        return period_matrix(m, cfg.cutoff, grid)
+    if _map_given(args):
+        m = _map_argument(args, cfg)
+        return period_matrix(m, cfg.cutoff, m.grid)
     loaded = _matrix_argument(args.matrix)
     if isinstance(loaded, BlockOperator):
-        basepoint = PeriodMatrix(
-            loaded.cutoff, np.zeros((loaded.cutoff, loaded.cutoff))
-        )
-        return siegel_action(loaded, basepoint)
+        n = loaded.cutoff
+        return siegel_action(loaded, PeriodMatrix(n, np.zeros((n, n))))
     return loaded
 
 
@@ -333,20 +331,14 @@ def _cmd_equivariance(args, cfg):
 
 def _cmd_integrability(args, cfg):
     tol = _tolerance(args, cfg.matrix_tol)
-    given_map = bool(getattr(args, "map", None))
-    given_matrix = getattr(args, "matrix", None) is not None
-    if given_map == given_matrix:
-        raise ValidationError("give exactly one of --map or --matrix")
-    grid = _grid(cfg)
-    trials = trial_functions(4, 8, cfg.seed)
-    if given_map:
-        source = make_map(_single_map(args), grid)
+    if _map_given(args):
+        source = _map_argument(args, cfg)
         cutoff = cfg.cutoff
-        residual = integrability_residual(source, trials, grid, cutoff)
     else:
         source = _matrix_argument(args.matrix)
         cutoff = source.cutoff
-        residual = integrability_residual(source, trials, grid)
+    trials = trial_functions(4, 8, cfg.seed)
+    residual = integrability_residual(source, trials, _grid(cfg), cutoff)
     report = {
         "command": "integrability",
         "cutoff": cutoff,
@@ -387,8 +379,7 @@ def _cmd_quantum_hs(args, cfg):
 def _cmd_kernel(args, cfg):
     if args.order is None:
         raise ValidationError("kernel needs --order 0, 1, or 2")
-    d = _single_map(args)
-    h = make_map(d, _grid(cfg))
+    h = _map_argument(args, cfg)
     deltas = _window_argument(args)
     tol = _tolerance(args, cfg.spectral_tol)
     points = [
@@ -404,7 +395,7 @@ def _cmd_kernel(args, cfg):
     report = {
         "command": "kernel",
         "order": args.order,
-        "map": descriptor_to_json(d),
+        "map": descriptor_to_json(h.descriptor),
         "deltas": [float(delta) for delta in deltas],
         "base_points": list(kernel_base_points),
         "points": points,

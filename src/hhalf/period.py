@@ -60,6 +60,8 @@ class PeriodMatrix:
         z = np.array(self.Z, dtype=np.complex128)
         if z.shape != (self.cutoff, self.cutoff):
             raise ValidationError("Z must be %d x %d" % (n, n))
+        if not np.all(np.isfinite(z)):
+            raise ValidationError("Z entries must be finite")
         z.flags.writeable = False
         object.__setattr__(self, "Z", z)
 
@@ -187,15 +189,9 @@ def _resymmetrized(matrix, cutoff):
     return BlockOperator(cutoff, a, b)
 
 
-def _base_structure(cutoff):
-    diag = np.concatenate(
-        [np.full(cutoff, -1j), np.full(cutoff, 1j)]
-    )
-    return np.diag(diag)
-
-
 def _conjugated_structure(basis, cutoff, name):
-    raw = _right_divide(basis @ _base_structure(cutoff), basis, name)[0]
+    j0 = np.diag(np.repeat([-1j, 1j], cutoff))
+    raw = _right_divide(basis @ j0, basis, name)[0]
     return _resymmetrized(raw, cutoff)
 
 

@@ -6,6 +6,8 @@ conj(B) w+ + conj(A) w-) in the normalized basis e^{ik theta}/sqrt(k),
 k = 1..cutoff, and conjugates.  Matrix entries are Fourier integrals
 of powers of w = e^{i lift}, evaluated by FFT of the map's own lift
 samples; c_r(conj(w)^q) = conj(c_{-r}(w^q)) gives B from A's FFTs.
+A result is refused as aliased when the spectrum it was read from has
+not decayed to 1e-12 within size/8 of the Nyquist frequency.
 """
 
 from dataclasses import dataclass
@@ -20,21 +22,24 @@ from .fourier import (
     matrix_from_json,
     matrix_to_json,
 )
-from .maps import lift_bandwidth
 from .symplectic import symplectic_form
 
 
-def _aliasing_guard(bandlimit, degree, m, grid):
+def _own_lift(m, grid):
     if grid != m.grid:
         raise ValidationError("pullback needs the map's own sample grid")
-    # Heuristic: the composed spectrum spreads by roughly the product
-    # of the bandlimit, the map degree, and the lift bandwidth, and the
-    # grid must resolve it.  Refusing beats returning aliased numbers.
-    spread = lift_bandwidth(m) + 1
-    if bandlimit * degree * spread > grid.size // 2:
+    return m.lift_samples
+
+
+def _refuse_unresolved(spectrum, scale, bandlimit, grid):
+    # spectrum is in FFT bin order.  A tail above 1e-12 * scale within
+    # size/8 of Nyquist would fold back onto the modes a result reads.
+    freqs = np.abs(np.fft.fftfreq(spectrum.size, 1.0 / spectrum.size))
+    tail = np.max(np.abs(spectrum[freqs >= 3 * grid.size / 8]), initial=0.0)
+    if tail > 1e-12 * scale:
         raise AliasingError(
-            "grid size %d cannot resolve bandlimit %d under this map "
-            "(estimated spectral spread %d)" % (grid.size, bandlimit, spread)
+            "grid size %d cannot resolve bandlimit %d under this map (spectral "
+            "tail %.1e near Nyquist)" % (grid.size, bandlimit, tail / scale)
         )
 
 
@@ -44,9 +49,10 @@ def pullback_function(m, f, grid):
     The result carries every mode the grid resolves, so downstream
     identities see the full spread spectrum of the composition.
     """
-    _aliasing_guard(f.bandlimit, m.degree, m, grid)
-    samples = evaluate_at(f, m.lift_samples)
-    return analyze(samples, grid, (grid.size - 1) // 2)
+    vf = analyze(evaluate_at(f, _own_lift(m, grid)), grid, (grid.size - 1) // 2)
+    scale = np.max(np.abs(vf.coeffs))
+    _refuse_unresolved(np.fft.ifftshift(vf.coeffs), scale, f.bandlimit, grid)
+    return vf
 
 
 @dataclass(frozen=True)
@@ -66,6 +72,8 @@ class BlockOperator:
             block = np.array(getattr(self, name), dtype=np.complex128)
             if block.shape != (self.cutoff, self.cutoff):
                 raise ValidationError("%s block must be %d x %d" % (name, n, n))
+            if not np.all(np.isfinite(block)):
+                raise ValidationError("%s block entries must be finite" % name)
             block.flags.writeable = False
             object.__setattr__(self, name, block)
 
@@ -105,9 +113,8 @@ def pullback_matrix(m, cutoff, grid):
     """
     if m.degree != 1:
         raise ValidationError("block matrices are defined for degree-1 maps")
-    _aliasing_guard(cutoff, 1, m, grid)
     size = grid.size
-    w = np.exp(1j * m.lift_samples)
+    w = np.exp(1j * _own_lift(m, grid))
     ps = np.arange(1, cutoff + 1)
     phases = np.exp(-1j * ps * grid.offset)
     roots = np.sqrt(ps.astype(float))
@@ -122,6 +129,8 @@ def pullback_matrix(m, cutoff, grid):
         b[:, q - 1] = (roots / roots[q - 1]) * coeffs
         if q < cutoff:
             wq *= w
+    # spectrum is now that of w^cutoff, the widest power read.
+    _refuse_unresolved(spectrum / size, 1.0, cutoff, grid)
     return BlockOperator(cutoff, a, b)
 
 

@@ -115,6 +115,12 @@ class TestPeriodMatrix:
         with pytest.raises(ValidationError):
             PeriodMatrix(3, np.zeros((2, 2)))
 
+    def test_non_finite_entries_are_rejected(self):
+        # Refused at construction, before any SVD can see them.
+        for bad in (math.nan, math.inf, complex(0.0, -math.inf)):
+            with pytest.raises(ValidationError, match="finite"):
+                siegel_membership(PeriodMatrix(1, [[bad]]))
+
 
 class TestSiegelMembership:
     def test_origin_report(self):
@@ -420,6 +426,12 @@ class TestJson:
             period_from_json({"cutoff": 2, "Z": [[{"re": 0.0, "im": 0.0}]]})
         with pytest.raises(ValidationError):
             period_from_json({"Z": []})
+
+    def test_non_finite_entries_are_rejected(self):
+        for re, im in ((float("nan"), 0.0), (0.0, float("inf"))):
+            obj = {"cutoff": 1, "Z": [[{"re": re, "im": im}]]}
+            with pytest.raises(ValidationError, match="finite"):
+                period_from_json(obj)
 
     def test_report_serialization(self):
         report = siegel_membership(PeriodMatrix(2, 0.5 * np.eye(2)))

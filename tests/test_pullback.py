@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
+from hhalf.catalog import catalog_descriptors, sin_field
 from hhalf.errors import AliasingError, ValidationError
 from hhalf.fourier import SampleGrid, from_modes
 from hhalf.maps import (
@@ -40,9 +41,11 @@ from hhalf.symplectic import symplectic_form
 from test_fourier import random_real_function
 
 grid = SampleGrid(4096)
-# Working grid for cutoff-96 assemblies; the aliasing guard rejects
-# them on 4096 because the spread of a Moebius lift is ~35 modes.
+# Grid of the cutoff-96 assemblies below.  4096 points also resolve
+# them; the wider grid only adds margin.
 wide = SampleGrid(16384)
+# Eight times the default grid, a reference for resolved results.
+fine = SampleGrid(32768)
 
 cos_theta = from_modes(4, {1: 0.5, -1: 0.5})
 sin_theta = from_modes(4, {1: -0.5j, -1: 0.5j})
@@ -59,6 +62,16 @@ def bessel_j(k, z, terms=60):
         total += term
         term *= -(z / 2.0) ** 2 / ((m + 1.0) * (m + 1.0 + k))
     return total
+
+
+def under_resolved_cases():
+    # (descriptor, cutoff, grid): the spectrum of w^cutoff is still
+    # 2e-2 (moebius) and 0.36 (flow) within size/8 of Nyquist, and
+    # the blocks are off by 1.7e-2 and 1.1e-6 against a fine grid.
+    return [
+        (moebius(0.9), 32, SampleGrid(512)),
+        (flow(sin_field(9), 0.1), 60, SampleGrid(256)),
+    ]
 
 
 def coupling_matrix(n):
@@ -119,10 +132,21 @@ class TestPullbackFunction:
         assert vf.real
 
     def test_guard_rejects_unresolvable_spread(self):
+        # Bandlimit 100 under moebius(0.5) is resolved on 4096 points:
+        # it matches a grid eight times finer to rounding.
         f = random_real_function(100, np.random.default_rng(14))
-        phi = make_map(moebius(0.5), grid)
-        with pytest.raises(AliasingError):
-            pullback_function(phi, f, grid)
+        vf = pullback_function(make_map(moebius(0.5), grid), f, grid)
+        ref = pullback_function(make_map(moebius(0.5), fine), f, fine)
+        n = vf.bandlimit
+        head = ref.coeffs[ref.bandlimit - n : ref.bandlimit + n + 1]
+        assert np.max(np.abs(vf.coeffs - head)) <= 1e-14
+        # A function as wide as the cutoff of an under-resolved
+        # assembly spreads past Nyquist in the same way.
+        for descriptor, cutoff, coarse in under_resolved_cases():
+            f = random_real_function(cutoff, np.random.default_rng(14))
+            phi = make_map(descriptor, coarse)
+            with pytest.raises(AliasingError, match="cannot resolve"):
+                pullback_function(phi, f, coarse)
 
 
 class TestMatrixAssembly:
@@ -163,9 +187,25 @@ class TestMatrixAssembly:
             pullback_matrix(make_map(power(2), grid), 8, grid)
 
     def test_guard_rejects_coarse_grid_at_large_cutoff(self):
-        phi = make_map(moebius(0.5), grid)
-        with pytest.raises(AliasingError):
-            pullback_matrix(phi, 96, grid)
+        # Cutoff 96 under moebius(0.5) is resolved on 4096 points.
+        t = pullback_matrix(make_map(moebius(0.5), grid), 96, grid)
+        u = pullback_matrix(make_map(moebius(0.5), fine), 96, fine)
+        assert np.max(np.abs(t.A - u.A)) <= 1e-14
+        assert np.max(np.abs(t.B - u.B)) <= 1e-14
+        for descriptor, cutoff, coarse in under_resolved_cases():
+            phi = make_map(descriptor, coarse)
+            with pytest.raises(AliasingError, match="cannot resolve"):
+                pullback_matrix(phi, cutoff, coarse)
+
+    def test_catalog_is_resolved_on_a_coarse_grid(self):
+        # At N = 32 every catalog map is exact to rounding on 512
+        # points; the refusal must not fire on any of them.
+        coarse = SampleGrid(512)
+        for name, descriptor in catalog_descriptors():
+            t = pullback_matrix(make_map(descriptor, coarse), 32, coarse)
+            u = pullback_matrix(make_map(descriptor, grid), 32, grid)
+            assert np.max(np.abs(t.A - u.A)) <= 1e-14, name
+            assert np.max(np.abs(t.B - u.B)) <= 1e-14, name
 
     def test_moebius_corner_of_wide_assembly_is_unitary(self):
         # The 16 x 16 corner read from a cutoff-96 assembly is unitary
@@ -287,6 +327,13 @@ class TestBlockOperator:
         with pytest.raises(ValidationError):
             BlockOperator(3, np.eye(3), np.zeros((2, 2)))
 
+    def test_non_finite_entries_are_rejected(self):
+        for bad in (math.nan, -math.inf, complex(math.nan, 0.0)):
+            with pytest.raises(ValidationError, match="A block"):
+                BlockOperator(2, [[1.0, 0.0], [0.0, bad]], np.zeros((2, 2)))
+            with pytest.raises(ValidationError, match="B block"):
+                BlockOperator(2, np.eye(2), [[bad, 0.0], [0.0, 0.0]])
+
     def test_sub_operator_reads_the_corner(self):
         t = pullback_matrix(make_map(moebius(0.3), grid), 16, grid)
         s = sub_operator(t, 5)
@@ -384,3 +431,9 @@ class TestJson:
             operator_from_json({"cutoff": 2, "A": [[1.0]]})
         with pytest.raises(ValidationError):
             operator_from_json({"A": [], "B": []})
+
+    def test_non_finite_entries_are_rejected(self):
+        t = operator_to_json(identity_operator(2))
+        t["B"][1][0] = {"re": float("nan"), "im": 0.0}
+        with pytest.raises(ValidationError, match="finite"):
+            operator_from_json(t)
