@@ -243,8 +243,10 @@ def _period_argument(args, cfg):
         return period_matrix(m, cfg.cutoff, m.grid)
     loaded = _matrix_argument(args.matrix)
     if isinstance(loaded, BlockOperator):
-        n = loaded.cutoff
-        return siegel_action(loaded, PeriodMatrix(n, np.zeros((n, n))))
+        basepoint = PeriodMatrix(
+            loaded.cutoff, np.zeros((loaded.cutoff, loaded.cutoff))
+        )
+        return siegel_action(loaded, basepoint)
     return loaded
 
 

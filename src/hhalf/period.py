@@ -189,9 +189,15 @@ def _resymmetrized(matrix, cutoff):
     return BlockOperator(cutoff, a, b)
 
 
+def _base_structure(cutoff):
+    diag = np.concatenate(
+        [np.full(cutoff, -1j), np.full(cutoff, 1j)]
+    )
+    return np.diag(diag)
+
+
 def _conjugated_structure(basis, cutoff, name):
-    j0 = np.diag(np.repeat([-1j, 1j], cutoff))
-    raw = _right_divide(basis @ j0, basis, name)[0]
+    raw = _right_divide(basis @ _base_structure(cutoff), basis, name)[0]
     return _resymmetrized(raw, cutoff)
 
 

@@ -6,8 +6,11 @@ conj(B) w+ + conj(A) w-) in the normalized basis e^{ik theta}/sqrt(k),
 k = 1..cutoff, and conjugates.  Matrix entries are Fourier integrals
 of powers of w = e^{i lift}, evaluated by FFT of the map's own lift
 samples; c_r(conj(w)^q) = conj(c_{-r}(w^q)) gives B from A's FFTs.
-A result is refused as aliased when the spectrum it was read from has
-not decayed to 1e-12 within size/8 of the Nyquist frequency.
+A result is refused as aliased when the highest mode its input
+reaches before any spread (bandlimit x degree, or the cutoff for a
+block matrix) is past Nyquist, or when the spectrum it was read from,
+above that mode and within size/8 of Nyquist, has not decayed to
+1e-12.
 """
 
 from dataclasses import dataclass
@@ -31,15 +34,26 @@ def _own_lift(m, grid):
     return m.lift_samples
 
 
-def _refuse_unresolved(spectrum, scale, bandlimit, grid):
-    # spectrum is in FFT bin order.  A tail above 1e-12 * scale within
-    # size/8 of Nyquist would fold back onto the modes a result reads.
-    freqs = np.abs(np.fft.fftfreq(spectrum.size, 1.0 / spectrum.size))
-    tail = np.max(np.abs(spectrum[freqs >= 3 * grid.size / 8]), initial=0.0)
-    if tail > 1e-12 * scale:
+def _refuse_past_nyquist(reach, bandlimit, grid):
+    # reach is the highest mode of the result before any spread.  Past
+    # Nyquist it folds onto low modes and leaves no tail to measure.
+    if reach > (grid.size - 1) // 2:
         raise AliasingError(
-            "grid size %d cannot resolve bandlimit %d under this map (spectral "
-            "tail %.1e near Nyquist)" % (grid.size, bandlimit, tail / scale)
+            "grid size %d cannot resolve bandlimit %d under this map "
+            "(mode %d is past Nyquist)" % (grid.size, bandlimit, reach)
+        )
+
+
+def _refuse_tail(magnitudes, modes, reach, bandlimit, grid):
+    # magnitudes are relative to the result, at the given |modes|.
+    # Spread above reach and within size/8 of Nyquist must have
+    # decayed to 1e-12, or what lies past Nyquist folds back.
+    band = modes >= max(3 * grid.size / 8, reach + 1)
+    tail = np.max(magnitudes[band], initial=0.0)
+    if tail > 1e-12:
+        raise AliasingError(
+            "grid size %d cannot resolve bandlimit %d under this map "
+            "(spectral tail %.1e near Nyquist)" % (grid.size, bandlimit, tail)
         )
 
 
@@ -49,9 +63,14 @@ def pullback_function(m, f, grid):
     The result carries every mode the grid resolves, so downstream
     identities see the full spread spectrum of the composition.
     """
-    vf = analyze(evaluate_at(f, _own_lift(m, grid)), grid, (grid.size - 1) // 2)
-    scale = np.max(np.abs(vf.coeffs))
-    _refuse_unresolved(np.fft.ifftshift(vf.coeffs), scale, f.bandlimit, grid)
+    lift = _own_lift(m, grid)
+    reach = f.bandlimit * m.degree
+    _refuse_past_nyquist(reach, f.bandlimit, grid)
+    vf = analyze(evaluate_at(f, lift), grid, (grid.size - 1) // 2)
+    magnitudes = np.abs(vf.coeffs)
+    magnitudes /= np.max(magnitudes) or 1.0
+    modes = np.abs(np.arange(-vf.bandlimit, vf.bandlimit + 1))
+    _refuse_tail(magnitudes, modes, reach, f.bandlimit, grid)
     return vf
 
 
@@ -115,6 +134,7 @@ def pullback_matrix(m, cutoff, grid):
         raise ValidationError("block matrices are defined for degree-1 maps")
     size = grid.size
     w = np.exp(1j * _own_lift(m, grid))
+    _refuse_past_nyquist(cutoff, cutoff, grid)
     ps = np.arange(1, cutoff + 1)
     phases = np.exp(-1j * ps * grid.offset)
     roots = np.sqrt(ps.astype(float))
@@ -130,7 +150,8 @@ def pullback_matrix(m, cutoff, grid):
         if q < cutoff:
             wq *= w
     # spectrum is now that of w^cutoff, the widest power read.
-    _refuse_unresolved(spectrum / size, 1.0, cutoff, grid)
+    modes = np.abs(np.fft.fftfreq(size, 1.0 / size))
+    _refuse_tail(np.abs(spectrum) / size, modes, cutoff, cutoff, grid)
     return BlockOperator(cutoff, a, b)
 
 

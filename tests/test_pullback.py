@@ -41,9 +41,6 @@ from hhalf.symplectic import symplectic_form
 from test_fourier import random_real_function
 
 grid = SampleGrid(4096)
-# Grid of the cutoff-96 assemblies below.  4096 points also resolve
-# them; the wider grid only adds margin.
-wide = SampleGrid(16384)
 # Eight times the default grid, a reference for resolved results.
 fine = SampleGrid(32768)
 
@@ -147,6 +144,30 @@ class TestPullbackFunction:
             phi = make_map(descriptor, coarse)
             with pytest.raises(AliasingError, match="cannot resolve"):
                 pullback_function(phi, f, coarse)
+        # Modes that land past Nyquist fold onto clean low modes and
+        # leave no tail: cos 4000 theta reads as cos 96 theta on 4096.
+        past_nyquist = [
+            (power(4), from_modes(1000, {1000: 0.5, -1000: 0.5})),
+            (identity(), from_modes(3000, {3000: 0.5, -3000: 0.5})),
+        ]
+        for descriptor, f in past_nyquist:
+            phi = make_map(descriptor, grid)
+            with pytest.raises(AliasingError, match="past Nyquist"):
+                pullback_function(phi, f, grid)
+
+    def test_exact_modes_near_nyquist_are_accepted(self):
+        # Modes up to bandlimit x degree are the composition itself,
+        # not spread, even within size/8 of Nyquist.
+        f = random_real_function(1600, np.random.default_rng(15))
+        vf = pullback_function(make_map(identity(), grid), f, grid)
+        assert abs(vf.coefficient(1600) - f.coefficient(1600)) <= 1e-14
+        vf = pullback_function(make_map(rotation(0.7), grid), f, grid)
+        expected = f.coefficient(1555) * np.exp(1j * 1555 * 0.7)
+        assert abs(vf.coefficient(1555) - expected) <= 1e-13
+        f = random_real_function(800, np.random.default_rng(16))
+        vf = pullback_function(make_map(power(2), grid), f, grid)
+        assert abs(vf.coefficient(1600) - f.coefficient(800)) <= 1e-14
+        assert abs(vf.coefficient(1599)) <= 1e-14
 
 
 class TestMatrixAssembly:
@@ -196,6 +217,20 @@ class TestMatrixAssembly:
             phi = make_map(descriptor, coarse)
             with pytest.raises(AliasingError, match="cannot resolve"):
                 pullback_matrix(phi, cutoff, coarse)
+        # Past Nyquist, w^3000 = e^{3000 i theta} reads as mode -1096 on
+        # 4096 points and would fill B with no tail to show it.
+        with pytest.raises(AliasingError, match="past Nyquist"):
+            pullback_matrix(make_map(identity(), grid), 3000, grid)
+
+    def test_cutoff_near_nyquist_is_accepted_when_exact(self):
+        # w^200 of the identity sits within size/8 of Nyquist on 512
+        # points; it is the blocks' own top mode, not spread.
+        coarse = SampleGrid(512)
+        t = pullback_matrix(make_map(identity(), coarse), 200, coarse)
+        assert np.max(np.abs(t.A - np.eye(200))) <= 1e-13
+        assert np.max(np.abs(t.B)) <= 1e-13
+        with pytest.raises(AliasingError, match="past Nyquist"):
+            pullback_matrix(make_map(identity(), coarse), 256, coarse)
 
     def test_catalog_is_resolved_on_a_coarse_grid(self):
         # At N = 32 every catalog map is exact to rounding on 512
@@ -212,7 +247,7 @@ class TestMatrixAssembly:
         # to machine precision, while the direct cutoff-16 Gram matrix
         # misses the identity by O(1) truncation spill.
         for a in (0.1, 0.3, 0.5):
-            t96 = pullback_matrix(make_map(moebius(a), wide), 96, wide)
+            t96 = pullback_matrix(make_map(moebius(a), grid), 96, grid)
             gram = t96.A.conj().T @ t96.A
             corner = np.max(np.abs(gram[:16, :16] - np.eye(16)))
             assert corner <= 1e-6
@@ -224,11 +259,11 @@ class TestMatrixAssembly:
         # V_{phi o psi} = V_psi V_phi on functions, hence the same
         # order for the truncated matrices; the opposite product is
         # off by O(0.1).
-        phi = make_map(flow(sin_two_theta, 0.05), wide)
-        psi = make_map(moebius(0.2), wide)
-        t_comp = pullback_matrix(compose(phi, psi), 96, wide)
-        t_phi = pullback_matrix(phi, 96, wide)
-        t_psi = pullback_matrix(psi, 96, wide)
+        phi = make_map(flow(sin_two_theta, 0.05), grid)
+        psi = make_map(moebius(0.2), grid)
+        t_comp = pullback_matrix(compose(phi, psi), 96, grid)
+        t_phi = pullback_matrix(phi, 96, grid)
+        t_psi = pullback_matrix(psi, 96, grid)
         corner = np.r_[0:16, 96:112]
         good = (t_psi @ t_phi).full() - t_comp.full()
         bad = (t_phi @ t_psi).full() - t_comp.full()
@@ -240,7 +275,7 @@ class TestMatrixAssembly:
         corner = np.r_[0:16, 96:112]
         s_full = coupling_matrix(96)
         for descriptor in (flow(sin_two_theta, 0.05), moebius(0.3)):
-            t = pullback_matrix(make_map(descriptor, wide), 96, wide)
+            t = pullback_matrix(make_map(descriptor, grid), 96, grid)
             m = t.full()
             defect = m.T @ s_full @ m - s_full
             assert np.max(np.abs(defect[np.ix_(corner, corner)])) <= 1e-6
