@@ -82,7 +82,6 @@ from .period import (
     siegel_action,
     siegel_membership,
     siegel_report_to_json,
-    structure_from_map,
     structure_from_period,
 )
 from .pullback import (

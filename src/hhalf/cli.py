@@ -46,7 +46,6 @@ from .period import (
     siegel_report_to_json,
 )
 from .pullback import (
-    BlockOperator,
     operator_from_json,
     operator_to_json,
     pullback_matrix,
@@ -119,24 +118,6 @@ def _map_argument(args, cfg):
     if len(maps) != 1:
         raise ValidationError("this subcommand wants --map exactly once")
     return make_map(_descriptor_argument(maps[0]), _grid(cfg))
-
-
-def _map_given(args):
-    given_map = bool(getattr(args, "map", None))
-    if given_map == (getattr(args, "matrix", None) is not None):
-        raise ValidationError("give exactly one of --map or --matrix")
-    return given_map
-
-
-def _matrix_argument(value):
-    obj = _json_argument(value, "--matrix")
-    if isinstance(obj, dict) and "Z" in obj:
-        return period_from_json(obj)
-    if isinstance(obj, dict) and "A" in obj and "B" in obj:
-        return operator_from_json(obj)
-    raise ValidationError(
-        "--matrix wants a period matrix or a block operator object"
-    )
 
 
 def _tolerance(args, default):
@@ -238,16 +219,22 @@ def _cmd_period(args, cfg):
 
 
 def _period_argument(args, cfg):
-    if _map_given(args):
+    given_map = bool(getattr(args, "map", None))
+    if given_map == (getattr(args, "matrix", None) is not None):
+        raise ValidationError("give exactly one of --map or --matrix")
+    if given_map:
         m = _map_argument(args, cfg)
         return period_matrix(m, cfg.cutoff, m.grid)
-    loaded = _matrix_argument(args.matrix)
-    if isinstance(loaded, BlockOperator):
-        basepoint = PeriodMatrix(
-            loaded.cutoff, np.zeros((loaded.cutoff, loaded.cutoff))
-        )
-        return siegel_action(loaded, basepoint)
-    return loaded
+    obj = _json_argument(args.matrix, "--matrix")
+    if isinstance(obj, dict) and "Z" in obj:
+        return period_from_json(obj)
+    if isinstance(obj, dict) and "A" in obj and "B" in obj:
+        t = operator_from_json(obj)
+        basepoint = PeriodMatrix(t.cutoff, np.zeros((t.cutoff, t.cutoff)))
+        return siegel_action(t, basepoint)
+    raise ValidationError(
+        "--matrix wants a period matrix or a block operator object"
+    )
 
 
 def _cmd_siegel_check(args, cfg):
@@ -333,17 +320,12 @@ def _cmd_equivariance(args, cfg):
 
 def _cmd_integrability(args, cfg):
     tol = _tolerance(args, cfg.matrix_tol)
-    if _map_given(args):
-        source = _map_argument(args, cfg)
-        cutoff = cfg.cutoff
-    else:
-        source = _matrix_argument(args.matrix)
-        cutoff = source.cutoff
+    p = _period_argument(args, cfg)
     trials = trial_functions(4, 8, cfg.seed)
-    residual = integrability_residual(source, trials, _grid(cfg), cutoff)
+    residual = integrability_residual(p, trials, _grid(cfg))
     report = {
         "command": "integrability",
-        "cutoff": cutoff,
+        "cutoff": p.cutoff,
         "grid_size": cfg.grid_size,
         "seed": cfg.seed,
         "trial_count": 4,

@@ -280,15 +280,19 @@ def periodic_part(m, bandlimit=None):
     return analyze(m.lift_samples - m.degree * points, m.grid, bandlimit)
 
 
-def lift_bandwidth(m):
-    """Largest active mode of the periodic part, by coefficient size."""
-    part = periodic_part(m)
+def active_band(part):
+    """Largest mode of a periodic part above 1e-12 of max(1, its peak)."""
     mags = np.abs(part.coeffs)
     floor = 1e-12 * max(1.0, float(mags.max()))
     active = np.nonzero(mags > floor)[0]
     if active.size == 0:
         return 0
     return int(np.max(np.abs(active - part.bandlimit)))
+
+
+def lift_bandwidth(m):
+    """Largest active mode of the periodic part, by coefficient size."""
+    return active_band(periodic_part(m))
 
 
 def qs_ratio(m):
@@ -363,7 +367,7 @@ def descriptor_from_json(obj):
         if kind == "rotation":
             return rotation(float(obj["alpha"]))
         if kind == "power":
-            return power(int(obj["k"]))
+            return power(obj["k"])
         if kind == "moebius":
             a = obj["a"]
             return moebius(
@@ -373,13 +377,15 @@ def descriptor_from_json(obj):
         if kind == "flow":
             return flow(function_from_json(obj["v"]), float(obj["eps"]))
         if kind == "rauch_flow":
-            return rauch_flow(int(obj["m"]), float(obj["eps"]))
+            return rauch_flow(obj["m"], float(obj["eps"]))
         if kind == "compose":
             return compose_descriptors(
                 [descriptor_from_json(x) for x in obj["maps"]]
             )
         if kind == "inverse":
             return inverse_descriptor(descriptor_from_json(obj["of"]))
-    except (KeyError, TypeError) as exc:
+    except ValidationError:
+        raise
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ValidationError("malformed %s descriptor: %s" % (kind, exc))
     raise ValidationError("unknown map descriptor type %r" % (kind,))

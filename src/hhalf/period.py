@@ -5,7 +5,10 @@ of the period matrix Z = conj(B) A^{-1} built from the pullback
 blocks.  Z is symmetric and strictly contractive, so it lands in the
 Siegel disc; right composition acts on it by a fractional-linear rule,
 and the derivative of the map in a monomial direction has a closed
-form checked here by finite differences.
+form checked here by finite differences.  Every complex structure is
+built from a period matrix; for Z(phi) it is the pulled-back structure
+T J0 T^{-1} (Nag and Sullivan, Osaka J. Math. 32, 1995), and an
+operator T enters as its image siegel_action(T, 0) of the origin.
 """
 
 from dataclasses import dataclass
@@ -21,7 +24,6 @@ from .fourier import (
     synthesize,
 )
 from .maps import (
-    CircleMap,
     compose,
     descriptor_from_json,
     descriptor_to_json,
@@ -181,38 +183,24 @@ def rauch_fd_defect(m, eps, cutoff, grid):
     return float(np.max(np.abs(z / eps - derivative)[window]))
 
 
-def _resymmetrized(matrix, cutoff):
-    # Fold a numerically conjugated structure back onto the exact
-    # block-conjugate form so it maps real functions to real functions.
-    a = 0.5 * (matrix[:cutoff, :cutoff] + np.conj(matrix[cutoff:, cutoff:]))
-    b = 0.5 * (matrix[:cutoff, cutoff:] + np.conj(matrix[cutoff:, :cutoff]))
-    return BlockOperator(cutoff, a, b)
-
-
-def _base_structure(cutoff):
-    diag = np.concatenate(
-        [np.full(cutoff, -1j), np.full(cutoff, 1j)]
-    )
-    return np.diag(diag)
-
-
-def _conjugated_structure(basis, cutoff, name):
-    raw = _right_divide(basis @ _base_structure(cutoff), basis, name)[0]
-    return _resymmetrized(raw, cutoff)
-
-
-def structure_from_map(t):
-    """Complex structure T J0 T^{-1} conjugated from the reference one."""
-    return _conjugated_structure(t.full(), t.cutoff, "operator")
-
-
 def structure_from_period(p):
-    """Complex structure with the graph of Z as its -i eigenspace."""
+    """Complex structure with the graph of Z as its -i eigenspace.
+
+    The conjugate graph is the +i eigenspace.  For Z = conj(B) A^{-1}
+    of a pullback T this is T J0 T^{-1} even after truncation: the
+    columns [A; conj B] span graph(Z) and [B; conj A] its conjugate.
+    """
     n = p.cutoff
     basis = np.block(
         [[np.eye(n), np.conj(p.Z)], [p.Z, np.eye(n)]]
     )
-    return _conjugated_structure(basis, n, "graph basis")
+    j0 = np.diag(np.concatenate([np.full(n, -1j), np.full(n, 1j)]))
+    raw = _right_divide(basis @ j0, basis, "graph basis")[0]
+    # Fold the numerically conjugated structure back onto the exact
+    # block-conjugate form so it maps real functions to real functions.
+    a = 0.5 * (raw[:n, :n] + np.conj(raw[n:, n:]))
+    b = 0.5 * (raw[:n, n:] + np.conj(raw[n:, :n]))
+    return BlockOperator(n, a, b)
 
 
 def _pointwise_product(f, g, grid, cutoff):
@@ -220,35 +208,21 @@ def _pointwise_product(f, g, grid, cutoff):
     return analyze(samples, grid, cutoff)
 
 
-def integrability_residual(j_source, trial_functions, grid, cutoff=None):
-    """Worst multiplicativity defect of a complex structure J.
+def integrability_residual(p, trial_functions, grid):
+    """Worst multiplicativity defect of the structure built from Z.
 
     For every pair (f, g) of real trial functions the residual
     ||J[fg - (Jf)(Jg)] - f(Jg) - g(Jf)|| / (||f|| ||g||) measures how
-    far the -i eigenspace of J is from being multiplication closed;
-    it vanishes for structures conjugated from the reference one by a
-    composition operator.  The source may be a CircleMap, a pullback
-    BlockOperator, or a PeriodMatrix.  Products are formed pointwise
-    on the grid, mean removed, and re-truncated to the cutoff.
+    far the -i eigenspace of J = structure_from_period(p) is from being
+    multiplication closed; it vanishes for the period matrix of a
+    circle map, whose structure is conjugated from the reference one
+    by the composition operator.  Products are formed pointwise on the
+    grid, mean removed, and re-truncated to the cutoff of p.
     """
-    if isinstance(j_source, CircleMap):
-        if cutoff is None:
-            raise ValidationError("map-sourced structures need a cutoff")
-        structure = structure_from_map(pullback_matrix(j_source, cutoff, grid))
-    elif isinstance(j_source, BlockOperator):
-        if cutoff is not None and cutoff != j_source.cutoff:
-            raise ValidationError("cutoff disagrees with the operator")
-        cutoff = j_source.cutoff
-        structure = structure_from_map(j_source)
-    elif isinstance(j_source, PeriodMatrix):
-        if cutoff is not None and cutoff != j_source.cutoff:
-            raise ValidationError("cutoff disagrees with the period matrix")
-        cutoff = j_source.cutoff
-        structure = structure_from_period(j_source)
-    else:
-        raise ValidationError(
-            "structure source must be a map, an operator, or a Z matrix"
-        )
+    if not isinstance(p, PeriodMatrix):
+        raise ValidationError("structure source must be a PeriodMatrix")
+    cutoff = p.cutoff
+    structure = structure_from_period(p)
     if grid.size < 8 * cutoff:
         raise AliasingError(
             "grid size %d cannot hold products at cutoff %d"

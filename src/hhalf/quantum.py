@@ -17,6 +17,7 @@ import numpy as np
 
 from .errors import NumericalError, ValidationError
 from .fourier import (
+    CircleFunction,
     derivative,
     evaluate_at,
     matrix_from_json,
@@ -30,7 +31,7 @@ from .maps import (
     Inverse,
     Moebius,
     Rotation,
-    lift_bandwidth,
+    active_band,
     periodic_part,
     periodic_values,
 )
@@ -153,19 +154,23 @@ def _lift_model(m):
     bandwidth before differentiating; keeping the full grid spectrum
     would amplify the rounding floor by the cube of the top mode.
     """
-    band = lift_bandwidth(m)
-    nyquist = (m.grid.size - 1) // 2
+    part = periodic_part(m)
+    band = active_band(part)
+    nyquist = part.bandlimit
     if band >= nyquist:
         raise ValidationError(
             "lift spectrum does not resolve on the map grid; kernel "
             "derivatives need a smooth, resolved descriptor"
         )
-    # Constant periodic parts (rotations) carry no content; analyzing
-    # them would only differentiate rounding noise.
+    # Constant periodic parts (rotations) carry no content; their
+    # spectrum is rounding noise, which differentiating would amplify.
     if band == 0:
         part = zero_function(1)
     else:
-        part = periodic_part(m, bandlimit=min(2 * band + 8, nyquist))
+        # Slicing the full analysis equals re-analyzing at the kept band.
+        keep = min(2 * band + 8, nyquist)
+        coeffs = part.coeffs[nyquist - keep : nyquist + keep + 1]
+        part = CircleFunction(keep, coeffs, part.real)
     d1 = derivative(part)
     d2 = derivative(d1)
     d3 = derivative(d2)

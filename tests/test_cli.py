@@ -155,6 +155,10 @@ class TestPeriod:
         )
         assert code == 2
         assert "singular" in err
+        # integrability forms the same Z, so it refuses the same way.
+        code, out, err = run(["integrability", "--map", moebius_map], capsys)
+        assert code == 2 and out == ""
+        assert "numerically singular" in err
 
 
 class TestSiegelCheck:
@@ -303,6 +307,35 @@ class TestIntegrability:
         report = run_json(["integrability", "--matrix", str(path)], capsys)
         assert report["cutoff"] == 32
         assert report["within_tol"] is True
+
+    def test_every_source_reads_the_same_z(self, tmp_path, capsys):
+        # A map, its period artifact and its operator artifact all name
+        # the same Z = conj(B) A^{-1}, so they give the same residual.
+        composite = json.dumps(
+            {
+                "type": "compose",
+                "maps": [
+                    json.loads(flow_map),
+                    {"type": "moebius", "a": {"re": 0.2, "im": 0.0}},
+                ],
+            }
+        )
+        period_path = tmp_path / "per.json"
+        operator_path = tmp_path / "op.json"
+        run_json(["period", "--map", composite, "--out", str(period_path)], capsys)
+        run_json(
+            ["pullback-matrix", "--map", composite, "--out", str(operator_path)],
+            capsys,
+        )
+        residuals = {
+            run_json(["integrability"] + source, capsys)["residual"]
+            for source in (
+                ["--map", composite],
+                ["--matrix", str(period_path)],
+                ["--matrix", str(operator_path)],
+            )
+        }
+        assert len(residuals) == 1
 
     def test_exactly_one_source(self, capsys):
         assert run(["integrability"], capsys)[0] == 1
@@ -484,6 +517,14 @@ class TestPlumbing:
             (None, ["norm", "--modes", '{"1": 1e999}']),
             ('{"cutoff": Infinity}', ["norm", "--modes", cos_modes]),
             ('{"cutoff": "abc"}', ["norm", "--modes", cos_modes]),
+            (None, ["period", "--map", '{"type": "rotation", "alpha": "abc"}']),
+            (None, ["period", "--map", '{"type": "power", "k": "x"}']),
+            (None, ["period", "--map", json.dumps(
+                dict(json.loads(flow_map), eps="e"))]),
+            (None, ["period", "--map",
+                    '{"type": "rauch_flow", "m": 1.5, "eps": 0.1}']),
+            (None, ["kernel", "--order", "0", "--map",
+                    '{"type": "power", "k": 2.5}']),
         ],
     )
     def test_non_finite_and_malformed_numbers_are_input_errors(

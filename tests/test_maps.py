@@ -325,3 +325,16 @@ class TestJson:
     def test_invalid_parameters_rejected(self):
         with pytest.raises(ValidationError):
             descriptor_from_json({"type": "moebius", "a": {"re": 2.0, "im": 0.0}})
+        for obj in (
+            {"type": "rotation", "alpha": "abc"},
+            {"type": "power", "k": "x"},
+            {"type": "power", "k": 2.5},
+            {"type": "rauch_flow", "m": 1.5, "eps": 0.1},
+            {"type": "rauch_flow", "m": 1, "eps": "e"},
+            {"type": "compose", "maps": [{"type": "power", "k": 1.5}]},
+        ):
+            with pytest.raises(ValidationError):
+                descriptor_from_json(obj)
+        # A constructor's own refusal passes through unwrapped.
+        with pytest.raises(ValidationError, match="^power descriptor"):
+            descriptor_from_json({"type": "power", "k": 0})

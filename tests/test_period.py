@@ -38,7 +38,6 @@ from hhalf.period import (
     siegel_action,
     siegel_membership,
     siegel_report_to_json,
-    structure_from_map,
     structure_from_period,
 )
 from hhalf.pullback import (
@@ -281,39 +280,39 @@ class TestStructures:
         assert np.array_equal(j.B, np.zeros((16, 16)))
 
     def test_identity_map_gives_the_reference_structure(self):
-        t = pullback_matrix(make_map(identity(), grid), 16, grid)
-        j = structure_from_map(t)
-        assert np.max(np.abs(j.A + 1j * np.eye(16))) <= 1e-13
-        assert np.max(np.abs(j.B)) <= 1e-13
+        for n in (8, 16):
+            p = period_matrix(make_map(identity(), grid), n, grid)
+            j = structure_from_period(p)
+            assert np.max(np.abs(j.A + 1j * np.eye(n))) <= 1e-13
+            assert np.max(np.abs(j.B)) <= 1e-13
 
     def test_moebius_structure_is_the_reference_one(self):
         t = pullback_matrix(make_map(moebius(0.3, 1.0), grid), 16, grid)
-        j = structure_from_map(t)
-        assert np.max(np.abs(j.A + 1j * np.eye(16))) <= 1e-6
-        assert np.max(np.abs(j.B)) <= 1e-6
+        j = structure_from_period(siegel_action(t, zero_period(16)))
+        assert np.max(np.abs(j.A + 1j * np.eye(16))) <= 1e-12
+        assert np.max(np.abs(j.B)) <= 1e-12
 
     def test_structures_square_to_minus_one(self):
         m = make_map(flow(sin_two_theta, 0.05), grid)
         t = pullback_matrix(m, 16, grid)
-        j = structure_from_map(t)
-        square = (j @ j).full() + np.eye(32)
-        assert np.max(np.abs(square)) <= 1e-12
-
-        p = period_matrix(m, 16, grid)
-        j2 = structure_from_period(p)
-        square = (j2 @ j2).full() + np.eye(32)
-        assert np.max(np.abs(square)) <= 1e-12
+        for p in (period_matrix(m, 16, grid), siegel_action(t, zero_period(16))):
+            j = structure_from_period(p)
+            square = (j @ j).full() + np.eye(32)
+            assert np.max(np.abs(square)) <= 1e-12
 
     def test_graph_is_the_minus_i_eigenspace(self):
         m = make_map(flow(sin_two_theta, 0.05), grid)
         p = period_matrix(m, 16, grid)
+        j = structure_from_period(p).full()
         graph = np.vstack([np.eye(16), p.Z])
-        for j in (
-            structure_from_map(pullback_matrix(m, 16, grid)),
-            structure_from_period(p),
-        ):
-            defect = np.max(np.abs(j.full() @ graph + 1j * graph))
-            assert defect <= 1e-12
+        assert np.max(np.abs(j @ graph + 1j * graph)) <= 1e-12
+        conjugate_graph = np.vstack([np.conj(p.Z), np.eye(16)])
+        assert np.max(np.abs(j @ conjugate_graph - 1j * conjugate_graph)) <= 1e-12
+        # The structure is the pulled-back one, T J0 T^{-1}: the columns
+        # [A; conj B] and [B; conj A] of T are its -i and +i eigenvectors.
+        t = pullback_matrix(m, 16, grid).full()
+        j0 = np.diag(np.concatenate([np.full(16, -1j), np.full(16, 1j)]))
+        assert np.max(np.abs(j @ t - t @ j0)) <= 1e-12
 
 
 class TestIntegrability:
@@ -355,25 +354,27 @@ class TestIntegrability:
         for name, m in catalog_maps(grid):
             if name == "moebius_0.5_0.5":
                 continue
-            residual = integrability_residual(m, trials, grid, cutoff=32)
-            assert residual <= 1e-12, name
+            p = period_matrix(m, 32, grid)
+            assert integrability_residual(p, trials, grid) <= 1e-12, name
 
     def test_operator_source_matches_map_source(self):
+        # An operator enters as the image of the origin, conj(B) A^{-1},
+        # which is exactly the Z that period_matrix forms.
         trials = [cos_theta, sin_two_theta]
         m = make_map(flow(sin_two_theta, 0.05), grid)
         t = pullback_matrix(m, 16, grid)
-        from_map = integrability_residual(m, trials, grid, cutoff=16)
-        from_operator = integrability_residual(t, trials, grid)
+        from_map = integrability_residual(period_matrix(m, 16, grid), trials, grid)
+        from_operator = integrability_residual(
+            siegel_action(t, zero_period(16)), trials, grid
+        )
         assert from_operator == from_map
-        assert integrability_residual(t, trials, grid, cutoff=16) == from_map
-        with pytest.raises(ValidationError):
-            integrability_residual(t, trials, grid, cutoff=8)
 
     def test_singular_operator_is_refused(self):
-        trials = [cos_theta]
-        m = make_map(moebius(0.5, 0.5), grid)
-        with pytest.raises(ConditioningError):
-            integrability_residual(m, trials, grid, cutoff=32)
+        # The operator source is refused where its plus block is, by the
+        # solve that forms conj(B) A^{-1}.
+        t = pullback_matrix(make_map(moebius(0.5, 0.5), grid), 32, grid)
+        with pytest.raises(ConditioningError, match="numerically singular"):
+            siegel_action(t, zero_period(32))
 
     def test_random_z_is_far_from_integrable(self):
         rng = np.random.default_rng(7)
@@ -386,23 +387,19 @@ class TestIntegrability:
 
     def test_validation(self):
         complex_trial = from_modes(2, {1: 1.0})
-        m = make_map(identity(), grid)
+        origin = zero_period(16)
         with pytest.raises(ValidationError):
-            integrability_residual(m, [complex_trial], grid, cutoff=16)
+            integrability_residual(origin, [complex_trial], grid)
         wide_trial = trial_functions(1, 10, seed=1)[0]
         with pytest.raises(ValidationError):
-            integrability_residual(m, [wide_trial], grid, cutoff=16)
-        with pytest.raises(ValidationError):
-            integrability_residual(m, [cos_theta], grid)
-        with pytest.raises(ValidationError):
-            integrability_residual(
-                zero_period(16), [cos_theta], grid, cutoff=8
-            )
+            integrability_residual(origin, [wide_trial], grid)
+        m = make_map(identity(), grid)
+        for source in (m, pullback_matrix(m, 16, grid)):
+            with pytest.raises(ValidationError, match="PeriodMatrix"):
+                integrability_residual(source, [cos_theta], grid)
         small = SampleGrid(64)
         with pytest.raises(AliasingError):
-            integrability_residual(
-                zero_period(16), [cos_theta], small
-            )
+            integrability_residual(origin, [cos_theta], small)
 
 
 class TestJson:

@@ -23,8 +23,6 @@ from hhalf.maps import (
     power,
     rotation,
 )
-from hhalf.period import structure_from_map
-from hhalf.pullback import pullback_matrix
 from hhalf.quantum import (
     QuantumOperator,
     _extrapolate,
@@ -419,39 +417,6 @@ class TestLineRealization:
             fractional_linear(np.zeros((2, 3)))
         with pytest.raises(ValidationError):
             fractional_linear(np.array([[1.0, 0.0], [0.0, -1.0]]))
-
-
-class TestDeformedStructure:
-    def test_identity_gives_the_reference_structure(self):
-        j = structure_from_map(
-            pullback_matrix(make_map(identity(), grid), 8, grid)
-        )
-        assert np.max(np.abs(j.A + 1j * np.eye(8))) <= 1e-13
-        assert np.max(np.abs(j.B)) <= 1e-13
-
-    def test_moebius_preserves_the_reference_structure(self):
-        j = structure_from_map(
-            pullback_matrix(make_map(moebius(0.3, 1.0), grid), 16, grid)
-        )
-        assert np.max(np.abs(j.A + 1j * np.eye(16))) <= 1e-6
-        assert np.max(np.abs(j.B)) <= 1e-6
-        assert np.max(np.abs(j.A + 1j * np.eye(16))) <= 1e-12
-        assert np.max(np.abs(j.B)) <= 1e-12
-
-    def test_flow_structure_squares_to_minus_one(self):
-        m = make_map(flow(sin_field(2), 0.05), grid)
-        j = structure_from_map(pullback_matrix(m, 16, grid))
-        defect = np.max(np.abs((j @ j).full() + np.eye(32)))
-        assert defect <= 1e-6
-        assert defect <= 1e-12
-
-    def test_eigenspace_is_the_period_graph(self):
-        from hhalf.period import period_matrix
-
-        m = make_map(flow(sin_field(2), 0.05), grid)
-        j = structure_from_map(pullback_matrix(m, 16, grid))
-        graph = np.vstack([np.eye(16), period_matrix(m, 16, grid).Z])
-        assert np.max(np.abs(j.full() @ graph + 1j * graph)) <= 1e-12
 
 
 class TestJson:
