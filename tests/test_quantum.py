@@ -23,6 +23,13 @@ from hhalf.maps import (
     power,
     rotation,
 )
+from hhalf.period import (
+    PeriodMatrix,
+    period_matrix,
+    siegel_action,
+    structure_from_period,
+)
+from hhalf.pullback import pullback_matrix
 from hhalf.quantum import (
     QuantumOperator,
     _extrapolate,
@@ -417,6 +424,40 @@ class TestLineRealization:
             fractional_linear(np.zeros((2, 3)))
         with pytest.raises(ValidationError):
             fractional_linear(np.array([[1.0, 0.0], [0.0, -1.0]]))
+
+
+class TestDeformedStructure:
+    """The structure pulled back by a map, T J0 T^{-1}, read from its operator."""
+
+    @staticmethod
+    def pulled_back(m, cutoff):
+        t = pullback_matrix(m, cutoff, grid)
+        origin = PeriodMatrix(cutoff, np.zeros((cutoff, cutoff)))
+        return structure_from_period(siegel_action(t, origin))
+
+    def test_identity_gives_the_reference_structure(self):
+        j = self.pulled_back(make_map(identity(), grid), 8)
+        assert np.max(np.abs(j.A + 1j * np.eye(8))) <= 1e-13
+        assert np.max(np.abs(j.B)) <= 1e-13
+
+    def test_moebius_preserves_the_reference_structure(self):
+        j = self.pulled_back(make_map(moebius(0.3, 1.0), grid), 16)
+        assert np.max(np.abs(j.A + 1j * np.eye(16))) <= 1e-6
+        assert np.max(np.abs(j.B)) <= 1e-6
+        assert np.max(np.abs(j.A + 1j * np.eye(16))) <= 1e-12
+        assert np.max(np.abs(j.B)) <= 1e-12
+
+    def test_flow_structure_squares_to_minus_one(self):
+        j = self.pulled_back(make_map(flow(sin_field(2), 0.05), grid), 16)
+        defect = np.max(np.abs((j @ j).full() + np.eye(32)))
+        assert defect <= 1e-6
+        assert defect <= 1e-12
+
+    def test_eigenspace_is_the_period_graph(self):
+        m = make_map(flow(sin_field(2), 0.05), grid)
+        j = self.pulled_back(m, 16)
+        graph = np.vstack([np.eye(16), period_matrix(m, 16, grid).Z])
+        assert np.max(np.abs(j.full() @ graph + 1j * graph)) <= 1e-12
 
 
 class TestJson:
