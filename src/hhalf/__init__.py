@@ -7,6 +7,7 @@ the Siegel disc together with their variational, spectral, and
 quantum-calculus diagnostics.
 """
 
+from . import _accel  # noqa: F401  (kernel names the benchmark reads)
 from .catalog import (
     catalog_descriptors,
     catalog_maps,

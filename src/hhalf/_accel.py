@@ -1,28 +1,23 @@
-"""Hot numerical kernels: pointwise synthesis and the Douglas pair sum."""
+"""Kernel names the benchmark reads, with independent references.
+
+The kernels themselves live in fourier.py.  synth_at_reference is the
+outer-product formula exp(1j * outer(x, k)) @ c, kept as an oracle for
+the Horner evaluation; it costs memory proportional to len(x) times
+the number of modes.
+"""
 
 import numpy as np
 
+from .fourier import douglas_pair_sum, horner_sum as synth_at
 
-def synth_at(c, n, x):
-    """Vectorized evaluation of the trig polynomial, numpy only."""
+NUMBA_AVAILABLE = False
+
+
+def synth_at_reference(c, n, x):
+    """Direct sum of c[n+k] e^{ikx} over |k| <= n, one exponential per term."""
     ks = np.arange(-n, n + 1)
     return np.exp(1j * np.multiply.outer(np.asarray(x, float), ks)) @ c
 
 
-def douglas_pair_sum(fx, fy, tx, ty):
-    """Blocked numpy version of the product-grid energy sum."""
-    total = 0.0
-    m = fx.shape[0]
-    block = 256
-    for i0 in range(0, m, block):
-        i1 = min(i0 + block, m)
-        d = fx[i0:i1, None] - fy[None, :]
-        s = np.sin(0.5 * (tx[i0:i1, None] - ty[None, :]))
-        total += float(np.sum((d.real * d.real + d.imag * d.imag) / (s * s)))
-    return total
-
-
-# perfbench reads these names; each kernel is its own reference.
-NUMBA_AVAILABLE = False
-synth_at_reference = synth_at
+# The Douglas pair sum has no second implementation; it is its own reference.
 douglas_pair_reference = douglas_pair_sum

@@ -6,11 +6,11 @@ mean slot pinned to zero.  The squared norm is sum |n| |c_n|^2, which
 for real functions equals the classical 2 sum_{n>=1} n |c_n|^2.
 """
 
+import cmath
 from dataclasses import dataclass
 
 import numpy as np
 
-from . import _accel
 from .errors import GridError, ValidationError
 
 eps = np.finfo(float).eps
@@ -174,15 +174,47 @@ def synthesize(f, grid):
     return values
 
 
+def horner_sum(c, n, x, real=False):
+    """Sum of c[n+k] e^{ikx} over |k| <= n, by Horner's rule in z = e^{ix}.
+
+    One complex exponential per point, then n multiply-adds per chain:
+    c_0 + 2 Re sum_{k>=1} c_k z^k when real (c Hermitian symmetric,
+    so the result is the real float64 value), otherwise a second chain
+    over the negative modes in conj(z).  Working memory is a few arrays
+    of the size of x; the result has the shape of x.
+    """
+    x = np.asarray(x, np.float64)
+    z = np.multiply(x.ravel(), 1j)
+    np.exp(z, out=z)
+    values = _horner_chain(c[n + 1 :], z)
+    if real:
+        values = 2.0 * values.real
+        values += c[n].real
+    else:
+        np.conjugate(z, out=z)
+        values += _horner_chain(c[:n][::-1], z)
+        values += c[n]
+    return values.reshape(x.shape)
+
+
+def _horner_chain(c, z):
+    # sum_{k>=1} c[k-1] z^k, innermost coefficient first.
+    acc = np.zeros_like(z)
+    for ck in c[::-1]:
+        acc += ck
+        acc *= z
+    return acc
+
+
 def evaluate_at(f, points):
-    """Evaluate the function at arbitrary angles."""
-    points = np.ascontiguousarray(points, np.float64)
-    values = _accel.synth_at(
-        np.ascontiguousarray(f.coeffs), f.bandlimit, points
-    )
-    if f.real:
-        return values.real
-    return values
+    """Evaluate the function at arbitrary angles.
+
+    Costs one complex exponential and bandlimit complex multiply-adds
+    per point (two chains when f is not real), with memory linear in
+    the number of points.  The result has the shape of points and is
+    real float64 when f.real.
+    """
+    return horner_sum(f.coeffs, f.bandlimit, points, f.real)
 
 
 def derivative(f):
@@ -253,8 +285,24 @@ def douglas_energy(f, grid):
     fy = np.ascontiguousarray(synthesize(f, shifted), np.complex128)
     tx = np.ascontiguousarray(grid.points())
     ty = np.ascontiguousarray(shifted.points())
-    total = _accel.douglas_pair_sum(fx, fy, tx, ty)
+    total = douglas_pair_sum(fx, fy, tx, ty)
     return total / (4.0 * m * m)
+
+
+def douglas_pair_sum(fx, fy, tx, ty):
+    """Sum of |fx_i - fy_j|^2 / sin^2((tx_i - ty_j)/2) over the product grid.
+
+    Rows go in blocks of 256, so the temporaries stay 256 x len(fy).
+    """
+    total = 0.0
+    m = fx.shape[0]
+    block = 256
+    for i0 in range(0, m, block):
+        i1 = min(i0 + block, m)
+        d = fx[i0:i1, None] - fy[None, :]
+        s = np.sin(0.5 * (tx[i0:i1, None] - ty[None, :]))
+        total += float(np.sum((d.real * d.real + d.imag * d.imag) / (s * s)))
+    return total
 
 
 def poisson_evaluate(f, r, theta):
@@ -301,6 +349,8 @@ def function_from_json(obj):
             raise ValidationError("malformed coefficient entry: %s" % exc)
         if n == 0:
             raise ValidationError("coefficient entries must have n != 0")
+        if not cmath.isfinite(value):
+            raise ValidationError("coefficient %d must be finite" % n)
         if abs(n) > bandlimit:
             raise ValidationError("coefficient index %d exceeds bandlimit" % n)
         if n in seen:

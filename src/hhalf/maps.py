@@ -7,6 +7,8 @@ evaluation on the grid, done once, and they certify monotonicity, feed
 spectral work on the periodic part and are the lift pullbacks read.
 """
 
+import cmath
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -73,8 +75,16 @@ def identity():
     return Identity()
 
 
+def _finite(value, name):
+    """float(value), refused by name when it is NaN or infinite."""
+    value = float(value)
+    if not math.isfinite(value):
+        raise ValidationError("%s must be finite" % name)
+    return value
+
+
 def rotation(alpha):
-    return Rotation(float(alpha))
+    return Rotation(_finite(alpha, "rotation alpha"))
 
 
 def power(k):
@@ -85,21 +95,23 @@ def power(k):
 
 def moebius(a, beta=0.0):
     a = complex(a)
+    if not cmath.isfinite(a):
+        raise ValidationError("moebius a must be finite")
     if abs(a) >= 1.0:
         raise ValidationError("moebius parameter must satisfy |a| < 1")
-    return Moebius(a, float(beta))
+    return Moebius(a, _finite(beta, "moebius beta"))
 
 
 def flow(v, eps):
     if not isinstance(v, CircleFunction) or not v.real:
         raise ValidationError("flow field must be a real CircleFunction")
-    return Flow(v, float(eps))
+    return Flow(v, _finite(eps, "flow eps"))
 
 
 def rauch_flow(m, eps):
     if int(m) != m or m < 0:
         raise ValidationError("rauch_flow index must be a nonnegative integer")
-    return RauchFlow(int(m), float(eps))
+    return RauchFlow(int(m), _finite(eps, "rauch_flow eps"))
 
 
 def compose_descriptors(maps):

@@ -256,7 +256,12 @@ def integrability_residual(p, trial_functions, grid):
 
 def period_to_json(p):
     source = None if p.source is None else descriptor_to_json(p.source)
-    return {"cutoff": p.cutoff, "Z": matrix_to_json(p.Z), "source": source}
+    return {
+        "cutoff": p.cutoff,
+        "Z": matrix_to_json(p.Z),
+        "source": source,
+        "condition_of_A": p.condition_of_A,
+    }
 
 
 def period_from_json(obj):
@@ -266,7 +271,14 @@ def period_from_json(obj):
         source = obj.get("source")
         if source is not None:
             source = descriptor_from_json(source)
-        return PeriodMatrix(cutoff, z, source)
+        condition = obj.get("condition_of_A")
+        if condition is not None:
+            condition = float(condition)
+            if not condition > 0.0 or not np.isfinite(condition):
+                raise ValidationError(
+                    "condition_of_A must be a positive finite number"
+                )
+        return PeriodMatrix(cutoff, z, source, condition)
     except (KeyError, TypeError, ValueError) as exc:
         raise ValidationError("malformed PeriodMatrix object: %s" % exc)
 

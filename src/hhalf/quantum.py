@@ -143,10 +143,6 @@ def hs_bracket_check(f):
     return bool(lower_ok), bool(upper_ok)
 
 
-def _scalar_eval(f, x):
-    return float(evaluate_at(f, np.array([float(x)]))[0])
-
-
 def _lift_model(m):
     """Spectral derivatives of the lift, on the certified band.
 
@@ -177,20 +173,30 @@ def _lift_model(m):
     return d1, d2, d3
 
 
-def _kernel_value(m, d1, order, x, y):
+def _kernel_values(m, d1, order, x, ys):
+    """Kernel values at (x, y) for each y, and the lift slope at x.
+
+    One lift walk and one derivative evaluation serve x and every y;
+    the per-pair arithmetic stays scalar.
+    """
+    points = np.array([x, *ys])
     # dh formed from the periodic parts keeps the exact multiple of
     # x - y; differencing raw lift values would shift the kernels by
     # cancellation noise of size eps*|lift|/(x - y).
-    dx = x - y
-    parts = periodic_values(m.descriptor, np.array([x, y]))
-    dh = m.degree * dx + float(parts[0] - parts[1])
-    if order == 0:
-        return math.log(dh / dx)
-    slope_x = m.degree + _scalar_eval(d1, x)
-    if order == 1:
-        return slope_x / dh - 1.0 / dx
-    slope_y = m.degree + _scalar_eval(d1, y)
-    return slope_x * slope_y / dh**2 - 1.0 / dx**2
+    parts = periodic_values(m.descriptor, points)
+    slopes = m.degree + evaluate_at(d1, points)
+    slope_x = float(slopes[0])
+    values = []
+    for j, y in enumerate(ys, 1):
+        dx = x - y
+        dh = m.degree * dx + float(parts[0] - parts[j])
+        if order == 0:
+            values.append(math.log(dh / dx))
+        elif order == 1:
+            values.append(slope_x / dh - 1.0 / dx)
+        else:
+            values.append(slope_x * float(slopes[j]) / dh**2 - 1.0 / dx**2)
+    return values, slope_x
 
 
 def _check_order(order):
@@ -218,7 +224,7 @@ def kernel_eval(h, order, x, y):
     if math.remainder(x - y, two_pi) == 0.0:
         raise ValidationError("kernel requires x != y (mod 2 pi)")
     d1, _, _ = _lift_model(h)
-    return _kernel_value(h, d1, order, x, y)
+    return _kernel_values(h, d1, order, x, [y])[0][0]
 
 
 def kernel_eval_line(h, hp, order, x, y):
@@ -291,20 +297,19 @@ def diagonal_limit(h, order, x, deltas=default_deltas):
     x = float(x)
     deltas = _checked_deltas(deltas)
     d1, d2, d3 = _lift_model(h)
-    values = [_kernel_value(h, d1, order, x, x + d) for d in deltas]
+    values, slope = _kernel_values(h, d1, order, x, [x + d for d in deltas])
     _guard_monotone(values)
     limit = _extrapolate(deltas, values)
 
-    slope = h.degree + _scalar_eval(d1, x)
     if slope <= 0.0:
         raise NumericalError("lift derivative is not positive at the point")
     if order == 0:
         classical = math.log(slope)
     elif order == 1:
-        classical = _scalar_eval(d2, x) / (2.0 * slope)
+        classical = float(evaluate_at(d2, x)) / (2.0 * slope)
     else:
-        curv = _scalar_eval(d2, x) / slope
-        classical = (_scalar_eval(d3, x) / slope - 1.5 * curv * curv) / 6.0
+        curv = float(evaluate_at(d2, x)) / slope
+        classical = (float(evaluate_at(d3, x)) / slope - 1.5 * curv * curv) / 6.0
     return limit, classical, abs(limit - classical)
 
 

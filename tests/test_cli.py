@@ -4,6 +4,7 @@ import json
 import math
 import os
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -180,6 +181,21 @@ class TestSiegelCheck:
         report = run_json(["siegel-check", "--matrix", str(path)], capsys)
         assert report["passed"] is True
         assert 0.0 < report["report"]["sigma_max"] < 0.1
+
+    def test_period_file_carries_the_condition_of_a(self, tmp_path, capsys):
+        path = tmp_path / "z.json"
+        run_json(
+            ["period", "--map", flow_map, "--grid", "512", "--out", str(path)],
+            capsys,
+        )
+        from_map = run_json(
+            ["siegel-check", "--map", flow_map, "--grid", "512"], capsys
+        )
+        from_file = run_json(["siegel-check", "--matrix", str(path)], capsys)
+        condition = from_map["report"]["condition_of_A"]
+        assert condition is not None and condition > 1.0
+        assert from_file["report"]["condition_of_A"] == condition
+        assert from_file["report"] == from_map["report"]
 
     def test_from_operator_file(self, tmp_path, capsys):
         path = tmp_path / "t.json"
@@ -535,6 +551,35 @@ class TestPlumbing:
         code, out, err = run(argv, capsys)
         assert code == 1 and out == ""
         assert err.startswith("error:")
+
+    @pytest.mark.parametrize(
+        "descriptor, name",
+        [
+            ({"type": "rotation", "alpha": "1e999"}, "rotation alpha"),
+            ({"type": "moebius", "a": {"re": "nan", "im": 0.0}}, "moebius a"),
+            ({"type": "moebius", "a": {"re": 0.1, "im": "-inf"}}, "moebius a"),
+            ({"type": "moebius", "a": {"re": 0.1}, "beta": "inf"}, "moebius beta"),
+            (dict(json.loads(flow_map), eps="inf"), "flow eps"),
+            ({"type": "rauch_flow", "m": 1, "eps": "nan"}, "rauch_flow eps"),
+            (
+                dict(
+                    json.loads(flow_map),
+                    v={"bandlimit": 1, "real": True, "coeffs": [{"n": -1, "re": "inf"}]},
+                ),
+                "coefficient -1",
+            ),
+        ],
+    )
+    def test_non_finite_descriptor_parameters_are_refused_by_name(
+        self, descriptor, name, capsys
+    ):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = run(
+                ["period", "--map", json.dumps(descriptor)], capsys
+            )
+        assert code == 1 and out == ""
+        assert err == "error: %s must be finite\n" % name
 
     def test_grid_override_is_validated(self, capsys):
         code, _, err = run(

@@ -1,6 +1,7 @@
 """Tests for the truncated Fourier model."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 from numpy.testing import assert_allclose
 
+from hhalf import _accel
 from hhalf.errors import GridError, ValidationError
 from hhalf.fourier import (
     CircleFunction,
@@ -253,6 +255,70 @@ class TestSynthesis:
             assert_allclose(got, synthesize(f, grid), rtol=0, atol=1e-13)
 
 
+class TestHorner:
+    @pytest.mark.parametrize("bandlimit", [1, 6, 64, 400, 1600])
+    def test_agrees_with_outer_product_oracle(self, bandlimit):
+        rng = np.random.default_rng(bandlimit)
+        x = rng.uniform(-4.0 * np.pi, 4.0 * np.pi, 2000)
+        c = rng.standard_normal(2 * bandlimit + 1) + 1j * rng.standard_normal(
+            2 * bandlimit + 1
+        )
+        c[bandlimit] = 0.0
+        expected = _accel.synth_at_reference(c, bandlimit, x)
+        scale = np.max(np.abs(expected))
+        got = evaluate_at(CircleFunction(bandlimit, c), x)
+        assert np.max(np.abs(got - expected)) <= 1e-12 * scale
+        f = random_real_function(bandlimit, rng, decay=0.0)
+        expected = _accel.synth_at_reference(f.coeffs, bandlimit, x)
+        got = evaluate_at(f, x)
+        assert np.max(np.abs(got - expected)) <= 1e-12 * np.max(np.abs(expected))
+
+    def test_real_function_gives_real_float64(self):
+        f = random_real_function(9, np.random.default_rng(4))
+        values = evaluate_at(f, np.linspace(-7.0, 7.0, 33))
+        assert values.dtype == np.float64
+
+    def test_complex_function_values(self):
+        # 2 e^{2ix} - 3i e^{-ix}, written out term by term.
+        f = from_modes(3, {2: 2.0, -1: -3j})
+        x = np.linspace(-10.0, 10.0, 41)
+        values = evaluate_at(f, x)
+        assert values.dtype == np.complex128
+        assert_allclose(
+            values, 2.0 * np.exp(2j * x) - 3j * np.exp(-1j * x), rtol=0, atol=1e-14
+        )
+        assert_allclose(
+            evaluate_at(sin_theta, x), np.sin(x), rtol=0, atol=1e-15
+        )
+
+    def test_output_keeps_the_shape_of_the_points(self):
+        f = from_modes(2, {1: 1.0, -2: 0.5j})
+        grid = np.linspace(0.0, 6.0, 12).reshape(3, 4)
+        assert evaluate_at(f, 0.7).shape == ()
+        assert evaluate_at(cos_theta, 0.7).shape == ()
+        assert_allclose(float(evaluate_at(cos_theta, 0.7)), math.cos(0.7), rtol=1e-15)
+        assert evaluate_at(f, np.zeros(0)).shape == (0,)
+        assert evaluate_at(cos_theta, np.zeros((0, 3))).shape == (0, 3)
+        values = evaluate_at(f, grid)
+        assert values.shape == (3, 4)
+        assert np.array_equal(values.ravel(), evaluate_at(f, grid.ravel()))
+
+    def test_memory_is_linear_in_the_points(self):
+        # The outer-product formula builds 4096 x 3201 complex
+        # temporaries here, 210 MB each; the Horner chains need a few
+        # arrays of the size of the points.
+        bandlimit = 1600
+        f = random_real_function(bandlimit, np.random.default_rng(5))
+        x = np.linspace(0.0, 2.0 * np.pi, 4096)
+        tracemalloc.start()
+        try:
+            values = evaluate_at(f, x)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 8 * values.nbytes
+
+
 class TestDouglas:
     def test_cosine_energy(self):
         grid = SampleGrid(256, 0.01)
@@ -312,6 +378,10 @@ class TestJson:
         assert f.coefficient(1) == 0.0
 
     def test_bad_entries_rejected(self):
+        for re, im in (("nan", 0.0), (0.0, "-inf"), ("1e999", 0.0)):
+            obj = {"bandlimit": 2, "coeffs": [{"n": 1, "re": re, "im": im}]}
+            with pytest.raises(ValidationError, match="^coefficient 1 must be finite$"):
+                function_from_json(obj)
         with pytest.raises(ValidationError):
             function_from_json({"bandlimit": 2, "coeffs": [{"n": 0, "re": 1.0, "im": 0.0}]})
         with pytest.raises(ValidationError):

@@ -1,5 +1,7 @@
 """Tests for circle map construction, composition, and estimators."""
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -7,7 +9,7 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from hhalf.errors import MonotonicityError, ValidationError
-from hhalf.fourier import SampleGrid, from_modes
+from hhalf.fourier import SampleGrid, from_modes, function_to_json
 from hhalf.maps import (
     compose,
     compose_descriptors,
@@ -338,3 +340,44 @@ class TestJson:
         # A constructor's own refusal passes through unwrapped.
         with pytest.raises(ValidationError, match="^power descriptor"):
             descriptor_from_json({"type": "power", "k": 0})
+
+    @pytest.mark.parametrize(
+        "obj, name",
+        [
+            ({"type": "rotation", "alpha": "1e999"}, "rotation alpha"),
+            ({"type": "rotation", "alpha": float("nan")}, "rotation alpha"),
+            ({"type": "moebius", "a": {"re": "nan", "im": 0.0}}, "moebius a"),
+            ({"type": "moebius", "a": {"re": 0.0, "im": "inf"}}, "moebius a"),
+            ({"type": "moebius", "a": {"re": 0.1}, "beta": "-inf"}, "moebius beta"),
+            (
+                {
+                    "type": "flow",
+                    "v": function_to_json(from_modes(1, {1: 0.5, -1: 0.5})),
+                    "eps": "inf",
+                },
+                "flow eps",
+            ),
+            ({"type": "rauch_flow", "m": 1, "eps": "nan"}, "rauch_flow eps"),
+            (
+                {
+                    "type": "flow",
+                    "v": {
+                        "bandlimit": 1,
+                        "real": True,
+                        "coeffs": [{"n": 1, "re": "nan"}, {"n": -1, "re": "nan"}],
+                    },
+                    "eps": 0.1,
+                },
+                "coefficient 1",
+            ),
+            (
+                {"type": "compose", "maps": [{"type": "rotation", "alpha": "inf"}]},
+                "rotation alpha",
+            ),
+        ],
+    )
+    def test_non_finite_parameters_are_refused_by_name(self, obj, name):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValidationError, match="^%s must be finite$" % name):
+                descriptor_from_json(obj)

@@ -411,11 +411,13 @@ class TestJson:
         assert back.cutoff == p.cutoff
         assert np.array_equal(back.Z, p.Z)
         assert descriptor_to_json(back.source) == descriptor_to_json(p.source)
+        assert back.condition_of_A == p.condition_of_A > 1.0
 
     def test_roundtrip_without_source(self):
         p = PeriodMatrix(3, 0.25 * np.eye(3))
         back = period_from_json(period_to_json(p))
         assert back.source is None
+        assert back.condition_of_A is None
         assert np.array_equal(back.Z, p.Z)
 
     def test_malformed_objects_are_rejected(self):
@@ -428,6 +430,10 @@ class TestJson:
         for re, im in ((float("nan"), 0.0), (0.0, float("inf"))):
             obj = {"cutoff": 1, "Z": [[{"re": re, "im": im}]]}
             with pytest.raises(ValidationError, match="finite"):
+                period_from_json(obj)
+        for condition in (float("nan"), float("inf"), 0.0, -1.0):
+            obj = {"cutoff": 1, "Z": [[{"re": 0.0, "im": 0.0}]], "condition_of_A": condition}
+            with pytest.raises(ValidationError, match="condition_of_A"):
                 period_from_json(obj)
 
     def test_report_serialization(self):

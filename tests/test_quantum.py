@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
-from hhalf.catalog import sin_field
+from hhalf.catalog import catalog_maps, sin_field
 from hhalf.errors import NumericalError, ValidationError
 from hhalf.fourier import SampleGrid, from_modes, norm_squared, zero_function
 from hhalf.maps import (
@@ -33,6 +33,8 @@ from hhalf.pullback import pullback_matrix
 from hhalf.quantum import (
     QuantumOperator,
     _extrapolate,
+    _kernel_values,
+    _lift_model,
     default_deltas,
     diagonal_limit,
     diagonal_limit_line,
@@ -285,6 +287,21 @@ class TestDiagonalLimit:
         m = make_map(flow(sin_field(2), 0.05), grid)
         for x in (0.0, 0.7, 2.5):
             assert diagonal_limit(m, 2, x)[2] <= 1e-7
+
+    def test_batched_kernel_values_match_single_evaluations(self):
+        # diagonal_limit evaluates x and every x + delta in one batch;
+        # each value must be the one kernel_eval gives for that pair.
+        deltas = list(default_deltas)
+        for name, m in catalog_maps(grid):
+            d1 = _lift_model(m)[0]
+            for order in (0, 1, 2):
+                for x in (0.3, -1.1, 2.0):
+                    single = [kernel_eval(m, order, x, x + d) for d in deltas]
+                    batch = _kernel_values(m, d1, order, x, [x + d for d in deltas])[0]
+                    assert_allclose(batch, single, rtol=1e-15, atol=0, err_msg=name)
+                    scale = max(abs(v) for v in single)
+                    limit = diagonal_limit(m, order, x)[0]
+                    assert abs(limit - _extrapolate(deltas, single)) <= 1e-15 * scale
 
     def test_direction_independence(self):
         m = make_map(flow(sin_one, 0.1), grid)
