@@ -10,7 +10,9 @@ failure, 2 numerical failure.
 
 import argparse
 import csv
+import functools
 import json
+import math
 import os
 import sys
 
@@ -124,8 +126,8 @@ def _tolerance(args, default):
     value = getattr(args, "tol", None)
     if value is None:
         return default
-    if not value > 0.0:
-        raise ValidationError("--tol must be positive")
+    if not (value > 0.0 and math.isfinite(value)):
+        raise ValidationError("--tol must be a positive finite number")
     return float(value)
 
 
@@ -427,7 +429,9 @@ _handlers = {
 }
 
 
+@functools.cache
 def _build_parser():
+    # Built on first use, then reused: parse_args leaves no state in it.
     parser = _Parser(
         prog="hhalf",
         description="Half-order circle calculus: norms, pullbacks, periods.",
@@ -527,9 +531,69 @@ def _write_csv(path, header, rows):
         raise ValidationError("cannot write %s: %s" % (path, exc))
 
 
+def _matrix_floats(rows):
+    # im, re of each entry of a complex matrix (equal nonempty rows of
+    # {"im", "re"} dicts of exact floats, as matrix_to_json writes), or None.
+    if type(rows) is not list or type(rows[0]) is not list or not rows[0]:
+        return None
+    width, values = len(rows[0]), []
+    for row in rows:
+        if type(row) is not list or len(row) != width:
+            return None
+        for entry in row:
+            if type(entry) is not dict or len(entry) != 2:
+                return None
+            values += (entry.get("im"), entry.get("re"))
+    return values if all(type(v) is float for v in values) else None
+
+
+def _require_finite(values, name):
+    if not all(map(math.isfinite, values)):
+        raise NumericalError("report value %s is not finite" % name)
+
+
+def _json_text(value, depth=0, name=""):
+    """json.dumps(value, indent=2, sort_keys=True) at indent level `depth`.
+
+    A complex matrix costs one float repr per number.  A NaN or infinite
+    float is a NumericalError naming its path in the report, `name`.
+    """
+    if isinstance(value, float):
+        _require_finite([value], name)
+        return float.__repr__(value)
+    if not isinstance(value, (dict, list, tuple)) or not value:
+        return json.dumps(value)
+    p0, p1, p2, p3 = ("\n" + "  " * (depth + k) for k in range(4))
+    values = _matrix_floats(value)
+    if values is not None:
+        _require_finite(values, name)
+        # %r of an exact float is float.__repr__, the text json writes.
+        entry = p2 + "{" + p3 + '"im": %r,' + p3 + '"re": %r' + p2 + "}"
+        row = p1 + "[" + ",".join([entry] * len(value[0])) + p1 + "]"
+        return ("[" + ",".join([row] * len(value)) + p0 + "]") % tuple(values)
+    if isinstance(value, dict):
+        items = (
+            json.dumps(key) + ": "
+            + _json_text(item, depth + 1, name + "." + key if name else key)
+            for key, item in sorted(value.items())
+        )
+        return "{" + ",".join(p1 + item for item in items) + p0 + "}"
+    items = (
+        _json_text(item, depth + 1, "%s[%d]" % (name, i))
+        for i, item in enumerate(value)
+    )
+    return "[" + ",".join(p1 + item for item in items) + p0 + "]"
+
+
 def _emit(report, curve, out):
-    # Files are written before stdout so a closed pipe cannot lose them.
-    text = json.dumps(report, indent=2, sort_keys=True)
+    """Print the report; write the --out file and CSV table if asked.
+
+    The text is byte-identical to json.dumps(report, indent=2,
+    sort_keys=True).  It is built before anything is written, so a
+    non-finite value leaves no output, and files go before stdout so a
+    closed pipe cannot lose them.
+    """
+    text = _json_text(report)
     if out is not None:
         if out.endswith(".csv"):
             if curve is None:

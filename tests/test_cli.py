@@ -1,19 +1,28 @@
 """Tests for the batch front end: parsing, reports, exit codes."""
 
+import importlib.util
 import json
 import math
 import os
+import pathlib
+import subprocess
 import sys
 import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from hhalf import cli
 from hhalf.cli import main
+from hhalf.errors import NumericalError
 from hhalf.fourier import from_modes, function_from_json, function_to_json
 from hhalf.pullback import operator_from_json
 from hhalf.suite import CheckResult
 
+src_dir = pathlib.Path(__file__).resolve().parent.parent / "src"
+perfbench_dir = src_dir.parent / "perfbench"
 cos_modes = '{"1": [0.5, 0.0], "-1": [0.5, 0.0]}'
 rotation_map = '{"type": "rotation", "alpha": 0.7}'
 flow_map = json.dumps(
@@ -541,6 +550,11 @@ class TestPlumbing:
                     '{"type": "rauch_flow", "m": 1.5, "eps": 0.1}']),
             (None, ["kernel", "--order", "0", "--map",
                     '{"type": "power", "k": 2.5}']),
+            (None, ["siegel-check", "--map", flow_map, "--tol", "inf"]),
+            (None, ["energy", "--modes", '{"2": 1}', "--tol", "1e999"]),
+            (None, ["integrability", "--map", rotation_map, "--tol=-inf"]),
+            (None, ["kernel", "--order", "0", "--map", rotation_map,
+                    "--tol", "nan"]),
         ],
     )
     def test_non_finite_and_malformed_numbers_are_input_errors(
@@ -581,6 +595,52 @@ class TestPlumbing:
         assert code == 1 and out == ""
         assert err == "error: %s must be finite\n" % name
 
+    def test_non_finite_report_value_is_a_numerical_failure(
+        self, tmp_path, capsys
+    ):
+        out = tmp_path / "e.json"
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)  # numpy overflow
+            code, text, err = run(
+                ["norm", "--modes", '{"1": [1e308, 1e308]}'], capsys
+            )
+            assert code == 2 and text == ""
+            assert err == (
+                "numerical failure: report value h_half_norm is not finite\n"
+            )
+            code, text, err = run(
+                ["energy", "--modes", '{"1": [1e308, 1e308]}',
+                 "--out", str(out)],
+                capsys,
+            )
+        assert code == 2 and text == ""
+        assert "report value curve[0].douglas_energy is not finite" in err
+        assert list(tmp_path.iterdir()) == []
+
+    def test_parser_reuse_leaves_nothing_behind(self, capsys):
+        # One process runs the sequence; each result must equal a fresh
+        # interpreter's, so append flags, --grid and an argparse error
+        # carry nothing over to the next command.
+        sequence = [
+            ["equivariance", "--map", flow_map, "--map", rotation_map],
+            ["period", "--map", flow_map],
+            ["period", "--bogus"],
+            ["period", "--map", flow_map, "--grid", "512"],
+            ["period", "--map", flow_map],
+        ]
+        env = dict(os.environ, PYTHONPATH=str(src_dir))
+        results = []
+        for argv in sequence:
+            fresh = subprocess.run(
+                [sys.executable, "-m", "hhalf.cli"] + argv,
+                capture_output=True, text=True, env=env, timeout=120,
+            )
+            results.append(run(argv, capsys))
+            expected = (fresh.returncode, fresh.stdout, fresh.stderr)
+            assert results[-1] == expected
+        assert [code for code, _, _ in results] == [0, 0, 1, 0, 0]
+        assert results[1] == results[4] != results[3]
+
     def test_grid_override_is_validated(self, capsys):
         code, _, err = run(
             ["period", "--map", '{"type": "identity"}', "--grid", "8"], capsys
@@ -606,3 +666,143 @@ class TestPlumbing:
             main(["--help"])
         assert info.value.code == 0
         assert "invariance-suite" in capsys.readouterr().out
+
+
+def oracle(value):
+    return json.dumps(value, indent=2, sort_keys=True)
+
+
+finite_floats = st.floats(allow_nan=False, allow_infinity=False) | (
+    st.sampled_from([0.0, -0.0, 1e16, 1e-7, 5e-324, -1.5e300, 0.1])
+)
+complex_entries = st.fixed_dictionaries(
+    {"re": finite_floats, "im": finite_floats}
+)
+complex_matrices = st.integers(1, 4).flatmap(
+    lambda cols: st.lists(
+        st.lists(complex_entries, min_size=cols, max_size=cols),
+        min_size=1,
+        max_size=4,
+    )
+)
+json_values = st.recursive(
+    st.none()
+    | st.booleans()
+    | st.integers(-(2**70), 2**70)
+    | finite_floats
+    | st.text()
+    | st.sampled_from(["h\u00e9 \u2264 \U0001d4b5", "\t\"q\"\n", "", {}, []])
+    | complex_matrices,
+    lambda children: st.lists(children, max_size=5)
+    | st.dictionaries(st.text(max_size=6), children, max_size=5),
+    max_leaves=25,
+)
+
+
+def cli_inputs():
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_inputs", perfbench_dir / "inputs.py"
+    )
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+class TestEmission:
+    """The report text is json.dumps(report, indent=2, sort_keys=True)."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(json_values)
+    def test_matches_json_dumps(self, value):
+        assert cli._json_text(value) == oracle(value)
+
+    @pytest.mark.parametrize(
+        "value",
+        [
+            [[{"im": 1.0, "re": 2.0}] * 2, [{"im": 5.0, "re": 6.0}]],
+            [[{"im": 1.0, "re": 2.0}], []],
+            [[], []],
+            [[{"im": 1, "re": 2.0}]],
+            [[{"im": True, "re": 2.0}]],
+            [[{"im": 1.0, "re": 2.0, "x": 0.0}]],
+            [[{"im": 1.0, "x": 2.0}]],
+            [[{"im": 1.0, "re": np.float64(2.0)}]],
+            [[[1.0, 2.0]]],
+            ([{"im": 1.0, "re": 2.0}],),
+        ],
+    )
+    def test_near_misses_take_the_general_path(self, value):
+        assert cli._matrix_floats(value) is None
+        assert cli._json_text(value) == oracle(value)
+
+    @pytest.mark.parametrize(
+        "value",
+        [
+            [[{"im": -0.0, "re": 5e-324}]],
+            [[[{"im": 1.0, "re": 2.0}]], "x", [[{"re": 3.0, "im": 4.0}] * 3]],
+            {"Z": [[{"im": 1e16, "re": 1e-7}] * 2] * 2, "a": {"b": [1, 2.5]}},
+        ],
+    )
+    def test_matrices_at_any_depth(self, value):
+        assert cli._json_text(value) == oracle(value)
+
+    @pytest.mark.parametrize(
+        "value, name",
+        [
+            (float("nan"), ""),
+            ({"h_half_norm": float("inf")}, "h_half_norm"),
+            ({"a": [1.0, {"b": -float("inf")}]}, "a[1].b"),
+            ({"Z": [[{"im": 0.0, "re": float("nan")}] * 2] * 2}, "Z"),
+        ],
+    )
+    def test_non_finite_values_are_refused_by_name(self, value, name):
+        with pytest.raises(NumericalError) as info:
+            cli._json_text(value)
+        assert str(info.value) == "report value %s is not finite" % name
+
+    @pytest.fixture
+    def emitted(self, monkeypatch):
+        """Every report emitted, each checked against the json oracle."""
+        reports = []
+        emit = cli._emit
+
+        def checked(report, curve, out):
+            assert cli._json_text(report) == oracle(report)
+            reports.append(report)
+            emit(report, curve, out)
+
+        monkeypatch.setattr(cli, "_emit", checked)
+        return reports
+
+    def test_every_subcommand_report(self, emitted, tmp_path, capsys):
+        period_file = tmp_path / "p.json"
+        run_json(["period", "--map", flow_map, "--out", str(period_file)],
+                 capsys)
+        for argv in (
+            ["norm", "--modes", cos_modes],
+            ["hilbert", "--modes", '{"1": [0.5, 0.25], "-3": 1.5}'],
+            ["energy", "--modes", '{"2": 1}'],
+            ["pullback-matrix", "--map", flow_map],
+            ["siegel-check", "--matrix", str(period_file)],
+            ["rauch-check", "--m", "2"],
+            ["equivariance", "--map", rotation_map, "--map", flow_map],
+            ["integrability", "--map", flow_map, "--grid", "512"],
+            ["quantum-hs", "--modes", cos_modes],
+            ["kernel", "--order", "2", "--map", flow_map],
+            ["invariance-suite", "--seed", "7"],
+        ):
+            run_json(argv, capsys)
+        assert len(emitted) == len(cli._handlers)
+
+    def test_a_block_of_benchmark_requests(self, emitted, capsys):
+        requests = cli_inputs().cli_requests(5)[:7]
+        artifacts = {}
+        for index, request in enumerate(requests):
+            if request["op"] == "siegel-check":
+                source = artifacts[request["source"]]
+                argv = ["siegel-check", "--matrix", source]
+            else:
+                argv = request["argv"]
+            code, artifacts[index], err = run(argv, capsys)
+            assert code == 0, err
+        assert len(emitted) == 7
