@@ -75,6 +75,7 @@ from .period import (
     equivariance_defect,
     graph_distance,
     integrability_residual,
+    period_derivative,
     period_from_json,
     period_matrix,
     period_to_json,

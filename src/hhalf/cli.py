@@ -263,36 +263,33 @@ def _cmd_rauch_check(args, cfg):
     if not eps > 0.0:
         raise ValidationError("--eps must be positive")
     grid = _grid(cfg)
+    # The defect comes first: it refuses an index outside its window.
+    steps = [eps / 2.0**k for k in range(3)]
+    defects = [rauch_fd_defect(args.m, step, cfg.cutoff, grid) for step in steps]
+    ratios = [None] + [b / a for a, b in zip(defects, defects[1:])]
+    curve = [
+        {"eps": step, "defect": defect, "ratio": ratio}
+        for step, defect, ratio in zip(steps, defects, ratios)
+    ]
     derivative = rauch_derivative(args.m, cfg.cutoff)
     entries = [
         [int(r) + 1, int(s) + 1, float(derivative[r, s].real)]
         for r, s in zip(*np.nonzero(derivative))
     ]
     bound = 0.05 * float(np.max(np.abs(derivative)))
-    curve = []
-    previous = None
-    for k in range(3):
-        step = eps / 2.0**k
-        defect = rauch_fd_defect(args.m, step, cfg.cutoff, grid)
-        ratio = None if previous is None else defect / previous
-        curve.append({"eps": step, "defect": defect, "ratio": ratio})
-        previous = defect
     report = {
         "command": "rauch-check",
         "m": args.m,
         "eps": eps,
         "cutoff": cfg.cutoff,
         "grid_size": cfg.grid_size,
-        "defect": curve[0]["defect"],
+        "defect": defects[0],
         "bound": bound,
-        "within_bound": bool(curve[0]["defect"] <= bound),
+        "within_bound": bool(defects[0] <= bound),
         "derivative_entries": entries,
         "curve": curve,
     }
-    rows = [
-        (row["eps"], row["defect"], "" if row["ratio"] is None else row["ratio"])
-        for row in curve
-    ]
+    rows = list(zip(steps, defects, [""] + ratios[1:]))
     return report, (("eps", "defect", "ratio"), rows), 0
 
 

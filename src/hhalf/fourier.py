@@ -14,6 +14,8 @@ import numpy as np
 from .errors import GridError, ValidationError
 
 eps = np.finfo(float).eps
+# Largest bandlimit from_modes allocates: 32 MB of coefficients.
+max_bandlimit = 2**20
 
 
 @dataclass(frozen=True)
@@ -107,6 +109,8 @@ class CircleFunction:
 
 def from_modes(bandlimit, modes, real=None):
     """Build a CircleFunction from a {mode: coefficient} mapping."""
+    if not 1 <= bandlimit <= max_bandlimit:
+        raise ValidationError("bandlimit must lie in 1..%d" % max_bandlimit)
     c = np.zeros(2 * bandlimit + 1, np.complex128)
     for n, value in modes.items():
         if n == 0:
@@ -339,25 +343,19 @@ def function_from_json(obj):
         real = bool(obj.get("real", False))
     except (KeyError, TypeError, ValueError) as exc:
         raise ValidationError("malformed CircleFunction object: %s" % exc)
-    c = np.zeros(2 * bandlimit + 1, np.complex128)
-    seen = set()
+    modes = {}
     for entry in entries:
         try:
             n = int(entry["n"])
             value = complex(float(entry["re"]), float(entry.get("im", 0.0)))
         except (KeyError, TypeError, ValueError) as exc:
             raise ValidationError("malformed coefficient entry: %s" % exc)
-        if n == 0:
-            raise ValidationError("coefficient entries must have n != 0")
         if not cmath.isfinite(value):
             raise ValidationError("coefficient %d must be finite" % n)
-        if abs(n) > bandlimit:
-            raise ValidationError("coefficient index %d exceeds bandlimit" % n)
-        if n in seen:
+        if n in modes:
             raise ValidationError("duplicate coefficient index %d" % n)
-        seen.add(n)
-        c[bandlimit + n] = value
-    return CircleFunction(bandlimit, c, True if real else None)
+        modes[n] = value
+    return from_modes(bandlimit, modes, True if real else None)
 
 
 def matrix_to_json(matrix):

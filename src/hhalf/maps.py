@@ -20,6 +20,7 @@ from .fourier import (
     analyze,
     derivative,
     evaluate_at,
+    from_modes,
     function_from_json,
     function_to_json,
     synthesize,
@@ -52,12 +53,6 @@ class Moebius:
 @dataclass(frozen=True)
 class Flow:
     v: CircleFunction
-    eps: float
-
-
-@dataclass(frozen=True)
-class RauchFlow:
-    m: int
     eps: float
 
 
@@ -109,9 +104,12 @@ def flow(v, eps):
 
 
 def rauch_flow(m, eps):
+    """Flow along v_m = -2/(m+1) sin((m+2) theta): +-i/(m+1) at +-(m+2)."""
     if int(m) != m or m < 0:
         raise ValidationError("rauch_flow index must be a nonnegative integer")
-    return RauchFlow(int(m), _finite(eps, "rauch_flow eps"))
+    k = int(m) + 2
+    v = from_modes(k, {k: 1j / (k - 1), -k: -1j / (k - 1)}, real=True)
+    return flow(v, _finite(eps, "rauch_flow eps"))
 
 
 def compose_descriptors(maps):
@@ -159,9 +157,6 @@ def _walk(d, x):
         return x + d.beta - turn, d.beta - turn
     if isinstance(d, Flow):
         part = d.eps * evaluate_at(d.v, x)
-        return x + part, part
-    if isinstance(d, RauchFlow):
-        part = -(2.0 * d.eps / (d.m + 1)) * np.sin((d.m + 2) * x)
         return x + part, part
     if isinstance(d, Compose):
         lift, part = x, np.zeros(x.shape)
@@ -240,13 +235,8 @@ def make_map(d, grid):
 
 
 def _validate_descriptor(d, grid):
-    if isinstance(d, (Flow, RauchFlow)):
-        points = grid.points()
-        if isinstance(d, Flow):
-            slope = 1.0 + d.eps * evaluate_at(derivative(d.v), points)
-        else:
-            rate = 2.0 * d.eps * (d.m + 2) / (d.m + 1)
-            slope = 1.0 - rate * np.cos((d.m + 2) * points)
+    if isinstance(d, Flow):
+        slope = 1.0 + d.eps * evaluate_at(derivative(d.v), grid.points())
         if not np.all(slope > 0):
             raise MonotonicityError(
                 "flow field violates 1 + eps*v' > 0 on the grid"
@@ -359,8 +349,6 @@ def descriptor_to_json(d):
         }
     if isinstance(d, Flow):
         return {"type": "flow", "v": function_to_json(d.v), "eps": d.eps}
-    if isinstance(d, RauchFlow):
-        return {"type": "rauch_flow", "m": d.m, "eps": d.eps}
     if isinstance(d, Compose):
         return {"type": "compose", "maps": [descriptor_to_json(x) for x in d.maps]}
     if isinstance(d, Inverse):

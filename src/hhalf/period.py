@@ -4,11 +4,11 @@ A degree-1 circle map phi sends the holomorphic half W+ to the graph
 of the period matrix Z = conj(B) A^{-1} built from the pullback
 blocks.  Z is symmetric and strictly contractive, so it lands in the
 Siegel disc; right composition acts on it by a fractional-linear rule,
-and the derivative of the map in a monomial direction has a closed
-form checked here by finite differences.  Every complex structure is
-built from a period matrix; for Z(phi) it is the pulled-back structure
-T J0 T^{-1} (Nag and Sullivan, Osaka J. Math. 32, 1995), and an
-operator T enters as its image siegel_action(T, 0) of the origin.
+and its first variation along a vector field has a closed form checked
+here by finite differences.  Every complex structure is built from a
+period matrix; for Z(phi) it is the pulled-back structure T J0 T^{-1}
+(Nag and Sullivan, Osaka J. Math. 32, 1995), and an operator T enters
+as its image siegel_action(T, 0) of the origin.
 """
 
 from dataclasses import dataclass
@@ -17,6 +17,7 @@ import numpy as np
 
 from .errors import AliasingError, ConditioningError, ValidationError
 from .fourier import (
+    CircleFunction,
     analyze,
     h_half_norm,
     matrix_from_json,
@@ -152,20 +153,25 @@ def equivariance_defect(outer, inner, cutoff, grid):
     return graph_distance(composed.Z, t_inner, z_outer.Z)
 
 
-def rauch_derivative(m, cutoff):
-    """Derivative of the period map in the monomial direction z^bar^m.
+def period_derivative(v, cutoff):
+    """First variation of Z along the flow of a real vector field v.
 
-    Entry (r, s) is sqrt(rs)/(r+s-1) on the antidiagonal r+s-2 = m and
-    zero elsewhere; the matrix is symmetric by construction.
+    Entry (r, s) is i sqrt(rs) c_{-(r+s)}(v): symmetric, blind to the
+    Moebius modes +-1 (r + s >= 2), and with squared Hilbert-Schmidt
+    norm the Weil-Petersson form (1/6) sum_{k>0} (k^3 - k) |c_k|^2 once
+    cutoff >= bandlimit - 1 (Nag and Sullivan).
     """
-    if int(m) != m or m < 0:
-        raise ValidationError("monomial degree must be a nonnegative integer")
-    out = np.zeros((cutoff, cutoff), dtype=np.complex128)
-    for r in range(1, cutoff + 1):
-        s = int(m) + 2 - r
-        if 1 <= s <= cutoff:
-            out[r - 1, s - 1] = np.sqrt(float(r * s)) / (r + s - 1.0)
-    return out
+    if not isinstance(v, CircleFunction) or not v.real:
+        raise ValidationError("vector field must be a real CircleFunction")
+    r = np.arange(1, cutoff + 1)
+    # lower[k] = c_{-k}, zero-padded past the band of v.
+    lower = np.append(v.coeffs[v.bandlimit :: -1], np.zeros(2 * cutoff))
+    return 1j * np.sqrt(np.outer(r, r)) * lower[r[:, None] + r[None, :]]
+
+
+def rauch_derivative(m, cutoff):
+    """Entry (r, s) is sqrt(rs)/(r+s-1) on r + s = m + 2, zero elsewhere."""
+    return period_derivative(rauch_flow(m, 0.0).v, cutoff)
 
 
 def rauch_fd_defect(m, eps, cutoff, grid):
@@ -173,14 +179,21 @@ def rauch_fd_defect(m, eps, cutoff, grid):
 
     Restricted to entries with r + s <= min(cutoff, 10), where the
     first-order finite-difference error dominates; decays linearly in
-    eps.
+    eps.  An index whose antidiagonal r + s = m + 2 lies outside that
+    window is refused: the comparison would see only zeros.
     """
-    flow_map = make_map(rauch_flow(m, eps), grid)
-    z = period_matrix(flow_map, cutoff, grid).Z
-    derivative = rauch_derivative(m, cutoff)
+    window = min(cutoff, 10)
+    if not 2 <= m + 2 <= window:
+        raise ValidationError(
+            "index m puts the derivative on r + s = %s, outside the "
+            "compared window 2 <= r + s <= %d" % (m + 2, window)
+        )
+    descriptor = rauch_flow(m, eps)
+    z = period_matrix(make_map(descriptor, grid), cutoff, grid).Z
+    derivative = period_derivative(descriptor.v, cutoff)
     indices = np.arange(1, cutoff + 1)
-    window = indices[:, None] + indices[None, :] <= min(cutoff, 10)
-    return float(np.max(np.abs(z / eps - derivative)[window]))
+    compared = indices[:, None] + indices[None, :] <= window
+    return float(np.max(np.abs(z / eps - derivative)[compared]))
 
 
 def structure_from_period(p):

@@ -245,6 +245,8 @@ def _checked_deltas(deltas):
     out = [float(d) for d in deltas]
     if len(out) < 2:
         raise ValidationError("extrapolation needs at least two deltas")
+    if not all(math.isfinite(d) for d in out):
+        raise ValidationError("deltas must be finite")
     if out[-1] <= 0.0 or any(b >= a for a, b in zip(out, out[1:])):
         raise ValidationError("deltas must be positive and strictly decreasing")
     return out

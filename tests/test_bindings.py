@@ -1,9 +1,10 @@
-"""Every hhalf attribute the benchmark binds by name must exist.
+"""Every hhalf attribute and descriptor the benchmark uses by name must exist.
 
-perfbench/ wraps functions by (module, name) and reads `_accel`
-kernels by attribute.  Its own tests run outside this suite, so a
-renamed or deleted function would otherwise break only a traced
-benchmark run.
+perfbench/ wraps functions by (module, name), reads `_accel` kernels
+by attribute and posts JSON descriptors to validate its reference.
+Its own tests run outside this suite, so a renamed or deleted
+function or descriptor kind would otherwise break only a benchmark
+run.
 """
 
 import importlib
@@ -43,3 +44,19 @@ def test_accel_names_exist():
         assert hasattr(hhalf._accel, name), name
     # The agreement check compares two methods, not one function with itself.
     assert hhalf._accel.synth_at_reference is not hhalf._accel.synth_at
+
+
+def test_reference_descriptors_build():
+    # perfbench/reference.py posts "rauch_flow" descriptors and reads
+    # rauch_derivative; neither passes through a traced binding.
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_reference", perfbench / "reference.py"
+    )
+    reference = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(reference)
+    assert callable(hhalf.rauch_derivative)
+    wanted = reference.validation_references()
+    assert any(d["type"] == "rauch_flow" for _, d, _, _ in wanted)
+    grid = hhalf.SampleGrid(4096)
+    for _, descriptor, _, _ in wanted:
+        hhalf.make_map(hhalf.descriptor_from_json(descriptor), grid)

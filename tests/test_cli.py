@@ -149,6 +149,23 @@ class TestPeriod:
         )
         assert worst <= 1e-14
 
+    def test_rauch_flow_source_is_echoed_as_a_flow(self, capsys):
+        report = run_json(
+            ["period", "--map", '{"type": "rauch_flow", "m": 0, "eps": 0.01}',
+             "--grid", "256"],
+            capsys,
+        )
+        source = report["source"]
+        assert source["type"] == "flow" and source["eps"] == 0.01
+        assert [c["n"] for c in source["v"]["coeffs"]] == [-2, 2]
+
+    @pytest.mark.parametrize("m", ["1e9", "1e300"])
+    def test_huge_rauch_index_is_an_input_error(self, m, capsys):
+        descriptor = '{"type": "rauch_flow", "m": %s, "eps": 0.001}' % m
+        code, out, err = run(["period", "--map", descriptor], capsys)
+        assert code == 1 and out == ""
+        assert err == "error: bandlimit must lie in 1..%d\n" % 2**20
+
     def test_non_monotone_flow_is_refused(self, capsys):
         code, _, err = run(
             ["period", "--map", steep_flow_map, "--grid", "256"], capsys
@@ -279,6 +296,26 @@ class TestRauchCheck:
     def test_bad_direction_and_step(self, capsys):
         assert run(["rauch-check", "--m", "-1"], capsys)[0] == 1
         assert run(["rauch-check", "--m", "0", "--eps", "0"], capsys)[0] == 1
+
+    @pytest.mark.parametrize("m", ["9", "1000000000"])
+    def test_index_outside_the_compared_window_is_an_input_error(
+        self, m, capsys
+    ):
+        # At N = 32 only r + s <= 10 is compared; m = 9 puts the
+        # derivative on r + s = 11 and used to pass on zeros.
+        code, out, err = run(["rauch-check", "--m", m], capsys)
+        assert code == 1 and out == ""
+        assert err.startswith("error: index m puts the derivative on r + s = ")
+        assert err.count("\n") == 1
+
+    def test_window_follows_the_cutoff(self, capsys, monkeypatch):
+        monkeypatch.setenv("HHP_CONFIG", '{"cutoff": 8, "grid_size": 512}')
+        assert run(["rauch-check", "--m", "7"], capsys)[0] == 1
+        report = run_json(["rauch-check", "--m", "6"], capsys)
+        assert report["within_bound"] is True
+        # The second-order entries at r + s = 16 lie outside the window,
+        # so the defect falls by 1/4 per halving.
+        assert all(0.2 <= row["ratio"] <= 0.3 for row in report["curve"][1:])
 
 
 class TestEquivariance:
@@ -435,6 +472,16 @@ class TestKernel:
         assert run(base + ["--order", "0", "--window", "x"], capsys)[0] == 1
         code, _, _ = run(base + ["--order", "0", "--window", "0.01"], capsys)
         assert code == 1
+
+    @pytest.mark.parametrize("window", ["inf,0.1,0.05", "0.2,nan,0.05"])
+    def test_non_finite_window_is_an_input_error(self, window, capsys):
+        code, out, err = run(
+            ["kernel", "--order", "0", "--map", rotation_map,
+             "--window", window],
+            capsys,
+        )
+        assert code == 1 and out == ""
+        assert err == "error: deltas must be finite\n"
 
 
 class TestInvarianceSuite:

@@ -24,6 +24,7 @@ from hhalf.fourier import (
     h_half_norm,
     hilbert_transform,
     inner_product,
+    max_bandlimit,
     norm_squared,
     poisson_evaluate,
     polarize,
@@ -363,6 +364,24 @@ class TestPoisson:
 
 
 class TestJson:
+    def test_huge_bandlimit_is_refused_before_allocation(self):
+        # 2 * 10**9 + 1 coefficients would take 32 GB.
+        tracemalloc.start()
+        try:
+            for build in (
+                lambda: from_modes(10**9, {1: 1.0}),
+                lambda: from_modes(max_bandlimit + 1, {}),
+                lambda: function_from_json({"bandlimit": 1e9, "coeffs": []}),
+                # A negative size used to reach numpy as a ValueError.
+                lambda: function_from_json({"bandlimit": -5, "coeffs": []}),
+            ):
+                with pytest.raises(ValidationError, match="^bandlimit must lie in"):
+                    build()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
+
     def test_roundtrip(self):
         rng = np.random.default_rng(9)
         f = random_real_function(7, rng)

@@ -1,5 +1,6 @@
 """Tests for circle map construction, composition, and estimators."""
 
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -9,8 +10,9 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from hhalf.errors import MonotonicityError, ValidationError
-from hhalf.fourier import SampleGrid, from_modes, function_to_json
+from hhalf.fourier import SampleGrid, from_modes, function_to_json, max_bandlimit
 from hhalf.maps import (
+    Flow,
     compose,
     compose_descriptors,
     descriptor_degree,
@@ -89,6 +91,20 @@ class TestLifts:
             evaluate_lift(m, theta), theta - 0.002 * np.sin(2 * theta), rtol=1e-15
         )
 
+    def test_rauch_flow_is_a_flow(self):
+        for m in (0, 1, 2, 7):
+            d = rauch_flow(m, 0.01)
+            assert isinstance(d, Flow) and d.eps == 0.01 and d.v.real
+            assert d.v.bandlimit == m + 2
+            assert d.v.coefficient(m + 2) == 1j / (m + 1)
+            assert np.count_nonzero(d.v.coeffs) == 2
+        # The former walk: -(2 eps / (m+1)) sin((m+2) theta).
+        points = grid.points()
+        for m in (0, 1, 2):
+            former = -(2.0 * 0.01 / (m + 1)) * np.sin((m + 2) * points)
+            walked = periodic_values(rauch_flow(m, 0.01), points)
+            assert np.max(np.abs(walked - former)) <= 8.9e-16
+
     def test_flow_lift(self):
         m = make_map(flow(sin_theta, 0.25), grid)
         theta = np.linspace(0.0, 6.0, 13)
@@ -128,6 +144,29 @@ class TestValidation:
     def test_rauch_flow_monotonicity(self):
         with pytest.raises(MonotonicityError):
             make_map(rauch_flow(0, 0.3), grid)
+
+    def test_huge_rauch_index_is_refused_before_allocation(self):
+        # The field of index m has bandlimit m + 2; at m = 10**9 its
+        # coefficients would take 32 GB.
+        tracemalloc.start()
+        try:
+            for build in (
+                lambda: rauch_flow(10**9, 0.001),
+                lambda: rauch_flow(1e300, 0.001),
+                lambda: rauch_flow(max_bandlimit - 1, 0.001),
+                lambda: descriptor_from_json(
+                    {"type": "rauch_flow", "m": 1e9, "eps": 0.001}
+                ),
+                lambda: descriptor_from_json(
+                    {"type": "rauch_flow", "m": 1e300, "eps": 0.001}
+                ),
+            ):
+                with pytest.raises(ValidationError, match="^bandlimit must lie"):
+                    build()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
 
     def test_power_validation(self):
         with pytest.raises(ValidationError):
@@ -317,6 +356,16 @@ class TestJson:
             m2 = make_map(restored, SampleGrid(256))
             assert m1.degree == m2.degree
             assert circle_distance(m1, m2) <= 1e-12
+
+    def test_rauch_flow_is_input_sugar_for_a_flow(self):
+        d = descriptor_from_json({"type": "rauch_flow", "m": 1, "eps": 0.01})
+        echoed = descriptor_to_json(d)
+        assert echoed["type"] == "flow" and echoed["eps"] == 0.01
+        assert echoed == descriptor_to_json(rauch_flow(1, 0.01))
+        assert echoed["v"]["coeffs"] == [
+            {"n": -3, "re": 0.0, "im": -0.5},
+            {"n": 3, "re": 0.0, "im": 0.5},
+        ]
 
     def test_unknown_type_rejected(self):
         with pytest.raises(ValidationError):

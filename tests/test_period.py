@@ -30,6 +30,7 @@ from hhalf.period import (
     PeriodMatrix,
     equivariance_defect,
     integrability_residual,
+    period_derivative,
     period_from_json,
     period_matrix,
     period_to_json,
@@ -231,6 +232,68 @@ class TestEquivariance:
         assert swapped > 1e-4
 
 
+def old_rauch_derivative(m, cutoff):
+    # The former entry loop sqrt(rs)/(r+s-1), kept as an oracle.
+    out = np.zeros((cutoff, cutoff), dtype=np.complex128)
+    for r in range(1, cutoff + 1):
+        s = m + 2 - r
+        if 1 <= s <= cutoff:
+            out[r - 1, s - 1] = np.sqrt(float(r * s)) / (r + s - 1.0)
+    return out
+
+
+def weil_petersson(v):
+    # (1/6) sum_{k>0} (k^3 - k) |c_k|^2 over the positive modes of v.
+    k = np.arange(1, v.bandlimit + 1)
+    c = v.coeffs[v.bandlimit + 1 :]
+    return float(np.sum((k**3 - k) * np.abs(c) ** 2)) / 6.0
+
+
+class TestPeriodDerivative:
+    @pytest.mark.parametrize("seed", range(4))
+    def test_matches_the_flow_to_first_order(self, seed):
+        # Fields with modes 1..6, the Moebius mode included.
+        for v in trial_functions(2, 6, seed):
+            dz = period_derivative(v, 16)
+            errors = []
+            for eps in (1e-4, 1e-5):
+                z = period_matrix(make_map(flow(v, eps), grid), 16, grid).Z
+                errors.append(float(np.max(np.abs(z / eps - dz))))
+            assert errors[0] <= 10.0 * 1e-4
+            # A wrong entry would leave a defect that does not shrink.
+            assert 0.09 <= errors[1] / errors[0] <= 0.11
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        bandlimit=st.integers(1, 12),
+        extra=st.integers(-1, 8),
+    )
+    def test_hilbert_schmidt_norm_is_the_weil_petersson_form(
+        self, seed, bandlimit, extra
+    ):
+        (v,) = trial_functions(1, bandlimit, seed)
+        dz = period_derivative(v, max(1, bandlimit + extra))
+        assert np.array_equal(dz, dz.T)
+        hs = float(np.sum(np.abs(dz) ** 2))
+        assert_allclose(hs, weil_petersson(v), rtol=1e-14, atol=1e-300)
+
+    def test_moebius_directions_are_annihilated(self):
+        for a, b in [(1.0, 0.0), (0.0, 1.0), (0.3, -2.5)]:
+            v = from_modes(1, {1: 0.5 * (a - 1j * b), -1: 0.5 * (a + 1j * b)})
+            assert np.all(period_derivative(v, 12) == 0.0)
+        # Adding a Moebius direction leaves the derivative unchanged.
+        (v,) = trial_functions(1, 5, 3)
+        moved = v + from_modes(1, {1: 0.7 - 0.2j, -1: 0.7 + 0.2j})
+        assert np.array_equal(period_derivative(moved, 9), period_derivative(v, 9))
+
+    def test_validation(self):
+        with pytest.raises(ValidationError):
+            period_derivative(from_modes(2, {2: 1.0}), 4)
+        with pytest.raises(ValidationError):
+            period_derivative(np.ones(5), 4)
+
+
 class TestRauchDerivative:
     def test_first_direction(self):
         d = rauch_derivative(0, 5)
@@ -252,6 +315,14 @@ class TestRauchDerivative:
             rows, cols = np.nonzero(d)
             assert np.all(rows + cols == m), m
 
+    def test_matches_the_former_entry_formula(self):
+        for m in range(40):
+            for cutoff in range(1, 33):
+                d = rauch_derivative(m, cutoff)
+                assert np.all(d.imag == 0.0)
+                worst = np.max(np.abs(d - old_rauch_derivative(m, cutoff)))
+                assert worst <= 2.3e-16, (m, cutoff)
+
     def test_negative_direction_is_rejected(self):
         with pytest.raises(ValidationError):
             rauch_derivative(-1, 4)
@@ -271,6 +342,16 @@ class TestRauchFiniteDifference:
             coarse = rauch_fd_defect(m, 2e-3, 16, grid)
             fine = rauch_fd_defect(m, 1e-3, 16, grid)
             assert 0.3 <= fine / coarse <= 0.7
+
+    def test_index_outside_the_compared_window_is_refused(self):
+        # The derivative sits on r + s = m + 2; only r + s <= min(N, 10)
+        # is compared, so m = 9 at N = 16 would compare zeros.
+        refused = [(9, 16), (5, 6), (0, 1), (-1, 16), (10**9, 16), (1e300, 16)]
+        for m, cutoff in refused:
+            with pytest.raises(ValidationError, match="compared window"):
+                rauch_fd_defect(m, 1e-3, cutoff, grid)
+        assert rauch_fd_defect(8, 1e-3, 16, grid) > 0.0
+        assert rauch_fd_defect(4, 1e-3, 6, grid) > 0.0
 
 
 class TestStructures:

@@ -329,6 +329,18 @@ class TestDiagonalLimit:
             with pytest.raises(ValidationError):
                 diagonal_limit(m, 0, 0.3, bad)
 
+    @pytest.mark.parametrize(
+        "bad", [(math.inf, 0.1, 0.05), (0.2, math.nan, 0.05), (0.1, 0.05, math.nan)]
+    )
+    def test_non_finite_deltas_are_refused(self, bad):
+        # NaN passes every ordering comparison, and an infinite delta
+        # reached math.remainder in kernel_eval.
+        m = make_map(rotation(0.3), grid)
+        with pytest.raises(ValidationError, match="deltas must be finite"):
+            diagonal_limit(m, 0, 0.3, bad)
+        with pytest.raises(ValidationError, match="deltas must be finite"):
+            diagonal_limit_line(math.exp, math.exp, 0, 0.3, bad)
+
     def test_oversized_deltas_are_flagged(self):
         m = make_map(flow(sin_one, 0.1), grid)
         with pytest.raises(NumericalError):
