@@ -17,7 +17,7 @@ from .catalog import (
     sin_field,
     trial_functions,
 )
-from .config import RunConfig, config_from_env, load_config
+from .config import RunConfig, config_from_env
 from .errors import (
     AliasingError,
     ConditioningError,
@@ -110,16 +110,11 @@ from .quantum import (
     kernel_eval_line,
     moebius_line_coefficients,
     quantum_derivative_matrix,
-    quantum_operator_from_json,
-    quantum_operator_to_json,
 )
 from .suite import CheckResult, run_all
 from .symplectic import (
-    FOURIER,
-    FormMode,
     compatibility_defect,
     polarization_positivity,
-    quadrature,
     symplectic_form,
 )
 

@@ -57,7 +57,6 @@ from .quantum import (
     diagonal_report,
     hs_bracket_check,
     hs_norm,
-    kernel_eval,
     quantum_derivative_matrix,
 )
 from .suite import run_all
@@ -83,18 +82,17 @@ def _function_from_modes(obj):
             n = int(key)
         except ValueError:
             raise ValidationError("mode index %r is not an integer" % (key,))
-        if isinstance(value, (int, float)) and not isinstance(value, bool):
-            modes[n] = complex(value)
-        elif (
-            isinstance(value, list)
-            and len(value) == 2
-            and all(isinstance(part, (int, float)) for part in value)
+        if n in modes:
+            raise ValidationError("duplicate mode index %d" % n)
+        parts = value if isinstance(value, list) and len(value) == 2 else [value]
+        if not all(
+            isinstance(part, (int, float)) and not isinstance(part, bool)
+            for part in parts
         ):
-            modes[n] = complex(value[0], value[1])
-        else:
             raise ValidationError(
                 "mode %s must be a number or an [re, im] pair" % key
             )
+        modes[n] = complex(*parts)
     bandlimit = max(abs(n) for n in modes)
     if bandlimit == 0:
         raise ValidationError("--modes needs at least one nonzero index")
@@ -369,12 +367,11 @@ def _cmd_kernel(args, cfg):
         diagonal_report(h, args.order, x, deltas) for x in kernel_base_points
     ]
     worst = max(point["defect"] for point in points)
-    rows = []
-    for x in kernel_base_points:
-        for delta in deltas:
-            rows.append(
-                (x, delta, float(kernel_eval(h, args.order, x, x + delta)))
-            )
+    rows = [
+        (point["x"], delta, value)
+        for point in points
+        for delta, value in zip(point["deltas"], point["values"])
+    ]
     report = {
         "command": "kernel",
         "order": args.order,

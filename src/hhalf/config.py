@@ -80,10 +80,6 @@ def config_from_json(obj):
         raise ValidationError("malformed RunConfig object: %s" % exc)
 
 
-def config_to_json(cfg):
-    return {name: getattr(cfg, name) for name in _fields}
-
-
 def _finite(text):
     value = float(text)
     if not math.isfinite(value):
@@ -112,10 +108,6 @@ def json_argument(value, name):
         raise ValidationError(
             "%s file %s is not valid JSON: %s" % (name, value, exc)
         )
-
-
-def load_config(path):
-    return config_from_json(json_argument(path, "config"))
 
 
 def config_from_env(environ=None):

@@ -13,7 +13,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import MonotonicityError, NumericalError, ValidationError
+from .errors import (
+    AliasingError,
+    MonotonicityError,
+    NumericalError,
+    ValidationError,
+)
 from .fourier import (
     CircleFunction,
     SampleGrid,
@@ -24,6 +29,7 @@ from .fourier import (
     function_from_json,
     function_to_json,
     synthesize,
+    zero_function,
 )
 
 two_pi = 2.0 * np.pi
@@ -224,9 +230,10 @@ class CircleMap:
 def make_map(d, grid):
     """Construct a CircleMap after validating the descriptor.
 
-    Flow descriptors additionally require 1 + eps * v' > 0 at the grid
-    points; the derivative is evaluated from the exact coefficients of
-    the field, not from resampled values.
+    Flow descriptors additionally require a field below the grid's
+    Nyquist mode and 1 + eps * v' > 0 at the grid points; the derivative
+    is evaluated from the exact coefficients of the field, not from
+    resampled values.
     """
     _validate_descriptor(d, grid)
     points = grid.points()
@@ -236,6 +243,14 @@ def make_map(d, grid):
 
 def _validate_descriptor(d, grid):
     if isinstance(d, Flow):
+        # Refused before any evaluation, which costs the field's bandlimit
+        # times the grid size.
+        nyquist = (grid.size - 1) // 2
+        if d.v.bandlimit > nyquist:
+            raise AliasingError(
+                "grid size %d cannot resolve a flow field of bandlimit %d, "
+                "past Nyquist mode %d" % (grid.size, d.v.bandlimit, nyquist)
+            )
         slope = 1.0 + d.eps * evaluate_at(derivative(d.v), grid.points())
         if not np.all(slope > 0):
             raise MonotonicityError(
@@ -274,12 +289,30 @@ def invert(m):
     return make_map(Inverse(m.descriptor), m.grid)
 
 
-def periodic_part(m, bandlimit=None):
-    """Fourier model of lift(theta) - degree*theta (mean dropped)."""
-    if bandlimit is None:
-        bandlimit = (m.grid.size - 1) // 2
+def periodic_part(m):
+    """Resolved Fourier model of lift(theta) - degree*theta, mean dropped.
+
+    The grid spectrum is cut a little above its active band before any
+    derivative is taken; keeping it whole would amplify the rounding
+    floor by a power of the top mode.  A lift whose band reaches the
+    grid's Nyquist mode is refused, and a constant periodic part
+    (rotations) is the zero function, since its spectrum is rounding.
+    """
+    nyquist = (m.grid.size - 1) // 2
     points = m.grid.points()
-    return analyze(m.lift_samples - m.degree * points, m.grid, bandlimit)
+    part = analyze(m.lift_samples - m.degree * points, m.grid, nyquist)
+    band = active_band(part)
+    if band >= nyquist:
+        raise ValidationError(
+            "lift spectrum does not resolve on the map grid; derivatives "
+            "of the lift need a smooth, resolved descriptor"
+        )
+    if band == 0:
+        return zero_function(1)
+    # Slicing the full analysis equals re-analyzing at the kept band.
+    keep = min(2 * band + 8, nyquist)
+    coeffs = part.coeffs[nyquist - keep : nyquist + keep + 1]
+    return CircleFunction(keep, coeffs, part.real)
 
 
 def active_band(part):
@@ -321,7 +354,7 @@ def radial_dilatation(m):
     """Dilatation K of the radial extension r e^{i theta} -> r e^{i lift}.
 
     K = max over the grid of max(lift', 1/lift'), with lift' obtained
-    by spectral differentiation of the periodic part.
+    by spectral differentiation of the resolved periodic part.
     """
     if m.degree != 1:
         raise ValidationError("radial dilatation is defined for degree 1")

@@ -16,22 +16,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NumericalError, ValidationError
-from .fourier import (
-    CircleFunction,
-    derivative,
-    evaluate_at,
-    matrix_from_json,
-    matrix_to_json,
-    norm_squared,
-    zero_function,
-)
+from .fourier import derivative, evaluate_at, norm_squared
 from .maps import (
     Compose,
     Identity,
     Inverse,
     Moebius,
     Rotation,
-    active_band,
     periodic_part,
     periodic_values,
 )
@@ -143,42 +134,24 @@ def hs_bracket_check(f):
     return bool(lower_ok), bool(upper_ok)
 
 
-def _lift_model(m):
-    """Spectral derivatives of the lift, on the certified band.
-
-    The periodic part is truncated a little above its certified
-    bandwidth before differentiating; keeping the full grid spectrum
-    would amplify the rounding floor by the cube of the top mode.
-    """
-    part = periodic_part(m)
-    band = active_band(part)
-    nyquist = part.bandlimit
-    if band >= nyquist:
-        raise ValidationError(
-            "lift spectrum does not resolve on the map grid; kernel "
-            "derivatives need a smooth, resolved descriptor"
-        )
-    # Constant periodic parts (rotations) carry no content; their
-    # spectrum is rounding noise, which differentiating would amplify.
-    if band == 0:
-        part = zero_function(1)
-    else:
-        # Slicing the full analysis equals re-analyzing at the kept band.
-        keep = min(2 * band + 8, nyquist)
-        coeffs = part.coeffs[nyquist - keep : nyquist + keep + 1]
-        part = CircleFunction(keep, coeffs, part.real)
-    d1 = derivative(part)
-    d2 = derivative(d1)
-    d3 = derivative(d2)
-    return d1, d2, d3
+def _kernel(order, dx, dh, slope_x, slope_y):
+    """Kernel of the given order from x - y, h(x) - h(y), h'(x), h'(y)."""
+    if order == 0:
+        return math.log(dh / dx)
+    if order == 1:
+        return slope_x / dh - 1.0 / dx
+    return slope_x * slope_y / dh**2 - 1.0 / dx**2
 
 
 def _kernel_values(m, d1, order, x, ys):
-    """Kernel values at (x, y) for each y, and the lift slope at x.
+    """Kernel values of a circle map at (x, y) for each y, and h'(x).
 
-    One lift walk and one derivative evaluation serve x and every y;
-    the per-pair arithmetic stays scalar.
+    d1 is the derivative of the map's resolved periodic part.  One lift
+    walk and one derivative evaluation serve x and every y; the
+    per-pair arithmetic stays scalar.
     """
+    if any(math.remainder(x - y, two_pi) == 0.0 for y in ys):
+        raise ValidationError("kernel requires x != y (mod 2 pi)")
     points = np.array([x, *ys])
     # dh formed from the periodic parts keeps the exact multiple of
     # x - y; differencing raw lift values would shift the kernels by
@@ -190,12 +163,7 @@ def _kernel_values(m, d1, order, x, ys):
     for j, y in enumerate(ys, 1):
         dx = x - y
         dh = m.degree * dx + float(parts[0] - parts[j])
-        if order == 0:
-            values.append(math.log(dh / dx))
-        elif order == 1:
-            values.append(slope_x / dh - 1.0 / dx)
-        else:
-            values.append(slope_x * float(slopes[j]) / dh**2 - 1.0 / dx**2)
+        values.append(_kernel(order, dx, dh, slope_x, float(slopes[j])))
     return values, slope_x
 
 
@@ -216,15 +184,11 @@ def kernel_eval(h, order, x, y):
         1/(x-y), 2 for h'(x)h'(y)/(h(x)-h(y))^2 - 1/(x-y)^2.
     x, y : float
         Distinct angles (mod 2 pi); lift derivatives come from
-        spectral differentiation of the periodic part.
+        spectral differentiation of the resolved periodic part.
     """
     _check_order(order)
-    x = float(x)
-    y = float(y)
-    if math.remainder(x - y, two_pi) == 0.0:
-        raise ValidationError("kernel requires x != y (mod 2 pi)")
-    d1, _, _ = _lift_model(h)
-    return _kernel_values(h, d1, order, x, [y])[0][0]
+    d1 = derivative(periodic_part(h))
+    return _kernel_values(h, d1, order, float(x), [float(y)])[0][0]
 
 
 def kernel_eval_line(h, hp, order, x, y):
@@ -234,11 +198,7 @@ def kernel_eval_line(h, hp, order, x, y):
     y = float(y)
     if x == y:
         raise ValidationError("kernel requires x != y")
-    if order == 0:
-        return math.log((h(x) - h(y)) / (x - y))
-    if order == 1:
-        return hp(x) / (h(x) - h(y)) - 1.0 / (x - y)
-    return hp(x) * hp(y) / (h(x) - h(y)) ** 2 - 1.0 / (x - y) ** 2
+    return _kernel(order, x - y, h(x) - h(y), hp(x), hp(y))
 
 
 def _checked_deltas(deltas):
@@ -295,10 +255,20 @@ def diagonal_limit(h, order, x, deltas=default_deltas):
     -------
     (limit_estimate, classical_value, defect)
     """
+    report = diagonal_report(h, order, x, deltas)
+    return report["limit"], report["classical"], report["defect"]
+
+
+def diagonal_report(h, order, x, deltas=default_deltas):
+    """The diagonal_limit of one kernel as a JSON-ready record.
+
+    `values` holds the kernel at each x + delta, the samples the limit
+    is extrapolated from.
+    """
     _check_order(order)
     x = float(x)
     deltas = _checked_deltas(deltas)
-    d1, d2, d3 = _lift_model(h)
+    d1 = derivative(periodic_part(h))
     values, slope = _kernel_values(h, d1, order, x, [x + d for d in deltas])
     _guard_monotone(values)
     limit = _extrapolate(deltas, values)
@@ -308,11 +278,21 @@ def diagonal_limit(h, order, x, deltas=default_deltas):
     if order == 0:
         classical = math.log(slope)
     elif order == 1:
-        classical = float(evaluate_at(d2, x)) / (2.0 * slope)
+        classical = float(evaluate_at(derivative(d1), x)) / (2.0 * slope)
     else:
+        d2 = derivative(d1)
         curv = float(evaluate_at(d2, x)) / slope
-        classical = (float(evaluate_at(d3, x)) / slope - 1.5 * curv * curv) / 6.0
-    return limit, classical, abs(limit - classical)
+        third = float(evaluate_at(derivative(d2), x)) / slope
+        classical = (third - 1.5 * curv * curv) / 6.0
+    return {
+        "order": int(order),
+        "x": x,
+        "deltas": deltas,
+        "values": values,
+        "limit": limit,
+        "classical": classical,
+        "defect": abs(limit - classical),
+    }
 
 
 def diagonal_limit_line(h, hp, order, x, deltas=default_deltas):
@@ -395,44 +375,3 @@ def fractional_linear(coefficients):
         return det / (r * x + s) ** 2
 
     return value, slope
-
-
-def diagonal_report(h, order, x, deltas=default_deltas):
-    """Diagnostic record for one diagonal limit, JSON-ready."""
-    limit, classical, defect = diagonal_limit(h, order, x, deltas)
-    return {
-        "order": int(order),
-        "x": float(x),
-        "deltas": [float(d) for d in deltas],
-        "limit": limit,
-        "classical": classical,
-        "defect": defect,
-    }
-
-
-def quantum_operator_to_json(op):
-    """Dense JSON object with the index range and the entries."""
-    return {
-        "cutoff": op.cutoff,
-        "source_bandlimit": op.source_bandlimit,
-        "entries": matrix_to_json(op.entries),
-    }
-
-
-def quantum_operator_from_json(obj):
-    """Inverse of quantum_operator_to_json."""
-    if not isinstance(obj, dict) or not {
-        "cutoff",
-        "source_bandlimit",
-        "entries",
-    } <= set(obj):
-        raise ValidationError(
-            "quantum operator object needs cutoff, source_bandlimit, entries"
-        )
-    try:
-        entries = matrix_from_json(obj["entries"])
-    except (TypeError, KeyError, IndexError) as exc:
-        raise ValidationError("malformed quantum operator entries") from exc
-    return QuantumOperator(
-        int(obj["cutoff"]), entries, int(obj["source_bandlimit"])
-    )

@@ -8,8 +8,6 @@ ufuncs are never contracted, so antisymmetry, S(f,f) = 0, isotropy of
 the polarization, and realness on real pairs all hold exactly.
 """
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .errors import ValidationError
@@ -23,37 +21,19 @@ from .fourier import (
 )
 
 
-@dataclass(frozen=True)
-class FormMode:
-    """Evaluation mode: coefficient formula or grid quadrature."""
-
-    kind: str = "fourier"
-    grid: SampleGrid = None
-
-    def __post_init__(self):
-        if self.kind not in ("fourier", "quadrature"):
-            raise ValidationError("mode kind must be 'fourier' or 'quadrature'")
-        if self.kind == "quadrature" and not isinstance(self.grid, SampleGrid):
-            raise ValidationError("quadrature mode needs a SampleGrid")
-
-
-FOURIER = FormMode("fourier")
-
-
-def quadrature(grid):
-    return FormMode("quadrature", grid)
-
-
-def symplectic_form(f, g, mode=FOURIER):
+def symplectic_form(f, g, grid=None):
     """Evaluate S(f, g) = -i sum_{n!=0} n c_n(f) c_{-n}(g).
 
     The sum is folded onto n >= 1 as -i sum n (p_n - q_n) with
-    p_n = c_n(f) c_{-n}(g) and q_n = c_{-n}(f) c_n(g).  Quadrature mode
-    instead averages f times the spectral derivative of g on the grid.
+    p_n = c_n(f) c_{-n}(g) and q_n = c_{-n}(f) c_n(g).  Given a
+    SampleGrid, the form is instead the quadrature mean of f times the
+    spectral derivative of g on that grid.
     """
-    if mode.kind == "quadrature":
-        fv = synthesize(f, mode.grid)
-        gv = synthesize(derivative(g), mode.grid)
+    if grid is not None:
+        if not isinstance(grid, SampleGrid):
+            raise ValidationError("quadrature needs a SampleGrid")
+        fv = synthesize(f, grid)
+        gv = synthesize(derivative(g), grid)
         return complex(np.mean(fv * gv))
     a, b, n = _aligned(f, g)
     ns = np.arange(1, n + 1)

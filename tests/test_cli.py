@@ -81,7 +81,15 @@ class TestNorm:
         assert code == 1
 
     def test_malformed_modes(self, capsys):
-        for bad in ("{}", '{"x": 1}', '{"1": [1, 2, 3]}', '{"0": 1.0}', "[1]"):
+        for bad in (
+            "{}",
+            '{"x": 1}',
+            '{"1": [1, 2, 3]}',
+            '{"0": 1.0}',
+            "[1]",
+            '{"1": 1, "01": 2}',
+            '{"1": [true, 0]}',
+        ):
             code, _, _ = run(["norm", "--modes", bad], capsys)
             assert code == 1, bad
 
@@ -448,6 +456,22 @@ class TestKernel:
         assert lines[0] == "x,delta,kernel_value"
         assert len(lines) == 10
 
+    def test_table_rows_are_the_report_values(self, tmp_path, capsys):
+        out = tmp_path / "kernel.json"
+        report = run_json(
+            ["kernel", "--map", flow_map, "--order", "2", "--out", str(out)],
+            capsys,
+        )
+        lines = (tmp_path / "kernel.csv").read_text().splitlines()[1:]
+        expected = [
+            "%r,%r,%r" % (point["x"], delta, value)
+            for point in report["points"]
+            for delta, value in zip(report["deltas"], point["values"])
+        ]
+        assert lines == expected
+        values = [value for point in report["points"] for value in point["values"]]
+        assert len(values) == 9 and 0.0 not in values
+
     def test_window_override(self, capsys):
         report = run_json(
             [
@@ -472,6 +496,11 @@ class TestKernel:
         assert run(base + ["--order", "0", "--window", "x"], capsys)[0] == 1
         code, _, _ = run(base + ["--order", "0", "--window", "0.01"], capsys)
         assert code == 1
+        # 4 pi, as a float: x + delta is x again on the circle.
+        window = ["--order", "0", "--window", "12.566370614359172,0.1"]
+        code, out, err = run(base + window, capsys)
+        assert code == 1 and out == ""
+        assert err == "error: kernel requires x != y (mod 2 pi)\n"
 
     @pytest.mark.parametrize("window", ["inf,0.1,0.05", "0.2,nan,0.05"])
     def test_non_finite_window_is_an_input_error(self, window, capsys):

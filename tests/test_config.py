@@ -4,13 +4,7 @@ import json
 
 import pytest
 
-from hhalf.config import (
-    RunConfig,
-    config_from_env,
-    config_from_json,
-    config_to_json,
-    load_config,
-)
+from hhalf.config import RunConfig, config_from_env, config_from_json
 from hhalf.errors import ValidationError
 
 
@@ -50,10 +44,6 @@ class TestRunConfig:
 
 
 class TestJson:
-    def test_roundtrip(self):
-        cfg = RunConfig(cutoff=8, grid_size=64, seed=5, out="report.json")
-        assert config_from_json(config_to_json(cfg)) == cfg
-
     def test_partial_objects_keep_defaults(self):
         cfg = config_from_json({"cutoff": 16})
         assert cfg.cutoff == 16
@@ -70,18 +60,18 @@ class TestLoading:
     def test_load_config(self, tmp_path):
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps({"cutoff": 8, "grid_size": 64}))
-        cfg = load_config(str(path))
+        cfg = config_from_env({"HHP_CONFIG": str(path)})
         assert (cfg.cutoff, cfg.grid_size) == (8, 64)
 
     def test_missing_file(self, tmp_path):
         with pytest.raises(ValidationError):
-            load_config(str(tmp_path / "missing.json"))
+            config_from_env({"HHP_CONFIG": str(tmp_path / "missing.json")})
 
     def test_invalid_json(self, tmp_path):
         path = tmp_path / "cfg.json"
         path.write_text("{not json")
         with pytest.raises(ValidationError):
-            load_config(str(path))
+            config_from_env({"HHP_CONFIG": str(path)})
 
     def test_env_default(self):
         assert config_from_env({}) == RunConfig()

@@ -33,8 +33,6 @@ from hhalf.pullback import pullback_matrix
 from hhalf.quantum import (
     QuantumOperator,
     _extrapolate,
-    _kernel_values,
-    _lift_model,
     default_deltas,
     diagonal_limit,
     diagonal_limit_line,
@@ -46,8 +44,6 @@ from hhalf.quantum import (
     kernel_eval_line,
     moebius_line_coefficients,
     quantum_derivative_matrix,
-    quantum_operator_from_json,
-    quantum_operator_to_json,
 )
 
 grid = SampleGrid(4096)
@@ -289,18 +285,19 @@ class TestDiagonalLimit:
             assert diagonal_limit(m, 2, x)[2] <= 1e-7
 
     def test_batched_kernel_values_match_single_evaluations(self):
-        # diagonal_limit evaluates x and every x + delta in one batch;
+        # diagonal_report evaluates x and every x + delta in one batch;
         # each value must be the one kernel_eval gives for that pair.
         deltas = list(default_deltas)
-        for name, m in catalog_maps(grid):
-            d1 = _lift_model(m)[0]
+        inverse_flow = make_map(inverse_descriptor(flow(sin_field(2), 0.05)), grid)
+        for name, m in catalog_maps(grid) + [("inverse_flow", inverse_flow)]:
             for order in (0, 1, 2):
                 for x in (0.3, -1.1, 2.0):
                     single = [kernel_eval(m, order, x, x + d) for d in deltas]
-                    batch = _kernel_values(m, d1, order, x, [x + d for d in deltas])[0]
-                    assert_allclose(batch, single, rtol=1e-15, atol=0, err_msg=name)
+                    report = diagonal_report(m, order, x)
+                    assert report["values"] == single, (name, order, x)
                     scale = max(abs(v) for v in single)
                     limit = diagonal_limit(m, order, x)[0]
+                    assert limit == report["limit"]
                     assert abs(limit - _extrapolate(deltas, single)) <= 1e-15 * scale
 
     def test_direction_independence(self):
@@ -328,6 +325,9 @@ class TestDiagonalLimit:
         for bad in ((0.02,), (0.01, 0.02), (0.02, -0.01)):
             with pytest.raises(ValidationError):
                 diagonal_limit(m, 0, 0.3, bad)
+        # x + 4 pi is x on the circle.
+        with pytest.raises(ValidationError, match=r"x != y \(mod 2 pi\)"):
+            diagonal_limit(m, 0, 0.3, (4.0 * math.pi, 0.1))
 
     @pytest.mark.parametrize(
         "bad", [(math.inf, 0.1, 0.05), (0.2, math.nan, 0.05), (0.1, 0.05, math.nan)]
@@ -353,11 +353,15 @@ class TestDiagonalLimit:
             "order",
             "x",
             "deltas",
+            "values",
             "limit",
             "classical",
             "defect",
         }
         assert record["deltas"] == list(default_deltas)
+        assert record["values"] == [
+            kernel_eval(m, 2, 1.0, 1.0 + d) for d in default_deltas
+        ]
         assert record["defect"] <= 1e-8
 
 
@@ -490,22 +494,6 @@ class TestDeformedStructure:
 
 
 class TestJson:
-    def test_roundtrip_is_exact(self):
-        f = from_modes(4, random_real_modes(4, seed=9))
-        op = quantum_derivative_matrix(f, 8)
-        back = quantum_operator_from_json(quantum_operator_to_json(op))
-        assert back.cutoff == op.cutoff
-        assert back.source_bandlimit == op.source_bandlimit
-        assert np.array_equal(back.entries, op.entries)
-
-    def test_malformed_objects_are_rejected(self):
-        with pytest.raises(ValidationError):
-            quantum_operator_from_json({"cutoff": 2})
-        with pytest.raises(ValidationError):
-            quantum_operator_from_json(
-                {"cutoff": 1, "source_bandlimit": 1, "entries": [[1, 2]]}
-            )
-
     def test_report_is_json_serializable(self):
         import json
 

@@ -16,11 +16,8 @@ from hhalf.fourier import (
     zero_function,
 )
 from hhalf.symplectic import (
-    FOURIER,
-    FormMode,
     compatibility_defect,
     polarization_positivity,
-    quadrature,
     symplectic_form,
 )
 
@@ -36,8 +33,8 @@ class TestForm:
 
     def test_cos_sin_quadrature_crosscheck(self):
         # (1/2pi) integral of cos^2 equals 1/2.
-        mode = quadrature(SampleGrid(32))
-        assert_allclose(symplectic_form(cos_theta, sin_theta, mode), 0.5, rtol=1e-14)
+        value = symplectic_form(cos_theta, sin_theta, SampleGrid(32))
+        assert_allclose(value, 0.5, rtol=1e-14)
 
     @given(coefficient_functions(), coefficient_functions())
     @settings(max_examples=40, deadline=None)
@@ -73,22 +70,21 @@ class TestForm:
 
     def test_mode_agreement(self):
         rng = np.random.default_rng(6)
-        mode = quadrature(SampleGrid(128))
+        quadrature = SampleGrid(128)
         for _ in range(10):
             f = random_real_function(16, rng)
             g = random_real_function(16, rng)
             assert_allclose(
-                symplectic_form(f, g, mode),
+                symplectic_form(f, g, quadrature),
                 symplectic_form(f, g),
                 rtol=0,
                 atol=1e-10 * (1 + h_half_norm(f) * h_half_norm(g)),
             )
 
     def test_mode_validation(self):
-        with pytest.raises(ValidationError):
-            FormMode("spectral")
-        with pytest.raises(ValidationError):
-            FormMode("quadrature")
+        for bad in ("quadrature", 128, (128, 0.0)):
+            with pytest.raises(ValidationError, match="SampleGrid"):
+                symplectic_form(cos_theta, sin_theta, bad)
 
 
 class TestCompatibility:
