@@ -319,7 +319,7 @@ def _cmd_integrability(args, cfg):
     tol = _tolerance(args, cfg.matrix_tol)
     p = _period_argument(args, cfg)
     trials = trial_functions(4, 8, cfg.seed)
-    residual = integrability_residual(p, trials, _grid(cfg))
+    residual = integrability_residual(p, trials)
     report = {
         "command": "integrability",
         "cutoff": p.cutoff,

@@ -46,6 +46,10 @@ class RunConfig:
         if int(self.grid_size) != self.grid_size:
             raise ValidationError("grid size must be an integer")
         object.__setattr__(self, "grid_size", int(self.grid_size))
+        # Not redundant with the library's aliasing checks: just above
+        # M = 2N the tail band that pullback._refuse_tail reads is empty
+        # or too narrow, and moebius(0.3) at N = 32, M = 65 gets wrong
+        # blocks (error 0.26) with no refusal.
         if self.grid_size < 4 * self.cutoff:
             raise ValidationError(
                 "grid size %d is below 4 * cutoff = %d"

@@ -335,10 +335,19 @@ def function_to_json(f):
     return {"bandlimit": f.bandlimit, "real": bool(f.real), "coeffs": entries}
 
 
+def json_integer(value, name):
+    """int(value), refusing by name a bool or fraction it would truncate."""
+    if isinstance(value, bool) or (
+        isinstance(value, float) and not value.is_integer()
+    ):
+        raise ValidationError("%s must be an integer, not %r" % (name, value))
+    return int(value)
+
+
 def function_from_json(obj):
     """Inverse of function_to_json, with validation."""
     try:
-        bandlimit = int(obj["bandlimit"])
+        bandlimit = json_integer(obj["bandlimit"], "bandlimit")
         entries = obj["coeffs"]
         real = bool(obj.get("real", False))
     except (KeyError, TypeError, ValueError) as exc:
@@ -346,7 +355,7 @@ def function_from_json(obj):
     modes = {}
     for entry in entries:
         try:
-            n = int(entry["n"])
+            n = json_integer(entry["n"], "coefficient index n")
             value = complex(float(entry["re"]), float(entry.get("im", 0.0)))
         except (KeyError, TypeError, ValueError) as exc:
             raise ValidationError("malformed coefficient entry: %s" % exc)

@@ -15,14 +15,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import AliasingError, ConditioningError, ValidationError
+from .errors import ConditioningError, ValidationError
 from .fourier import (
     CircleFunction,
-    analyze,
+    _extended,
     h_half_norm,
+    json_integer,
     matrix_from_json,
     matrix_to_json,
-    synthesize,
 )
 from .maps import (
     compose,
@@ -199,29 +199,32 @@ def rauch_fd_defect(m, eps, cutoff, grid):
 def structure_from_period(p):
     """Complex structure with the graph of Z as its -i eigenspace.
 
-    The conjugate graph is the +i eigenspace.  For Z = conj(B) A^{-1}
-    of a pullback T this is T J0 T^{-1} even after truncation: the
-    columns [A; conj B] span graph(Z) and [B; conj A] its conjugate.
+    The conjugate graph is the +i eigenspace.  With S = I - conj(Z) Z,
+    P = [[I, conj Z], [Z, I]] has S^{-1} [I, -conj Z] as the first block
+    row of its inverse, so P J0 P^{-1} has A = -i (2 S^{-1} - I), B = 2i
+    S^{-1} conj(Z) and lower blocks exactly conj(B), conj(A).  For Z =
+    conj(B) A^{-1} of a pullback T this is T J0 T^{-1} even after
+    truncation: the columns [A; conj B] span graph(Z) and [B; conj A]
+    its conjugate.
     """
-    n = p.cutoff
-    basis = np.block(
-        [[np.eye(n), np.conj(p.Z)], [p.Z, np.eye(n)]]
-    )
-    j0 = np.diag(np.concatenate([np.full(n, -1j), np.full(n, 1j)]))
-    raw = _right_divide(basis @ j0, basis, "graph basis")[0]
-    # Fold the numerically conjugated structure back onto the exact
-    # block-conjugate form so it maps real functions to real functions.
-    a = 0.5 * (raw[:n, :n] + np.conj(raw[n:, n:]))
-    b = 0.5 * (raw[:n, n:] + np.conj(raw[n:, :n]))
-    return BlockOperator(n, a, b)
+    eye = np.eye(p.cutoff)
+    z_bar = np.conj(p.Z)
+    s_inv = _right_divide(eye, eye - z_bar @ p.Z, "I - conj(Z) Z")[0]
+    return BlockOperator(p.cutoff, -1j * (2 * s_inv - eye), 2j * s_inv @ z_bar)
 
 
-def _pointwise_product(f, g, grid, cutoff):
-    samples = synthesize(f, grid) * synthesize(g, grid)
-    return analyze(samples, grid, cutoff)
+def _product(f, g, cutoff):
+    """fg, mean removed, for f and g of bandlimit <= cutoff.
+
+    Coefficients convolve, so the product is exact and cannot alias;
+    the centred ("same") part of the convolution holds |n| <= cutoff.
+    """
+    c = np.convolve(_extended(f, cutoff), _extended(g, cutoff), "same")
+    c[cutoff] = 0.0
+    return CircleFunction(cutoff, c, True if f.real and g.real else None)
 
 
-def integrability_residual(p, trial_functions, grid):
+def integrability_residual(p, trial_functions):
     """Worst multiplicativity defect of the structure built from Z.
 
     For every pair (f, g) of real trial functions the residual
@@ -229,18 +232,13 @@ def integrability_residual(p, trial_functions, grid):
     far the -i eigenspace of J = structure_from_period(p) is from being
     multiplication closed; it vanishes for the period matrix of a
     circle map, whose structure is conjugated from the reference one
-    by the composition operator.  Products are formed pointwise on the
-    grid, mean removed, and re-truncated to the cutoff of p.
+    by the composition operator.  Products are exact convolutions of
+    coefficients, mean removed and truncated to the cutoff of p.
     """
     if not isinstance(p, PeriodMatrix):
         raise ValidationError("structure source must be a PeriodMatrix")
     cutoff = p.cutoff
     structure = structure_from_period(p)
-    if grid.size < 8 * cutoff:
-        raise AliasingError(
-            "grid size %d cannot hold products at cutoff %d"
-            % (grid.size, cutoff)
-        )
     trials = list(trial_functions)
     for f in trials:
         if not f.real:
@@ -256,12 +254,10 @@ def integrability_residual(p, trial_functions, grid):
         for j in range(i, len(trials)):
             f, g = trials[i], trials[j]
             jf, jg = rotated[i], rotated[j]
-            plain = _pointwise_product(f, g, grid, cutoff)
-            twisted = _pointwise_product(jf, jg, grid, cutoff)
+            plain = _product(f, g, cutoff)
+            twisted = _product(jf, jg, cutoff)
             left = apply_operator(structure, plain - twisted)
-            right = _pointwise_product(f, jg, grid, cutoff) + (
-                _pointwise_product(g, jf, grid, cutoff)
-            )
+            right = _product(f, jg, cutoff) + _product(g, jf, cutoff)
             residual = h_half_norm(left - right) / (norms[i] * norms[j])
             worst = max(worst, residual)
     return worst
@@ -279,7 +275,7 @@ def period_to_json(p):
 
 def period_from_json(obj):
     try:
-        cutoff = int(obj["cutoff"])
+        cutoff = json_integer(obj["cutoff"], "cutoff")
         z = matrix_from_json(obj["Z"])
         source = obj.get("source")
         if source is not None:

@@ -22,6 +22,7 @@ from .fourier import (
     CircleFunction,
     analyze,
     evaluate_at,
+    json_integer,
     matrix_from_json,
     matrix_to_json,
 )
@@ -204,7 +205,7 @@ def operator_to_json(t):
 
 def operator_from_json(obj):
     try:
-        cutoff = int(obj["cutoff"])
+        cutoff = json_integer(obj["cutoff"], "cutoff")
         a, b = matrix_from_json(obj["A"]), matrix_from_json(obj["B"])
         return BlockOperator(cutoff, a, b)
     except (KeyError, TypeError, ValueError) as exc:

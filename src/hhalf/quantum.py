@@ -150,6 +150,8 @@ def _kernel_values(m, d1, order, x, ys):
     walk and one derivative evaluation serve x and every y; the
     per-pair arithmetic stays scalar.
     """
+    if not all(math.isfinite(t) for t in (x, *ys)):
+        raise ValidationError("kernel angles must be finite")
     if any(math.remainder(x - y, two_pi) == 0.0 for y in ys):
         raise ValidationError("kernel requires x != y (mod 2 pi)")
     points = np.array([x, *ys])
@@ -196,6 +198,8 @@ def kernel_eval_line(h, hp, order, x, y):
     _check_order(order)
     x = float(x)
     y = float(y)
+    if not (math.isfinite(x) and math.isfinite(y)):
+        raise ValidationError("kernel angles must be finite")
     if x == y:
         raise ValidationError("kernel requires x != y")
     return _kernel(order, x - y, h(x) - h(y), hp(x), hp(y))

@@ -284,7 +284,7 @@ def check_integrability(seed):
                 refused = True
             continue
         p = period_matrix(m, 32, grid)
-        worst = max(worst, integrability_residual(p, trials, grid))
+        worst = max(worst, integrability_residual(p, trials))
     j0 = structure_from_period(PeriodMatrix(4, np.zeros((4, 4))))
     f, g = cos_field(1), sin_field(1)
     jf, jg = apply_operator(j0, f), apply_operator(j0, g)

@@ -380,7 +380,8 @@ class TestIntegrability:
 
     def test_every_source_reads_the_same_z(self, tmp_path, capsys):
         # A map, its period artifact and its operator artifact all name
-        # the same Z = conj(B) A^{-1}, so they give the same residual.
+        # the same Z = conj(B) A^{-1}, so they give the same residual;
+        # products are exact, so --grid does not move it.
         composite = json.dumps(
             {
                 "type": "compose",
@@ -402,6 +403,7 @@ class TestIntegrability:
             for source in (
                 ["--map", composite],
                 ["--matrix", str(period_path)],
+                ["--matrix", str(period_path), "--grid", "256"],
                 ["--matrix", str(operator_path)],
             )
         }
@@ -631,6 +633,18 @@ class TestPlumbing:
             (None, ["integrability", "--map", rotation_map, "--tol=-inf"]),
             (None, ["kernel", "--order", "0", "--map", rotation_map,
                     "--tol", "nan"]),
+            # int() truncated these integer fields instead of refusing.
+            (None, ["norm", "--input", '{"bandlimit": 2, "real": false, '
+                    '"coeffs": [{"n": 1.7, "re": 1, "im": 0}]}']),
+            (None, ["norm", "--input", '{"bandlimit": 2.9, "real": false, '
+                    '"coeffs": [{"n": 1, "re": 1, "im": 0}]}']),
+            (None, ["norm", "--input", '{"bandlimit": 2, "real": false, '
+                    '"coeffs": [{"n": true, "re": 1, "im": 0}]}']),
+            (None, ["siegel-check", "--matrix",
+                    '{"cutoff": 1.5, "Z": [[{"re": 0.1, "im": 0}]]}']),
+            (None, ["siegel-check", "--matrix",
+                    '{"cutoff": true, "A": [[{"re": 1, "im": 0}]], '
+                    '"B": [[{"re": 0, "im": 0}]]}']),
         ],
     )
     def test_non_finite_and_malformed_numbers_are_input_errors(
@@ -718,10 +732,18 @@ class TestPlumbing:
         assert results[1] == results[4] != results[3]
 
     def test_grid_override_is_validated(self, capsys):
-        code, _, err = run(
-            ["period", "--map", '{"type": "identity"}', "--grid", "8"], capsys
-        )
-        assert code == 1 and "4 * cutoff" in err
+        # Just above 2N the library's tail check sees too few modes:
+        # moebius(0.3) at M = 65 gives wrong blocks with no error, so
+        # the 4N floor must refuse that grid.
+        moebius_map = '{"type": "moebius", "a": {"re": 0.3, "im": 0.0}}'
+        for descriptor, size in (
+            ('{"type": "identity"}', "8"),
+            (moebius_map, "65"),
+        ):
+            code, _, err = run(
+                ["period", "--map", descriptor, "--grid", size], capsys
+            )
+            assert code == 1 and "4 * cutoff" in err
 
     def test_csv_path_needs_a_table(self, tmp_path, capsys):
         out = tmp_path / "norm.csv"

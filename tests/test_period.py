@@ -15,8 +15,14 @@ from hhalf.catalog import (
     sin_field,
     trial_functions,
 )
-from hhalf.errors import AliasingError, ConditioningError, ValidationError
-from hhalf.fourier import SampleGrid, from_modes
+from hhalf.errors import ConditioningError, ValidationError
+from hhalf.fourier import (
+    CircleFunction,
+    SampleGrid,
+    analyze,
+    from_modes,
+    synthesize,
+)
 from hhalf.maps import (
     compose,
     flow,
@@ -41,6 +47,7 @@ from hhalf.period import (
     siegel_report_to_json,
     structure_from_period,
 )
+from hhalf.period import _product
 from hhalf.pullback import (
     BlockOperator,
     apply_operator,
@@ -395,6 +402,41 @@ class TestStructures:
         j0 = np.diag(np.concatenate([np.full(16, -1j), np.full(16, 1j)]))
         assert np.max(np.abs(j @ t - t @ j0)) <= 1e-12
 
+    def test_closed_form_matches_the_basis_conjugation(self):
+        # Oracle: conjugate J0 by the graph basis with a 2N x 2N solve.
+        def conjugated(z):
+            n = z.shape[0]
+            basis = np.block([[np.eye(n), np.conj(z)], [z, np.eye(n)]])
+            j0 = np.diag(np.concatenate([np.full(n, -1j), np.full(n, 1j)]))
+            return np.linalg.solve(basis.T, (basis @ j0).T).T
+
+        rng = np.random.default_rng(3)
+        raw = rng.normal(size=(32, 32)) + 1j * rng.normal(size=(32, 32))
+        cases = [
+            (name, period_matrix(m, 32, grid).Z)
+            for name, m in catalog_maps(grid)
+            if name != "moebius_0.5_0.5"
+        ]
+        for name, z in (("symmetric", raw + raw.T), ("non-symmetric", raw)):
+            top = np.linalg.svd(z, compute_uv=False)[0]
+            cases.append((name, z * (0.7 / top)))
+        for name, z in cases:
+            j = structure_from_period(PeriodMatrix(32, z)).full()
+            assert np.max(np.abs(j - conjugated(z))) <= 1e-13, name
+
+    @given(symmetric_contractions())
+    @settings(max_examples=40, deadline=None)
+    def test_contractions_give_structures_on_their_graph(self, p):
+        j = structure_from_period(p).full()
+        assert np.max(np.abs(j @ j + np.eye(8))) <= 1e-12
+        graph = np.vstack([np.eye(4), p.Z])
+        assert np.max(np.abs(j @ graph + 1j * graph)) <= 1e-12
+
+    def test_boundary_z_is_refused(self):
+        p = PeriodMatrix(4, np.diag([1.0, 0.0, 0.0, 0.0]))
+        with pytest.raises(ConditioningError, match="numerically singular"):
+            structure_from_period(p)
+
 
 class TestIntegrability:
     def test_reference_structure_hand_case(self):
@@ -406,29 +448,48 @@ class TestIntegrability:
         assert abs(jf.coefficient(1) - (-0.5j)) == 0.0
         assert abs(jg.coefficient(1) - (-0.5)) == 0.0
 
-        residual = integrability_residual(
-            zero_period(16), [cos_theta, sin_theta], grid
-        )
-        assert residual <= 1e-12
+        trials = [cos_theta, sin_theta]
+        assert integrability_residual(zero_period(16), trials) <= 1e-12
 
     def test_reference_structure_both_sides_match_minus_cos(self):
-        from hhalf.period import _pointwise_product
-
         j0 = structure_from_period(zero_period(16))
         f, g = cos_theta, sin_theta
         jf = apply_operator(j0, f)
         jg = apply_operator(j0, g)
-        argument = _pointwise_product(f, g, grid, 16) - _pointwise_product(
-            jf, jg, grid, 16
-        )
-        left = apply_operator(j0, argument)
-        right = _pointwise_product(f, jg, grid, 16) + _pointwise_product(
-            g, jf, grid, 16
-        )
+        left = apply_operator(j0, _product(f, g, 16) - _product(jf, jg, 16))
+        right = _product(f, jg, 16) + _product(g, jf, 16)
         for side in (left, right):
             assert abs(side.coefficient(2) - (-0.5)) <= 1e-13
             assert abs(side.coefficient(-2) - (-0.5)) <= 1e-13
             assert abs(side.coefficient(1)) <= 1e-13
+
+    def test_product_matches_the_grid_oracle(self):
+        rng = np.random.default_rng(5)
+
+        def complex_trial(bandlimit):
+            c = rng.normal(size=2 * bandlimit + 1) * (1.0 + 1j)
+            c[bandlimit] = 0.0
+            return CircleFunction(bandlimit, c)
+
+        for cutoff in (8, 32):
+            real = trial_functions(2, cutoff // 2, seed=cutoff)
+            wide = trial_functions(1, cutoff, seed=cutoff)[0]
+            pairs = [
+                (real[0], real[1]),
+                (real[0], wide),
+                (real[0], complex_trial(cutoff // 2)),
+                (complex_trial(cutoff), complex_trial(3)),
+            ]
+            for f, g in pairs:
+                exact = _product(f, g, cutoff)
+                samples = synthesize(f, grid) * synthesize(g, grid)
+                oracle = analyze(samples, grid, cutoff)
+                scale = np.sum(np.abs(f.coeffs)) * np.sum(np.abs(g.coeffs))
+                assert exact.bandlimit == cutoff
+                assert exact.coefficient(0) == 0.0
+                error = np.max(np.abs(exact.coeffs - oracle.coeffs))
+                assert error <= 1e-15 * scale
+                assert exact.real == (f.real and g.real) == oracle.real
 
     def test_map_sourced_structures_are_integrable(self):
         trials = [cos_theta, sin_two_theta] + trial_functions(2, 8, seed=42)
@@ -436,7 +497,7 @@ class TestIntegrability:
             if name == "moebius_0.5_0.5":
                 continue
             p = period_matrix(m, 32, grid)
-            assert integrability_residual(p, trials, grid) <= 1e-12, name
+            assert integrability_residual(p, trials) <= 1e-12, name
 
     def test_operator_source_matches_map_source(self):
         # An operator enters as the image of the origin, conj(B) A^{-1},
@@ -444,9 +505,9 @@ class TestIntegrability:
         trials = [cos_theta, sin_two_theta]
         m = make_map(flow(sin_two_theta, 0.05), grid)
         t = pullback_matrix(m, 16, grid)
-        from_map = integrability_residual(period_matrix(m, 16, grid), trials, grid)
+        from_map = integrability_residual(period_matrix(m, 16, grid), trials)
         from_operator = integrability_residual(
-            siegel_action(t, zero_period(16)), trials, grid
+            siegel_action(t, zero_period(16)), trials
         )
         assert from_operator == from_map
 
@@ -463,24 +524,21 @@ class TestIntegrability:
         sym = 0.5 * (raw + raw.T)
         sym *= 0.5 / np.linalg.svd(sym, compute_uv=False)[0]
         trials = [cos_theta, sin_two_theta] + trial_functions(1, 8, seed=42)
-        residual = integrability_residual(PeriodMatrix(16, sym), trials, grid)
+        residual = integrability_residual(PeriodMatrix(16, sym), trials)
         assert residual > 0.1
 
     def test_validation(self):
         complex_trial = from_modes(2, {1: 1.0})
         origin = zero_period(16)
         with pytest.raises(ValidationError):
-            integrability_residual(origin, [complex_trial], grid)
+            integrability_residual(origin, [complex_trial])
         wide_trial = trial_functions(1, 10, seed=1)[0]
         with pytest.raises(ValidationError):
-            integrability_residual(origin, [wide_trial], grid)
+            integrability_residual(origin, [wide_trial])
         m = make_map(identity(), grid)
         for source in (m, pullback_matrix(m, 16, grid)):
             with pytest.raises(ValidationError, match="PeriodMatrix"):
-                integrability_residual(source, [cos_theta], grid)
-        small = SampleGrid(64)
-        with pytest.raises(AliasingError):
-            integrability_residual(origin, [cos_theta], small)
+                integrability_residual(source, [cos_theta])
 
 
 class TestJson:

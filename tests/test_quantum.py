@@ -341,6 +341,25 @@ class TestDiagonalLimit:
         with pytest.raises(ValidationError, match="deltas must be finite"):
             diagonal_limit_line(math.exp, math.exp, 0, 0.3, bad)
 
+    def test_non_finite_angles_are_refused(self):
+        # math.remainder raised a bare ValueError on an infinite angle,
+        # and a NaN angle passed the x != y check into a NaN kernel.
+        circle = make_map(moebius(0.3), SampleGrid(256))
+        line = fractional_linear(moebius_line_coefficients(moebius(0.3)))
+        calls = [
+            lambda bad: kernel_eval(circle, 0, 0.3, bad),
+            lambda bad: kernel_eval(circle, 0, bad, 0.3),
+            lambda bad: diagonal_limit(circle, 2, bad),
+            lambda bad: diagonal_report(circle, 1, bad),
+            lambda bad: kernel_eval_line(*line, 2, 0.3, bad),
+            lambda bad: diagonal_limit_line(*line, 2, bad),
+        ]
+        refusal = "kernel angles must be finite"
+        for call in calls:
+            for bad in (math.inf, -math.inf, math.nan):
+                with pytest.raises(ValidationError, match=refusal):
+                    call(bad)
+
     def test_oversized_deltas_are_flagged(self):
         m = make_map(flow(sin_one, 0.1), grid)
         with pytest.raises(NumericalError):
