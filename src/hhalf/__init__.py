@@ -12,7 +12,6 @@ from .catalog import (
     catalog_descriptors,
     catalog_maps,
     cos_field,
-    coset_representatives,
     equivariance_pairs,
     sin_field,
     trial_functions,
@@ -41,8 +40,6 @@ from .fourier import (
     hilbert_transform,
     inner_product,
     norm_squared,
-    poisson_evaluate,
-    polarize,
     synthesize,
     zero_function,
 )
@@ -57,7 +54,6 @@ from .maps import (
     flow,
     identity,
     inverse_descriptor,
-    invert,
     lift_bandwidth,
     make_map,
     moebius,
@@ -89,7 +85,6 @@ from .period import (
 from .pullback import (
     BlockOperator,
     apply_operator,
-    identity_operator,
     invariance_defect,
     operator_from_json,
     operator_norm_estimate,
@@ -114,7 +109,6 @@ from .quantum import (
 from .suite import CheckResult, run_all
 from .symplectic import (
     compatibility_defect,
-    polarization_positivity,
     symplectic_form,
 )
 

@@ -75,27 +75,6 @@ def equivariance_pairs():
     ]
 
 
-def coset_representatives():
-    """One catalog map per expected period-matrix class.
-
-    Left Moebius factors do not move the period matrix, so the
-    identity stands in for the whole rotation and moebius block; the
-    remaining maps should all be separated from it and from each
-    other.
-    """
-    keep = {
-        "identity",
-        "flow_sin1_0.1",
-        "flow_sin2_0.05",
-        "flow_cos3_0.04",
-        "rauch_0_0.01",
-        "rauch_1_0.01",
-        "rauch_2_0.01",
-        "compose_flow_moebius",
-    }
-    return [item for item in catalog_descriptors() if item[0] in keep]
-
-
 def trial_functions(count, bandlimit, seed):
     """Reproducible random real functions, mode k scaled by k^-1.5."""
     rng = np.random.default_rng(seed)

@@ -7,6 +7,7 @@ import os
 from dataclasses import dataclass
 
 from .errors import ValidationError
+from .fourier import json_integer
 
 config_env_var = "HHP_CONFIG"
 _fields = ("cutoff", "grid_size", "spectral_tol", "matrix_tol", "seed", "out")
@@ -40,12 +41,10 @@ class RunConfig:
     out: str = None
 
     def __post_init__(self):
-        if int(self.cutoff) != self.cutoff or self.cutoff < 1:
+        for name in ("cutoff", "grid_size", "seed"):
+            object.__setattr__(self, name, json_integer(getattr(self, name), name))
+        if self.cutoff < 1:
             raise ValidationError("cutoff must be an integer >= 1")
-        object.__setattr__(self, "cutoff", int(self.cutoff))
-        if int(self.grid_size) != self.grid_size:
-            raise ValidationError("grid size must be an integer")
-        object.__setattr__(self, "grid_size", int(self.grid_size))
         # Not redundant with the library's aliasing checks: just above
         # M = 2N the tail band that pullback._refuse_tail reads is empty
         # or too narrow, and moebius(0.3) at N = 32, M = 65 gets wrong
@@ -60,9 +59,8 @@ class RunConfig:
             if not value > 0.0:
                 raise ValidationError("%s must be positive" % name)
             object.__setattr__(self, name, float(value))
-        if int(self.seed) != self.seed or self.seed < 0:
+        if self.seed < 0:
             raise ValidationError("seed must be a nonnegative integer")
-        object.__setattr__(self, "seed", int(self.seed))
         if self.out is not None and not isinstance(self.out, str):
             raise ValidationError("out must be a path string or None")
 

@@ -7,6 +7,7 @@ for real functions equals the classical 2 sum_{n>=1} n |c_n|^2.
 """
 
 import cmath
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -101,10 +102,6 @@ class CircleFunction:
         return CircleFunction(self.bandlimit, self.coeffs * scalar)
 
     __rmul__ = __mul__
-
-    def conjugate(self):
-        """Pointwise complex conjugate; swaps the n and -n slots."""
-        return CircleFunction(self.bandlimit, np.conj(self.coeffs[::-1]))
 
 
 def from_modes(bandlimit, modes, real=None):
@@ -260,16 +257,6 @@ def hilbert_transform(f):
     return CircleFunction(n, f.coeffs * mult, f.real if f.real else None)
 
 
-def polarize(f):
-    """Split into positive-mode and negative-mode parts (f_plus, f_minus)."""
-    n = f.bandlimit
-    plus = np.zeros_like(f.coeffs)
-    minus = np.zeros_like(f.coeffs)
-    plus[n + 1 :] = f.coeffs[n + 1 :]
-    minus[:n] = f.coeffs[:n]
-    return CircleFunction(n, plus), CircleFunction(n, minus)
-
-
 def douglas_energy(f, grid):
     """Product-grid quadrature of the Douglas energy integral.
 
@@ -309,20 +296,6 @@ def douglas_pair_sum(fx, fy, tx, ty):
     return total
 
 
-def poisson_evaluate(f, r, theta):
-    """Harmonic extension sum c_n r^{|n|} e^{i n theta}."""
-    if not 0.0 <= r < 1.0:
-        raise ValidationError("radius must lie in [0, 1)")
-    n = f.bandlimit
-    ns = np.arange(1, n + 1)
-    z = r * np.exp(1j * theta)
-    powers = z ** ns
-    return complex(
-        np.sum(f.coeffs[n + ns] * powers)
-        + np.sum(f.coeffs[n - ns] * np.conj(powers))
-    )
-
-
 def function_to_json(f):
     """JSON-ready dict; zero coefficients are omitted."""
     entries = []
@@ -336,9 +309,10 @@ def function_to_json(f):
 
 
 def json_integer(value, name):
-    """int(value), refusing by name a bool or fraction it would truncate."""
-    if isinstance(value, bool) or (
-        isinstance(value, float) and not value.is_integer()
+    """int(value), refusing by name a bool, string or fraction."""
+    if isinstance(value, bool) or not (
+        isinstance(value, numbers.Integral)
+        or (isinstance(value, float) and value.is_integer())
     ):
         raise ValidationError("%s must be an integer, not %r" % (name, value))
     return int(value)

@@ -28,6 +28,7 @@ from .fourier import (
     from_modes,
     function_from_json,
     function_to_json,
+    json_integer,
     synthesize,
     zero_function,
 )
@@ -89,9 +90,10 @@ def rotation(alpha):
 
 
 def power(k):
-    if int(k) != k or k < 1:
+    k = json_integer(k, "power degree k")
+    if k < 1:
         raise ValidationError("power descriptor needs a positive integer degree")
-    return Power(int(k))
+    return Power(k)
 
 
 def moebius(a, beta=0.0):
@@ -111,9 +113,10 @@ def flow(v, eps):
 
 def rauch_flow(m, eps):
     """Flow along v_m = -2/(m+1) sin((m+2) theta): +-i/(m+1) at +-(m+2)."""
-    if int(m) != m or m < 0:
+    m = json_integer(m, "rauch_flow index m")
+    if m < 0:
         raise ValidationError("rauch_flow index must be a nonnegative integer")
-    k = int(m) + 2
+    k = m + 2
     v = from_modes(k, {k: 1j / (k - 1), -k: -1j / (k - 1)}, real=True)
     return flow(v, _finite(eps, "rauch_flow eps"))
 
@@ -280,13 +283,6 @@ def compose(outer, inner):
     d = Compose((outer.descriptor, inner.descriptor))
     samples = _lift_values(outer.descriptor, inner.lift_samples)
     return CircleMap(d, outer.grid, outer.degree * inner.degree, samples)
-
-
-def invert(m):
-    """Inverse homeomorphism, evaluated by monotone bisection."""
-    if m.degree != 1:
-        raise ValidationError("only degree-1 maps are invertible")
-    return make_map(Inverse(m.descriptor), m.grid)
 
 
 def periodic_part(m):

@@ -111,11 +111,6 @@ class BlockOperator:
         return BlockOperator(self.cutoff, a, b)
 
 
-def identity_operator(cutoff):
-    eye = np.eye(cutoff, dtype=np.complex128)
-    return BlockOperator(cutoff, eye, np.zeros_like(eye))
-
-
 def sub_operator(t, cutoff):
     """Leading corner of a larger block operator."""
     if cutoff > t.cutoff:

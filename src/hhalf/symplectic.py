@@ -11,30 +11,15 @@ the polarization, and realness on real pairs all hold exactly.
 import numpy as np
 
 from .errors import ValidationError
-from .fourier import (
-    SampleGrid,
-    _aligned,
-    derivative,
-    inner_product,
-    hilbert_transform,
-    synthesize,
-)
+from .fourier import _aligned, inner_product, hilbert_transform
 
 
-def symplectic_form(f, g, grid=None):
+def symplectic_form(f, g):
     """Evaluate S(f, g) = -i sum_{n!=0} n c_n(f) c_{-n}(g).
 
     The sum is folded onto n >= 1 as -i sum n (p_n - q_n) with
-    p_n = c_n(f) c_{-n}(g) and q_n = c_{-n}(f) c_n(g).  Given a
-    SampleGrid, the form is instead the quadrature mean of f times the
-    spectral derivative of g on that grid.
+    p_n = c_n(f) c_{-n}(g) and q_n = c_{-n}(f) c_n(g).
     """
-    if grid is not None:
-        if not isinstance(grid, SampleGrid):
-            raise ValidationError("quadrature needs a SampleGrid")
-        fv = synthesize(f, grid)
-        gv = synthesize(derivative(g), grid)
-        return complex(np.mean(fv * gv))
     a, b, n = _aligned(f, g)
     ns = np.arange(1, n + 1)
     w = ns.astype(float)
@@ -62,11 +47,3 @@ def compatibility_defect(f, g):
         raise ValidationError("compatibility identity is stated for real functions")
     return abs(symplectic_form(f, hilbert_transform(g)) - inner_product(f, g))
 
-
-def polarization_positivity(f_plus):
-    """i S(f_plus, conj(f_plus)), equal to the squared norm of f_plus."""
-    n = f_plus.bandlimit
-    if np.any(f_plus.coeffs[:n] != 0):
-        raise ValidationError("input must be supported on positive modes")
-    value = 1j * symplectic_form(f_plus, f_plus.conjugate())
-    return float(value.real)

@@ -9,8 +9,10 @@ run.
 
 import importlib
 import importlib.util
+import json
 import pathlib
 import re
+import sys
 
 import hhalf
 
@@ -60,3 +62,31 @@ def test_reference_descriptors_build():
     grid = hhalf.SampleGrid(4096)
     for _, descriptor, _, _ in wanted:
         hhalf.make_map(hhalf.descriptor_from_json(descriptor), grid)
+
+
+def test_tracer_captures_pullback_arguments(capsys, monkeypatch):
+    # Tracer.release unpacks (map, cutoff, grid) from the positional
+    # arguments of pullback_matrix; a keyword grid would break it.
+    import hhalf.cli
+
+    monkeypatch.delenv("HHP_CONFIG", raising=False)
+    tracing = load_tracing()
+    modules = {
+        name: module
+        for name, module in sys.modules.items()
+        if name == "hhalf" or name.startswith("hhalf.")
+    }
+    tracer = tracing.Tracer(modules)
+    descriptor = {"type": "rotation", "alpha": 0.7}
+    tracer.install()
+    try:
+        code = hhalf.cli.run_command(
+            ["pullback-matrix", "--map", json.dumps(descriptor)]
+        )
+    finally:
+        tracer.uninstall()
+    capsys.readouterr()
+    assert code == 0
+    tracer.release(0)
+    echoed = hhalf.descriptor_to_json(hhalf.descriptor_from_json(descriptor))
+    assert list(tracer.blocks) == [(json.dumps(echoed, sort_keys=True), 32, 4096)]

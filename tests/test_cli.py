@@ -645,6 +645,17 @@ class TestPlumbing:
             (None, ["siegel-check", "--matrix",
                     '{"cutoff": true, "A": [[{"re": 1, "im": 0}]], '
                     '"B": [[{"re": 0, "im": 0}]]}']),
+            # int() read these as integers: true as 1, "2" as 2.
+            (None, ["period", "--map", '{"type": "power", "k": true}']),
+            (None, ["period", "--map",
+                    '{"type": "rauch_flow", "m": true, "eps": 0.01}']),
+            ('{"cutoff": true}', ["period", "--map", rotation_map]),
+            ('{"seed": true}', ["integrability", "--map", rotation_map,
+                                "--grid", "512"]),
+            (None, ["norm", "--input", '{"bandlimit": "2", "real": false, '
+                    '"coeffs": [{"n": 1, "re": 1, "im": 0}]}']),
+            (None, ["norm", "--input", '{"bandlimit": 2, "real": false, '
+                    '"coeffs": [{"n": "1", "re": 1, "im": 0}]}']),
         ],
     )
     def test_non_finite_and_malformed_numbers_are_input_errors(

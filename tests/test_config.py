@@ -36,6 +36,10 @@ class TestRunConfig:
             RunConfig(seed=-1)
         with pytest.raises(ValidationError):
             RunConfig(out=7)
+        # int() read True as 1 and False as 0.
+        for field, flag in (("cutoff", True), ("seed", True), ("seed", False)):
+            with pytest.raises(ValidationError, match=field):
+                RunConfig(**{field: flag})
 
     def test_integer_coercion(self):
         cfg = RunConfig(cutoff=16.0, grid_size=256.0, seed=3.0)

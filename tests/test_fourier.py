@@ -26,8 +26,6 @@ from hhalf.fourier import (
     inner_product,
     max_bandlimit,
     norm_squared,
-    poisson_evaluate,
-    polarize,
     synthesize,
     zero_function,
 )
@@ -43,6 +41,16 @@ def random_real_function(bandlimit, rng, decay=1.0):
         c[bandlimit + n] = scale * (rng.standard_normal() + 1j * rng.standard_normal())
         c[bandlimit - n] = np.conj(c[bandlimit + n])
     return CircleFunction(bandlimit, c)
+
+
+def split_modes(f):
+    """Positive-mode and negative-mode parts (f_plus, f_minus) of f."""
+    n = f.bandlimit
+    plus = np.zeros_like(f.coeffs)
+    minus = np.zeros_like(f.coeffs)
+    plus[n + 1 :] = f.coeffs[n + 1 :]
+    minus[:n] = f.coeffs[:n]
+    return CircleFunction(n, plus), CircleFunction(n, minus)
 
 
 def coefficient_functions(max_bandlimit=8):
@@ -195,36 +203,24 @@ class TestHilbert:
 
 
 class TestPolarize:
-    def test_cosine_split(self):
-        plus, minus = polarize(cos_theta)
-        assert plus.coefficient(1) == 0.5
-        assert plus.coefficient(-1) == 0.0
-        assert minus.coefficient(-1) == 0.5
-
-    def test_positive_function_fixed(self):
-        f = from_modes(3, {1: 1.0, 2: -0.5j})
-        plus, minus = polarize(f)
-        assert np.array_equal(plus.coeffs, f.coeffs)
-        assert np.all(minus.coeffs == 0)
-
     @given(coefficient_functions())
     @settings(max_examples=40, deadline=None)
     def test_split_is_exact(self, f):
-        plus, minus = polarize(f)
+        plus, minus = split_modes(f)
         assert np.array_equal(plus.coeffs + minus.coeffs, f.coeffs)
         assert inner_product(plus, minus) == 0.0
 
     @given(coefficient_functions())
     @settings(max_examples=40, deadline=None)
     def test_plus_part_is_minus_i_eigenvector(self, f):
-        plus, _ = polarize(f)
+        plus, _ = split_modes(f)
         g = hilbert_transform(plus)
         assert np.array_equal(g.coeffs, (-1j * plus).coeffs)
 
     def test_norm_pythagoras(self):
         rng = np.random.default_rng(5)
         f = random_real_function(10, rng)
-        plus, minus = polarize(f)
+        plus, minus = split_modes(f)
         assert_allclose(
             norm_squared(plus) + norm_squared(minus),
             norm_squared(f),
@@ -340,27 +336,6 @@ class TestDouglas:
     def test_zero_offset_rejected(self):
         with pytest.raises(GridError):
             douglas_energy(cos_theta, SampleGrid(64))
-
-
-class TestPoisson:
-    def test_cosine_half_radius(self):
-        assert_allclose(poisson_evaluate(cos_theta, 0.5, 0.0), 0.5, rtol=1e-15)
-
-    def test_center_is_zero(self):
-        rng = np.random.default_rng(1)
-        f = random_real_function(6, rng)
-        assert poisson_evaluate(f, 0.0, 1.2) == 0.0
-
-    def test_single_mode_scales(self):
-        f = from_modes(2, {1: 1.0})
-        value = poisson_evaluate(f, 0.7, 0.9)
-        assert_allclose(value, 0.7 * np.exp(0.9j), rtol=1e-15)
-
-    def test_radius_validation(self):
-        with pytest.raises(ValidationError):
-            poisson_evaluate(cos_theta, 1.0, 0.0)
-        with pytest.raises(ValidationError):
-            poisson_evaluate(cos_theta, -0.1, 0.0)
 
 
 class TestJson:

@@ -23,7 +23,6 @@ from hhalf.maps import (
     flow,
     identity,
     inverse_descriptor,
-    invert,
     lift_bandwidth,
     make_map,
     moebius,
@@ -196,9 +195,8 @@ class TestValidation:
             power(0)
 
     def test_invert_requires_degree_one(self):
-        m = make_map(power(2), grid)
-        with pytest.raises(ValidationError):
-            invert(m)
+        with pytest.raises(ValidationError, match="degree-1"):
+            inverse_descriptor(power(2))
 
     def test_qs_requires_degree_one(self):
         m = make_map(power(2), grid)
@@ -236,16 +234,19 @@ class TestComposition:
         assert circle_distance(left, right) <= 1e-9
 
     def test_roundtrip_with_inverse(self):
-        phi = make_map(flow(sin_theta, 0.1), grid)
-        roundtrip = compose(phi, invert(phi))
+        d = flow(sin_theta, 0.1)
+        phi = make_map(d, grid)
+        roundtrip = compose(phi, make_map(inverse_descriptor(d), grid))
         theta = np.linspace(0.0, 2 * np.pi, 101)
         assert np.max(np.abs(evaluate_lift(roundtrip, theta) - theta)) <= 1e-8
 
     def test_two_sided_inverse(self):
-        phi = make_map(moebius(0.35 + 0.2j, 0.6), grid)
+        d = moebius(0.35 + 0.2j, 0.6)
+        phi = make_map(d, grid)
+        inverse = make_map(inverse_descriptor(d), grid)
         theta = np.linspace(0.0, 2 * np.pi, 101)
-        left = compose(invert(phi), phi)
-        right = compose(phi, invert(phi))
+        left = compose(inverse, phi)
+        right = compose(phi, inverse)
         assert np.max(np.abs(evaluate_lift(left, theta) - theta)) <= 1e-9
         assert np.max(np.abs(evaluate_lift(right, theta) - theta)) <= 1e-9
 
@@ -278,14 +279,14 @@ class TestComposition:
         small = SampleGrid(256)
         a = complex(params[0], params[1])
         beta = params[2]
-        phi = make_map(moebius(a, beta), small)
+        inverse = make_map(inverse_descriptor(moebius(a, beta)), small)
         oracle = make_map(moebius(-a * np.exp(1j * beta), -beta), small)
-        assert circle_distance(invert(phi), oracle) <= 1e-9
+        assert circle_distance(inverse, oracle) <= 1e-9
 
     def test_inverse_of_rotation(self):
-        phi = make_map(rotation(0.8), grid)
+        inverse = make_map(inverse_descriptor(rotation(0.8)), grid)
         oracle = make_map(rotation(-0.8), grid)
-        assert circle_distance(invert(phi), oracle) <= 1e-12
+        assert circle_distance(inverse, oracle) <= 1e-12
 
 
 class TestEstimators:
@@ -409,6 +410,10 @@ class TestJson:
             {"type": "rauch_flow", "m": 1.5, "eps": 0.1},
             {"type": "rauch_flow", "m": 1, "eps": "e"},
             {"type": "compose", "maps": [{"type": "power", "k": 1.5}]},
+            # int() read True as 1 and False as 0.
+            {"type": "power", "k": True},
+            {"type": "rauch_flow", "m": True, "eps": 0.01},
+            {"type": "rauch_flow", "m": False, "eps": 0.01},
         ):
             with pytest.raises(ValidationError):
                 descriptor_from_json(obj)

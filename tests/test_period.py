@@ -10,7 +10,6 @@ from numpy.testing import assert_allclose
 
 from hhalf.catalog import (
     catalog_maps,
-    coset_representatives,
     equivariance_pairs,
     sin_field,
     trial_functions,
@@ -51,7 +50,6 @@ from hhalf.period import _product
 from hhalf.pullback import (
     BlockOperator,
     apply_operator,
-    identity_operator,
     pullback_matrix,
 )
 
@@ -178,7 +176,8 @@ class TestSiegelMembership:
 class TestSiegelAction:
     def test_identity_operator_fixes_everything(self):
         p = period_matrix(make_map(flow(sin_two_theta, 0.05), grid), 16, grid)
-        moved = siegel_action(identity_operator(16), p)
+        eye = BlockOperator(16, np.eye(16), np.zeros((16, 16)))
+        moved = siegel_action(eye, p)
         assert np.max(np.abs(moved.Z - p.Z)) <= 1e-14
 
     def test_action_on_origin_recovers_the_period_matrix(self):
@@ -189,8 +188,9 @@ class TestSiegelAction:
         assert np.max(np.abs(moved.Z - direct.Z)) <= 1e-13
 
     def test_cutoff_mismatch_is_rejected(self):
+        eye = BlockOperator(4, np.eye(4), np.zeros((4, 4)))
         with pytest.raises(ValidationError):
-            siegel_action(identity_operator(4), zero_period(5))
+            siegel_action(eye, zero_period(5))
 
     def test_singular_denominator_is_refused(self):
         t = BlockOperator(1, np.eye(1), np.eye(1))

@@ -28,7 +28,6 @@ from hhalf.maps import (
 from hhalf.period import period_matrix
 from hhalf.pullback import (
     BlockOperator,
-    identity_operator,
     invariance_defect,
     operator_from_json,
     operator_norm_estimate,
@@ -350,13 +349,15 @@ class TestBlockOperator:
 
     def test_product_with_identity(self):
         t = pullback_matrix(make_map(moebius(0.3), grid), 8, grid)
-        e = identity_operator(8)
+        e = BlockOperator(8, np.eye(8), np.zeros((8, 8)))
         assert np.allclose((t @ e).full(), t.full(), rtol=0, atol=0)
         assert np.allclose((e @ t).full(), t.full(), rtol=0, atol=0)
 
     def test_cutoff_mismatch_is_rejected(self):
+        left = BlockOperator(4, np.eye(4), np.zeros((4, 4)))
+        right = BlockOperator(5, np.eye(5), np.zeros((5, 5)))
         with pytest.raises(ValidationError):
-            identity_operator(4) @ identity_operator(5)
+            left @ right
 
     def test_bad_block_shape_is_rejected(self):
         with pytest.raises(ValidationError):
@@ -380,7 +381,8 @@ class TestBlockOperator:
 
 class TestOperatorNorm:
     def test_identity_norm_is_exactly_one(self):
-        assert operator_norm_estimate(identity_operator(16)) == 1.0
+        eye = BlockOperator(16, np.eye(16), np.zeros((16, 16)))
+        assert operator_norm_estimate(eye) == 1.0
 
     def test_estimate_agrees_with_dense_svd(self):
         cases = [
@@ -468,7 +470,7 @@ class TestJson:
             operator_from_json({"A": [], "B": []})
 
     def test_non_finite_entries_are_rejected(self):
-        t = operator_to_json(identity_operator(2))
+        t = operator_to_json(BlockOperator(2, np.eye(2), np.zeros((2, 2))))
         t["B"][1][0] = {"re": float("nan"), "im": 0.0}
         with pytest.raises(ValidationError, match="finite"):
             operator_from_json(t)
