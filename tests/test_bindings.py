@@ -15,6 +15,7 @@ import re
 import sys
 
 import hhalf
+import hhalf.cli
 
 perfbench = pathlib.Path(__file__).resolve().parent.parent / "perfbench"
 
@@ -67,8 +68,6 @@ def test_reference_descriptors_build():
 def test_tracer_captures_pullback_arguments(capsys, monkeypatch):
     # Tracer.release unpacks (map, cutoff, grid) from the positional
     # arguments of pullback_matrix; a keyword grid would break it.
-    import hhalf.cli
-
     monkeypatch.delenv("HHP_CONFIG", raising=False)
     tracing = load_tracing()
     modules = {
