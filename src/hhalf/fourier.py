@@ -27,9 +27,14 @@ class SampleGrid:
     offset: float = 0.0
 
     def __post_init__(self):
-        if int(self.size) != self.size or self.size < 4:
-            raise GridError("grid size must be an integer >= 4")
-        object.__setattr__(self, "size", int(self.size))
+        message = "grid size must be an integer >= 4"
+        try:
+            size = json_integer(self.size, "grid size")
+        except ValidationError:
+            raise GridError(message) from None
+        if size < 4:
+            raise GridError(message)
+        object.__setattr__(self, "size", size)
         object.__setattr__(self, "offset", float(self.offset))
         cell = 2.0 * np.pi / self.size
         if not 0.0 <= self.offset < cell:
@@ -54,10 +59,10 @@ class CircleFunction:
     real: bool = None
 
     def __post_init__(self):
-        n = self.bandlimit
-        if int(n) != n or n < 1:
+        n = json_integer(self.bandlimit, "bandlimit")
+        if n < 1:
             raise ValidationError("bandlimit must be an integer >= 1")
-        object.__setattr__(self, "bandlimit", int(n))
+        object.__setattr__(self, "bandlimit", n)
         c = np.array(self.coeffs, dtype=np.complex128)
         if c.shape != (2 * self.bandlimit + 1,):
             raise ValidationError("coeffs must have length 2*bandlimit+1")

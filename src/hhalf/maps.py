@@ -13,12 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    AliasingError,
-    MonotonicityError,
-    NumericalError,
-    ValidationError,
-)
+from .errors import AliasingError, MonotonicityError, ValidationError
 from .fourier import (
     CircleFunction,
     SampleGrid,
@@ -34,16 +29,6 @@ from .fourier import (
 )
 
 two_pi = 2.0 * np.pi
-
-
-@dataclass(frozen=True)
-class Identity:
-    pass
-
-
-@dataclass(frozen=True)
-class Rotation:
-    alpha: float
 
 
 @dataclass(frozen=True)
@@ -70,11 +55,18 @@ class Compose:
 
 @dataclass(frozen=True)
 class Inverse:
-    of: object
+    of: Flow
+
+    def __post_init__(self):
+        # _invert_lift brackets roots by the flow's coefficients.
+        if not isinstance(self.of, Flow):
+            raise ValidationError(
+                "Inverse wraps only a flow; inverse_descriptor gives the rest"
+            )
 
 
 def identity():
-    return Identity()
+    return Moebius(0j)
 
 
 def _finite(value, name):
@@ -86,7 +78,7 @@ def _finite(value, name):
 
 
 def rotation(alpha):
-    return Rotation(_finite(alpha, "rotation alpha"))
+    return Moebius(0j, _finite(alpha, "rotation alpha"))
 
 
 def power(k):
@@ -129,8 +121,24 @@ def compose_descriptors(maps):
 
 
 def inverse_descriptor(of):
+    """Inverse in normal form: only a flow is left wrapped in Inverse.
+
+    Moebius maps invert in closed form, compositions factor by factor
+    in reverse order, an inverse unwraps and power(1) is its own
+    inverse.
+    """
     if descriptor_degree(of) != 1:
         raise ValidationError("only degree-1 maps are invertible")
+    if isinstance(of, Moebius):
+        # Adding zero drops the signed zeros that a = 0 or beta = 0 would
+        # otherwise echo.
+        return moebius(-of.a * cmath.exp(1j * of.beta) + 0j, 0.0 - of.beta)
+    if isinstance(of, Compose):
+        return Compose(tuple(inverse_descriptor(d) for d in reversed(of.maps)))
+    if isinstance(of, Inverse):
+        return of.of
+    if isinstance(of, Power):
+        return of
     return Inverse(of)
 
 
@@ -152,16 +160,13 @@ def _walk(d, x):
     values, which would lose its low bits where |x| dominates; rotations
     stay exact, which matters for kernels built from lift differences.
     """
-    if isinstance(d, Identity):
-        return x.copy(), np.zeros(x.shape)
-    if isinstance(d, Rotation):
-        return x + d.alpha, np.full(x.shape, d.alpha)
     if isinstance(d, Power):
         return float(d.k) * x, np.zeros(x.shape)
     if isinstance(d, Moebius):
         # w = e^{i beta} (z - a)/(1 - conj(a) z) on |z| = 1 factors as
         # e^{i(theta+beta)} conj(D)/D with D = 1 - conj(a) e^{i theta};
         # Re D > 0, so the angle never wraps and the lift is smooth.
+        # At a = 0 the turn is zero: rotations and the identity are exact.
         turn = 2.0 * np.angle(1.0 - np.conj(d.a) * np.exp(1j * x))
         return x + d.beta - turn, d.beta - turn
     if isinstance(d, Flow):
@@ -189,19 +194,20 @@ def periodic_values(d, x):
 
 
 def _invert_lift(d, targets):
-    """Solve lift(x) = target by bisection, vectorized over targets."""
-    radius = np.pi
-    for _ in range(64):
-        lo = targets - radius
-        hi = targets + radius
-        if np.all(_lift_values(d, lo) <= targets) and np.all(
-            _lift_values(d, hi) >= targets
-        ):
-            break
-        radius *= 2.0
-    else:
-        raise NumericalError("could not bracket the inverse lift")
-    for _ in range(60):
+    """Solve x + eps*v(x) = target for a flow d by bisection.
+
+    |eps*v| <= |eps| sum |c_n| brackets every root; the step count
+    takes that bracket down to a width of 2 pi 2^-60.
+    """
+    radius = abs(d.eps) * float(np.sum(np.abs(d.v.coeffs)))
+    # Rounding margin, so lift(lo) <= target <= lift(hi) in floating point.
+    radius += 64.0 * np.finfo(float).eps * (
+        1.0 + radius + float(np.max(np.abs(targets), initial=0.0))
+    )
+    lo = targets - radius
+    hi = targets + radius
+    steps = max(0, math.ceil(math.log2(radius / np.pi)) + 60)
+    for _ in range(steps):
         mid = 0.5 * (lo + hi)
         high_side = _lift_values(d, mid) > targets
         hi = np.where(high_side, mid, hi)
@@ -364,10 +370,6 @@ def radial_dilatation(m):
 
 
 def descriptor_to_json(d):
-    if isinstance(d, Identity):
-        return {"type": "identity"}
-    if isinstance(d, Rotation):
-        return {"type": "rotation", "alpha": d.alpha}
     if isinstance(d, Power):
         return {"type": "power", "k": d.k}
     if isinstance(d, Moebius):

@@ -56,10 +56,10 @@ class PeriodMatrix:
     condition_of_A: float = None
 
     def __post_init__(self):
-        n = self.cutoff
-        if int(n) != n or n < 1:
+        n = json_integer(self.cutoff, "cutoff")
+        if n < 1:
             raise ValidationError("cutoff must be an integer >= 1")
-        object.__setattr__(self, "cutoff", int(n))
+        object.__setattr__(self, "cutoff", n)
         z = np.array(self.Z, dtype=np.complex128)
         if z.shape != (self.cutoff, self.cutoff):
             raise ValidationError("Z must be %d x %d" % (n, n))
@@ -275,7 +275,6 @@ def period_to_json(p):
 
 def period_from_json(obj):
     try:
-        cutoff = json_integer(obj["cutoff"], "cutoff")
         z = matrix_from_json(obj["Z"])
         source = obj.get("source")
         if source is not None:
@@ -287,7 +286,7 @@ def period_from_json(obj):
                 raise ValidationError(
                     "condition_of_A must be a positive finite number"
                 )
-        return PeriodMatrix(cutoff, z, source, condition)
+        return PeriodMatrix(obj["cutoff"], z, source, condition)
     except (KeyError, TypeError, ValueError) as exc:
         raise ValidationError("malformed PeriodMatrix object: %s" % exc)
 

@@ -84,10 +84,10 @@ class BlockOperator:
     B: np.ndarray
 
     def __post_init__(self):
-        n = self.cutoff
-        if int(n) != n or n < 1:
+        n = json_integer(self.cutoff, "cutoff")
+        if n < 1:
             raise ValidationError("cutoff must be an integer >= 1")
-        object.__setattr__(self, "cutoff", int(n))
+        object.__setattr__(self, "cutoff", n)
         for name in ("A", "B"):
             block = np.array(getattr(self, name), dtype=np.complex128)
             if block.shape != (self.cutoff, self.cutoff):
@@ -200,8 +200,7 @@ def operator_to_json(t):
 
 def operator_from_json(obj):
     try:
-        cutoff = json_integer(obj["cutoff"], "cutoff")
         a, b = matrix_from_json(obj["A"]), matrix_from_json(obj["B"])
-        return BlockOperator(cutoff, a, b)
+        return BlockOperator(obj["cutoff"], a, b)
     except (KeyError, TypeError, ValueError) as exc:
         raise ValidationError("malformed BlockOperator object: %s" % exc)

@@ -16,16 +16,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NumericalError, ValidationError
-from .fourier import derivative, evaluate_at, norm_squared
-from .maps import (
-    Compose,
-    Identity,
-    Inverse,
-    Moebius,
-    Rotation,
-    periodic_part,
-    periodic_values,
-)
+from .fourier import derivative, evaluate_at, json_integer, norm_squared
+from .maps import Compose, Moebius, periodic_part, periodic_values
 
 eps = np.finfo(float).eps
 two_pi = 2.0 * np.pi
@@ -48,7 +40,7 @@ class QuantumOperator:
     source_bandlimit: int
 
     def __post_init__(self):
-        n = int(self.cutoff)
+        n = json_integer(self.cutoff, "operator cutoff")
         if n < 1:
             raise ValidationError("operator cutoff must be at least 1")
         entries = np.asarray(self.entries, np.complex128)
@@ -62,14 +54,15 @@ class QuantumOperator:
             raise ValidationError(
                 "entries must vanish whenever the mode signs agree"
             )
-        if not 0 <= int(self.source_bandlimit) <= n:
+        source = json_integer(self.source_bandlimit, "source bandlimit")
+        if not 0 <= source <= n:
             raise ValidationError(
                 "source bandlimit must lie between 0 and the cutoff"
             )
         entries.flags.writeable = False
         object.__setattr__(self, "entries", entries)
         object.__setattr__(self, "cutoff", n)
-        object.__setattr__(self, "source_bandlimit", int(self.source_bandlimit))
+        object.__setattr__(self, "source_bandlimit", source)
 
 
 def quantum_derivative_matrix(f, cutoff):
@@ -86,8 +79,8 @@ def quantum_derivative_matrix(f, cutoff):
     -------
     QuantumOperator
     """
-    n = int(cutoff)
-    if n != cutoff or n < 1:
+    n = json_integer(cutoff, "ambient cutoff")
+    if n < 1:
         raise ValidationError("ambient cutoff must be a positive integer")
     if n < f.bandlimit:
         raise ValidationError(
@@ -310,11 +303,6 @@ def diagonal_limit_line(h, hp, order, x, deltas=default_deltas):
 
 
 def _disk_matrix(d):
-    if isinstance(d, Identity):
-        return np.eye(2, dtype=np.complex128)
-    if isinstance(d, Rotation):
-        half = np.exp(0.5j * d.alpha)
-        return np.array([[half, 0.0], [0.0, np.conj(half)]])
     if isinstance(d, Moebius):
         scale = 1.0 / math.sqrt(1.0 - abs(d.a) ** 2)
         half = np.exp(0.5j * d.beta)
@@ -326,8 +314,6 @@ def _disk_matrix(d):
         for item in d.maps:
             out = out @ _disk_matrix(item)
         return out
-    if isinstance(d, Inverse):
-        return np.linalg.inv(_disk_matrix(d.of))
     raise ValidationError(
         "line realization exists only for moebius-type descriptors"
     )

@@ -1,10 +1,11 @@
 """Every hhalf attribute and descriptor the benchmark uses by name must exist.
 
 perfbench/ wraps functions by (module, name), reads `_accel` kernels
-by attribute and posts JSON descriptors to validate its reference.
-Its own tests run outside this suite, so a renamed or deleted
-function or descriptor kind would otherwise break only a benchmark
-run.
+by attribute, posts JSON descriptors to validate its reference and
+keys references and traced blocks by echoed descriptor JSON.  Its own
+tests run outside this suite, so a renamed or deleted function, a
+descriptor kind or an echo that rebuilds a different map would
+otherwise break only a benchmark run.
 """
 
 import importlib
@@ -14,15 +15,19 @@ import pathlib
 import re
 import sys
 
+import numpy as np
+import pytest
+
 import hhalf
 import hhalf.cli
 
 perfbench = pathlib.Path(__file__).resolve().parent.parent / "perfbench"
 
 
-def load_tracing():
+def load(script):
+    """A perfbench script loaded by path, as module perfbench_<script>."""
     spec = importlib.util.spec_from_file_location(
-        "perfbench_tracing", perfbench / "tracing.py"
+        "perfbench_" + script, perfbench / (script + ".py")
     )
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
@@ -30,7 +35,7 @@ def load_tracing():
 
 
 def test_traced_functions_exist():
-    tracing = load_tracing()
+    tracing = load("tracing")
     bound = list(tracing.SPANS.items()) + list(tracing.COUNTERS.items())
     assert bound
     for name, (home, attr) in bound:
@@ -52,11 +57,7 @@ def test_accel_names_exist():
 def test_reference_descriptors_build():
     # perfbench/reference.py posts "rauch_flow" descriptors and reads
     # rauch_derivative; neither passes through a traced binding.
-    spec = importlib.util.spec_from_file_location(
-        "perfbench_reference", perfbench / "reference.py"
-    )
-    reference = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(reference)
+    reference = load("reference")
     assert callable(hhalf.rauch_derivative)
     wanted = reference.validation_references()
     assert any(d["type"] == "rauch_flow" for _, d, _, _ in wanted)
@@ -69,7 +70,7 @@ def test_tracer_captures_pullback_arguments(capsys, monkeypatch):
     # Tracer.release unpacks (map, cutoff, grid) from the positional
     # arguments of pullback_matrix; a keyword grid would break it.
     monkeypatch.delenv("HHP_CONFIG", raising=False)
-    tracing = load_tracing()
+    tracing = load("tracing")
     modules = {
         name: module
         for name, module in sys.modules.items()
@@ -89,3 +90,25 @@ def test_tracer_captures_pullback_arguments(capsys, monkeypatch):
     tracer.release(0)
     echoed = hhalf.descriptor_to_json(hhalf.descriptor_from_json(descriptor))
     assert list(tracer.blocks) == [(json.dumps(echoed, sort_keys=True), 32, 4096)]
+
+
+@pytest.mark.parametrize("seed", [1, 2])
+def test_workload_descriptors_echo_the_same_map(seed):
+    # Built on each workload's grid (cli-n32 at M = 4096, wide-256 at
+    # M = 16384), every request map's echoed JSON must rebuild the same
+    # lift samples, or the references keyed by it would be of another map.
+    inputs = load("inputs")
+    cases = []
+    families = set()
+    for request in inputs.cli_requests(seed):
+        argv = request.get("argv", [])
+        cases += [(argv[i + 1], 4096) for i, flag in enumerate(argv) if flag == "--map"]
+        families.update(request["families"])
+    assert families == set(inputs.CLI_FAMILIES)
+    cases += [(json.dumps(r["map"]), 16384) for r in inputs.wide_requests(seed)]
+    for text, size in cases:
+        grid = hhalf.SampleGrid(size)
+        m = hhalf.make_map(hhalf.descriptor_from_json(json.loads(text)), grid)
+        echoed = json.loads(json.dumps(hhalf.descriptor_to_json(m.descriptor)))
+        rebuilt = hhalf.make_map(hhalf.descriptor_from_json(echoed), grid)
+        assert np.array_equal(rebuilt.lift_samples, m.lift_samples), text

@@ -151,7 +151,12 @@ class TestPeriod:
             capsys,
         )
         assert report["cutoff"] == 32
-        assert report["source"] == {"type": "identity"}
+        # The identity is the Moebius map with a = 0 and echoes as one.
+        assert report["source"] == {
+            "type": "moebius",
+            "a": {"re": 0.0, "im": 0.0},
+            "beta": 0.0,
+        }
         worst = max(
             max(abs(v["re"]), abs(v["im"])) for row in report["Z"] for v in row
         )
@@ -342,8 +347,11 @@ class TestEquivariance:
         )
         assert report["within_tol"] is True
         assert report["defect"] <= 1e-10
-        assert report["outer"]["alpha"] == 0.7
-        assert report["inner"]["alpha"] == 0.3
+        # Rotations echo as Moebius maps with a = 0 and beta = alpha.
+        for side, alpha in (("outer", 0.7), ("inner", 0.3)):
+            assert report[side]["type"] == "moebius"
+            assert report[side]["a"] == {"re": 0.0, "im": 0.0}
+            assert report[side]["beta"] == alpha
 
     def test_needs_two_maps(self, capsys):
         code, _, err = run(["equivariance", "--map", rotation_map], capsys)

@@ -88,9 +88,19 @@ class TestConstruction:
         with pytest.raises(ValidationError):
             from_modes(3, {2: 1.0 + 1j}, real=True)
 
+    def test_bandlimit_is_read_as_an_integer(self):
+        # int(n) == n passed True as 1.
+        for bad in (True, 1.5, "1"):
+            with pytest.raises(ValidationError, match="^bandlimit must be"):
+                CircleFunction(bad, np.zeros(3))
+        assert CircleFunction(np.int64(1), np.zeros(3)).bandlimit == 1
+        assert CircleFunction(1.0, np.zeros(3)).bandlimit == 1
+
     def test_grid_validation(self):
-        with pytest.raises(GridError):
-            SampleGrid(3)
+        for bad in (3, 4.5, True, "8"):
+            with pytest.raises(GridError, match="^grid size must be"):
+                SampleGrid(bad)
+        assert SampleGrid(8.0).size == 8
         with pytest.raises(GridError):
             SampleGrid(8, -0.1)
         with pytest.raises(GridError):

@@ -1,0 +1,215 @@
+"""Properties over the map descriptor grammar, and the inverse oracle.
+
+`descriptors` draws flows, Moebius maps, rotations, the identity,
+compositions of two or three factors and nested inverses.
+`bisect_inverse` is the bracket-and-bisect solver that inverted every
+map before inverses had a normal form.  It sees only forward lift
+values, so it shares nothing with the closed forms and the flow
+bracket it checks.
+"""
+
+import json
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from hhalf import maps
+from hhalf.catalog import catalog_descriptors, equivariance_pairs
+from hhalf.errors import ValidationError
+from hhalf.fourier import SampleGrid, from_modes
+from hhalf.maps import (
+    Compose,
+    Flow,
+    Inverse,
+    compose_descriptors,
+    descriptor_from_json,
+    descriptor_to_json,
+    evaluate_lift,
+    flow,
+    identity,
+    inverse_descriptor,
+    make_map,
+    moebius,
+    rotation,
+)
+
+grid = SampleGrid(256)
+# Grid points and points outside [0, 2 pi), where lifts leave the circle.
+probe = np.concatenate([grid.points(), np.linspace(-20.0, 20.0, 61)])
+
+
+def turns(values):
+    """max(1, |value| / 2 pi): rounding of a lift grows with its size."""
+    return np.maximum(1.0, np.abs(values) / (2.0 * np.pi))
+
+
+def bisect_inverse(m, targets):
+    """Solve lift(x) = target: double a bracket, then bisect 60 times."""
+    radius = np.pi
+    for _ in range(64):
+        lo = targets - radius
+        hi = targets + radius
+        if np.all(evaluate_lift(m, lo) <= targets) and np.all(
+            evaluate_lift(m, hi) >= targets
+        ):
+            break
+        radius *= 2.0
+    else:
+        raise AssertionError("could not bracket the inverse lift")
+    for _ in range(60):
+        mid = 0.5 * (lo + hi)
+        high_side = evaluate_lift(m, mid) > targets
+        hi = np.where(high_side, mid, hi)
+        lo = np.where(high_side, lo, mid)
+    return 0.5 * (lo + hi)
+
+
+@st.composite
+def flows(draw, strength):
+    """Real fields of bandlimit 1..4 with eps * sum |n c_n| <= strength."""
+    bandlimit = draw(st.integers(1, 4))
+    part = st.floats(-1.0, 1.0)
+    modes = {}
+    for n in range(1, bandlimit + 1):
+        c = complex(draw(part), draw(part))
+        modes[n], modes[-n] = c, c.conjugate()
+    spread = sum(abs(n * c) for n, c in modes.items())
+    if spread < 1e-3:  # eps = strength / spread would overflow near zero
+        modes = {1: 0.5, -1: 0.5}
+        spread = 1.0
+    eps = draw(st.floats(0.01, strength)) * draw(st.sampled_from((-1.0, 1.0)))
+    return flow(from_modes(bandlimit, modes, real=True), eps / spread)
+
+
+def _inverted(d, times):
+    for _ in range(times):
+        d = inverse_descriptor(d)
+    return d
+
+
+def grammar(strength=0.9, modulus=0.5, turn=20.0):
+    """Single factors and compositions of 2-3, each under 0-3 inverses.
+
+    Factors are flows with eps * sum |n c_n| <= strength (< 1, so the
+    lift is monotone), Moebius maps with |a| <= modulus, rotations and
+    the identity; rotation angles and Moebius betas lie in [-turn, turn].
+    """
+    angles = st.floats(-turn, turn)
+    atoms = st.one_of(
+        flows(strength),
+        st.builds(
+            lambda r, phase, beta: moebius(r * np.exp(1j * phase), beta),
+            st.floats(0.0, modulus),
+            st.floats(0.0, 2.0 * np.pi),
+            angles,
+        ),
+        angles.map(rotation),
+        st.just(identity()),
+    )
+    factors = st.builds(_inverted, atoms, st.integers(0, 3))
+    composites = st.builds(
+        _inverted,
+        st.lists(factors, min_size=2, max_size=3).map(compose_descriptors),
+        st.integers(0, 2),
+    )
+    return st.one_of(factors, composites)
+
+
+descriptors = grammar()
+# Where a forward lift is flat, bisection finds its root only to
+# rounding / slope, so the oracle comparison keeps slopes >= 1/3 and
+# lift values near one turn.
+well_conditioned = grammar(strength=0.5, turn=np.pi)
+
+
+def wrapped(d):
+    """Every descriptor an Inverse wraps, anywhere in d."""
+    if isinstance(d, Inverse):
+        return [d.of] + wrapped(d.of)
+    if isinstance(d, Compose):
+        return [x for item in d.maps for x in wrapped(item)]
+    return []
+
+
+class TestNormalForm:
+    @given(descriptors)
+    @settings(max_examples=60, deadline=None)
+    def test_inverse_wraps_only_flows(self, d):
+        for candidate in (d, inverse_descriptor(d)):
+            assert all(isinstance(x, Flow) for x in wrapped(candidate))
+
+    @given(descriptors)
+    @settings(max_examples=40, deadline=None)
+    def test_composition_with_the_inverse_is_the_identity(self, d):
+        inverse = inverse_descriptor(d)
+        for pair in ((d, inverse), (inverse, d)):
+            m = make_map(compose_descriptors(pair), grid)
+            assert np.max(np.abs(evaluate_lift(m, probe) - probe)) <= 1e-12
+
+    @given(descriptors)
+    @settings(max_examples=40, deadline=None)
+    def test_json_echo_rebuilds_the_same_lift(self, d):
+        echoed = json.loads(json.dumps(descriptor_to_json(d)))
+        rebuilt = make_map(descriptor_from_json(echoed), grid)
+        assert np.array_equal(rebuilt.lift_samples, make_map(d, grid).lift_samples)
+
+    def test_inverse_wraps_nothing_but_a_flow(self):
+        with pytest.raises(ValidationError, match="wraps only a flow"):
+            Inverse(moebius(0.3))
+
+    def test_inverse_of_the_identity_echoes_without_signed_zeros(self):
+        echoed = descriptor_to_json(inverse_descriptor(identity()))
+        assert echoed == descriptor_to_json(identity())
+        assert json.dumps(echoed).count("-") == 0
+
+
+class TestAgainstBisection:
+    @pytest.mark.parametrize(
+        "d",
+        [d for _, d in catalog_descriptors()]
+        + [compose_descriptors([o, i]) for _, o, i in equivariance_pairs()]
+        + [
+            compose_descriptors([inverse_descriptor(o), i, o])
+            for _, o, i in equivariance_pairs()
+        ],
+    )
+    def test_catalog_inverses_match_the_oracle(self, d):
+        # Measured: <= 5.2e-15.
+        expected = bisect_inverse(make_map(d, grid), probe)
+        got = evaluate_lift(make_map(inverse_descriptor(d), grid), probe)
+        assert np.all(np.abs(got - expected) <= 1e-14 * turns(expected))
+
+    @given(well_conditioned)
+    @settings(max_examples=40, deadline=None)
+    def test_inverse_lift_matches_the_oracle(self, d):
+        # Three-factor composites reach 1.2e-14 in 1500 draws; against a
+        # 40-digit reference the oracle and the normal form each erred
+        # by up to 1.2e-14 there, a few ulps over the slope.
+        expected = bisect_inverse(make_map(d, grid), probe)
+        got = evaluate_lift(make_map(inverse_descriptor(d), grid), probe)
+        assert np.all(np.abs(got - expected) <= 2e-14 * turns(expected))
+
+    @pytest.mark.parametrize("modulus", [0.7, 0.9, 0.95, 0.99])
+    @pytest.mark.parametrize("phase, beta", [(0.0, 0.0), (1.0, 0.5), (4.0, 7.0)])
+    def test_strong_moebius_inverse(self, modulus, phase, beta):
+        d = moebius(modulus * np.exp(1j * phase), beta)
+        expected = bisect_inverse(make_map(d, grid), probe)
+        got = evaluate_lift(make_map(inverse_descriptor(d), grid), probe)
+        assert np.all(np.abs(got - expected) <= 2e-13 * turns(expected))
+
+    def test_flow_bracket_needs_no_search(self, monkeypatch):
+        # |eps * v| <= |eps| sum |c_n| = 0.05 brackets every root, and 55
+        # halvings take that bracket below the old final width 2 pi 2^-60.
+        # The bracket search and 60 fixed steps made 63 walks.
+        d = flow(from_modes(2, {2: -0.5j, -2: 0.5j}, real=True), 0.05)
+        walks = []
+        lift_values = maps._lift_values
+        monkeypatch.setattr(
+            maps, "_lift_values", lambda d, x: walks.append(d) or lift_values(d, x)
+        )
+        inverse = make_map(inverse_descriptor(d), grid)
+        assert len(walks) == 1 + 55
+        expected = bisect_inverse(make_map(d, grid), grid.points())
+        assert np.max(np.abs(inverse.lift_samples - expected)) <= 1e-14

@@ -120,6 +120,12 @@ class TestPeriodMatrix:
         with pytest.raises(ValidationError):
             PeriodMatrix(3, np.zeros((2, 2)))
 
+    def test_cutoff_is_read_as_an_integer(self):
+        # int(n) == n passed True as 1.
+        for bad in (True, 1.5):
+            with pytest.raises(ValidationError, match="^cutoff must be"):
+                PeriodMatrix(bad, np.zeros((1, 1)))
+
     def test_non_finite_entries_are_rejected(self):
         # Refused at construction, before any SVD can see them.
         for bad in (math.nan, math.inf, complex(0.0, -math.inf)):

@@ -363,6 +363,12 @@ class TestBlockOperator:
         with pytest.raises(ValidationError):
             BlockOperator(3, np.eye(3), np.zeros((2, 2)))
 
+    def test_cutoff_is_read_as_an_integer(self):
+        # int(n) == n passed True as 1.
+        for bad in (True, 1.5):
+            with pytest.raises(ValidationError, match="^cutoff must be"):
+                BlockOperator(bad, np.eye(1), np.zeros((1, 1)))
+
     def test_non_finite_entries_are_rejected(self):
         for bad in (math.nan, -math.inf, complex(math.nan, 0.0)):
             with pytest.raises(ValidationError, match="A block"):

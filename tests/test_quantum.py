@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
-from hhalf.catalog import catalog_maps, sin_field
+from hhalf.catalog import catalog_maps, cos_field, sin_field
 from hhalf.errors import NumericalError, ValidationError
 from hhalf.fourier import SampleGrid, from_modes, norm_squared, zero_function
 from hhalf.maps import (
@@ -127,6 +127,17 @@ class TestQuantumDerivativeMatrix:
             QuantumOperator(2, bad, 1)
         with pytest.raises(ValidationError):
             QuantumOperator(2, np.zeros((5, 5)), 3)
+
+    def test_integers_are_not_truncated(self):
+        # int() read cutoff 2.7 as 2 and source bandlimit 1.9 as 1.
+        with pytest.raises(ValidationError, match="^operator cutoff must be"):
+            QuantumOperator(2.7, np.zeros((5, 5)), 1)
+        with pytest.raises(ValidationError, match="^source bandlimit must be"):
+            QuantumOperator(2, np.zeros((5, 5)), 1.9)
+        for bad in (True, 1.5):
+            with pytest.raises(ValidationError, match="^ambient cutoff must be"):
+                quantum_derivative_matrix(cos_field(1), bad)
+        assert quantum_derivative_matrix(cos_field(1), 2.0).cutoff == 2
 
 
 class TestHilbertSchmidt:
