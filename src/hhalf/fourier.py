@@ -190,8 +190,7 @@ def horner_sum(c, n, x, real=False):
     of the size of x; the result has the shape of x.
     """
     x = np.asarray(x, np.float64)
-    z = np.multiply(x.ravel(), 1j)
-    np.exp(z, out=z)
+    z = _unit(x)
     values = _horner_chain(c[n + 1 :], z)
     if real:
         values = 2.0 * values.real
@@ -201,6 +200,33 @@ def horner_sum(c, n, x, real=False):
         values += _horner_chain(c[:n][::-1], z)
         values += c[n]
     return values.reshape(x.shape)
+
+
+def value_and_slope(f, points):
+    """A real function and its derivative at arbitrary angles.
+
+    One complex exponential per point feeds two Horner chains: the
+    value chain is the one evaluate_at runs, so the values are
+    bit-identical to it, and the slope chain runs over i k c_k.  Both
+    results are real float64 arrays of the shape of points.
+    """
+    if not f.real:
+        raise ValidationError("value_and_slope needs a real function")
+    x = np.asarray(points, np.float64)
+    z = _unit(x)
+    n = f.bandlimit
+    c = f.coeffs[n + 1 :]
+    values = 2.0 * _horner_chain(c, z).real
+    values += f.coeffs[n].real
+    slopes = 2.0 * _horner_chain(c * (1j * np.arange(1, n + 1)), z).real
+    return values.reshape(x.shape), slopes.reshape(x.shape)
+
+
+def _unit(x):
+    # z = e^{ix} for the flattened angles, in a fresh complex array.
+    z = np.multiply(x.ravel(), 1j)
+    np.exp(z, out=z)
+    return z
 
 
 def _horner_chain(c, z):

@@ -25,6 +25,7 @@ from .fourier import (
     function_to_json,
     json_integer,
     synthesize,
+    value_and_slope,
     zero_function,
 )
 
@@ -194,10 +195,16 @@ def periodic_values(d, x):
 
 
 def _invert_lift(d, targets):
-    """Solve x + eps*v(x) = target for a flow d by bisection.
+    """Solve x + eps*v(x) = target for a flow d by safeguarded Newton.
 
-    |eps*v| <= |eps| sum |c_n| brackets every root; the step count
-    takes that bracket down to a width of 2 pi 2^-60.
+    |eps*v| <= |eps| sum |c_n| brackets every root.  Newton starts at
+    target - eps*v(target), inside that bracket, and takes the exact
+    slope 1 + eps*v'.  Each residual's sign narrows that point's
+    bracket, and a step that leaves the bracket is replaced by its
+    midpoint.  Once every step is below 1e-13 per unit of
+    max(1, |target|), one more step polishes the roots.  The pass count
+    is capped by the bisection steps that take the bracket down to a
+    width of 2 pi 2^-60.
     """
     radius = abs(d.eps) * float(np.sum(np.abs(d.v.coeffs)))
     # Rounding margin, so lift(lo) <= target <= lift(hi) in floating point.
@@ -206,13 +213,27 @@ def _invert_lift(d, targets):
     )
     lo = targets - radius
     hi = targets + radius
-    steps = max(0, math.ceil(math.log2(radius / np.pi)) + 60)
-    for _ in range(steps):
-        mid = 0.5 * (lo + hi)
-        high_side = _lift_values(d, mid) > targets
-        hi = np.where(high_side, mid, hi)
-        lo = np.where(high_side, lo, mid)
-    return 0.5 * (lo + hi)
+    tol = 1e-13 * np.maximum(1.0, np.abs(targets))
+    # Within about eps^2 |v v'| of the root.
+    x = targets - d.eps * evaluate_at(d.v, targets)
+    polish = False
+    for _ in range(max(1, math.ceil(math.log2(radius / np.pi)) + 60)):
+        values, slopes = value_and_slope(d.v, x)
+        lift = x + d.eps * values
+        high_side = lift > targets
+        hi = np.where(high_side, x, hi)
+        lo = np.where(high_side, lo, x)
+        # A flat point between grid samples gives an infinite or NaN
+        # step, which fails the bracket test below.
+        with np.errstate(divide="ignore", invalid="ignore"):
+            new = x - (lift - targets) / (1.0 + d.eps * slopes)
+        # Inclusive ends: a converged point may land on its own bracket end.
+        new = np.where((lo <= new) & (new <= hi), new, 0.5 * (lo + hi))
+        if polish:
+            return new
+        polish = bool(np.all(np.abs(new - x) <= tol))
+        x = new
+    return x
 
 
 @dataclass(frozen=True)

@@ -18,6 +18,7 @@ from hhalf.fourier import (
     analyze,
     douglas_energy,
     evaluate_at,
+    derivative,
     from_modes,
     function_from_json,
     function_to_json,
@@ -27,6 +28,7 @@ from hhalf.fourier import (
     max_bandlimit,
     norm_squared,
     synthesize,
+    value_and_slope,
     zero_function,
 )
 
@@ -324,6 +326,29 @@ class TestHorner:
         finally:
             tracemalloc.stop()
         assert peak <= 8 * values.nbytes
+
+
+class TestValueAndSlope:
+    @pytest.mark.parametrize("bandlimit", [1, 6, 64])
+    def test_value_is_evaluate_at_and_slope_is_the_derivative(self, bandlimit):
+        f = random_real_function(bandlimit, np.random.default_rng(bandlimit))
+        x = np.linspace(-1e3, 1e3, 501).reshape(3, 167)
+        values, slopes = value_and_slope(f, x)
+        assert values.shape == slopes.shape == x.shape
+        assert slopes.dtype == np.float64
+        assert np.array_equal(values, evaluate_at(f, x))
+        expected = evaluate_at(derivative(f), x)
+        assert np.max(np.abs(slopes - expected)) <= 1e-13 * np.max(np.abs(expected))
+
+    def test_sine_slope(self):
+        x = np.linspace(-10.0, 10.0, 41)
+        values, slopes = value_and_slope(sin_theta, x)
+        assert_allclose(values, np.sin(x), rtol=0, atol=1e-15)
+        assert_allclose(slopes, np.cos(x), rtol=0, atol=1e-15)
+
+    def test_complex_function_is_refused(self):
+        with pytest.raises(ValidationError, match="real function"):
+            value_and_slope(from_modes(2, {1: 1.0}), np.zeros(3))
 
 
 class TestDouglas:

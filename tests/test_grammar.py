@@ -5,7 +5,7 @@ compositions of two or three factors and nested inverses.
 `bisect_inverse` is the bracket-and-bisect solver that inverted every
 map before inverses had a normal form.  It sees only forward lift
 values, so it shares nothing with the closed forms and the flow
-bracket it checks.
+Newton solver it checks.
 """
 
 import json
@@ -81,6 +81,24 @@ def flows(draw, strength):
         spread = 1.0
     eps = draw(st.floats(0.01, strength)) * draw(st.sampled_from((-1.0, 1.0)))
     return flow(from_modes(bandlimit, modes, real=True), eps / spread)
+
+
+def least_slope(d):
+    """1 - |eps| sum |n c_n|, a lower bound on the slope of a flow's lift."""
+    n = np.arange(-d.v.bandlimit, d.v.bandlimit + 1)
+    return 1.0 - abs(d.eps) * float(np.sum(np.abs(n * d.v.coeffs)))
+
+
+def newton_passes(monkeypatch):
+    """Iterates of every Newton pass the flow inverse makes from now on."""
+    passes = []
+    value_and_slope = maps.value_and_slope
+    monkeypatch.setattr(
+        maps,
+        "value_and_slope",
+        lambda f, x: passes.append(np.copy(x)) or value_and_slope(f, x),
+    )
+    return passes
 
 
 def _inverted(d, times):
@@ -200,16 +218,60 @@ class TestAgainstBisection:
         assert np.all(np.abs(got - expected) <= 2e-13 * turns(expected))
 
     def test_flow_bracket_needs_no_search(self, monkeypatch):
-        # |eps * v| <= |eps| sum |c_n| = 0.05 brackets every root, and 55
-        # halvings take that bracket below the old final width 2 pi 2^-60.
-        # The bracket search and 60 fixed steps made 63 walks.
+        # |eps * v| <= |eps| sum |c_n| = 0.05 brackets every root.  Newton
+        # from t - eps v(t) with the exact slope stays inside it and needs
+        # 4 passes; bisection from the same bracket made 55 walks, and the
+        # bracket search and 60 fixed steps before it 63.
         d = flow(from_modes(2, {2: -0.5j, -2: 0.5j}, real=True), 0.05)
+        passes = newton_passes(monkeypatch)
         walks = []
         lift_values = maps._lift_values
         monkeypatch.setattr(
             maps, "_lift_values", lambda d, x: walks.append(d) or lift_values(d, x)
         )
         inverse = make_map(inverse_descriptor(d), grid)
-        assert len(walks) == 1 + 55
+        assert len(walks) == 1
+        assert len(passes) == 4
         expected = bisect_inverse(make_map(d, grid), grid.points())
         assert np.max(np.abs(inverse.lift_samples - expected)) <= 1e-14
+
+    @pytest.mark.parametrize("far", [1e3, 1e5])
+    def test_far_targets_converge_as_fast(self, far, monkeypatch):
+        # The step tolerance scales with max(1, |target|); an absolute one
+        # sits below the rounding of the residual there and never stops.
+        d = flow(from_modes(2, {2: -0.5j, -2: 0.5j}, real=True), 0.05)
+        inverse = make_map(inverse_descriptor(d), grid)
+        targets = np.linspace(-far, far, 257)
+        passes = newton_passes(monkeypatch)
+        got = evaluate_lift(inverse, targets)
+        assert len(passes) == 4
+        expected = bisect_inverse(make_map(d, grid), targets)
+        assert np.all(np.abs(got - expected) <= 1e-14 * turns(expected))
+
+    @given(flows(0.9))
+    @settings(max_examples=40, deadline=None)
+    def test_strong_flow_inverse_matches_the_oracle(self, d):
+        # Both solvers err by rounding / slope.  Measured over 1500 draws:
+        # <= 2.8e-15 per turn times the least slope 1 - |eps| sum |n c_n|.
+        expected = bisect_inverse(make_map(d, grid), probe)
+        got = evaluate_lift(make_map(inverse_descriptor(d), grid), probe)
+        bound = 1e-14 * turns(expected) / least_slope(d)
+        assert np.all(np.abs(got - expected) <= bound)
+
+    def test_newton_step_outside_the_bracket_falls_back(self, monkeypatch):
+        # Around pi the inverse of x + 0.95 sin x is steepest (slope 20):
+        # the first Newton step from t - eps v(t) lands beyond the exact
+        # bracket t +- 0.95 and is replaced by a bisection step.
+        eps = 0.95
+        d = flow(from_modes(1, {1: -0.5j, -1: 0.5j}, real=True), eps)
+        inverse = make_map(inverse_descriptor(d), grid)
+        targets = np.pi + np.array([-0.1, 0.1])
+        passes = newton_passes(monkeypatch)
+        got = evaluate_lift(inverse, targets)
+        start, second = passes[0], passes[1]
+        residual = start + eps * np.sin(start) - targets
+        newton = start - residual / (1.0 + eps * np.cos(start))
+        assert np.all(np.abs(newton - targets) > eps)
+        assert np.all(np.abs(second - targets) <= eps)
+        expected = bisect_inverse(make_map(d, grid), targets)
+        assert np.all(np.abs(got - expected) <= 1e-14 * turns(expected) / (1 - eps))
