@@ -31,6 +31,7 @@ from .fourier import (
     function_to_json,
     h_half_norm,
     hilbert_transform,
+    json_real,
     norm_squared,
 )
 from .maps import descriptor_from_json, descriptor_to_json, make_map
@@ -85,14 +86,7 @@ def _function_from_modes(obj):
         if n in modes:
             raise ValidationError("duplicate mode index %d" % n)
         parts = value if isinstance(value, list) and len(value) == 2 else [value]
-        if not all(
-            isinstance(part, (int, float)) and not isinstance(part, bool)
-            for part in parts
-        ):
-            raise ValidationError(
-                "mode %s must be a number or an [re, im] pair" % key
-            )
-        modes[n] = complex(*parts)
+        modes[n] = complex(*(json_real(part, "mode %s" % key) for part in parts))
     bandlimit = max(abs(n) for n in modes)
     if bandlimit == 0:
         raise ValidationError("--modes needs at least one nonzero index")
@@ -525,46 +519,27 @@ def _write_csv(path, header, rows):
         raise ValidationError("cannot write %s: %s" % (path, exc))
 
 
-def _matrix_floats(rows):
-    # im, re of each entry of a complex matrix (equal nonempty rows of
-    # {"im", "re"} dicts of exact floats, as matrix_to_json writes), or None.
-    if type(rows) is not list or type(rows[0]) is not list or not rows[0]:
-        return None
-    width, values = len(rows[0]), []
-    for row in rows:
-        if type(row) is not list or len(row) != width:
-            return None
-        for entry in row:
-            if type(entry) is not dict or len(entry) != 2:
-                return None
-            values += (entry.get("im"), entry.get("re"))
-    return values if all(type(v) is float for v in values) else None
-
-
-def _require_finite(values, name):
-    if not all(map(math.isfinite, values)):
-        raise NumericalError("report value %s is not finite" % name)
-
-
 def _json_text(value, depth=0, name=""):
     """json.dumps(value, indent=2, sort_keys=True) at indent level `depth`.
 
-    A complex matrix costs one float repr per number.  A NaN or infinite
-    float is a NumericalError naming its path in the report, `name`.
+    A 2-D complex ndarray is written as rows of {"im", "re"} objects, at
+    one float repr per number.  A NaN or infinite float is a
+    NumericalError naming its path in the report, `name`.
     """
+    matrix = isinstance(value, np.ndarray)
+    if (matrix or isinstance(value, float)) and not np.isfinite(value).all():
+        raise NumericalError("report value %s is not finite" % name)
     if isinstance(value, float):
-        _require_finite([value], name)
         return float.__repr__(value)
-    if not isinstance(value, (dict, list, tuple)) or not value:
+    if not (matrix or isinstance(value, (dict, list, tuple)) and value):
         return json.dumps(value)
     p0, p1, p2, p3 = ("\n" + "  " * (depth + k) for k in range(4))
-    values = _matrix_floats(value)
-    if values is not None:
-        _require_finite(values, name)
-        # %r of an exact float is float.__repr__, the text json writes.
+    if matrix:
+        # %r of a float is float.__repr__, the text json writes.
         entry = p2 + "{" + p3 + '"im": %r,' + p3 + '"re": %r' + p2 + "}"
-        row = p1 + "[" + ",".join([entry] * len(value[0])) + p1 + "]"
-        return ("[" + ",".join([row] * len(value)) + p0 + "]") % tuple(values)
+        row = p1 + "[" + ",".join([entry] * value.shape[1]) + p1 + "]"
+        numbers = np.stack([value.imag, value.real], -1).ravel().tolist()
+        return ("[" + ",".join([row] * len(value)) + p0 + "]") % tuple(numbers)
     if isinstance(value, dict):
         items = (
             json.dumps(key) + ": "
@@ -582,10 +557,11 @@ def _json_text(value, depth=0, name=""):
 def _emit(report, curve, out):
     """Print the report; write the --out file and CSV table if asked.
 
-    The text is byte-identical to json.dumps(report, indent=2,
-    sort_keys=True).  It is built before anything is written, so a
-    non-finite value leaves no output, and files go before stdout so a
-    closed pipe cannot lose them.
+    The text is json.dumps(report, indent=2, sort_keys=True), with each
+    complex array written as the rows of {"im", "re"} objects that
+    fourier.matrix_from_json reads.  It is built before anything is
+    written, so a non-finite value leaves no output, and files go
+    before stdout so a closed pipe cannot lose them.
     """
     text = _json_text(report)
     if out is not None:

@@ -7,7 +7,7 @@ import os
 from dataclasses import dataclass
 
 from .errors import ValidationError
-from .fourier import json_integer
+from .fourier import json_integer, json_real
 
 config_env_var = "HHP_CONFIG"
 _fields = ("cutoff", "grid_size", "spectral_tol", "matrix_tol", "seed", "out")
@@ -55,10 +55,10 @@ class RunConfig:
                 % (self.grid_size, 4 * self.cutoff)
             )
         for name in ("spectral_tol", "matrix_tol"):
-            value = getattr(self, name)
+            value = json_real(getattr(self, name), name)
             if not value > 0.0:
                 raise ValidationError("%s must be positive" % name)
-            object.__setattr__(self, name, float(value))
+            object.__setattr__(self, name, value)
         if self.seed < 0:
             raise ValidationError("seed must be a nonnegative integer")
         if self.out is not None and not isinstance(self.out, str):

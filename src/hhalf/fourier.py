@@ -6,7 +6,7 @@ mean slot pinned to zero.  The squared norm is sum |n| |c_n|^2, which
 for real functions equals the classical 2 sum_{n>=1} n |c_n|^2.
 """
 
-import cmath
+import math
 import numbers
 from dataclasses import dataclass
 
@@ -349,6 +349,20 @@ def json_integer(value, name):
     return int(value)
 
 
+def json_real(value, name):
+    """float(value), refusing by name a bool, a string or a NaN or infinity."""
+    # float and int come first: they skip the slow abstract-class check.
+    if isinstance(value, bool) or not isinstance(value, (float, int, numbers.Real)):
+        raise ValidationError("%s must be a number, not %r" % (name, value))
+    try:
+        value = float(value)
+    except OverflowError:  # an integer past the float range
+        value = math.inf
+    if not math.isfinite(value):
+        raise ValidationError("%s must be finite" % name)
+    return value
+
+
 def function_from_json(obj):
     """Inverse of function_to_json, with validation."""
     try:
@@ -361,28 +375,29 @@ def function_from_json(obj):
     for entry in entries:
         try:
             n = json_integer(entry["n"], "coefficient index n")
-            value = complex(float(entry["re"]), float(entry.get("im", 0.0)))
+            re, im = entry["re"], entry.get("im", 0.0)
         except (KeyError, TypeError, ValueError) as exc:
             raise ValidationError("malformed coefficient entry: %s" % exc)
-        if not cmath.isfinite(value):
-            raise ValidationError("coefficient %d must be finite" % n)
+        name = "coefficient %d" % n
+        value = complex(json_real(re, name), json_real(im, name))
         if n in modes:
             raise ValidationError("duplicate coefficient index %d" % n)
         modes[n] = value
     return from_modes(bandlimit, modes, True if real else None)
 
 
-def matrix_to_json(matrix):
-    """Rows of {"re", "im"} objects for a complex matrix."""
-    return [
-        [{"re": float(v.real), "im": float(v.imag)} for v in row]
-        for row in matrix
-    ]
+def matrix_from_json(rows, name):
+    """Complex matrix from rows of {"re": x, "im": y} objects.
 
-
-def matrix_from_json(rows):
-    """Inverse of matrix_to_json."""
+    The one reader of the form in which reports carry Z, A and B: the
+    command line writes each complex array of a report as such rows.
+    Entries must be JSON numbers; `name` names the matrix in refusals.
+    """
+    name += " entry"
     return np.array(
-        [[complex(v["re"], v["im"]) for v in row] for row in rows],
+        [
+            [complex(json_real(v["re"], name), json_real(v["im"], name)) for v in row]
+            for row in rows
+        ],
         dtype=np.complex128,
     )

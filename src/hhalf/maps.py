@@ -24,6 +24,7 @@ from .fourier import (
     function_from_json,
     function_to_json,
     json_integer,
+    json_real,
     synthesize,
     value_and_slope,
     zero_function,
@@ -70,16 +71,8 @@ def identity():
     return Moebius(0j)
 
 
-def _finite(value, name):
-    """float(value), refused by name when it is NaN or infinite."""
-    value = float(value)
-    if not math.isfinite(value):
-        raise ValidationError("%s must be finite" % name)
-    return value
-
-
 def rotation(alpha):
-    return Moebius(0j, _finite(alpha, "rotation alpha"))
+    return Moebius(0j, json_real(alpha, "rotation alpha"))
 
 
 def power(k):
@@ -95,13 +88,13 @@ def moebius(a, beta=0.0):
         raise ValidationError("moebius a must be finite")
     if abs(a) >= 1.0:
         raise ValidationError("moebius parameter must satisfy |a| < 1")
-    return Moebius(a, _finite(beta, "moebius beta"))
+    return Moebius(a, json_real(beta, "moebius beta"))
 
 
 def flow(v, eps):
     if not isinstance(v, CircleFunction) or not v.real:
         raise ValidationError("flow field must be a real CircleFunction")
-    return Flow(v, _finite(eps, "flow eps"))
+    return Flow(v, json_real(eps, "flow eps"))
 
 
 def rauch_flow(m, eps):
@@ -111,7 +104,7 @@ def rauch_flow(m, eps):
         raise ValidationError("rauch_flow index must be a nonnegative integer")
     k = m + 2
     v = from_modes(k, {k: 1j / (k - 1), -k: -1j / (k - 1)}, real=True)
-    return flow(v, _finite(eps, "rauch_flow eps"))
+    return flow(v, json_real(eps, "rauch_flow eps"))
 
 
 def compose_descriptors(maps):
@@ -242,8 +235,11 @@ class CircleMap:
 
     descriptor: object
     grid: SampleGrid
-    degree: int
     lift_samples: np.ndarray
+
+    @property
+    def degree(self):
+        return descriptor_degree(self.descriptor)
 
     def __post_init__(self):
         samples = np.asarray(self.lift_samples, float)
@@ -268,7 +264,7 @@ def make_map(d, grid):
     _validate_descriptor(d, grid)
     points = grid.points()
     samples = _lift_values(d, points)
-    return CircleMap(d, grid, descriptor_degree(d), samples)
+    return CircleMap(d, grid, samples)
 
 
 def _validate_descriptor(d, grid):
@@ -309,7 +305,7 @@ def compose(outer, inner):
         raise ValidationError("composition needs a common sample grid")
     d = Compose((outer.descriptor, inner.descriptor))
     samples = _lift_values(outer.descriptor, inner.lift_samples)
-    return CircleMap(d, outer.grid, outer.degree * inner.degree, samples)
+    return CircleMap(d, outer.grid, samples)
 
 
 def periodic_part(m):
@@ -417,19 +413,17 @@ def descriptor_from_json(obj):
         if kind == "identity":
             return identity()
         if kind == "rotation":
-            return rotation(float(obj["alpha"]))
+            return rotation(obj["alpha"])
         if kind == "power":
             return power(obj["k"])
         if kind == "moebius":
-            a = obj["a"]
-            return moebius(
-                complex(float(a["re"]), float(a.get("im", 0.0))),
-                float(obj.get("beta", 0.0)),
-            )
+            a, name = obj["a"], "moebius a"
+            a = complex(json_real(a["re"], name), json_real(a.get("im", 0.0), name))
+            return moebius(a, obj.get("beta", 0.0))
         if kind == "flow":
-            return flow(function_from_json(obj["v"]), float(obj["eps"]))
+            return flow(function_from_json(obj["v"]), obj["eps"])
         if kind == "rauch_flow":
-            return rauch_flow(obj["m"], float(obj["eps"]))
+            return rauch_flow(obj["m"], obj["eps"])
         if kind == "compose":
             return compose_descriptors(
                 [descriptor_from_json(x) for x in obj["maps"]]

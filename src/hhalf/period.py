@@ -21,8 +21,8 @@ from .fourier import (
     _extended,
     h_half_norm,
     json_integer,
+    json_real,
     matrix_from_json,
-    matrix_to_json,
 )
 from .maps import (
     compose,
@@ -102,8 +102,8 @@ def siegel_membership(p):
     I - Z conj(Z), which is the exact matrix when Z is symmetric.
     """
     z = p.Z
-    defect = float(np.max(np.abs(z - z.T))) if z.size else 0.0
-    sigma = float(np.linalg.svd(z, compute_uv=False)[0]) if z.size else 0.0
+    defect = float(np.max(np.abs(z - z.T)))
+    sigma = float(np.linalg.svd(z, compute_uv=False)[0])
     gram = np.eye(p.cutoff) - z @ np.conj(z)
     gram = 0.5 * (gram + np.conj(gram.T))
     low = float(np.min(np.linalg.eigvalsh(gram)))
@@ -264,10 +264,11 @@ def integrability_residual(p, trial_functions):
 
 
 def period_to_json(p):
+    """Record of a period matrix; Z stays a complex array."""
     source = None if p.source is None else descriptor_to_json(p.source)
     return {
         "cutoff": p.cutoff,
-        "Z": matrix_to_json(p.Z),
+        "Z": p.Z,
         "source": source,
         "condition_of_A": p.condition_of_A,
     }
@@ -275,17 +276,15 @@ def period_to_json(p):
 
 def period_from_json(obj):
     try:
-        z = matrix_from_json(obj["Z"])
+        z = matrix_from_json(obj["Z"], "Z")
         source = obj.get("source")
         if source is not None:
             source = descriptor_from_json(source)
         condition = obj.get("condition_of_A")
         if condition is not None:
-            condition = float(condition)
-            if not condition > 0.0 or not np.isfinite(condition):
-                raise ValidationError(
-                    "condition_of_A must be a positive finite number"
-                )
+            condition = json_real(condition, "condition_of_A")
+            if not condition > 0.0:
+                raise ValidationError("condition_of_A must be positive")
         return PeriodMatrix(obj["cutoff"], z, source, condition)
     except (KeyError, TypeError, ValueError) as exc:
         raise ValidationError("malformed PeriodMatrix object: %s" % exc)

@@ -24,7 +24,6 @@ from .fourier import (
     evaluate_at,
     json_integer,
     matrix_from_json,
-    matrix_to_json,
 )
 from .symplectic import symplectic_form
 
@@ -195,12 +194,13 @@ def invariance_defect(m, f, g, grid):
 
 
 def operator_to_json(t):
-    return {"cutoff": t.cutoff, "A": matrix_to_json(t.A), "B": matrix_to_json(t.B)}
+    """Record of a block operator; A and B stay complex arrays."""
+    return {"cutoff": t.cutoff, "A": t.A, "B": t.B}
 
 
 def operator_from_json(obj):
     try:
-        a, b = matrix_from_json(obj["A"]), matrix_from_json(obj["B"])
+        a, b = matrix_from_json(obj["A"], "A"), matrix_from_json(obj["B"], "B")
         return BlockOperator(obj["cutoff"], a, b)
     except (KeyError, TypeError, ValueError) as exc:
         raise ValidationError("malformed BlockOperator object: %s" % exc)

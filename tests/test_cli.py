@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from hhalf import cli
 from hhalf.cli import main
@@ -24,6 +25,7 @@ from hhalf.suite import CheckResult
 src_dir = pathlib.Path(__file__).resolve().parent.parent / "src"
 perfbench_dir = src_dir.parent / "perfbench"
 cos_modes = '{"1": [0.5, 0.0], "-1": [0.5, 0.0]}'
+huge = 10**400  # a JSON integer that overflows a float
 rotation_map = '{"type": "rotation", "alpha": 0.7}'
 flow_map = json.dumps(
     {
@@ -678,16 +680,17 @@ class TestPlumbing:
     @pytest.mark.parametrize(
         "descriptor, name",
         [
-            ({"type": "rotation", "alpha": "1e999"}, "rotation alpha"),
-            ({"type": "moebius", "a": {"re": "nan", "im": 0.0}}, "moebius a"),
-            ({"type": "moebius", "a": {"re": 0.1, "im": "-inf"}}, "moebius a"),
-            ({"type": "moebius", "a": {"re": 0.1}, "beta": "inf"}, "moebius beta"),
-            (dict(json.loads(flow_map), eps="inf"), "flow eps"),
-            ({"type": "rauch_flow", "m": 1, "eps": "nan"}, "rauch_flow eps"),
+            # JSON reaches infinity only through integers past float range.
+            ({"type": "rotation", "alpha": huge}, "rotation alpha"),
+            ({"type": "moebius", "a": {"re": huge, "im": 0.0}}, "moebius a"),
+            ({"type": "moebius", "a": {"re": 0.1, "im": -huge}}, "moebius a"),
+            ({"type": "moebius", "a": {"re": 0.1}, "beta": huge}, "moebius beta"),
+            (dict(json.loads(flow_map), eps=huge), "flow eps"),
+            ({"type": "rauch_flow", "m": 1, "eps": -huge}, "rauch_flow eps"),
             (
                 dict(
                     json.loads(flow_map),
-                    v={"bandlimit": 1, "real": True, "coeffs": [{"n": -1, "re": "inf"}]},
+                    v={"bandlimit": 1, "real": True, "coeffs": [{"n": -1, "re": huge}]},
                 ),
                 "coefficient -1",
             ),
@@ -703,6 +706,51 @@ class TestPlumbing:
             )
         assert code == 1 and out == ""
         assert err == "error: %s must be finite\n" % name
+
+    @pytest.mark.parametrize(
+        "config, argv, message",
+        [
+            (None, ["siegel-check", "--matrix",
+                    '{"cutoff": 1, "Z": [[{"re": true, "im": false}]]}'],
+             "malformed PeriodMatrix object: Z entry must be a number, "
+             "not True"),
+            (None, ["siegel-check", "--matrix",
+                    '{"cutoff": 1, "Z": [[{"re": 0.5, "im": 0}]], '
+                    '"condition_of_A": "7"}'],
+             "malformed PeriodMatrix object: condition_of_A must be a "
+             "number, not '7'"),
+            (None, ["siegel-check", "--matrix",
+                    '{"cutoff": 1, "Z": [[{"re": %d, "im": 0}]]}' % huge],
+             "malformed PeriodMatrix object: Z entry must be finite"),
+            (None, ["integrability", "--matrix",
+                    '{"cutoff": 1, "A": [[{"re": 1, "im": 0}]], '
+                    '"B": [[{"re": 0, "im": "0"}]]}'],
+             "malformed BlockOperator object: B entry must be a number, "
+             "not '0'"),
+            (None, ["norm", "--input", '{"bandlimit": 1, "coeffs": '
+                    '[{"n": 1, "re": true}]}'],
+             "coefficient 1 must be a number, not True"),
+            (None, ["norm", "--input", '{"bandlimit": 1, "coeffs": '
+                    '[{"n": 1, "re": "1"}]}'],
+             "coefficient 1 must be a number, not '1'"),
+            (None, ["norm", "--modes", '{"1": [true, 0]}'],
+             "mode 1 must be a number, not True"),
+            (None, ["norm", "--modes", '{"-2": %d}' % huge],
+             "mode -2 must be finite"),
+            (None, ["period", "--map", '{"type": "rotation", "alpha": "nan"}'],
+             "rotation alpha must be a number, not 'nan'"),
+            ('{"matrix_tol": true}', ["siegel-check", "--map", rotation_map],
+             "matrix_tol must be a number, not True"),
+            ('{"spectral_tol": "1e-8"}', ["norm", "--modes", cos_modes],
+             "spectral_tol must be a number, not '1e-8'"),
+        ],
+    )
+    def test_real_fields_take_only_json_numbers(
+        self, config, argv, message, capsys, monkeypatch
+    ):
+        if config is not None:
+            monkeypatch.setenv("HHP_CONFIG", config)
+        assert run(argv, capsys) == (1, "", "error: %s\n" % message)
 
     def test_non_finite_report_value_is_a_numerical_failure(
         self, tmp_path, capsys
@@ -785,8 +833,22 @@ class TestPlumbing:
         assert "invariance-suite" in capsys.readouterr().out
 
 
+def matrix_to_json(matrix):
+    """Rows of {"re", "im"} objects: the written form of a complex array."""
+    return [
+        [{"re": float(v.real), "im": float(v.imag)} for v in row]
+        for row in matrix
+    ]
+
+
 def oracle(value):
-    return json.dumps(value, indent=2, sort_keys=True)
+    return json.dumps(value, indent=2, sort_keys=True, default=matrix_to_json)
+
+
+def complex_array(parts):
+    z = np.empty(parts.shape[1:], np.complex128)
+    z.real, z.imag = parts
+    return z
 
 
 finite_floats = st.floats(allow_nan=False, allow_infinity=False) | (
@@ -802,6 +864,11 @@ complex_matrices = st.integers(1, 4).flatmap(
         max_size=4,
     )
 )
+complex_arrays = (
+    st.tuples(st.integers(1, 4), st.integers(1, 4))
+    .flatmap(lambda shape: arrays(np.float64, (2,) + shape, elements=finite_floats))
+    .map(complex_array)
+)
 json_values = st.recursive(
     st.none()
     | st.booleans()
@@ -809,7 +876,8 @@ json_values = st.recursive(
     | finite_floats
     | st.text()
     | st.sampled_from(["h\u00e9 \u2264 \U0001d4b5", "\t\"q\"\n", "", {}, []])
-    | complex_matrices,
+    | complex_matrices
+    | complex_arrays,
     lambda children: st.lists(children, max_size=5)
     | st.dictionaries(st.text(max_size=6), children, max_size=5),
     max_leaves=25,
@@ -826,7 +894,8 @@ def cli_inputs():
 
 
 class TestEmission:
-    """The report text is json.dumps(report, indent=2, sort_keys=True)."""
+    """The report text is json.dumps(report, indent=2, sort_keys=True),
+    with each complex array written as rows of {"im", "re"} objects."""
 
     @settings(max_examples=150, deadline=None)
     @given(json_values)
@@ -849,15 +918,15 @@ class TestEmission:
         ],
     )
     def test_near_misses_take_the_general_path(self, value):
-        assert cli._matrix_floats(value) is None
+        # Lists shaped like a written matrix are plain JSON values.
         assert cli._json_text(value) == oracle(value)
 
     @pytest.mark.parametrize(
         "value",
         [
-            [[{"im": -0.0, "re": 5e-324}]],
-            [[[{"im": 1.0, "re": 2.0}]], "x", [[{"re": 3.0, "im": 4.0}] * 3]],
-            {"Z": [[{"im": 1e16, "re": 1e-7}] * 2] * 2, "a": {"b": [1, 2.5]}},
+            np.array([[complex(5e-324, -0.0)]]),
+            [[np.eye(1, dtype=complex)], "x", np.full((1, 3), 3.0 + 4.0j)],
+            {"Z": np.full((2, 2), 1e-7 + 1e16j), "a": {"b": [1, 2.5]}},
         ],
     )
     def test_matrices_at_any_depth(self, value):
@@ -869,7 +938,8 @@ class TestEmission:
             (float("nan"), ""),
             ({"h_half_norm": float("inf")}, "h_half_norm"),
             ({"a": [1.0, {"b": -float("inf")}]}, "a[1].b"),
-            ({"Z": [[{"im": 0.0, "re": float("nan")}] * 2] * 2}, "Z"),
+            ({"Z": np.full((2, 2), complex(float("nan"), 0.0))}, "Z"),
+            ({"a": [0.5, {"B": np.array([[0.0, 1j * float("inf")]])}]}, "a[1].B"),
         ],
     )
     def test_non_finite_values_are_refused_by_name(self, value, name):

@@ -40,6 +40,13 @@ class TestRunConfig:
         for field, flag in (("cutoff", True), ("seed", True), ("seed", False)):
             with pytest.raises(ValidationError, match=field):
                 RunConfig(**{field: flag})
+        # True was read as 1.0, and a string raised a bare TypeError.
+        for field in ("spectral_tol", "matrix_tol"):
+            for value in (True, "1e-3"):
+                with pytest.raises(ValidationError, match="^%s must be a number" % field):
+                    RunConfig(**{field: value})
+            with pytest.raises(ValidationError, match="^%s must be finite$" % field):
+                RunConfig(**{field: float("inf")})
 
     def test_integer_coercion(self):
         cfg = RunConfig(cutoff=16.0, grid_size=256.0, seed=3.0)

@@ -25,6 +25,7 @@ from hhalf.fourier import (
     h_half_norm,
     hilbert_transform,
     inner_product,
+    json_real,
     max_bandlimit,
     norm_squared,
     synthesize,
@@ -406,11 +407,28 @@ class TestJson:
         assert f.coefficient(2) == 1.0 + 0.5j
         assert f.coefficient(1) == 0.0
 
+    def test_json_real_reads_numbers_as_floats(self):
+        for value in (3, 2.5, np.float64(-0.0), np.int64(7)):
+            read = json_real(value, "x")
+            assert type(read) is float and read == value
+        assert math.copysign(1.0, json_real(-0.0, "x")) == -1.0
+
     def test_bad_entries_rejected(self):
-        for re, im in (("nan", 0.0), (0.0, "-inf"), ("1e999", 0.0)):
+        for re, im in ((float("nan"), 0.0), (0.0, -float("inf")), (10**400, 0.0)):
             obj = {"bandlimit": 2, "coeffs": [{"n": 1, "re": re, "im": im}]}
             with pytest.raises(ValidationError, match="^coefficient 1 must be finite$"):
                 function_from_json(obj)
+        for entry, bad in (
+            ({"re": "nan"}, "nan"),
+            ({"re": 0.0, "im": "-inf"}, "-inf"),
+            ({"re": "1"}, "1"),
+            ({"re": True}, True),
+            ({"re": 1.0, "im": None}, None),
+        ):
+            obj = {"bandlimit": 2, "coeffs": [dict(entry, n=1)]}
+            with pytest.raises(ValidationError) as info:
+                function_from_json(obj)
+            assert str(info.value) == "coefficient 1 must be a number, not %r" % (bad,)
         with pytest.raises(ValidationError):
             function_from_json({"bandlimit": 2, "coeffs": [{"n": 0, "re": 1.0, "im": 0.0}]})
         with pytest.raises(ValidationError):

@@ -424,34 +424,34 @@ class TestJson:
     @pytest.mark.parametrize(
         "obj, name",
         [
-            ({"type": "rotation", "alpha": "1e999"}, "rotation alpha"),
+            ({"type": "rotation", "alpha": 10**400}, "rotation alpha"),
             ({"type": "rotation", "alpha": float("nan")}, "rotation alpha"),
-            ({"type": "moebius", "a": {"re": "nan", "im": 0.0}}, "moebius a"),
-            ({"type": "moebius", "a": {"re": 0.0, "im": "inf"}}, "moebius a"),
-            ({"type": "moebius", "a": {"re": 0.1}, "beta": "-inf"}, "moebius beta"),
+            ({"type": "moebius", "a": {"re": float("nan"), "im": 0.0}}, "moebius a"),
+            ({"type": "moebius", "a": {"re": 0.0, "im": float("inf")}}, "moebius a"),
+            ({"type": "moebius", "a": {"re": 0.1}, "beta": -float("inf")}, "moebius beta"),
             (
                 {
                     "type": "flow",
                     "v": function_to_json(from_modes(1, {1: 0.5, -1: 0.5})),
-                    "eps": "inf",
+                    "eps": float("inf"),
                 },
                 "flow eps",
             ),
-            ({"type": "rauch_flow", "m": 1, "eps": "nan"}, "rauch_flow eps"),
+            ({"type": "rauch_flow", "m": 1, "eps": float("nan")}, "rauch_flow eps"),
             (
                 {
                     "type": "flow",
                     "v": {
                         "bandlimit": 1,
                         "real": True,
-                        "coeffs": [{"n": 1, "re": "nan"}, {"n": -1, "re": "nan"}],
+                        "coeffs": [{"n": 1, "re": float("nan")}, {"n": -1, "re": float("nan")}],
                     },
                     "eps": 0.1,
                 },
                 "coefficient 1",
             ),
             (
-                {"type": "compose", "maps": [{"type": "rotation", "alpha": "inf"}]},
+                {"type": "compose", "maps": [{"type": "rotation", "alpha": float("inf")}]},
                 "rotation alpha",
             ),
         ],
@@ -461,3 +461,27 @@ class TestJson:
             warnings.simplefilter("error")
             with pytest.raises(ValidationError, match="^%s must be finite$" % name):
                 descriptor_from_json(obj)
+
+    @pytest.mark.parametrize(
+        "obj, message",
+        [
+            ({"type": "rotation", "alpha": "nan"}, "rotation alpha must be a number, not 'nan'"),
+            ({"type": "rotation", "alpha": True}, "rotation alpha must be a number, not True"),
+            ({"type": "moebius", "a": {"re": "0.1"}}, "moebius a must be a number, not '0.1'"),
+            ({"type": "moebius", "a": {"re": 0.1, "im": False}}, "moebius a must be a number, not False"),
+            ({"type": "moebius", "a": {"re": 0.1}, "beta": "1"}, "moebius beta must be a number, not '1'"),
+            ({"type": "rauch_flow", "m": 1, "eps": True}, "rauch_flow eps must be a number, not True"),
+            (
+                {
+                    "type": "flow",
+                    "v": function_to_json(from_modes(1, {1: 0.5, -1: 0.5})),
+                    "eps": "0.1",
+                },
+                "flow eps must be a number, not '0.1'",
+            ),
+        ],
+    )
+    def test_real_parameters_take_only_numbers(self, obj, message):
+        with pytest.raises(ValidationError) as info:
+            descriptor_from_json(obj)
+        assert str(info.value) == message

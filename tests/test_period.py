@@ -1,5 +1,6 @@
 """Tests for period matrices, Siegel membership, and deformations."""
 
+import json
 import math
 
 import numpy as np
@@ -8,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
+from hhalf import cli
 from hhalf.catalog import (
     catalog_maps,
     equivariance_pairs,
@@ -552,7 +554,7 @@ class TestJson:
         from hhalf.maps import descriptor_to_json
 
         p = period_matrix(make_map(flow(sin_two_theta, 0.05), grid), 8, grid)
-        back = period_from_json(period_to_json(p))
+        back = period_from_json(json.loads(cli._json_text(period_to_json(p))))
         assert back.cutoff == p.cutoff
         assert np.array_equal(back.Z, p.Z)
         assert descriptor_to_json(back.source) == descriptor_to_json(p.source)
@@ -560,7 +562,7 @@ class TestJson:
 
     def test_roundtrip_without_source(self):
         p = PeriodMatrix(3, 0.25 * np.eye(3))
-        back = period_from_json(period_to_json(p))
+        back = period_from_json(json.loads(cli._json_text(period_to_json(p))))
         assert back.source is None
         assert back.condition_of_A is None
         assert np.array_equal(back.Z, p.Z)
