@@ -72,6 +72,7 @@ from .period import (
     graph_distance,
     integrability_residual,
     period_derivative,
+    period_from_blocks,
     period_from_json,
     period_matrix,
     period_to_json,

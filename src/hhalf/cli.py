@@ -36,15 +36,14 @@ from .fourier import (
 )
 from .maps import descriptor_from_json, descriptor_to_json, make_map
 from .period import (
-    PeriodMatrix,
     equivariance_defect,
     integrability_residual,
+    period_from_blocks,
     period_from_json,
     period_matrix,
     period_to_json,
     rauch_derivative,
     rauch_fd_defect,
-    siegel_action,
     siegel_membership,
     siegel_report_to_json,
 )
@@ -178,7 +177,7 @@ def _cmd_energy(args, cfg):
     sizes.append(cfg.grid_size)
     curve = []
     for m in sizes:
-        value = douglas_energy(f, SampleGrid(m, np.pi / m))
+        value = douglas_energy(f, SampleGrid(m))
         defect = abs(value - target) / target if target else abs(value)
         curve.append(
             {"grid_size": m, "douglas_energy": value, "relative_defect": defect}
@@ -223,9 +222,7 @@ def _period_argument(args, cfg):
     if isinstance(obj, dict) and "Z" in obj:
         return period_from_json(obj)
     if isinstance(obj, dict) and "A" in obj and "B" in obj:
-        t = operator_from_json(obj)
-        basepoint = PeriodMatrix(t.cutoff, np.zeros((t.cutoff, t.cutoff)))
-        return siegel_action(t, basepoint)
+        return period_from_blocks(operator_from_json(obj))
     raise ValidationError(
         "--matrix wants a period matrix or a block operator object"
     )

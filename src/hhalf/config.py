@@ -7,7 +7,7 @@ import os
 from dataclasses import dataclass
 
 from .errors import ValidationError
-from .fourier import json_integer, json_real
+from .fourier import json_fields, json_integer, json_real
 
 config_env_var = "HHP_CONFIG"
 _fields = ("cutoff", "grid_size", "spectral_tol", "matrix_tol", "seed", "out")
@@ -69,11 +69,7 @@ def config_from_json(obj):
     """Build a RunConfig from a dict; missing fields keep defaults."""
     if not isinstance(obj, dict):
         raise ValidationError("RunConfig object must be a JSON object")
-    unknown = set(obj) - set(_fields)
-    if unknown:
-        raise ValidationError(
-            "unknown RunConfig fields: %s" % ", ".join(sorted(unknown))
-        )
+    json_fields(obj, _fields, "RunConfig")
     try:
         return RunConfig(**obj)
     except ValidationError:

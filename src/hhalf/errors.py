@@ -16,7 +16,7 @@ class ValidationError(HHalfError, ValueError):
 
 
 class GridError(ValidationError):
-    """Sample grid too small, offset out of range, or shape mismatch."""
+    """Sample grid too small, or a sample array that does not fit it."""
 
 
 class MonotonicityError(ValidationError):

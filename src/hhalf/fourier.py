@@ -21,10 +21,9 @@ max_bandlimit = 2**20
 
 @dataclass(frozen=True)
 class SampleGrid:
-    """Uniform grid theta_j = offset + 2 pi j / size, j = 0..size-1."""
+    """Uniform grid theta_j = 2 pi j / size, j = 0..size-1, of size >= 4."""
 
     size: int
-    offset: float = 0.0
 
     def __post_init__(self):
         message = "grid size must be an integer >= 4"
@@ -35,13 +34,9 @@ class SampleGrid:
         if size < 4:
             raise GridError(message)
         object.__setattr__(self, "size", size)
-        object.__setattr__(self, "offset", float(self.offset))
-        cell = 2.0 * np.pi / self.size
-        if not 0.0 <= self.offset < cell:
-            raise GridError("grid offset must lie in [0, 2*pi/size)")
 
     def points(self):
-        return self.offset + 2.0 * np.pi * np.arange(self.size) / self.size
+        return 2.0 * np.pi * np.arange(self.size) / self.size
 
 
 @dataclass(frozen=True)
@@ -158,12 +153,11 @@ def analyze(samples, grid, bandlimit):
     raw = np.fft.fft(np.asarray(samples, np.complex128)) / m
     c = np.zeros(2 * bandlimit + 1, np.complex128)
     ns = np.arange(1, bandlimit + 1)
-    phase = np.exp(-1j * ns * grid.offset)
-    c[bandlimit + ns] = raw[ns] * phase
+    c[bandlimit + ns] = raw[ns]
     if was_real:
         c[bandlimit - ns] = np.conj(c[bandlimit + ns])
     else:
-        c[bandlimit - ns] = raw[m - ns] * np.conj(phase)
+        c[bandlimit - ns] = raw[m - ns]
     return CircleFunction(bandlimit, c, True if was_real else None)
 
 
@@ -172,8 +166,8 @@ def synthesize(f, grid):
     m = grid.size
     buf = np.zeros(m, np.complex128)
     n = f.bandlimit
-    for k in range(-n, n + 1):
-        buf[k % m] += f.coeffs[n + k] * np.exp(1j * k * grid.offset)
+    # Modes past Nyquist fold onto their aliases, added in mode order.
+    np.add.at(buf, np.arange(-n, n + 1) % m, f.coeffs)
     values = np.fft.ifft(buf) * m
     if f.real:
         return values.real
@@ -292,22 +286,26 @@ def douglas_energy(f, grid):
     """Product-grid quadrature of the Douglas energy integral.
 
     Approximates (1/16 pi^2) times the double integral of
-    |f(theta)-f(phi)|^2 / sin^2((theta-phi)/2).  The second axis is the
-    given grid shifted by half a cell so the two axes never meet and
-    the removable diagonal singularity is dodged.  The squared
-    integrand is a trig polynomial of degree below 2N per axis, so the
-    rule is exact to rounding once grid.size exceeds 2*bandlimit.
+    |f(theta)-f(phi)|^2 / sin^2((theta-phi)/2) on the grid and the grid
+    turned by half a cell, where f is the synthesis of its turned
+    coefficients c_k e^{ik pi/M}: the two axes never meet, so the
+    removable diagonal singularity is dodged.  The squared integrand
+    is a trig polynomial of degree below 2N per axis, so the rule is
+    exact to rounding once grid.size exceeds 2*bandlimit.
     """
-    if grid.offset <= 0.0:
-        raise GridError("douglas quadrature needs a strictly positive offset")
-    m = grid.size
-    cell = 2.0 * np.pi / m
-    shifted = SampleGrid(m, (grid.offset + 0.5 * cell) % cell)
-    fx = np.ascontiguousarray(synthesize(f, grid), np.complex128)
-    fy = np.ascontiguousarray(synthesize(f, shifted), np.complex128)
-    tx = np.ascontiguousarray(grid.points())
-    ty = np.ascontiguousarray(shifted.points())
-    total = douglas_pair_sum(fx, fy, tx, ty)
+    m, n, c = grid.size, f.bandlimit, f.coeffs
+    half = np.pi / m
+    phase = np.exp(1j * (np.arange(-n, n + 1) * half))
+    # Split products: a vectorized complex product may fuse multiply-adds.
+    turned = np.empty_like(c)
+    turned.real = c.real * phase.real - c.imag * phase.imag
+    turned.imag = c.real * phase.imag + c.imag * phase.real
+    # Complex samples: on a real array the pair sum would allocate .imag.
+    fx = synthesize(CircleFunction(n, turned, f.real), grid)
+    fx = np.ascontiguousarray(fx, np.complex128)
+    fy = np.ascontiguousarray(synthesize(f, grid), np.complex128)
+    points = grid.points()
+    total = douglas_pair_sum(fx, fy, half + points, points)
     return total / (4.0 * m * m)
 
 
@@ -349,6 +347,15 @@ def json_integer(value, name):
     return int(value)
 
 
+def json_fields(obj, fields, name):
+    """Refuse a JSON object's fields outside `fields`, naming each."""
+    unknown = set(obj) - set(fields)
+    if unknown:
+        raise ValidationError(
+            "unknown %s fields: %s" % (name, ", ".join(sorted(map(str, unknown))))
+        )
+
+
 def json_real(value, name):
     """float(value), refusing by name a bool, a string or a NaN or infinity."""
     # float and int come first: they skip the slow abstract-class check.
@@ -368,9 +375,14 @@ def function_from_json(obj):
     try:
         bandlimit = json_integer(obj["bandlimit"], "bandlimit")
         entries = obj["coeffs"]
-        real = bool(obj.get("real", False))
+        real = obj.get("real", False)
     except (KeyError, TypeError, ValueError) as exc:
         raise ValidationError("malformed CircleFunction object: %s" % exc)
+    json_fields(obj, ("bandlimit", "real", "coeffs"), "CircleFunction")
+    if not isinstance(real, bool):
+        raise ValidationError(
+            "CircleFunction real must be true or false, not %r" % (real,)
+        )
     modes = {}
     for entry in entries:
         try:
@@ -378,6 +390,7 @@ def function_from_json(obj):
             re, im = entry["re"], entry.get("im", 0.0)
         except (KeyError, TypeError, ValueError) as exc:
             raise ValidationError("malformed coefficient entry: %s" % exc)
+        json_fields(entry, ("n", "re", "im"), "coefficient entry")
         name = "coefficient %d" % n
         value = complex(json_real(re, name), json_real(im, name))
         if n in modes:

@@ -9,6 +9,7 @@ spectral work on the periodic part and are the lift pullbacks read.
 
 import cmath
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -23,6 +24,7 @@ from .fourier import (
     from_modes,
     function_from_json,
     function_to_json,
+    json_fields,
     json_integer,
     json_real,
     synthesize,
@@ -83,6 +85,8 @@ def power(k):
 
 
 def moebius(a, beta=0.0):
+    if isinstance(a, bool) or not isinstance(a, numbers.Number):
+        raise ValidationError("moebius a must be a number, not %r" % (a,))
     a = complex(a)
     if not cmath.isfinite(a):
         raise ValidationError("moebius a must be finite")
@@ -404,11 +408,27 @@ def descriptor_to_json(d):
     raise ValidationError("unknown map descriptor %r" % (d,))
 
 
+# The fields of each descriptor type besides "type".
+_descriptor_fields = {
+    "identity": (),
+    "rotation": ("alpha",),
+    "power": ("k",),
+    "moebius": ("a", "beta"),
+    "flow": ("v", "eps"),
+    "rauch_flow": ("m", "eps"),
+    "compose": ("maps",),
+    "inverse": ("of",),
+}
+
+
 def descriptor_from_json(obj):
     try:
         kind = obj["type"]
     except (KeyError, TypeError):
         raise ValidationError("map descriptor object needs a 'type' field")
+    if not isinstance(kind, str) or kind not in _descriptor_fields:
+        raise ValidationError("unknown map descriptor type %r" % (kind,))
+    json_fields(obj, ("type",) + _descriptor_fields[kind], "%s descriptor" % kind)
     try:
         if kind == "identity":
             return identity()
@@ -418,7 +438,9 @@ def descriptor_from_json(obj):
             return power(obj["k"])
         if kind == "moebius":
             a, name = obj["a"], "moebius a"
-            a = complex(json_real(a["re"], name), json_real(a.get("im", 0.0), name))
+            re, im = a["re"], a.get("im", 0.0)
+            json_fields(a, ("re", "im"), name)
+            a = complex(json_real(re, name), json_real(im, name))
             return moebius(a, obj.get("beta", 0.0))
         if kind == "flow":
             return flow(function_from_json(obj["v"]), obj["eps"])
@@ -434,4 +456,3 @@ def descriptor_from_json(obj):
         raise
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ValidationError("malformed %s descriptor: %s" % (kind, exc))
-    raise ValidationError("unknown map descriptor type %r" % (kind,))

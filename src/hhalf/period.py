@@ -7,8 +7,8 @@ Siegel disc; right composition acts on it by a fractional-linear rule,
 and its first variation along a vector field has a closed form checked
 here by finite differences.  Every complex structure is built from a
 period matrix; for Z(phi) it is the pulled-back structure T J0 T^{-1}
-(Nag and Sullivan, Osaka J. Math. 32, 1995), and an operator T enters
-as its image siegel_action(T, 0) of the origin.
+(Nag and Sullivan, Osaka J. Math. 32, 1995), and any block operator
+T enters through period_from_blocks(T), its image of the origin.
 """
 
 from dataclasses import dataclass
@@ -84,15 +84,19 @@ class SiegelReport:
 
 
 def period_matrix(m, cutoff, grid):
-    """Z = conj(B) A^{-1} from the truncated pullback blocks.
+    """Period matrix of a circle map from its truncated pullback blocks."""
+    return period_from_blocks(pullback_matrix(m, cutoff, grid), m.descriptor)
+
+
+def period_from_blocks(t, source=None):
+    """Z = conj(B) A^{-1} of a block operator, the image of the origin.
 
     The inverse is applied through a linear solve, and the condition
     number of A is recorded on the result; an A too ill conditioned to
-    trust is refused.
+    trust is refused.  source is the map descriptor behind t, if any.
     """
-    t = pullback_matrix(m, cutoff, grid)
     z, condition = _right_divide(np.conj(t.B), t.A, "plus block")
-    return PeriodMatrix(cutoff, z, m.descriptor, condition)
+    return PeriodMatrix(t.cutoff, z, source, condition)
 
 
 def siegel_membership(p):

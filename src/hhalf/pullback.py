@@ -131,16 +131,15 @@ def pullback_matrix(m, cutoff, grid):
     w = np.exp(1j * _own_lift(m, grid))
     _refuse_past_nyquist(cutoff, cutoff, grid)
     ps = np.arange(1, cutoff + 1)
-    phases = np.exp(-1j * ps * grid.offset)
     roots = np.sqrt(ps.astype(float))
     a = np.empty((cutoff, cutoff), np.complex128)
     b = np.empty((cutoff, cutoff), np.complex128)
     wq = w.copy()
     for q in range(1, cutoff + 1):
         spectrum = np.fft.fft(wq)
-        coeffs = spectrum[1 : cutoff + 1] / size * phases
+        coeffs = spectrum[1 : cutoff + 1] / size
         a[:, q - 1] = (roots / roots[q - 1]) * coeffs
-        coeffs = np.conj(spectrum[size - ps]) / size * phases
+        coeffs = np.conj(spectrum[size - ps]) / size
         b[:, q - 1] = (roots / roots[q - 1]) * coeffs
         if q < cutoff:
             wq *= w

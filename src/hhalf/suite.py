@@ -103,7 +103,7 @@ def check_hilbert_transform(seed):
 
 def check_douglas_energy(seed):
     """The double-integral energy reproduces the squared norm."""
-    grid = SampleGrid(512, np.pi / 512)
+    grid = SampleGrid(512)
     worst = 0.0
     for f in trial_functions(20, 16, seed + 1):
         target = norm_squared(f)

@@ -277,6 +277,28 @@ class TestSiegelCheck:
         assert code == 1
         assert "period matrix or a block operator" in err
 
+    def test_maps_and_operator_artifacts_are_refused_alike(
+        self, tmp_path, capsys
+    ):
+        # Z = conj(B) A^{-1} has one home, so a singular A reads the same
+        # whether the blocks come from a map or from an operator artifact.
+        moebius_map = (
+            '{"type": "moebius", "a": {"re": 0.5, "im": 0.0}, "beta": 0.5}'
+        )
+        path = tmp_path / "t.json"
+        run_json(
+            ["pullback-matrix", "--map", moebius_map, "--out", str(path)],
+            capsys,
+        )
+        refusals = [
+            run([command] + source, capsys)
+            for command in ("siegel-check", "integrability")
+            for source in (["--map", moebius_map], ["--matrix", str(path)])
+        ]
+        assert refusals[0][0] == 2
+        assert "plus block is numerically singular" in refusals[0][2]
+        assert all(refusal == refusals[0] for refusal in refusals)
+
 
 class TestRauchCheck:
     def test_report_contents(self, tmp_path, capsys):
@@ -750,6 +772,33 @@ class TestPlumbing:
     ):
         if config is not None:
             monkeypatch.setenv("HHP_CONFIG", config)
+        assert run(argv, capsys) == (1, "", "error: %s\n" % message)
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            # Both exited 0: the first echoed beta 0.0, the second read
+            # "false" as true and took the Hermitian coefficients as real.
+            (["period", "--map", '{"type": "moebius", "a": {"re": 0.3, '
+              '"im": 0.0}, "bata": 1.0}'],
+             "unknown moebius descriptor fields: bata"),
+            (["norm", "--input", '{"bandlimit": 1, "real": "false", "coeffs": '
+              '[{"n": 1, "re": 1.0}, {"n": -1, "re": 1.0}]}'],
+             "CircleFunction real must be true or false, not 'false'"),
+            (["period", "--map", '{"type": "moebius", "a": {"re": 0.3, '
+              '"imag": 0.1}}'],
+             "unknown moebius a fields: imag"),
+            (["norm", "--input", '{"bandlimit": 1, "coeffs": [{"n": 1, '
+              '"re": 1.0, "Im": 0.5}]}'],
+             "unknown coefficient entry fields: Im"),
+            (["hilbert", "--input", '{"bandlimit": 1, "coeff": [], '
+              '"coeffs": []}'],
+             "unknown CircleFunction fields: coeff"),
+        ],
+    )
+    def test_unknown_fields_and_non_boolean_real_are_input_errors(
+        self, argv, message, capsys
+    ):
         assert run(argv, capsys) == (1, "", "error: %s\n" % message)
 
     def test_non_finite_report_value_is_a_numerical_failure(

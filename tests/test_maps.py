@@ -485,3 +485,56 @@ class TestJson:
         with pytest.raises(ValidationError) as info:
             descriptor_from_json(obj)
         assert str(info.value) == message
+
+    @pytest.mark.parametrize(
+        "obj, message",
+        [
+            (
+                {"type": "moebius", "a": {"re": 0.3, "im": 0.0}, "bata": 1.0},
+                "unknown moebius descriptor fields: bata",
+            ),
+            ({"type": "identity", "alpha": 0.1}, "unknown identity descriptor fields: alpha"),
+            (
+                {"type": "rotation", "alpha": 0.1, "beta": 0.2, "a": 0.0},
+                "unknown rotation descriptor fields: a, beta",
+            ),
+            ({"type": "power", "k": 2, "eps": 0.1}, "unknown power descriptor fields: eps"),
+            (
+                {
+                    "type": "flow",
+                    "v": function_to_json(from_modes(1, {1: 0.5, -1: 0.5})),
+                    "eps": 0.1,
+                    "epsilon": 0.2,
+                },
+                "unknown flow descriptor fields: epsilon",
+            ),
+            ({"type": "rauch_flow", "m": 1, "eps": 0.1, "n": 2}, "unknown rauch_flow descriptor fields: n"),
+            ({"type": "compose", "maps": [], "of": {}}, "unknown compose descriptor fields: of"),
+            (
+                {"type": "inverse", "of": {"type": "rotation", "alpha": 0.1, "k": 1}},
+                "unknown rotation descriptor fields: k",
+            ),
+            ({"type": "moebius", "a": {"re": 0.3, "img": 0.1}}, "unknown moebius a fields: img"),
+            (
+                {
+                    "type": "flow",
+                    "v": {"bandlimit": 1, "coeffs": [], "real": True, "mean": 0.0},
+                    "eps": 0.1,
+                },
+                "unknown CircleFunction fields: mean",
+            ),
+        ],
+    )
+    def test_unknown_fields_are_refused_by_name(self, obj, message):
+        with pytest.raises(ValidationError) as info:
+            descriptor_from_json(obj)
+        assert str(info.value) == message
+
+    def test_moebius_a_must_be_a_number(self):
+        # complex() read "0.1" as 0.1 and False as the identity's 0.
+        for bad in ("0.1", "0", False, True, None, [0.1]):
+            with pytest.raises(ValidationError) as info:
+                moebius(bad)
+            assert str(info.value) == "moebius a must be a number, not %r" % (bad,)
+        for good in (0.1, 0, 0.1j, np.float64(0.1), np.complex128(0.1j)):
+            assert moebius(good).a == complex(good)

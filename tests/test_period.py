@@ -38,6 +38,7 @@ from hhalf.period import (
     equivariance_defect,
     integrability_residual,
     period_derivative,
+    period_from_blocks,
     period_from_json,
     period_matrix,
     period_to_json,
@@ -109,6 +110,18 @@ class TestPeriodMatrix:
             norms.append(np.max(np.abs(p.Z)))
         assert 0.2 <= norms[1] / norms[0] <= 0.3
         assert 0.2 <= norms[2] / norms[1] <= 0.3
+
+    def test_period_from_blocks_is_the_period_matrix(self):
+        m = compose(
+            make_map(flow(sin_two_theta, 0.05), grid),
+            make_map(moebius(0.2), grid),
+        )
+        t = pullback_matrix(m, 16, grid)
+        direct = period_matrix(m, 16, grid)
+        p = period_from_blocks(t)
+        assert np.array_equal(p.Z, direct.Z)
+        assert p.condition_of_A == direct.condition_of_A > 1.0
+        assert p.source is None and direct.source == m.descriptor
 
     def test_singular_plus_block_is_refused(self):
         with pytest.raises(ConditioningError):

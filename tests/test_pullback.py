@@ -296,37 +296,20 @@ class TestOwnGrid:
             compose_descriptors([flow(sin_two_theta, 0.05), moebius(0.2)]),
             inverse_descriptor(flow(sin_theta, 0.1)),
         ]
-        for g in (grid, SampleGrid(1024, 0.7 * 2.0 * np.pi / 1024)):
+        for g in (grid, SampleGrid(1024)):
             for descriptor in descriptors:
                 m = make_map(descriptor, g)
                 assert np.array_equal(m.lift_samples, evaluate_lift(m, g.points()))
 
     def test_foreign_grid_is_refused(self):
         m = make_map(flow(sin_theta, 0.1), grid)
-        for other in (SampleGrid(2048), SampleGrid(4096, 1e-4)):
-            with pytest.raises(ValidationError, match="own sample grid"):
-                pullback_function(m, cos_theta, other)
-            with pytest.raises(ValidationError, match="own sample grid"):
-                pullback_matrix(m, 8, other)
-            with pytest.raises(ValidationError, match="own sample grid"):
-                period_matrix(m, 8, other)
-
-    def test_offset_grid_gives_the_same_blocks(self):
-        # B is read from the negative-frequency bins of the A column's
-        # FFT; a wrong grid phase there would miss by about |B| ~ 1e-2.
-        offset = SampleGrid(4096, 0.7 * 2.0 * np.pi / 4096)
-        descriptors = [
-            compose_descriptors(
-                [flow(sin_two_theta, 0.05), moebius(0.2 + 0.1j, 0.3)]
-            ),
-            inverse_descriptor(flow(sin_theta, 0.1)),
-        ]
-        for descriptor in descriptors:
-            t = pullback_matrix(make_map(descriptor, grid), 16, grid)
-            u = pullback_matrix(make_map(descriptor, offset), 16, offset)
-            assert np.max(np.abs(t.B)) > 1e-3
-            assert np.max(np.abs(u.A - t.A)) <= 1e-14
-            assert np.max(np.abs(u.B - t.B)) <= 1e-14
+        other = SampleGrid(2048)
+        with pytest.raises(ValidationError, match="own sample grid"):
+            pullback_function(m, cos_theta, other)
+        with pytest.raises(ValidationError, match="own sample grid"):
+            pullback_matrix(m, 8, other)
+        with pytest.raises(ValidationError, match="own sample grid"):
+            period_matrix(m, 8, other)
 
 
 class TestBlockOperator:
