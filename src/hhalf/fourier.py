@@ -404,9 +404,14 @@ def matrix_from_json(rows, name):
 
     The one reader of the form in which reports carry Z, A and B: the
     command line writes each complex array of a report as such rows.
-    Entries must be JSON numbers; `name` names the matrix in refusals.
+    Entries must be JSON numbers and have no other fields; `name`
+    names the matrix in refusals.
     """
     name += " entry"
+    for row in rows:
+        for v in row:
+            if len(v) != 2:  # cheaper than a set per entry
+                json_fields(v, ("re", "im"), name)
     return np.array(
         [
             [complex(json_real(v["re"], name), json_real(v["im"], name)) for v in row]

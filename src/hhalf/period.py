@@ -20,6 +20,7 @@ from .fourier import (
     CircleFunction,
     _extended,
     h_half_norm,
+    json_fields,
     json_integer,
     json_real,
     matrix_from_json,
@@ -280,6 +281,7 @@ def period_to_json(p):
 
 def period_from_json(obj):
     try:
+        json_fields(obj, ("cutoff", "Z", "source", "condition_of_A"), "PeriodMatrix")
         z = matrix_from_json(obj["Z"], "Z")
         source = obj.get("source")
         if source is not None:

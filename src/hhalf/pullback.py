@@ -6,6 +6,9 @@ conj(B) w+ + conj(A) w-) in the normalized basis e^{ik theta}/sqrt(k),
 k = 1..cutoff, and conjugates.  Matrix entries are Fourier integrals
 of powers of w = e^{i lift}, evaluated by FFT of the map's own lift
 samples; c_r(conj(w)^q) = conj(c_{-r}(w^q)) gives B from A's FFTs.
+The powers are transformed a chunk of rows at a time, in place, in
+one buffer of 2**16 samples (1 MiB) or one row if that is larger, so
+the working set does not grow with the cutoff.
 A result is refused as aliased when the highest mode its input
 reaches before any spread (bandlimit x degree, or the cutoff for a
 block matrix) is past Nyquist, or when the spectrum it was read from,
@@ -22,6 +25,7 @@ from .fourier import (
     CircleFunction,
     analyze,
     evaluate_at,
+    json_fields,
     json_integer,
     matrix_from_json,
 )
@@ -122,8 +126,15 @@ def pullback_matrix(m, cutoff, grid):
 
     A[p-1, q-1] = sqrt(p/q) c_p(w^q) and B[r-1, s-1] = sqrt(r/s)
     c_r(w^{-s}), with w = e^{i lift} on the map's grid.  Column q of
-    both blocks comes from one FFT of w^q: c_p(w^q) is read at bin p
+    both blocks comes from the FFT of w^q: c_p(w^q) is read at bin p
     and c_r(w^{-q}) = conj(c_{-r}(w^q)) at bin size - r.
+
+    The powers w^q are written as rows of one reused buffer of
+    max(1, min(cutoff, 2**16 // size)) rows, at most 1 MiB unless a
+    single row is larger, and each chunk of rows is transformed in
+    place by one batched FFT.  Each w^q is the same running product
+    w^{q-1} w, and a batched FFT row equals the single transform, so
+    the blocks are those of one FFT per column, bit for bit.
     """
     if m.degree != 1:
         raise ValidationError("block matrices are defined for degree-1 maps")
@@ -134,18 +145,22 @@ def pullback_matrix(m, cutoff, grid):
     roots = np.sqrt(ps.astype(float))
     a = np.empty((cutoff, cutoff), np.complex128)
     b = np.empty((cutoff, cutoff), np.complex128)
-    wq = w.copy()
-    for q in range(1, cutoff + 1):
-        spectrum = np.fft.fft(wq)
-        coeffs = spectrum[1 : cutoff + 1] / size
-        a[:, q - 1] = (roots / roots[q - 1]) * coeffs
-        coeffs = np.conj(spectrum[size - ps]) / size
-        b[:, q - 1] = (roots / roots[q - 1]) * coeffs
-        if q < cutoff:
-            wq *= w
-    # spectrum is now that of w^cutoff, the widest power read.
+    block = np.empty((max(1, min(cutoff, 2**16 // size)), size), np.complex128)
+    carry = w.copy()  # w^(start + 1), the first power of the next chunk
+    for start in range(0, cutoff, len(block)):
+        chunk = block[: min(len(block), cutoff - start)]
+        chunk[0] = carry
+        for row in range(1, len(chunk)):
+            np.multiply(chunk[row - 1], w, out=chunk[row])
+        np.multiply(chunk[-1], w, out=carry)
+        np.fft.fft(chunk, axis=1, out=chunk)
+        qs = slice(start, start + len(chunk))
+        ratios = roots / roots[qs, None]
+        a[:, qs] = (ratios * (chunk[:, 1 : cutoff + 1] / size)).T
+        b[:, qs] = (ratios * (np.conj(chunk[:, size - ps]) / size)).T
+    # The last row is the spectrum of w^cutoff, the widest power read.
     modes = np.abs(np.fft.fftfreq(size, 1.0 / size))
-    _refuse_tail(np.abs(spectrum) / size, modes, cutoff, cutoff, grid)
+    _refuse_tail(np.abs(chunk[-1]) / size, modes, cutoff, cutoff, grid)
     return BlockOperator(cutoff, a, b)
 
 
@@ -199,6 +214,7 @@ def operator_to_json(t):
 
 def operator_from_json(obj):
     try:
+        json_fields(obj, ("cutoff", "A", "B"), "BlockOperator")
         a, b = matrix_from_json(obj["A"], "A"), matrix_from_json(obj["B"], "B")
         return BlockOperator(obj["cutoff"], a, b)
     except (KeyError, TypeError, ValueError) as exc:

@@ -43,6 +43,7 @@ from .period import (
     equivariance_defect,
     graph_distance,
     integrability_residual,
+    period_from_blocks,
     period_matrix,
     rauch_derivative,
     rauch_fd_defect,
@@ -143,8 +144,9 @@ def check_moebius_basepoint():
     worst_z = worst_b = worst_gram = 0.0
     for a, beta in moebius_parameters:
         m = make_map(moebius(a, beta), grid)
-        worst_z = max(worst_z, float(np.max(np.abs(period_matrix(m, 16, grid).Z))))
-        worst_b = max(worst_b, float(np.max(np.abs(pullback_matrix(m, 16, grid).B))))
+        t = pullback_matrix(m, 16, grid)
+        worst_z = max(worst_z, float(np.max(np.abs(period_from_blocks(t).Z))))
+        worst_b = max(worst_b, float(np.max(np.abs(t.B))))
         # The unitarity defect of a bare 16 x 16 block is dominated by
         # the discarded tail, so measure the 16 x 16 corner of a
         # 96 x 96 assembly instead.
@@ -322,8 +324,8 @@ def check_equivariance():
     outer = make_map(flow(sin_field(2), 0.05), grid)
     inner = make_map(moebius(0.2, 0.0), grid)
     composed = period_matrix(compose(outer, inner), 16, grid)
-    z_outer = period_matrix(outer, 16, grid)
-    wrong = graph_distance(composed.Z, pullback_matrix(outer, 16, grid), z_outer.Z)
+    t_outer = pullback_matrix(outer, 16, grid)
+    wrong = graph_distance(composed.Z, t_outer, period_from_blocks(t_outer).Z)
     detail = (
         "worst defect %.3e over 6 pairs (limit 1e-5); wrong-order "
         "routing defect %.3e (must exceed 1e-4)" % (worst, wrong)

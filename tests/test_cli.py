@@ -794,6 +794,21 @@ class TestPlumbing:
             (["hilbert", "--input", '{"bandlimit": 1, "coeff": [], '
               '"coeffs": []}'],
              "unknown CircleFunction fields: coeff"),
+            # Both exited 0 and reported on Z = 0.1; the unknown
+            # top-level field is named before the entry is read.
+            (["siegel-check", "--matrix", '{"cutoff":1,"Z":[[{"re":0.1,'
+              '"im":0,"imag":5}]],"bogus":1}'],
+             "malformed PeriodMatrix object: unknown PeriodMatrix fields: "
+             "bogus"),
+            (["siegel-check", "--matrix", '{"cutoff":1,"Z":[[{"re":0.1,'
+              '"im":0,"imag":5}]]}'],
+             "malformed PeriodMatrix object: unknown Z entry fields: imag"),
+            (["integrability", "--matrix", '{"cutoff": 1, "A": [[{"re": 1, '
+              '"im": 0, "Re": 1}]], "B": [[{"re": 0, "im": 0}]], "x": 1}'],
+             "malformed BlockOperator object: unknown BlockOperator fields: x"),
+            (["integrability", "--matrix", '{"cutoff": 1, "A": [[{"re": 1, '
+              '"im": 0, "Re": 1}]], "B": [[{"re": 0, "im": 0}]]}'],
+             "malformed BlockOperator object: unknown A entry fields: Re"),
         ],
     )
     def test_unknown_fields_and_non_boolean_real_are_input_errors(

@@ -586,6 +586,14 @@ class TestJson:
         with pytest.raises(ValidationError):
             period_from_json({"Z": []})
 
+    def test_unknown_fields_are_refused_by_name(self):
+        obj = {"cutoff": 1, "Z": [[{"re": 0.1, "im": 0.0}]], "source": None}
+        with pytest.raises(ValidationError, match="unknown PeriodMatrix fields: bogus$"):
+            period_from_json(dict(obj, bogus=1))
+        obj["Z"][0][0]["imag"] = 5.0
+        with pytest.raises(ValidationError, match="unknown Z entry fields: imag$"):
+            period_from_json(obj)
+
     def test_non_finite_entries_are_rejected(self):
         for re, im in ((float("nan"), 0.0), (0.0, float("inf"))):
             obj = {"cutoff": 1, "Z": [[{"re": re, "im": im}]]}

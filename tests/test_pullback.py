@@ -2,6 +2,7 @@
 
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -70,6 +71,44 @@ def under_resolved_cases():
         (moebius(0.9), 32, SampleGrid(512)),
         (flow(sin_field(9), 0.1), 60, SampleGrid(256)),
     ]
+
+
+def column_blocks(m, cutoff, grid):
+    # One FFT per block column, w^q formed by the running product
+    # w^{q-1} w: the assembly before batching, kept as the oracle.
+    # Returns A, B and the spectrum of w^cutoff; no refusals.
+    size = grid.size
+    w = np.exp(1j * m.lift_samples)
+    ps = np.arange(1, cutoff + 1)
+    roots = np.sqrt(ps.astype(float))
+    a = np.empty((cutoff, cutoff), np.complex128)
+    b = np.empty((cutoff, cutoff), np.complex128)
+    wq = w.copy()
+    for q in range(1, cutoff + 1):
+        spectrum = np.fft.fft(wq)
+        coeffs = spectrum[1 : cutoff + 1] / size
+        a[:, q - 1] = (roots / roots[q - 1]) * coeffs
+        coeffs = np.conj(spectrum[size - ps]) / size
+        b[:, q - 1] = (roots / roots[q - 1]) * coeffs
+        if q < cutoff:
+            wq *= w
+    return a, b, spectrum
+
+
+def peak_traced_mib(call):
+    # Peak of the memory numpy and Python allocate during call(), over
+    # what was allocated before it.
+    tracing = tracemalloc.is_tracing()
+    if not tracing:
+        tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        before = tracemalloc.get_traced_memory()[0]
+        call()
+        return (tracemalloc.get_traced_memory()[1] - before) / 2.0**20
+    finally:
+        if not tracing:
+            tracemalloc.stop()
 
 
 def coupling_matrix(n):
@@ -282,6 +321,75 @@ class TestMatrixAssembly:
             assert np.max(np.abs(defect[np.ix_(corner, corner)])) <= 1e-6
 
 
+class TestChunkedAssembly:
+    # Powers of w are transformed in chunks of max(1, min(N, 2**16 // M))
+    # rows.
+    descriptors = [
+        flow(sin_two_theta, 0.05),
+        compose_descriptors([flow(sin_field(3), 0.2), moebius(0.3)]),
+        inverse_descriptor(flow(sin_theta, 0.1)),
+        moebius(0.3 + 0.2j, 1.0),
+        rotation(0.7),
+    ]
+
+    @pytest.mark.parametrize(
+        "cutoff, size",
+        [
+            (33, 4096),  # chunks of 16 rows, the last one row
+            (97, 4096),
+            (4, 2**17),  # one row per chunk
+            (40, 3000),  # 21 rows
+            (40, 4097),  # 15 rows
+            (256, 16384),  # 4 rows
+        ],
+    )
+    def test_blocks_equal_one_fft_per_column_bit_for_bit(self, cutoff, size):
+        g = SampleGrid(size)
+        for descriptor in self.descriptors:
+            m = make_map(descriptor, g)
+            t = pullback_matrix(m, cutoff, g)
+            a, b, _ = column_blocks(m, cutoff, g)
+            assert np.array_equal(t.A, a), descriptor
+            assert np.array_equal(t.B, b), descriptor
+
+    def test_refusals_keep_their_types_and_messages(self):
+        with pytest.raises(ValidationError) as caught:
+            pullback_matrix(make_map(power(2), grid), 8, grid)
+        assert str(caught.value) == "block matrices are defined for degree-1 maps"
+        with pytest.raises(AliasingError) as caught:
+            pullback_matrix(make_map(identity(), grid), 3000, grid)
+        assert str(caught.value) == (
+            "grid size 4096 cannot resolve bandlimit 3000 under this map "
+            "(mode 3000 is past Nyquist)"
+        )
+        # One chunk, two chunks with a partial last one, three chunks.
+        cases = under_resolved_cases() + [
+            (moebius(0.9), 100, SampleGrid(1024)),
+            (moebius(0.9), 150, SampleGrid(1000)),
+        ]
+        for descriptor, cutoff, coarse in cases:
+            m = make_map(descriptor, coarse)
+            spectrum = column_blocks(m, cutoff, coarse)[2]
+            modes = np.abs(np.fft.fftfreq(coarse.size, 1.0 / coarse.size))
+            band = modes >= max(3 * coarse.size / 8, cutoff + 1)
+            tail = np.max(np.abs(spectrum[band])) / coarse.size
+            with pytest.raises(AliasingError) as caught:
+                pullback_matrix(m, cutoff, coarse)
+            assert str(caught.value) == (
+                "grid size %d cannot resolve bandlimit %d under this map "
+                "(spectral tail %.1e near Nyquist)" % (coarse.size, cutoff, tail)
+            )
+
+    @pytest.mark.parametrize("cutoff, size, bound", [(256, 16384, 6.0), (32, 4096, 1.5)])
+    def test_working_set_is_bounded(self, cutoff, size, bound):
+        # The blocks and their validated copies take 4 N^2 * 16 bytes;
+        # the chunk buffer adds at most 1 MiB on top of a few rows.
+        g = SampleGrid(size)
+        m = make_map(flow(sin_two_theta, 0.05), g)
+        pullback_matrix(m, cutoff, g)
+        assert peak_traced_mib(lambda: pullback_matrix(m, cutoff, g)) <= bound
+
+
 class TestOwnGrid:
     # Pullbacks read the lift samples the map stored on its own grid.
 
@@ -459,6 +567,14 @@ class TestJson:
             operator_from_json({"cutoff": 2, "A": [[1.0]]})
         with pytest.raises(ValidationError):
             operator_from_json({"A": [], "B": []})
+
+    def test_unknown_fields_are_refused_by_name(self):
+        t = json.loads(cli._json_text(operator_to_json(BlockOperator(1, [[1.0]], [[0.0]]))))
+        with pytest.raises(ValidationError, match="unknown BlockOperator fields: extra$"):
+            operator_from_json(dict(t, extra=1))
+        t["B"][0][0]["x"] = 0.0
+        with pytest.raises(ValidationError, match="unknown B entry fields: x$"):
+            operator_from_json(t)
 
     def test_non_finite_entries_are_rejected(self):
         t = BlockOperator(2, np.eye(2), np.zeros((2, 2)))
