@@ -69,7 +69,6 @@ from .period import (
     PeriodMatrix,
     SiegelReport,
     equivariance_defect,
-    graph_distance,
     integrability_residual,
     period_derivative,
     period_from_blocks,

@@ -2,13 +2,18 @@
 
 A degree-1 circle map phi sends the holomorphic half W+ to the graph
 of the period matrix Z = conj(B) A^{-1} built from the pullback
-blocks.  Z is symmetric and strictly contractive, so it lands in the
-Siegel disc; right composition acts on it by a fractional-linear rule,
-and its first variation along a vector field has a closed form checked
-here by finite differences.  Every complex structure is built from a
-period matrix; for Z(phi) it is the pulled-back structure T J0 T^{-1}
-(Nag and Sullivan, Osaka J. Math. 32, 1995), and any block operator
-T enters through period_from_blocks(T), its image of the origin.
+blocks.  The block operator is symplectic, A A* - B B* = I, so Z is
+computed as conj(B) A* (I + B B*)^{-1}, whose inverted matrix is
+Hermitian with eigenvalues >= 1 (Nag and Sullivan, Osaka J. Math. 32,
+1995).  Z is symmetric and strictly contractive, so it lands in the
+Siegel disc; at a finite cutoff the symmetry defect is the truncation
+signal.  Composition acts on block operators by the group law
+T(phi o psi) = T(psi) T(phi), which equivariance_defect compares
+through Z, and the first variation of Z along a vector field has a
+closed form checked here by finite differences.  Every complex
+structure is built from a period matrix; for Z(phi) it is the
+pulled-back structure T J0 T^{-1}, and any block operator T enters
+through period_from_blocks(T), its image of the origin.
 """
 
 from dataclasses import dataclass
@@ -22,7 +27,6 @@ from .fourier import (
     h_half_norm,
     json_fields,
     json_integer,
-    json_real,
     matrix_from_json,
 )
 from .maps import (
@@ -38,13 +42,13 @@ condition_limit = 1e12
 
 
 def _right_divide(numerator, denominator, name):
-    """numerator @ inv(denominator) and cond(denominator), or a refusal."""
+    """numerator @ inv(denominator), or a refusal if it is ill conditioned."""
     condition = float(np.linalg.cond(denominator))
     if not condition < condition_limit:
         raise ConditioningError(
             "%s is numerically singular (cond %.3e)" % (name, condition)
         )
-    return np.linalg.solve(denominator.T, numerator.T).T, condition
+    return np.linalg.solve(denominator.T, numerator.T).T
 
 
 @dataclass(frozen=True)
@@ -54,7 +58,6 @@ class PeriodMatrix:
     cutoff: int
     Z: np.ndarray
     source: object = None
-    condition_of_A: float = None
 
     def __post_init__(self):
         n = json_integer(self.cutoff, "cutoff")
@@ -77,7 +80,6 @@ class SiegelReport:
     symmetry_defect: float
     sigma_max: float
     min_eig_I_minus_ZZbar: float
-    condition_of_A: float
 
     @property
     def member(self):
@@ -90,14 +92,17 @@ def period_matrix(m, cutoff, grid):
 
 
 def period_from_blocks(t, source=None):
-    """Z = conj(B) A^{-1} of a block operator, the image of the origin.
+    """Z = conj(B) A* (I + B B*)^{-1} of a block operator at its cutoff.
 
-    The inverse is applied through a linear solve, and the condition
-    number of A is recorded on the result; an A too ill conditioned to
-    trust is refused.  source is the map descriptor behind t, if any.
+    This is conj(B) A^{-1}, the image of the origin, through the
+    symplectic identity A A* = I + B B*; the solved matrix is Hermitian
+    with eigenvalues >= 1, so no refusal is needed.  Z is not
+    symmetrised: its symmetry defect shows the truncation.  source is
+    the map descriptor behind t, if any.
     """
-    z, condition = _right_divide(np.conj(t.B), t.A, "plus block")
-    return PeriodMatrix(t.cutoff, z, source, condition)
+    gram = np.eye(t.cutoff) + t.B @ np.conj(t.B.T)
+    z = np.conj(np.linalg.solve(gram, t.A @ t.B.T)).T
+    return PeriodMatrix(t.cutoff, z, source)
 
 
 def siegel_membership(p):
@@ -112,50 +117,35 @@ def siegel_membership(p):
     gram = np.eye(p.cutoff) - z @ np.conj(z)
     gram = 0.5 * (gram + np.conj(gram.T))
     low = float(np.min(np.linalg.eigvalsh(gram)))
-    return SiegelReport(defect, sigma, low, p.condition_of_A)
+    return SiegelReport(defect, sigma, low)
 
 
 def siegel_action(t, p):
     """Fractional-linear action of a block operator on Z.
 
-    Returns (conj(B) + conj(A) Z)(A + B Z)^{-1}; the recorded
-    condition number is that of the solved denominator.
+    Returns (conj(B) + conj(A) Z)(A + B Z)^{-1}.  Z is user supplied,
+    so a denominator too ill conditioned to solve is refused.
     """
     if t.cutoff != p.cutoff:
         raise ValidationError("operator and period matrix cutoffs differ")
     z = p.Z
     denominator = t.A + t.B @ z
     numerator = np.conj(t.B) + np.conj(t.A) @ z
-    moved, condition = _right_divide(numerator, denominator, "A + B Z")
-    return PeriodMatrix(p.cutoff, moved, None, condition)
-
-
-def graph_distance(z, t, w):
-    """Sine of the largest principal angle between graph(z) and t . graph(w).
-
-    The graph of a period matrix Z is the column span of [I; Z]; the
-    value is basis independent and vanishes when the spans agree.
-    """
-    n = z.shape[0]
-    q1 = np.linalg.qr(np.vstack([np.eye(n), z]))[0]
-    q2 = np.linalg.qr(t.full() @ np.vstack([np.eye(n), w]))[0]
-    # The sines of the principal angles are the singular values of the
-    # residual of Q2 against span(Q1); unlike sqrt(1 - cos^2) this has
-    # no cancellation floor near zero.
-    residual = q2 - q1 @ (q1.conj().T @ q2)
-    return float(np.linalg.norm(residual, 2))
+    moved = _right_divide(numerator, denominator, "A + B Z")
+    return PeriodMatrix(p.cutoff, moved)
 
 
 def equivariance_defect(outer, inner, cutoff, grid):
-    """Principal-angle distance certifying Z(phi o psi) = psi . Z(phi).
+    """max |Z(T(psi) T(phi)) - Z(phi o psi)| for phi outer, psi inner.
 
-    Compares the graph of the composite period matrix with the image
-    of the graph of Z(phi) under the block matrix of psi.
+    Composition is the group law T(phi o psi) = T(psi) T(phi) on block
+    operators; both period matrices come from period_from_blocks.
     """
     composed = period_matrix(compose(outer, inner), cutoff, grid)
-    z_outer = period_matrix(outer, cutoff, grid)
-    t_inner = pullback_matrix(inner, cutoff, grid)
-    return graph_distance(composed.Z, t_inner, z_outer.Z)
+    product = pullback_matrix(inner, cutoff, grid) @ pullback_matrix(
+        outer, cutoff, grid
+    )
+    return float(np.max(np.abs(period_from_blocks(product).Z - composed.Z)))
 
 
 def period_derivative(v, cutoff):
@@ -207,14 +197,17 @@ def structure_from_period(p):
     The conjugate graph is the +i eigenspace.  With S = I - conj(Z) Z,
     P = [[I, conj Z], [Z, I]] has S^{-1} [I, -conj Z] as the first block
     row of its inverse, so P J0 P^{-1} has A = -i (2 S^{-1} - I), B = 2i
-    S^{-1} conj(Z) and lower blocks exactly conj(B), conj(A).  For Z =
-    conj(B) A^{-1} of a pullback T this is T J0 T^{-1} even after
-    truncation: the columns [A; conj B] span graph(Z) and [B; conj A]
-    its conjugate.
+    S^{-1} conj(Z) and lower blocks exactly conj(B), conj(A).  For the
+    period matrix of a pullback T this is T J0 T^{-1}, the columns
+    [A; conj B] spanning graph(Z) and [B; conj A] its conjugate, as far
+    as the truncated blocks keep the symplectic identity A A* - B B* = I
+    that period_from_blocks assumes: exactly in the limit, and at a
+    finite cutoff only where the corner has converged.  Z is user
+    supplied here, so an ill conditioned S is refused.
     """
     eye = np.eye(p.cutoff)
     z_bar = np.conj(p.Z)
-    s_inv = _right_divide(eye, eye - z_bar @ p.Z, "I - conj(Z) Z")[0]
+    s_inv = _right_divide(eye, eye - z_bar @ p.Z, "I - conj(Z) Z")
     return BlockOperator(p.cutoff, -1j * (2 * s_inv - eye), 2j * s_inv @ z_bar)
 
 
@@ -271,27 +264,17 @@ def integrability_residual(p, trial_functions):
 def period_to_json(p):
     """Record of a period matrix; Z stays a complex array."""
     source = None if p.source is None else descriptor_to_json(p.source)
-    return {
-        "cutoff": p.cutoff,
-        "Z": p.Z,
-        "source": source,
-        "condition_of_A": p.condition_of_A,
-    }
+    return {"cutoff": p.cutoff, "Z": p.Z, "source": source}
 
 
 def period_from_json(obj):
     try:
-        json_fields(obj, ("cutoff", "Z", "source", "condition_of_A"), "PeriodMatrix")
+        json_fields(obj, ("cutoff", "Z", "source"), "PeriodMatrix")
         z = matrix_from_json(obj["Z"], "Z")
         source = obj.get("source")
         if source is not None:
             source = descriptor_from_json(source)
-        condition = obj.get("condition_of_A")
-        if condition is not None:
-            condition = json_real(condition, "condition_of_A")
-            if not condition > 0.0:
-                raise ValidationError("condition_of_A must be positive")
-        return PeriodMatrix(obj["cutoff"], z, source, condition)
+        return PeriodMatrix(obj["cutoff"], z, source)
     except (KeyError, TypeError, ValueError) as exc:
         raise ValidationError("malformed PeriodMatrix object: %s" % exc)
 
@@ -301,5 +284,4 @@ def siegel_report_to_json(report):
         "symmetry_defect": report.symmetry_defect,
         "sigma_max": report.sigma_max,
         "min_eig_I_minus_ZZbar": report.min_eig_I_minus_ZZbar,
-        "condition_of_A": report.condition_of_A,
     }

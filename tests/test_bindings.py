@@ -112,3 +112,25 @@ def test_workload_descriptors_echo_the_same_map(seed):
         echoed = json.loads(json.dumps(hhalf.descriptor_to_json(m.descriptor)))
         rebuilt = hhalf.make_map(hhalf.descriptor_from_json(echoed), grid)
         assert np.array_equal(rebuilt.lift_samples, m.lift_samples), text
+
+
+def test_refusal_messages_keep_the_labelled_substrings(monkeypatch):
+    # perfbench/workloads.py labels an exit-2 refusal by substrings of
+    # the CLI's stderr, "numerical failure: <message>"; the messages
+    # come from the library's two refusals.
+    monkeypatch.syspath_prepend(str(perfbench))
+    workloads = load("workloads")
+    grid = hhalf.SampleGrid(128)
+    steep = hhalf.make_map(hhalf.moebius(0.9), grid)
+    with pytest.raises(hhalf.AliasingError) as aliasing:
+        hhalf.pullback_matrix(steep, 32, grid)
+    boundary = hhalf.PeriodMatrix(2, np.eye(2))
+    with pytest.raises(hhalf.ConditioningError) as conditioning:
+        hhalf.structure_from_period(boundary)
+    for raised, label in (
+        (aliasing, "refused_aliasing"),
+        (conditioning, "refused_condition"),
+    ):
+        stderr = "numerical failure: %s\n" % raised.value
+        parsed = {"code": 2, "stderr": stderr}
+        assert workloads._exit_label(parsed) == label

@@ -18,7 +18,12 @@ from hypothesis.extra.numpy import arrays
 from hhalf import cli
 from hhalf.cli import main
 from hhalf.errors import NumericalError
-from hhalf.fourier import from_modes, function_from_json, function_to_json
+from hhalf.fourier import (
+    from_modes,
+    function_from_json,
+    function_to_json,
+    matrix_from_json,
+)
 from hhalf.pullback import operator_from_json
 from hhalf.suite import CheckResult
 
@@ -33,6 +38,9 @@ flow_map = json.dumps(
         "v": function_to_json(from_modes(2, {2: -0.5j, -2: 0.5j})),
         "eps": 0.05,
     }
+)
+moebius_half_map = (
+    '{"type": "moebius", "a": {"re": 0.5, "im": 0.0}, "beta": 0.5}'
 )
 steep_flow_map = json.dumps(
     {
@@ -188,19 +196,17 @@ class TestPeriod:
         assert code == 1
         assert "violates" in err
 
-    def test_singular_plus_block_is_a_numerical_failure(self, capsys):
-        moebius_map = (
-            '{"type": "moebius", "a": {"re": 0.5, "im": 0.0}, "beta": 0.5}'
-        )
-        code, _, err = run(
-            ["period", "--map", moebius_map, "--grid", "16384"], capsys
-        )
-        assert code == 2
-        assert "singular" in err
-        # integrability forms the same Z, so it refuses the same way.
-        code, out, err = run(["integrability", "--map", moebius_map], capsys)
-        assert code == 2 and out == ""
-        assert "numerically singular" in err
+    def test_nearly_singular_plus_block_gives_the_origin(self, capsys):
+        # cond(A) ~1e14 here; Z is formed without inverting A.
+        for grid in ("4096", "16384"):
+            report = run_json(
+                ["period", "--map", moebius_half_map, "--grid", grid], capsys
+            )
+            z = matrix_from_json(report["Z"], "Z")
+            assert np.max(np.abs(z)) <= 1e-14
+            assert set(report) == {"cutoff", "Z", "source"}
+        report = run_json(["integrability", "--map", moebius_half_map], capsys)
+        assert report["within_tol"] is True
 
 
 class TestSiegelCheck:
@@ -223,7 +229,7 @@ class TestSiegelCheck:
         assert report["passed"] is True
         assert 0.0 < report["report"]["sigma_max"] < 0.1
 
-    def test_period_file_carries_the_condition_of_a(self, tmp_path, capsys):
+    def test_period_file_reports_like_its_map(self, tmp_path, capsys):
         path = tmp_path / "z.json"
         run_json(
             ["period", "--map", flow_map, "--grid", "512", "--out", str(path)],
@@ -233,9 +239,6 @@ class TestSiegelCheck:
             ["siegel-check", "--map", flow_map, "--grid", "512"], capsys
         )
         from_file = run_json(["siegel-check", "--matrix", str(path)], capsys)
-        condition = from_map["report"]["condition_of_A"]
-        assert condition is not None and condition > 1.0
-        assert from_file["report"]["condition_of_A"] == condition
         assert from_file["report"] == from_map["report"]
 
     def test_from_operator_file(self, tmp_path, capsys):
@@ -277,27 +280,23 @@ class TestSiegelCheck:
         assert code == 1
         assert "period matrix or a block operator" in err
 
-    def test_maps_and_operator_artifacts_are_refused_alike(
-        self, tmp_path, capsys
-    ):
-        # Z = conj(B) A^{-1} has one home, so a singular A reads the same
-        # whether the blocks come from a map or from an operator artifact.
-        moebius_map = (
-            '{"type": "moebius", "a": {"re": 0.5, "im": 0.0}, "beta": 0.5}'
-        )
+    def test_maps_and_operator_artifacts_read_alike(self, tmp_path, capsys):
+        # Z has one home, period_from_blocks, so a nearly singular A
+        # reads the same whether the blocks come from a map or from an
+        # operator artifact: both give the origin.
         path = tmp_path / "t.json"
         run_json(
-            ["pullback-matrix", "--map", moebius_map, "--out", str(path)],
+            ["pullback-matrix", "--map", moebius_half_map, "--out", str(path)],
             capsys,
         )
-        refusals = [
-            run([command] + source, capsys)
-            for command in ("siegel-check", "integrability")
-            for source in (["--map", moebius_map], ["--matrix", str(path)])
-        ]
-        assert refusals[0][0] == 2
-        assert "plus block is numerically singular" in refusals[0][2]
-        assert all(refusal == refusals[0] for refusal in refusals)
+        for command in ("siegel-check", "integrability"):
+            sources = (["--map", moebius_half_map], ["--matrix", str(path)])
+            reports = [run_json([command] + s, capsys) for s in sources]
+            assert reports[0] == reports[1]
+        assert reports[0]["within_tol"] is True
+        report = run_json(["siegel-check", "--matrix", str(path)], capsys)
+        assert report["passed"] is True
+        assert report["report"]["sigma_max"] <= 1e-14
 
 
 class TestRauchCheck:
@@ -380,6 +379,16 @@ class TestEquivariance:
     def test_needs_two_maps(self, capsys):
         code, _, err = run(["equivariance", "--map", rotation_map], capsys)
         assert code == 1 and "twice" in err
+
+    def test_nearly_singular_outer_map(self, capsys):
+        # The period matrix of the outer map used to be refused for its
+        # plus block (cond ~1e14); the group law needs no inverse of A.
+        report = run_json(
+            ["equivariance", "--map", moebius_half_map, "--map", flow_map],
+            capsys,
+        )
+        assert report["within_tol"] is True
+        assert report["defect"] <= 1e-6
 
 
 class TestIntegrability:
@@ -737,10 +746,9 @@ class TestPlumbing:
              "malformed PeriodMatrix object: Z entry must be a number, "
              "not True"),
             (None, ["siegel-check", "--matrix",
-                    '{"cutoff": 1, "Z": [[{"re": 0.5, "im": 0}]], '
-                    '"condition_of_A": "7"}'],
-             "malformed PeriodMatrix object: condition_of_A must be a "
-             "number, not '7'"),
+                    '{"cutoff": 1, "Z": [[{"re": 0.5, "im": "0"}]]}'],
+             "malformed PeriodMatrix object: Z entry must be a number, "
+             "not '0'"),
             (None, ["siegel-check", "--matrix",
                     '{"cutoff": 1, "Z": [[{"re": %d, "im": 0}]]}' % huge],
              "malformed PeriodMatrix object: Z entry must be finite"),
@@ -809,6 +817,11 @@ class TestPlumbing:
             (["integrability", "--matrix", '{"cutoff": 1, "A": [[{"re": 1, '
               '"im": 0, "Re": 1}]], "B": [[{"re": 0, "im": 0}]]}'],
              "malformed BlockOperator object: unknown A entry fields: Re"),
+            # Period artifacts no longer record the condition number of A.
+            (["siegel-check", "--matrix", '{"cutoff": 1, "Z": [[{"re": 0.5, '
+              '"im": 0}]], "condition_of_A": 7.0}'],
+             "malformed PeriodMatrix object: unknown PeriodMatrix fields: "
+             "condition_of_A"),
         ],
     )
     def test_unknown_fields_and_non_boolean_real_are_input_errors(

@@ -518,8 +518,8 @@ class TestDeformedStructure:
 
     def test_eigenspace_is_the_period_graph(self):
         m = make_map(flow(sin_field(2), 0.05), grid)
-        j = self.pulled_back(m, 16)
-        graph = np.vstack([np.eye(16), period_matrix(m, 16, grid).Z])
+        j = self.pulled_back(m, 32)
+        graph = np.vstack([np.eye(32), period_matrix(m, 32, grid).Z])
         assert np.max(np.abs(j.full() @ graph + 1j * graph)) <= 1e-12
 
 
