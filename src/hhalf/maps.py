@@ -165,8 +165,11 @@ def _walk(d, x):
         # e^{i(theta+beta)} conj(D)/D with D = 1 - conj(a) e^{i theta};
         # Re D > 0, so the angle never wraps and the lift is smooth.
         # At a = 0 the turn is zero: rotations and the identity are exact.
+        # Any lift will do, and beta mod 2 pi keeps a large angle from
+        # rounding away the low bits of x.
+        beta = math.remainder(d.beta, two_pi)
         turn = 2.0 * np.angle(1.0 - np.conj(d.a) * np.exp(1j * x))
-        return x + d.beta - turn, d.beta - turn
+        return x + beta - turn, beta - turn
     if isinstance(d, Flow):
         part = d.eps * evaluate_at(d.v, x)
         return x + part, part

@@ -6,9 +6,12 @@ conj(B) w+ + conj(A) w-) in the normalized basis e^{ik theta}/sqrt(k),
 k = 1..cutoff, and conjugates.  Matrix entries are Fourier integrals
 of powers of w = e^{i lift}, evaluated by FFT of the map's own lift
 samples; c_r(conj(w)^q) = conj(c_{-r}(w^q)) gives B from A's FFTs.
-The powers are transformed a chunk of rows at a time, in place, in
-one buffer of 2**16 samples (1 MiB) or one row if that is larger, so
-the working set does not grow with the cutoff.
+Block matrices are assembled on the coarsest power-of-two sub-grid
+of the map's grid, at least 4 x cutoff, whose tail band the spectrum
+of w^cutoff leaves empty; the map's grid is the ceiling.  The powers
+are transformed a chunk of rows at a time, in place, in one buffer
+of 2**16 samples (1 MiB) or one row if that is larger, so the
+working set does not grow with the cutoff.
 A result is refused as aliased when the highest mode its input
 reaches before any spread (bandlimit x degree, or the cutoff for a
 block matrix) is past Nyquist, or when the spectrum it was read from,
@@ -23,6 +26,7 @@ import numpy as np
 from .errors import AliasingError, ValidationError
 from .fourier import (
     CircleFunction,
+    SampleGrid,
     analyze,
     evaluate_at,
     json_fields,
@@ -121,26 +125,52 @@ def sub_operator(t, cutoff):
     return BlockOperator(cutoff, t.A[:cutoff, :cutoff], t.B[:cutoff, :cutoff])
 
 
+def assembly_grid(m, cutoff, grid):
+    """Coarsest grid on which the blocks of V_phi resolve to 1e-12.
+
+    The reach K of w^cutoff = e^{i cutoff lift} is its largest mode
+    above 1e-12 on the map's grid.  The result is the smallest
+    M' = M / 2^j with M' >= 4 cutoff and 3 M' / 8 > K, so every
+    resolved mode lies below the tail band that the assembly checks.
+    Every 2^j-th sample of the map's grid is, bit for bit, the point
+    of SampleGrid(M').  An odd size, or a spectrum that fills the
+    map's own tail band, keeps the map's grid.
+    """
+    size = grid.size
+    lift = _own_lift(m, grid)
+    magnitudes = np.abs(np.fft.fft(np.exp(1j * cutoff * lift))) / size
+    modes = np.abs(np.fft.fftfreq(size, 1.0 / size))
+    reach = np.max(modes[magnitudes > 1e-12], initial=0.0)
+    while size % 2 == 0 and size // 2 >= 4 * cutoff and 3 * size / 16 > reach:
+        size //= 2
+    return SampleGrid(size)
+
+
 def pullback_matrix(m, cutoff, grid):
     """Assemble the truncated block matrix of V_phi.
 
     A[p-1, q-1] = sqrt(p/q) c_p(w^q) and B[r-1, s-1] = sqrt(r/s)
-    c_r(w^{-s}), with w = e^{i lift} on the map's grid.  Column q of
-    both blocks comes from the FFT of w^q: c_p(w^q) is read at bin p
-    and c_r(w^{-q}) = conj(c_{-r}(w^q)) at bin size - r.
+    c_r(w^{-s}), with w = e^{i lift} on assembly_grid(m, cutoff, grid),
+    the map's grid or a power-of-two sub-grid of it.  Column q of both
+    blocks comes from the FFT of w^q: c_p(w^q) is read at bin p and
+    c_r(w^{-q}) = conj(c_{-r}(w^q)) at bin size - r.
 
     The powers w^q are written as rows of one reused buffer of
     max(1, min(cutoff, 2**16 // size)) rows, at most 1 MiB unless a
     single row is larger, and each chunk of rows is transformed in
     place by one batched FFT.  Each w^q is the same running product
     w^{q-1} w, and a batched FFT row equals the single transform, so
-    the blocks are those of one FFT per column, bit for bit.
+    the blocks are those of one FFT per column, bit for bit.  The
+    Nyquist check reads the map's grid and the tail check the
+    assembly grid.
     """
     if m.degree != 1:
         raise ValidationError("block matrices are defined for degree-1 maps")
-    size = grid.size
-    w = np.exp(1j * _own_lift(m, grid))
+    lift = _own_lift(m, grid)
     _refuse_past_nyquist(cutoff, cutoff, grid)
+    coarse = assembly_grid(m, cutoff, grid)
+    size = coarse.size
+    w = np.exp(1j * lift[:: grid.size // size])
     ps = np.arange(1, cutoff + 1)
     roots = np.sqrt(ps.astype(float))
     a = np.empty((cutoff, cutoff), np.complex128)
@@ -160,7 +190,7 @@ def pullback_matrix(m, cutoff, grid):
         b[:, qs] = (ratios * (np.conj(chunk[:, size - ps]) / size)).T
     # The last row is the spectrum of w^cutoff, the widest power read.
     modes = np.abs(np.fft.fftfreq(size, 1.0 / size))
-    _refuse_tail(np.abs(chunk[-1]) / size, modes, cutoff, cutoff, grid)
+    _refuse_tail(np.abs(chunk[-1]) / size, modes, cutoff, cutoff, coarse)
     return BlockOperator(cutoff, a, b)
 
 

@@ -209,6 +209,24 @@ class TestPeriod:
         assert report["within_tol"] is True
 
 
+    def test_large_rotation_angles_give_the_origin(self, capsys):
+        # beta is reduced mod 2 pi before it meets the grid angles; a raw
+        # 10000 rounds their low bits away and the tail check fires.
+        for descriptor in (
+            '{"type": "rotation", "alpha": 10000}',
+            '{"type": "moebius", "a": {"re": 0.9}, "beta": 1000}',
+        ):
+            report = run_json(["period", "--map", descriptor], capsys)
+            z = matrix_from_json(report["Z"], "Z")
+            assert np.max(np.abs(z)) <= 1e-14, descriptor
+
+    def test_grid_is_the_ceiling_of_the_assembly_grid(self, capsys):
+        # Both grids halve down to the same sub-grid for this flow.
+        default = run(["period", "--map", flow_map], capsys)
+        assert run(["period", "--map", flow_map, "--grid", "512"], capsys) == default
+        assert default[0] == 0
+
+
 class TestSiegelCheck:
     def test_from_map(self, capsys):
         report = run_json(
@@ -854,12 +872,14 @@ class TestPlumbing:
     def test_parser_reuse_leaves_nothing_behind(self, capsys):
         # One process runs the sequence; each result must equal a fresh
         # interpreter's, so append flags, --grid and an argparse error
-        # carry nothing over to the next command.
+        # carry nothing over to the next command.  An odd grid cannot be
+        # halved, so its blocks are assembled on all 4097 points, not on
+        # the sub-grid that the default 4096 points give.
         sequence = [
             ["equivariance", "--map", flow_map, "--map", rotation_map],
             ["period", "--map", flow_map],
             ["period", "--bogus"],
-            ["period", "--map", flow_map, "--grid", "512"],
+            ["period", "--map", flow_map, "--grid", "4097"],
             ["period", "--map", flow_map],
         ]
         env = dict(os.environ, PYTHONPATH=str(src_dir))

@@ -141,6 +141,13 @@ class TestPeriodMatrix:
         p = period_matrix(make_map(moebius(a, beta), grid), 32, grid)
         assert np.max(np.abs(p.Z)) <= 1e-14
 
+    def test_large_rotation_angles_sit_at_the_origin(self):
+        # A lift is fixed only up to 2 pi, so beta is reduced before it
+        # is added to the grid angles, whose low bits it would round off.
+        for descriptor in (rotation(10000.0), moebius(0.9, 1000.0)):
+            p = period_matrix(make_map(descriptor, grid), 32, grid)
+            assert np.max(np.abs(p.Z)) <= 1e-14, descriptor
+
     def test_covering_map_is_rejected(self):
         with pytest.raises(ValidationError):
             period_matrix(make_map(power(2), grid), 8, grid)

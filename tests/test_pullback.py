@@ -31,6 +31,7 @@ from hhalf.maps import (
 from hhalf.period import period_matrix
 from hhalf.pullback import (
     BlockOperator,
+    assembly_grid,
     invariance_defect,
     operator_from_json,
     operator_norm_estimate,
@@ -51,16 +52,41 @@ sin_theta = from_modes(4, {1: -0.5j, -1: 0.5j})
 sin_two_theta = from_modes(4, {2: -0.5j, -2: 0.5j})
 
 
-def bessel_j(k, z, terms=60):
-    # Ascending series; k may be negative.
-    if k < 0:
-        return (-1.0) ** (-k) * bessel_j(-k, z, terms)
-    total = 0.0
-    term = (z / 2.0) ** k / math.factorial(k)
-    for m in range(terms):
-        total += term
-        term *= -(z / 2.0) ** 2 / ((m + 1.0) * (m + 1.0 + k))
-    return total
+def bessel_table(orders, xs):
+    # J_n(x) for n = 0..orders (rows) and each x > 0 (columns), by
+    # Miller's backward recurrence J_{n-1} = (2n/x) J_n - J_{n+1} from
+    # well above max(orders, x), normalized by J_0 + 2 sum J_{2k} = 1.
+    xs = np.asarray(xs, float)
+    top = orders + int(np.max(xs)) + 40
+    table = np.zeros((top + 2, xs.size))
+    table[top] = 1e-300
+    for n in range(top, 0, -1):
+        table[n - 1] = (2.0 * n / xs) * table[n] - table[n + 1]
+        table[:, np.abs(table[n - 1]) > 1e250] *= 1e-250
+    norm = table[0] + 2.0 * np.sum(table[2::2], axis=0)
+    return table[: orders + 1] / norm
+
+
+def bessel_blocks(k, c, eps, cutoff):
+    # Exact blocks of the flow of v = -c sin k theta, from no lift, grid
+    # or FFT: e^{iq(theta + eps v)} = sum_n J_n(-q eps c) e^{i(q + nk) theta}
+    # (Jacobi-Anger), so A[p-1, q-1] = sqrt(p/q) J_{(p-q)/k}(-q eps c) and
+    # B[r-1, s-1] = sqrt(r/s) J_{(r+s)/k}(s eps c), zero off those lattices.
+    ps = np.arange(1, cutoff + 1)
+    table = bessel_table(2 * cutoff // k, ps * abs(eps * c))
+    p, q = np.meshgrid(ps, ps, indexing="ij")
+
+    def entries(offset, sign):
+        # J_n(sign |x_q|) from J_|n|(|x_q|): each of n < 0 and a negative
+        # argument flips the sign of an odd order.
+        n = offset // k
+        flips = (n < 0) ^ (sign < 0)
+        odd = np.abs(n) % 2 == 1
+        values = np.where(flips & odd, -1.0, 1.0) * table[np.abs(n), q - 1]
+        return np.where(offset % k == 0, np.sqrt(p / q) * values, 0.0)
+
+    sign = np.sign(eps * c)
+    return entries(p - q, -sign), entries(p + q, sign)
 
 
 def under_resolved_cases():
@@ -73,12 +99,12 @@ def under_resolved_cases():
     ]
 
 
-def column_blocks(m, cutoff, grid):
-    # One FFT per block column, w^q formed by the running product
-    # w^{q-1} w: the assembly before batching, kept as the oracle.
-    # Returns A, B and the spectrum of w^cutoff; no refusals.
-    size = grid.size
-    w = np.exp(1j * m.lift_samples)
+def column_blocks(lift, cutoff):
+    # One FFT per block column of the lift samples, w^q formed by the
+    # running product w^{q-1} w: the assembly before batching, kept as
+    # the oracle.  Returns A, B and the spectrum of w^cutoff; no refusals.
+    size = len(lift)
+    w = np.exp(1j * lift)
     ps = np.arange(1, cutoff + 1)
     roots = np.sqrt(ps.astype(float))
     a = np.empty((cutoff, cutoff), np.complex128)
@@ -227,14 +253,11 @@ class TestMatrixAssembly:
         # For phi(x) = x + eps sin x the plus-plus block is
         # A[p-1, q-1] = sqrt(p/q) J_{p-q}(q eps) and the minus-plus
         # block is B[r-1, s-1] = sqrt(r/s) J_{r+s}(-s eps).
-        eps_flow = 0.1
-        t = pullback_matrix(make_map(flow(sin_theta, eps_flow), grid), 16, grid)
-        for p in range(1, 17):
-            for q in range(1, 17):
-                oracle = math.sqrt(p / q) * bessel_j(p - q, q * eps_flow)
-                assert abs(t.A[p - 1, q - 1] - oracle) <= 1e-12
-                oracle = math.sqrt(p / q) * bessel_j(p + q, -q * eps_flow)
-                assert abs(t.B[p - 1, q - 1] - oracle) <= 1e-12
+        # That is v = -c sin k theta with k = 1 and c = -1.
+        t = pullback_matrix(make_map(flow(sin_theta, 0.1), grid), 16, grid)
+        a, b = bessel_blocks(1, -1.0, 0.1, 16)
+        assert np.max(np.abs(t.A - a)) <= 1e-12
+        assert np.max(np.abs(t.B - b)) <= 1e-12
 
     def test_moebius_minus_block_vanishes(self):
         # Disk automorphisms keep the holomorphic half invariant, so
@@ -322,8 +345,8 @@ class TestMatrixAssembly:
 
 
 class TestChunkedAssembly:
-    # Powers of w are transformed in chunks of max(1, min(N, 2**16 // M))
-    # rows.
+    # Powers of w are transformed in chunks of max(1, min(N, 2**16 // M'))
+    # rows on the assembly grid M'.
     descriptors = [
         flow(sin_two_theta, 0.05),
         compose_descriptors([flow(sin_field(3), 0.2), moebius(0.3)]),
@@ -335,12 +358,14 @@ class TestChunkedAssembly:
     @pytest.mark.parametrize(
         "cutoff, size",
         [
-            (33, 4096),  # chunks of 16 rows, the last one row
+            (33, 4096),
             (97, 4096),
-            (4, 2**17),  # one row per chunk
-            (40, 3000),  # 21 rows
-            (40, 4097),  # 15 rows
-            (256, 16384),  # 4 rows
+            (33, 4095),  # odd, so M' = M: chunks of 16 rows, the last one row
+            (4, 2**17),
+            (4, 2**17 + 1),  # odd: one row per chunk
+            (40, 3000),  # M' = 375 or 750
+            (40, 4097),  # odd: 15 rows
+            (256, 16384),
         ],
     )
     def test_blocks_equal_one_fft_per_column_bit_for_bit(self, cutoff, size):
@@ -348,7 +373,8 @@ class TestChunkedAssembly:
         for descriptor in self.descriptors:
             m = make_map(descriptor, g)
             t = pullback_matrix(m, cutoff, g)
-            a, b, _ = column_blocks(m, cutoff, g)
+            stride = size // assembly_grid(m, cutoff, g).size
+            a, b, _ = column_blocks(m.lift_samples[::stride], cutoff)
             assert np.array_equal(t.A, a), descriptor
             assert np.array_equal(t.B, b), descriptor
 
@@ -369,7 +395,8 @@ class TestChunkedAssembly:
         ]
         for descriptor, cutoff, coarse in cases:
             m = make_map(descriptor, coarse)
-            spectrum = column_blocks(m, cutoff, coarse)[2]
+            assert assembly_grid(m, cutoff, coarse) == coarse
+            spectrum = column_blocks(m.lift_samples, cutoff)[2]
             modes = np.abs(np.fft.fftfreq(coarse.size, 1.0 / coarse.size))
             band = modes >= max(3 * coarse.size / 8, cutoff + 1)
             tail = np.max(np.abs(spectrum[band])) / coarse.size
@@ -388,6 +415,80 @@ class TestChunkedAssembly:
         m = make_map(flow(sin_two_theta, 0.05), g)
         pullback_matrix(m, cutoff, g)
         assert peak_traced_mib(lambda: pullback_matrix(m, cutoff, g)) <= bound
+
+
+class TestAssemblyGrid:
+    # Blocks are assembled on the coarsest sub-grid M' = M / 2^j with
+    # M' >= 4N whose tail band the spectrum of w^N leaves empty.
+    sizes = [(16, 4096), (32, 4096), (97, 4096), (40, 3000), (256, 16384)]
+
+    def maps(self, g):
+        for name, descriptor in catalog_descriptors():
+            yield name, make_map(descriptor, g)
+        yield "inverse", make_map(inverse_descriptor(flow(sin_theta, 0.1)), g)
+
+    @pytest.mark.parametrize("cutoff, size", sizes)
+    def test_grid_is_a_power_of_two_sub_grid_of_at_least_4n(self, cutoff, size):
+        g = SampleGrid(size)
+        coarser = 0
+        for name, m in self.maps(g):
+            sub = assembly_grid(m, cutoff, g)
+            ratio = size // sub.size
+            assert sub.size >= 4 * cutoff, name
+            assert size % sub.size == 0 and ratio & (ratio - 1) == 0, name
+            coarser += sub.size < size
+        assert coarser == len(catalog_descriptors()) + 1
+
+    def test_odd_or_filled_grids_keep_the_map_grid(self):
+        for cutoff, size in ((32, 4097), (4, 2**17 + 1), (40, 375)):
+            g = SampleGrid(size)
+            for name, m in self.maps(g):
+                assert assembly_grid(m, cutoff, g) == g, name
+        # w^N already fills the tail band of the map's own grid.
+        for descriptor, cutoff, coarse in under_resolved_cases():
+            m = make_map(descriptor, coarse)
+            assert assembly_grid(m, cutoff, coarse) == coarse
+
+    @pytest.mark.parametrize("cutoff, size", sizes)
+    def test_blocks_equal_those_of_the_map_rebuilt_on_the_sub_grid(
+        self, cutoff, size
+    ):
+        # Every 2^j-th point of SampleGrid(M) is a point of
+        # SampleGrid(M / 2^j), bit for bit, so a pointwise lift gives the
+        # same samples.  Inverse flows are left out: Newton stops when
+        # every point of the grid has converged, so the roots it returns
+        # depend on the grid by an ulp.
+        g = SampleGrid(size)
+        for name, descriptor in catalog_descriptors():
+            m = make_map(descriptor, g)
+            sub = assembly_grid(m, cutoff, g)
+            rebuilt = make_map(descriptor, sub)
+            assert assembly_grid(rebuilt, cutoff, sub) == sub, name
+            t = pullback_matrix(m, cutoff, g)
+            u = pullback_matrix(rebuilt, cutoff, sub)
+            assert np.array_equal(t.A, u.A), name
+            assert np.array_equal(t.B, u.B), name
+
+    @pytest.mark.parametrize(
+        "index, eps, cutoff, size",
+        [(1, 0.05, 32, 4096), (1, 0.2, 64, 4096), (3, 0.1, 128, 4096), (1, 0.02, 256, 16384)],
+    )
+    def test_rauch_flow_blocks_are_exact(self, index, eps, cutoff, size):
+        # rauch_flow(m, eps) is v = -c sin k theta, k = m + 2, c = 2/(m + 1).
+        g = SampleGrid(size)
+        m = make_map(rauch_flow(index, eps), g)
+        assert assembly_grid(m, cutoff, g).size < size
+        t = pullback_matrix(m, cutoff, g)
+        a, b = bessel_blocks(index + 2, 2.0 / (index + 1), eps, cutoff)
+        assert np.max(np.abs(t.A - a)) <= 1e-13
+        assert np.max(np.abs(t.B - b)) <= 1e-13
+
+    def test_bessel_table_matches_scipy(self):
+        special = pytest.importorskip("scipy.special")
+        xs = np.linspace(0.01, 60.0, 300)
+        orders = np.arange(201)[:, None]
+        table = bessel_table(200, xs)
+        assert np.max(np.abs(table - special.jv(orders, xs))) <= 1e-14
 
 
 class TestOwnGrid:
