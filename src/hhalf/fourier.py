@@ -291,7 +291,9 @@ def douglas_energy(f, grid):
     coefficients c_k e^{ik pi/M}: the two axes never meet, so the
     removable diagonal singularity is dodged.  The squared integrand
     is a trig polynomial of degree below 2N per axis, so the rule is
-    exact to rounding once grid.size exceeds 2*bandlimit.
+    exact to rounding once grid.size exceeds 2*bandlimit.  Both axes
+    are uniform, so douglas_pair_sum sums the M^2 pairs as a circulant
+    in O(M log M) plus 16 M operations.
     """
     m, n, c = grid.size, f.bandlimit, f.coeffs
     half = np.pi / m
@@ -300,10 +302,8 @@ def douglas_energy(f, grid):
     turned = np.empty_like(c)
     turned.real = c.real * phase.real - c.imag * phase.imag
     turned.imag = c.real * phase.imag + c.imag * phase.real
-    # Complex samples: on a real array the pair sum would allocate .imag.
     fx = synthesize(CircleFunction(n, turned, f.real), grid)
-    fx = np.ascontiguousarray(fx, np.complex128)
-    fy = np.ascontiguousarray(synthesize(f, grid), np.complex128)
+    fy = synthesize(f, grid)
     points = grid.points()
     total = douglas_pair_sum(fx, fy, half + points, points)
     return total / (4.0 * m * m)
@@ -312,17 +312,60 @@ def douglas_energy(f, grid):
 def douglas_pair_sum(fx, fy, tx, ty):
     """Sum of |fx_i - fy_j|^2 / sin^2((tx_i - ty_j)/2) over the product grid.
 
-    Rows go in blocks of 256, so the temporaries stay 256 x len(fy).
+    tx and ty must each be a uniform grid t_0 + 2 pi j / M, the four
+    arrays all of length M, and the two grids must not meet; anything
+    else raises ValidationError.  The weight then depends only on
+    k = i - j mod M, so the sum is S (sum |fx|^2 + sum |fy|^2)
+    - 2 Re sum_k K_k r_k with S the sum of the weights K_k and
+    r_k = sum_i fx_i conj(fy_{i-k}) the cross-correlation, taken by
+    one forward and one inverse FFT.  That form cancels where the
+    weights blow up, so the 16 offsets nearest the singularity are
+    summed directly as sum_i |fx_i - fy_{i-k}|^2 and the FFT carries
+    the rest: O(M log M) plus 16 M operations, memory linear in M.
     """
+    fx = np.asarray(fx, np.complex128)
+    fy = np.asarray(fy, np.complex128)
+    m = fx.shape[0] if fx.ndim == 1 else 0
+    if m < 1 or any(np.shape(a) != (m,) for a in (fy, tx, ty)):
+        raise ValidationError(
+            "douglas_pair_sum wants four 1-D arrays of one length M >= 1"
+        )
+    steps = 2.0 * np.pi * np.arange(m) / m
+    delta = _grid_start(tx, steps, "tx") - _grid_start(ty, steps, "ty")
+    # Signed offsets k centred on the singularity at k = -delta M / 2 pi,
+    # so every kernel argument lies within pi of zero.
+    first = math.floor(-delta * m / (2.0 * np.pi)) + 1 - m // 2
+    ks = first + np.arange(m)
+    s = np.sin(0.5 * (delta + 2.0 * np.pi * ks / m))
+    if not np.all(s):
+        raise ValidationError("douglas_pair_sum axes meet: the kernel is singular")
+    weights = 1.0 / (s * s)
+    # Up to 8 offsets on each side of the singularity go pair by pair.
+    h = min(8, m // 2)
+    near = slice(m // 2 - h, m // 2 + h)
     total = 0.0
-    m = fx.shape[0]
-    block = 256
-    for i0 in range(0, m, block):
-        i1 = min(i0 + block, m)
-        d = fx[i0:i1, None] - fy[None, :]
-        s = np.sin(0.5 * (tx[i0:i1, None] - ty[None, :]))
-        total += float(np.sum((d.real * d.real + d.imag * d.imag) / (s * s)))
-    return total
+    for k, w in zip(ks[near], weights[near]):
+        d = fx - np.roll(fy, k)
+        total += w * float(np.vdot(d, d).real)
+    weights[near] = 0.0
+    spectra = np.fft.fft(np.stack((fx, fy)))
+    r = np.fft.ifft(spectra[0] * spectra[1].conj())
+    power = float(np.vdot(fx, fx).real + np.vdot(fy, fy).real)
+    cross = float(np.dot(weights, np.roll(r.real, -first)))
+    return total + power * float(np.sum(weights)) - 2.0 * cross
+
+
+def _grid_start(t, steps, name):
+    """t[0], after checking t = t[0] + steps to rounding."""
+    t = np.asarray(t, np.float64)
+    start = float(t[0])
+    deviation = float(np.max(np.abs(t - start - steps)))
+    if not deviation <= 64.0 * eps * (2.0 * np.pi + abs(start)):
+        raise ValidationError(
+            "douglas_pair_sum wants %s on a uniform grid t_0 + 2 pi j / M "
+            "(deviation %.3e)" % (name, deviation)
+        )
+    return start
 
 
 def function_to_json(f):

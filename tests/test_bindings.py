@@ -50,8 +50,10 @@ def test_accel_names_exist():
     assert {"NUMBA_AVAILABLE", "synth_at_reference", "douglas_pair_reference"} <= names
     for name in sorted(names):
         assert hasattr(hhalf._accel, name), name
-    # The agreement check compares two methods, not one function with itself.
+    # The agreement checks compare two methods, not one function with itself.
     assert hhalf._accel.synth_at_reference is not hhalf._accel.synth_at
+    accel = hhalf._accel
+    assert accel.douglas_pair_reference is not accel.douglas_pair_sum
 
 
 def test_reference_descriptors_build():

@@ -133,6 +133,26 @@ class TestEnergy:
         assert lines[0] == "grid_size,douglas_energy,relative_defect"
         assert len(lines) == 6
 
+    def test_default_grid_curve_is_exact_past_twice_the_bandlimit(self, capsys):
+        # The default curve runs M = 8 ... 4096; the quadrature is exact
+        # to rounding once M exceeds twice the bandlimit.
+        modes = {"1": [0.5, 0.0], "-1": [0.5, 0.0], "7": [0.3, -0.2],
+                 "-7": [0.3, 0.2], "40": [0.01, 0.02], "-33": [-0.05, 0.0]}
+        for text in (cos_modes, json.dumps(modes)):
+            report = run_json(["energy", "--modes", text], capsys)
+            curve = report["curve"]
+            assert [row["grid_size"] for row in curve] == [2**k for k in range(3, 13)]
+            exact = [row for row in curve if row["grid_size"] > 2 * report["bandlimit"]]
+            assert exact and exact[-1]["grid_size"] == 4096
+            for row in exact:
+                assert row["relative_defect"] <= 1e-12, row
+        report = run_json(["energy", "--modes", '{"3": 0}'], capsys)
+        assert report["h_half_norm_squared"] == 0.0
+        assert len(report["curve"]) == 10
+        for row in report["curve"]:
+            assert row["douglas_energy"] == 0.0
+            assert row["relative_defect"] == 0.0
+
     def test_csv_only_output(self, tmp_path, capsys):
         out = tmp_path / "curve.csv"
         report = run_json(

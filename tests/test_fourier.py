@@ -387,7 +387,17 @@ class TestDouglas:
         for _ in range(20):
             f = random_real_function(16, rng)
             energy = douglas_energy(f, grid)
-            assert_allclose(energy, norm_squared(f), rtol=1e-8)
+            assert_allclose(energy, norm_squared(f), rtol=1e-13)
+
+    def test_fine_grid_keeps_rounding_error_small(self):
+        # Summing the circulant in one FFT cancels to about 1e-12 at
+        # M = 4096; the offsets next to the singularity must go pair by
+        # pair to stay near 1e-14.
+        rng = np.random.default_rng(4096)
+        grid = SampleGrid(4096)
+        for _ in range(10):
+            f = random_real_function(40, rng)
+            assert_allclose(douglas_energy(f, grid), norm_squared(f), rtol=3e-14)
 
     @pytest.mark.parametrize(
         "m", [8, 9, 16, 33, 64, 100, 128, 255, 512, 1000, 1024, 4096]
@@ -405,6 +415,66 @@ class TestDouglas:
             assert real.real and not CircleFunction(n, c).real
             for f in (real, CircleFunction(n, c)):
                 assert douglas_energy(f, SampleGrid(m)) == offset_douglas(f, m)
+
+
+class TestDouglasPairSum:
+    @pytest.mark.parametrize("m", [8, 9, 33, 100, 512, 2048])
+    def test_matches_the_direct_pair_sum(self, m):
+        # The circulant FFT sum against the all-pairs reference, on noise
+        # and on trig polynomials up to bandlimit m, whose samples alias.
+        rng = np.random.default_rng(m)
+        points = 2.0 * np.pi * np.arange(m) / m
+        starts = [(np.pi / m, 0.0), (-np.pi / m, 0.0), (1e-3, 1e-3 + np.pi / m)]
+        for x0, y0 in starts:
+            tx, ty = x0 + points, y0 + points
+            noise = rng.standard_normal((4, m))
+            cases = [(noise[0] + 1j * noise[1], noise[2] + 1j * noise[3])]
+            for n in (3, m // 2 + 3, m):
+                c = rng.standard_normal(2 * n + 1) + 1j * rng.standard_normal(2 * n + 1)
+                c[n] = 0.0
+                for f in (CircleFunction(n, c), random_real_function(n, rng)):
+                    cases.append((evaluate_at(f, tx), evaluate_at(f, ty)))
+            for fx, fy in cases:
+                value = douglas_pair_sum(fx, fy, tx, ty)
+                expected = _accel.douglas_pair_reference(fx, fy, tx, ty)
+                assert abs(value - expected) <= 1e-12 * abs(expected), (x0, y0)
+
+    def test_refuses_arrays_of_different_lengths(self):
+        m = 16
+        points = 2.0 * np.pi * np.arange(m) / m
+        arrays = [np.ones(m, complex), np.zeros(m, complex), points + np.pi / m, points]
+        for i in range(4):
+            short = list(arrays)
+            short[i] = short[i][:-1]
+            with pytest.raises(ValidationError, match="one length"):
+                douglas_pair_sum(*short)
+        with pytest.raises(ValidationError, match="one length"):
+            douglas_pair_sum(*(a[:0] for a in arrays))
+
+    def test_refuses_points_off_a_uniform_grid(self):
+        m = 16
+        points = 2.0 * np.pi * np.arange(m) / m
+        fx, fy = np.ones(m, complex), np.zeros(m, complex)
+        tx, ty = points + np.pi / m, points
+        bent = points.copy()
+        bent[5] += 1e-9
+        short_step = 2.0 * np.pi * np.arange(m) / (m + 1)
+        for bad in (bent, short_step, np.full(m, np.nan)):
+            with pytest.raises(ValidationError, match="tx on a uniform grid"):
+                douglas_pair_sum(fx, fy, bad, ty)
+            with pytest.raises(ValidationError, match="ty on a uniform grid"):
+                douglas_pair_sum(fx, fy, tx, bad)
+        # The reference takes any points; the circulant sum must not
+        # return a number for them.
+        assert np.isfinite(_accel.douglas_pair_reference(fx, fy, tx, bent))
+
+    def test_refuses_axes_that_meet(self):
+        m = 16
+        points = 2.0 * np.pi * np.arange(m) / m
+        fx = np.ones(m, complex)
+        for ty in (points, points + 2.0 * np.pi / m):
+            with pytest.raises(ValidationError, match="axes meet"):
+                douglas_pair_sum(fx, fx, points, ty)
 
 
 class TestJson:
