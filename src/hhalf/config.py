@@ -7,7 +7,8 @@ import os
 from dataclasses import dataclass
 
 from .errors import ValidationError
-from .fourier import json_fields, json_integer, json_real
+from .fourier import SampleGrid, json_fields, json_integer, json_real
+from .pullback import read_cutoff
 
 config_env_var = "HHP_CONFIG"
 _fields = ("cutoff", "grid_size", "spectral_tol", "matrix_tol", "seed", "out")
@@ -22,7 +23,8 @@ class RunConfig:
     cutoff : int
         Truncation order N for operators and period matrices.
     grid_size : int
-        Sample count M; must leave room for degree-1 pullbacks, M >= 4N.
+        Sample count M >= 4; pullbacks refuse a grid below 4 x their
+        reach, M >= 4N for block matrices.
     spectral_tol : float
         Pass tolerance for coefficient-level checks (energy, kernels).
     matrix_tol : float
@@ -41,19 +43,9 @@ class RunConfig:
     out: str = None
 
     def __post_init__(self):
-        for name in ("cutoff", "grid_size", "seed"):
-            object.__setattr__(self, name, json_integer(getattr(self, name), name))
-        if self.cutoff < 1:
-            raise ValidationError("cutoff must be an integer >= 1")
-        # Not redundant with the library's aliasing checks: just above
-        # M = 2N the tail band that pullback._refuse_tail reads is empty
-        # or too narrow, and moebius(0.3) at N = 32, M = 65 gets wrong
-        # blocks (error 0.26) with no refusal.
-        if self.grid_size < 4 * self.cutoff:
-            raise ValidationError(
-                "grid size %d is below 4 * cutoff = %d"
-                % (self.grid_size, 4 * self.cutoff)
-            )
+        object.__setattr__(self, "cutoff", read_cutoff(self.cutoff))
+        object.__setattr__(self, "grid_size", SampleGrid(self.grid_size).size)
+        object.__setattr__(self, "seed", json_integer(self.seed, "seed"))
         for name in ("spectral_tol", "matrix_tol"):
             value = json_real(getattr(self, name), name)
             if not value > 0.0:

@@ -180,8 +180,7 @@ def _walk(d, x):
             part = descriptor_degree(item) * part + step
         return lift, part
     if isinstance(d, Inverse):
-        lift = _invert_lift(d.of, x)
-        return lift, -_walk(d.of, lift)[1]
+        return _invert_lift(d.of, x)
     raise ValidationError("unknown map descriptor %r" % (d,))
 
 
@@ -196,6 +195,8 @@ def periodic_values(d, x):
 
 def _invert_lift(d, targets):
     """Solve x + eps*v(x) = target for a flow d by safeguarded Newton.
+
+    Returns the roots and the inverse's periodic part, root - target.
 
     |eps*v| <= |eps| sum |c_n| brackets every root.  Newton starts at
     target - eps*v(target), inside that bracket, and takes the exact
@@ -217,7 +218,8 @@ def _invert_lift(d, targets):
     # Within about eps^2 |v v'| of the root.
     x = targets - d.eps * evaluate_at(d.v, targets)
     polish = False
-    for _ in range(max(1, math.ceil(math.log2(radius / np.pi)) + 60)):
+    passes = max(1, math.ceil(math.log2(radius / np.pi)) + 60)
+    for count in range(1, passes + 1):
         values, slopes = value_and_slope(d.v, x)
         lift = x + d.eps * values
         high_side = lift > targets
@@ -229,11 +231,13 @@ def _invert_lift(d, targets):
             new = x - (lift - targets) / (1.0 + d.eps * slopes)
         # Inclusive ends: a converged point may land on its own bracket end.
         new = np.where((lo <= new) & (new <= hi), new, 0.5 * (lo + hi))
-        if polish:
-            return new
+        if polish or count == passes:
+            # The periodic part -eps*v(new) from the values and slopes
+            # just read; the remainder eps*v''*(new - x)**2/2 is of
+            # order 1e-26 after a converged step.
+            return new, -d.eps * (values + slopes * (new - x))
         polish = bool(np.all(np.abs(new - x) <= tol))
         x = new
-    return x
 
 
 @dataclass(frozen=True)

@@ -26,7 +26,6 @@ from .fourier import (
     _extended,
     h_half_norm,
     json_fields,
-    json_integer,
     matrix_from_json,
 )
 from .maps import (
@@ -36,7 +35,7 @@ from .maps import (
     make_map,
     rauch_flow,
 )
-from .pullback import BlockOperator, apply_operator, pullback_matrix
+from .pullback import BlockOperator, apply_operator, pullback_matrix, read_cutoff
 
 condition_limit = 1e12
 
@@ -60,9 +59,7 @@ class PeriodMatrix:
     source: object = None
 
     def __post_init__(self):
-        n = json_integer(self.cutoff, "cutoff")
-        if n < 1:
-            raise ValidationError("cutoff must be an integer >= 1")
+        n = read_cutoff(self.cutoff)
         object.__setattr__(self, "cutoff", n)
         z = np.array(self.Z, dtype=np.complex128)
         if z.shape != (self.cutoff, self.cutoff):
@@ -158,6 +155,7 @@ def period_derivative(v, cutoff):
     """
     if not isinstance(v, CircleFunction) or not v.real:
         raise ValidationError("vector field must be a real CircleFunction")
+    cutoff = read_cutoff(cutoff)
     r = np.arange(1, cutoff + 1)
     # lower[k] = c_{-k}, zero-padded past the band of v.
     lower = np.append(v.coeffs[v.bandlimit :: -1], np.zeros(2 * cutoff))
@@ -175,8 +173,12 @@ def rauch_fd_defect(m, eps, cutoff, grid):
     Restricted to entries with r + s <= min(cutoff, 10), where the
     first-order finite-difference error dominates; decays linearly in
     eps.  An index whose antidiagonal r + s = m + 2 lies outside that
-    window is refused: the comparison would see only zeros.
+    window is refused: the comparison would see only zeros, and so is
+    eps = 0, where the quotient is not defined.
     """
+    cutoff = read_cutoff(cutoff)
+    if eps == 0.0:
+        raise ValidationError("rauch_fd_defect needs a nonzero eps")
     window = min(cutoff, 10)
     if not 2 <= m + 2 <= window:
         raise ValidationError(

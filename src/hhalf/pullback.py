@@ -12,10 +12,11 @@ of w^cutoff leaves empty; the map's grid is the ceiling.  The powers
 are transformed a chunk of rows at a time, in place, in one buffer
 of 2**16 samples (1 MiB) or one row if that is larger, so the
 working set does not grow with the cutoff.
-A result is refused as aliased when the highest mode its input
+A grid below 4 x the reach of a result, the highest mode its input
 reaches before any spread (bandlimit x degree, or the cutoff for a
-block matrix) is past Nyquist, or when the spectrum it was read from,
-above that mode and within size/8 of Nyquist, has not decayed to
+block matrix), is refused before any FFT.  On a grid that holds it,
+a result is refused as aliased when the spectrum it was read from,
+above the reach and within size/8 of Nyquist, has not decayed to
 1e-12.
 """
 
@@ -23,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import AliasingError, ValidationError
+from .errors import AliasingError, GridError, ValidationError
 from .fourier import (
     CircleFunction,
     SampleGrid,
@@ -36,19 +37,27 @@ from .fourier import (
 from .symplectic import symplectic_form
 
 
+def read_cutoff(value):
+    """A truncation order: an integer >= 1, not a bool or fraction."""
+    n = json_integer(value, "cutoff")
+    if n < 1:
+        raise ValidationError("cutoff must be an integer >= 1")
+    return n
+
+
 def _own_lift(m, grid):
     if grid != m.grid:
         raise ValidationError("pullback needs the map's own sample grid")
     return m.lift_samples
 
 
-def _refuse_past_nyquist(reach, bandlimit, grid):
-    # reach is the highest mode of the result before any spread.  Past
-    # Nyquist it folds onto low modes and leaves no tail to measure.
-    if reach > (grid.size - 1) // 2:
-        raise AliasingError(
-            "grid size %d cannot resolve bandlimit %d under this map "
-            "(mode %d is past Nyquist)" % (grid.size, bandlimit, reach)
+def _refuse_coarse_grid(reach, grid, name="cutoff"):
+    # Below 2 x reach modes fold past Nyquist with no tail; just above
+    # it the tail band that _refuse_tail reads is too narrow to show
+    # spread, and moebius(0.3) at N = 32, M = 65 is off by 0.26.
+    if grid.size < 4 * reach:
+        raise GridError(
+            "grid size %d is below 4 * %s = %d" % (grid.size, name, 4 * reach)
         )
 
 
@@ -73,7 +82,7 @@ def pullback_function(m, f, grid):
     """
     lift = _own_lift(m, grid)
     reach = f.bandlimit * m.degree
-    _refuse_past_nyquist(reach, f.bandlimit, grid)
+    _refuse_coarse_grid(reach, grid, "bandlimit x degree")
     vf = analyze(evaluate_at(f, lift), grid, (grid.size - 1) // 2)
     magnitudes = np.abs(vf.coeffs)
     magnitudes /= np.max(magnitudes) or 1.0
@@ -91,9 +100,7 @@ class BlockOperator:
     B: np.ndarray
 
     def __post_init__(self):
-        n = json_integer(self.cutoff, "cutoff")
-        if n < 1:
-            raise ValidationError("cutoff must be an integer >= 1")
+        n = read_cutoff(self.cutoff)
         object.__setattr__(self, "cutoff", n)
         for name in ("A", "B"):
             block = np.array(getattr(self, name), dtype=np.complex128)
@@ -134,10 +141,12 @@ def assembly_grid(m, cutoff, grid):
     resolved mode lies below the tail band that the assembly checks.
     Every 2^j-th sample of the map's grid is, bit for bit, the point
     of SampleGrid(M').  An odd size, or a spectrum that fills the
-    map's own tail band, keeps the map's grid.
+    map's own tail band, keeps the map's grid; a grid below 4 cutoff
+    is refused.
     """
     size = grid.size
     lift = _own_lift(m, grid)
+    _refuse_coarse_grid(cutoff, grid)
     magnitudes = np.abs(np.fft.fft(np.exp(1j * cutoff * lift))) / size
     modes = np.abs(np.fft.fftfreq(size, 1.0 / size))
     reach = np.max(modes[magnitudes > 1e-12], initial=0.0)
@@ -161,16 +170,14 @@ def pullback_matrix(m, cutoff, grid):
     place by one batched FFT.  Each w^q is the same running product
     w^{q-1} w, and a batched FFT row equals the single transform, so
     the blocks are those of one FFT per column, bit for bit.  The
-    Nyquist check reads the map's grid and the tail check the
+    4 x cutoff floor reads the map's grid and the tail check the
     assembly grid.
     """
     if m.degree != 1:
         raise ValidationError("block matrices are defined for degree-1 maps")
-    lift = _own_lift(m, grid)
-    _refuse_past_nyquist(cutoff, cutoff, grid)
     coarse = assembly_grid(m, cutoff, grid)
     size = coarse.size
-    w = np.exp(1j * lift[:: grid.size // size])
+    w = np.exp(1j * m.lift_samples[:: grid.size // size])
     ps = np.arange(1, cutoff + 1)
     roots = np.sqrt(ps.astype(float))
     a = np.empty((cutoff, cutoff), np.complex128)

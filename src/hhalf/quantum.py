@@ -163,8 +163,10 @@ def _kernel_values(m, d1, order, x, ys):
 
 
 def _check_order(order):
+    order = json_integer(order, "kernel order")
     if order not in (0, 1, 2):
         raise ValidationError("kernel order must be 0, 1, or 2")
+    return order
 
 
 def kernel_eval(h, order, x, y):
@@ -181,14 +183,14 @@ def kernel_eval(h, order, x, y):
         Distinct angles (mod 2 pi); lift derivatives come from
         spectral differentiation of the resolved periodic part.
     """
-    _check_order(order)
+    order = _check_order(order)
     d1 = derivative(periodic_part(h))
     return _kernel_values(h, d1, order, float(x), [float(y)])[0][0]
 
 
 def kernel_eval_line(h, hp, order, x, y):
     """Same kernels for a real map given as callables h and h'."""
-    _check_order(order)
+    order = _check_order(order)
     x = float(x)
     y = float(y)
     if not (math.isfinite(x) and math.isfinite(y)):
@@ -262,7 +264,7 @@ def diagonal_report(h, order, x, deltas=default_deltas):
     `values` holds the kernel at each x + delta, the samples the limit
     is extrapolated from.
     """
-    _check_order(order)
+    order = _check_order(order)
     x = float(x)
     deltas = _checked_deltas(deltas)
     d1 = derivative(periodic_part(h))
@@ -282,7 +284,7 @@ def diagonal_report(h, order, x, deltas=default_deltas):
         third = float(evaluate_at(derivative(d2), x)) / slope
         classical = (third - 1.5 * curv * curv) / 6.0
     return {
-        "order": int(order),
+        "order": order,
         "x": x,
         "deltas": deltas,
         "values": values,
@@ -294,7 +296,7 @@ def diagonal_report(h, order, x, deltas=default_deltas):
 
 def diagonal_limit_line(h, hp, order, x, deltas=default_deltas):
     """Extrapolated diagonal limit for a real map given as callables."""
-    _check_order(order)
+    order = _check_order(order)
     x = float(x)
     deltas = _checked_deltas(deltas)
     values = [kernel_eval_line(h, hp, order, x, x + d) for d in deltas]

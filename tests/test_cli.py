@@ -917,17 +917,38 @@ class TestPlumbing:
 
     def test_grid_override_is_validated(self, capsys):
         # Just above 2N the library's tail check sees too few modes:
-        # moebius(0.3) at M = 65 gives wrong blocks with no error, so
-        # the 4N floor must refuse that grid.
+        # moebius(0.3) at M = 65 gave wrong blocks with no error, so
+        # every subcommand that assembles blocks refuses M < 4N alike.
         moebius_map = '{"type": "moebius", "a": {"re": 0.3, "im": 0.0}}'
-        for descriptor, size in (
-            ('{"type": "identity"}', "8"),
-            (moebius_map, "65"),
-        ):
-            code, _, err = run(
-                ["period", "--map", descriptor, "--grid", size], capsys
-            )
-            assert code == 1 and "4 * cutoff" in err
+        subcommands = [
+            ["pullback-matrix", "--map", moebius_map],
+            ["period", "--map", moebius_map],
+            ["siegel-check", "--map", moebius_map],
+            ["rauch-check", "--m", "1"],
+            ["equivariance", "--map", moebius_map, "--map", rotation_map],
+            ["integrability", "--map", moebius_map],
+        ]
+        for argv in subcommands:
+            for size in ("8", "65", "127"):
+                code, _, err = run(argv + ["--grid", size], capsys)
+                assert code == 1, argv
+                assert err == (
+                    "error: grid size %s is below 4 * cutoff = 128\n" % size
+                ), argv
+
+    # energy, kernel and norm assemble no blocks, so a grid below
+    # 4 * cutoff is no reason to refuse them.
+    def test_energy_runs_below_4n(self, capsys):
+        run_json(["energy", "--modes", cos_modes, "--grid", "64"], capsys)
+
+    def test_kernel_runs_below_4n(self, capsys):
+        moebius_map = '{"type": "moebius", "a": {"re": 0.3, "im": 0.0}}'
+        argv = ["kernel", "--order", "2", "--map", moebius_map, "--grid", "64"]
+        assert run_json(argv, capsys)["within_tol"]
+
+    def test_norm_runs_below_4n(self, monkeypatch, capsys):
+        monkeypatch.setenv("HHP_CONFIG", '{"grid_size": 64}')
+        run_json(["norm", "--modes", cos_modes], capsys)
 
     def test_csv_path_needs_a_table(self, tmp_path, capsys):
         out = tmp_path / "norm.csv"

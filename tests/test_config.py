@@ -5,7 +5,7 @@ import json
 import pytest
 
 from hhalf.config import RunConfig, config_from_env, config_from_json
-from hhalf.errors import ValidationError
+from hhalf.errors import GridError, ValidationError
 
 
 class TestRunConfig:
@@ -18,10 +18,14 @@ class TestRunConfig:
         assert cfg.seed == 0
         assert cfg.out is None
 
-    def test_grid_must_hold_four_cutoffs(self):
-        assert RunConfig(cutoff=8, grid_size=32).grid_size == 32
-        with pytest.raises(ValidationError):
-            RunConfig(cutoff=8, grid_size=31)
+    def test_grid_needs_only_four_points(self):
+        # Pullbacks refuse a grid below 4 x their reach themselves; the
+        # config only reads a SampleGrid size.
+        assert RunConfig(cutoff=8, grid_size=31).grid_size == 31
+        assert RunConfig(cutoff=32, grid_size=4).grid_size == 4
+        for size in (3, True, 64.5):
+            with pytest.raises(GridError, match="^grid size must be an integer >= 4$"):
+                RunConfig(grid_size=size)
 
     def test_field_validation(self):
         with pytest.raises(ValidationError):

@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
+from hhalf import fourier, maps
 from hhalf.errors import AliasingError, MonotonicityError, ValidationError
 from hhalf.fourier import SampleGrid, from_modes, function_to_json, max_bandlimit
 from hhalf.maps import (
@@ -240,6 +241,21 @@ class TestComposition:
         theta = np.linspace(0.0, 2 * np.pi, 101)
         assert np.max(np.abs(evaluate_lift(roundtrip, theta) - theta)) <= 1e-8
 
+    def test_inverse_takes_its_periodic_part_from_newton(self, monkeypatch):
+        # evaluate_at runs for the slope check and the Newton start only:
+        # the periodic part at the roots comes from the last Newton pass.
+        calls = []
+        original = fourier.evaluate_at
+
+        def counted(*args):
+            calls.append(args)
+            return original(*args)
+
+        for module in (fourier, maps):
+            monkeypatch.setattr(module, "evaluate_at", counted)
+        make_map(inverse_descriptor(flow(sin_theta, 0.1)), SampleGrid(4096))
+        assert len(calls) == 2
+
     def test_two_sided_inverse(self):
         d = moebius(0.35 + 0.2j, 0.6)
         phi = make_map(d, grid)
@@ -352,6 +368,10 @@ class TestEstimators:
             rauch_flow(1, 0.01),
             compose_descriptors([flow(sin_theta, 0.1), moebius(0.2, 0.0)]),
             inverse_descriptor(moebius(0.3, 0.5)),
+            inverse_descriptor(flow(sin_theta, 0.1)),
+            compose_descriptors(
+                [inverse_descriptor(rauch_flow(1, 0.05)), moebius(0.2, 0.0)]
+            ),
         ]
         points = np.array([0.0, 0.3, 2.0, 5.5])
         for d in descriptors:

@@ -345,6 +345,13 @@ class TestPeriodDerivative:
         with pytest.raises(ValidationError):
             period_derivative(np.ones(5), 4)
 
+    @pytest.mark.parametrize("cutoff", [0, True, -2, 2.5])
+    def test_cutoff_is_an_integer_of_at_least_one(self, cutoff):
+        # Each was read as a matrix size: 0 x 0, 1 x 1, or a numpy error.
+        (v,) = trial_functions(1, 4, 0)
+        with pytest.raises(ValidationError, match="^cutoff must be an integer"):
+            period_derivative(v, cutoff)
+
 
 class TestRauchDerivative:
     def test_first_direction(self):
@@ -379,6 +386,11 @@ class TestRauchDerivative:
         with pytest.raises(ValidationError):
             rauch_derivative(-1, 4)
 
+    @pytest.mark.parametrize("cutoff", [0, True, -2, 2.5])
+    def test_cutoff_is_an_integer_of_at_least_one(self, cutoff):
+        with pytest.raises(ValidationError, match="^cutoff must be an integer"):
+            rauch_derivative(1, cutoff)
+
 
 class TestRauchFiniteDifference:
     def test_defect_is_small_against_the_derivative_scale(self):
@@ -394,6 +406,11 @@ class TestRauchFiniteDifference:
             coarse = rauch_fd_defect(m, 2e-3, 16, grid)
             fine = rauch_fd_defect(m, 1e-3, 16, grid)
             assert 0.3 <= fine / coarse <= 0.7
+
+    def test_zero_step_is_refused(self):
+        # Z / eps divided by zero and returned inf.
+        with pytest.raises(ValidationError, match="nonzero eps"):
+            rauch_fd_defect(1, 0.0, 16, grid)
 
     def test_index_outside_the_compared_window_is_refused(self):
         # The derivative sits on r + s = m + 2; only r + s <= min(N, 10)

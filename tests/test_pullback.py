@@ -12,7 +12,7 @@ from numpy.testing import assert_allclose
 
 from hhalf import cli
 from hhalf.catalog import catalog_descriptors, sin_field
-from hhalf.errors import AliasingError, ValidationError
+from hhalf.errors import AliasingError, GridError, ValidationError
 from hhalf.fourier import SampleGrid, from_modes
 from hhalf.maps import (
     compose,
@@ -212,28 +212,40 @@ class TestPullbackFunction:
                 pullback_function(phi, f, coarse)
         # Modes that land past Nyquist fold onto clean low modes and
         # leave no tail: cos 4000 theta reads as cos 96 theta on 4096.
+        # Such a grid lies below 4 x bandlimit x degree and is refused
+        # before the function is evaluated.
         past_nyquist = [
-            (power(4), from_modes(1000, {1000: 0.5, -1000: 0.5})),
-            (identity(), from_modes(3000, {3000: 0.5, -3000: 0.5})),
+            (power(4), from_modes(1000, {1000: 0.5, -1000: 0.5}), 16000),
+            (identity(), from_modes(3000, {3000: 0.5, -3000: 0.5}), 12000),
         ]
-        for descriptor, f in past_nyquist:
+        for descriptor, f, floor in past_nyquist:
             phi = make_map(descriptor, grid)
-            with pytest.raises(AliasingError, match="past Nyquist"):
+            with pytest.raises(GridError) as caught:
                 pullback_function(phi, f, grid)
+            assert str(caught.value) == (
+                "grid size 4096 is below 4 * bandlimit x degree = %d" % floor
+            )
 
     def test_exact_modes_near_nyquist_are_accepted(self):
         # Modes up to bandlimit x degree are the composition itself,
-        # not spread, even within size/8 of Nyquist.
+        # not spread, and are kept exactly on a grid of 4 x that reach.
+        # On 4096 points they sit within size/8 of Nyquist, where the
+        # tail check is blind, so that grid is refused.
+        wide = SampleGrid(8192)
         f = random_real_function(1600, np.random.default_rng(15))
-        vf = pullback_function(make_map(identity(), grid), f, grid)
+        vf = pullback_function(make_map(identity(), wide), f, wide)
         assert abs(vf.coefficient(1600) - f.coefficient(1600)) <= 1e-14
-        vf = pullback_function(make_map(rotation(0.7), grid), f, grid)
+        vf = pullback_function(make_map(rotation(0.7), wide), f, wide)
         expected = f.coefficient(1555) * np.exp(1j * 1555 * 0.7)
         assert abs(vf.coefficient(1555) - expected) <= 1e-13
+        with pytest.raises(GridError, match=r"below 4 \* bandlimit x degree"):
+            pullback_function(make_map(identity(), grid), f, grid)
         f = random_real_function(800, np.random.default_rng(16))
-        vf = pullback_function(make_map(power(2), grid), f, grid)
+        vf = pullback_function(make_map(power(2), wide), f, wide)
         assert abs(vf.coefficient(1600) - f.coefficient(800)) <= 1e-14
         assert abs(vf.coefficient(1599)) <= 1e-14
+        with pytest.raises(GridError, match=r"below 4 \* bandlimit x degree"):
+            pullback_function(make_map(power(2), grid), f, grid)
 
 
 class TestMatrixAssembly:
@@ -281,19 +293,24 @@ class TestMatrixAssembly:
             with pytest.raises(AliasingError, match="cannot resolve"):
                 pullback_matrix(phi, cutoff, coarse)
         # Past Nyquist, w^3000 = e^{3000 i theta} reads as mode -1096 on
-        # 4096 points and would fill B with no tail to show it.
-        with pytest.raises(AliasingError, match="past Nyquist"):
+        # 4096 points and would fill B with no tail to show it; that
+        # grid is below 4 x cutoff and refused.
+        with pytest.raises(GridError, match=r"below 4 \* cutoff = 12000"):
             pullback_matrix(make_map(identity(), grid), 3000, grid)
 
     def test_cutoff_near_nyquist_is_accepted_when_exact(self):
-        # w^200 of the identity sits within size/8 of Nyquist on 512
-        # points; it is the blocks' own top mode, not spread.
-        coarse = SampleGrid(512)
-        t = pullback_matrix(make_map(identity(), coarse), 200, coarse)
+        # w^200 of the identity is the blocks' own top mode, not spread,
+        # and is exact on 4 x 200 points.  On 512 points it sits within
+        # size/8 of Nyquist, where the tail check is blind, and 256 is
+        # past Nyquist: both grids are below 4 x cutoff and refused.
+        wide = SampleGrid(1024)
+        t = pullback_matrix(make_map(identity(), wide), 200, wide)
         assert np.max(np.abs(t.A - np.eye(200))) <= 1e-13
         assert np.max(np.abs(t.B)) <= 1e-13
-        with pytest.raises(AliasingError, match="past Nyquist"):
-            pullback_matrix(make_map(identity(), coarse), 256, coarse)
+        coarse = SampleGrid(512)
+        for cutoff in (200, 256):
+            with pytest.raises(GridError, match=r"below 4 \* cutoff"):
+                pullback_matrix(make_map(identity(), coarse), cutoff, coarse)
 
     def test_catalog_is_resolved_on_a_coarse_grid(self):
         # At N = 32 every catalog map is exact to rounding on 512
@@ -382,12 +399,9 @@ class TestChunkedAssembly:
         with pytest.raises(ValidationError) as caught:
             pullback_matrix(make_map(power(2), grid), 8, grid)
         assert str(caught.value) == "block matrices are defined for degree-1 maps"
-        with pytest.raises(AliasingError) as caught:
+        with pytest.raises(GridError) as caught:
             pullback_matrix(make_map(identity(), grid), 3000, grid)
-        assert str(caught.value) == (
-            "grid size 4096 cannot resolve bandlimit 3000 under this map "
-            "(mode 3000 is past Nyquist)"
-        )
+        assert str(caught.value) == "grid size 4096 is below 4 * cutoff = 12000"
         # One chunk, two chunks with a partial last one, three chunks.
         cases = under_resolved_cases() + [
             (moebius(0.9), 100, SampleGrid(1024)),
@@ -489,6 +503,63 @@ class TestAssemblyGrid:
         orders = np.arange(201)[:, None]
         table = bessel_table(200, xs)
         assert np.max(np.abs(table - special.jv(orders, xs))) <= 1e-14
+
+
+class TestGridFloor:
+    # A grid below 4 x reach is refused before any FFT.  Just above 2N
+    # the tail band is too narrow to show spread, and these were
+    # accepted with wrong results before the floor lived here.
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        k=st.integers(1, 8),
+        strength=st.floats(1e-3, 0.5),
+        c=st.floats(0.25, 2.0),
+        sign=st.sampled_from([-1.0, 1.0]),
+        cutoff=st.sampled_from([8, 16, 32]),
+        data=st.data(),
+    )
+    def test_accepted_blocks_are_exact(self, k, strength, c, sign, cutoff, data):
+        # v = -c sin k theta with max |eps v'| = strength, on any grid
+        # from 2N + 1 to 8N: what pullback_matrix accepts is exact.  A
+        # weak flow is accepted on 8N points when w^N spreads by steps
+        # of k <= N/4, so the property is not vacuous; a wider step
+        # reaches the tail band 3N and is refused.
+        eps = sign * strength / (c * k)
+        v = from_modes(k, {k: 0.5j * c, -k: -0.5j * c}, real=True)
+        a, b = bessel_blocks(k, c, eps, cutoff)
+        size = data.draw(st.integers(2 * cutoff + 1, 8 * cutoff), label="size")
+        must_accept = strength <= 0.05 and 4 * k <= cutoff
+        for size, must in ((size, False), (8 * cutoff, must_accept)):
+            g = SampleGrid(size)
+            try:
+                t = pullback_matrix(make_map(flow(v, eps), g), cutoff, g)
+            except (GridError, AliasingError):
+                assert not must
+                continue
+            assert np.max(np.abs(t.A - a)) <= 1e-13
+            assert np.max(np.abs(t.B - b)) <= 1e-13
+
+    def test_blind_grids_just_above_2n_are_refused(self):
+        cases = [(moebius(0.3), 65)]
+        cases += [(flow(sin_two_theta, 0.05), size) for size in (65, 66)]
+        cases += [
+            (flow(sin_field(20), 0.002), size)
+            for size in (65, 66, 67, 68, 69, 70, 71, 72, 80)
+        ]
+        for descriptor, size in cases:
+            g = SampleGrid(size)
+            with pytest.raises(GridError) as caught:
+                pullback_matrix(make_map(descriptor, g), 32, g)
+            assert str(caught.value) == (
+                "grid size %d is below 4 * cutoff = 128" % size
+            )
+        f = random_real_function(32, np.random.default_rng(17))
+        for descriptor in (moebius(0.3), flow(sin_two_theta, 0.05)):
+            for size in (65, 66):
+                g = SampleGrid(size)
+                with pytest.raises(GridError, match=r"below 4 \* bandlimit"):
+                    pullback_function(make_map(descriptor, g), f, g)
 
 
 class TestOwnGrid:

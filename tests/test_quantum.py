@@ -241,6 +241,11 @@ class TestKernelEval:
         with pytest.raises(ValidationError):
             kernel_eval(m, 3, 0.1, 0.2)
 
+    def test_order_true_is_not_order_one(self):
+        m = make_map(moebius(0.3), grid)
+        with pytest.raises(ValidationError, match="^kernel order must be an integer"):
+            kernel_eval(m, True, 0.1, 0.2)
+
     def test_unresolved_lift_is_rejected(self):
         coarse = make_map(moebius(0.5), SampleGrid(8))
         with pytest.raises(ValidationError):
@@ -259,6 +264,16 @@ class TestKernelEval:
 
 
 class TestDiagonalLimit:
+    def test_report_order_true_is_not_order_one(self):
+        m = make_map(moebius(0.3), grid)
+        with pytest.raises(ValidationError, match="^kernel order must be an integer"):
+            diagonal_report(m, True, 0.3)
+
+    def test_limit_order_true_is_not_order_one(self):
+        m = make_map(moebius(0.3), grid)
+        with pytest.raises(ValidationError, match="^kernel order must be an integer"):
+            diagonal_limit(m, True, 0.3)
+
     def test_identity_is_exactly_zero(self):
         m = make_map(identity(), grid)
         for order in (0, 1, 2):
