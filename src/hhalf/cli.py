@@ -141,8 +141,6 @@ def _resolve_config(args):
         updates["grid_size"] = args.grid
     if getattr(args, "seed", None) is not None:
         updates["seed"] = args.seed
-    if getattr(args, "out", None) is not None:
-        updates["out"] = args.out
     return replace(cfg, **updates) if updates else cfg
 
 
@@ -151,6 +149,7 @@ def _grid(cfg):
 
 
 def _cmd_norm(args, cfg):
+    """H^{1/2} norm of a circle function"""
     f = _function_argument(args)
     report = {
         "command": "norm",
@@ -162,11 +161,13 @@ def _cmd_norm(args, cfg):
 
 
 def _cmd_hilbert(args, cfg):
+    """apply the Hilbert transform; emits a function object"""
     f = _function_argument(args)
     return function_to_json(hilbert_transform(f)), None, 0
 
 
 def _cmd_energy(args, cfg):
+    """douglas energy with a grid convergence table"""
     f = _function_argument(args)
     tol = _tolerance(args, cfg.spectral_tol)
     target = norm_squared(f)
@@ -202,11 +203,13 @@ def _cmd_energy(args, cfg):
 
 
 def _cmd_pullback_matrix(args, cfg):
+    """block operator of a circle map; emits an operator"""
     m = _map_argument(args, cfg)
     return operator_to_json(pullback_matrix(m, cfg.cutoff, m.grid)), None, 0
 
 
 def _cmd_period(args, cfg):
+    """period matrix of a circle map; emits a period object"""
     m = _map_argument(args, cfg)
     return period_to_json(period_matrix(m, cfg.cutoff, m.grid)), None, 0
 
@@ -229,6 +232,7 @@ def _period_argument(args, cfg):
 
 
 def _cmd_siegel_check(args, cfg):
+    """siegel disc membership of a period matrix"""
     tol = _tolerance(args, cfg.matrix_tol)
     p = _period_argument(args, cfg)
     report = siegel_membership(p)
@@ -246,6 +250,7 @@ def _cmd_siegel_check(args, cfg):
 
 
 def _cmd_rauch_check(args, cfg):
+    """finite-difference check of the derivative formula"""
     if args.m is None:
         raise ValidationError("rauch-check needs --m")
     eps = 1e-3 if args.eps is None else args.eps
@@ -283,6 +288,7 @@ def _cmd_rauch_check(args, cfg):
 
 
 def _cmd_equivariance(args, cfg):
+    """composition equivariance of the period map"""
     maps = getattr(args, "map", None) or []
     if len(maps) != 2:
         raise ValidationError("equivariance wants --map twice: outer, inner")
@@ -307,6 +313,7 @@ def _cmd_equivariance(args, cfg):
 
 
 def _cmd_integrability(args, cfg):
+    """multiplication-closure residual of a structure"""
     tol = _tolerance(args, cfg.matrix_tol)
     p = _period_argument(args, cfg)
     trials = trial_functions(4, 8, cfg.seed)
@@ -326,6 +333,7 @@ def _cmd_integrability(args, cfg):
 
 
 def _cmd_quantum_hs(args, cfg):
+    """hilbert-schmidt norm of the quantum derivative"""
     f = _function_argument(args)
     cutoff = max(2 * f.bandlimit, 1)
     value = hs_norm(quantum_derivative_matrix(f, cutoff))
@@ -349,6 +357,7 @@ def _cmd_quantum_hs(args, cfg):
 
 
 def _cmd_kernel(args, cfg):
+    """welding kernel diagonal limits with a value table"""
     if args.order is None:
         raise ValidationError("kernel needs --order 0, 1, or 2")
     h = _map_argument(args, cfg)
@@ -378,6 +387,7 @@ def _cmd_kernel(args, cfg):
 
 
 def _cmd_invariance_suite(args, cfg):
+    """run the full property catalog"""
     results = run_all(cfg.seed)
     rows = [
         {
@@ -398,19 +408,43 @@ def _cmd_invariance_suite(args, cfg):
     return report, None, 0 if all_passed else 2
 
 
-_handlers = {
-    "norm": _cmd_norm,
-    "hilbert": _cmd_hilbert,
-    "energy": _cmd_energy,
-    "pullback-matrix": _cmd_pullback_matrix,
-    "period": _cmd_period,
-    "siegel-check": _cmd_siegel_check,
-    "rauch-check": _cmd_rauch_check,
-    "equivariance": _cmd_equivariance,
-    "integrability": _cmd_integrability,
-    "quantum-hs": _cmd_quantum_hs,
-    "kernel": _cmd_kernel,
-    "invariance-suite": _cmd_invariance_suite,
+_flags = {
+    "--out": {"help": "report path; .csv selects the table"},
+    "--grid": {"type": int, "help": "sample count M"},
+    "--tol": {"type": float, "help": "pass tolerance"},
+    "--seed": {"type": int, "help": "seed for randomized trials"},
+    "--input": {"help": "circle function JSON"},
+    "--modes": {"help": 'inline modes {"n": value}'},
+    "--map": {
+        "action": "append",
+        "help": "map descriptor JSON (twice for equivariance: outer, inner)",
+    },
+    "--matrix": {"help": "period matrix or block operator JSON"},
+    "--m": {"type": int, "help": "monomial direction degree"},
+    "--eps": {"type": float, "help": "finite difference step (default 1e-3)"},
+    "--order": {"type": int, "choices": (0, 1, 2), "help": "kernel order"},
+    "--window": {"help": "comma separated deltas, largest first"},
+}
+_function = ("--input", "--modes")
+# Each subcommand's handler (whose docstring is its help line) and the
+# flags it reads besides --out, which every subcommand takes, in --help
+# order.
+_commands = {
+    "norm": (_cmd_norm, _function),
+    "hilbert": (_cmd_hilbert, _function),
+    "energy": (_cmd_energy, ("--grid", "--tol") + _function),
+    "pullback-matrix": (_cmd_pullback_matrix, ("--grid", "--map")),
+    "period": (_cmd_period, ("--grid", "--map")),
+    "siegel-check": (_cmd_siegel_check, ("--grid", "--tol", "--map", "--matrix")),
+    "rauch-check": (_cmd_rauch_check, ("--grid", "--m", "--eps")),
+    "equivariance": (_cmd_equivariance, ("--grid", "--tol", "--map")),
+    "integrability": (
+        _cmd_integrability,
+        ("--grid", "--tol", "--seed", "--map", "--matrix"),
+    ),
+    "quantum-hs": (_cmd_quantum_hs, _function),
+    "kernel": (_cmd_kernel, ("--grid", "--tol", "--map", "--order", "--window")),
+    "invariance-suite": (_cmd_invariance_suite, ("--seed",)),
 }
 
 
@@ -424,79 +458,10 @@ def _build_parser():
     sub = parser.add_subparsers(
         dest="command", required=True, parser_class=_Parser
     )
-
-    helps = {
-        "norm": "H^{1/2} norm of a circle function",
-        "hilbert": "apply the Hilbert transform; emits a function object",
-        "energy": "douglas energy with a grid convergence table",
-        "pullback-matrix": "block operator of a circle map; emits an operator",
-        "period": "period matrix of a circle map; emits a period object",
-        "siegel-check": "siegel disc membership of a period matrix",
-        "rauch-check": "finite-difference check of the derivative formula",
-        "equivariance": "composition equivariance of the period map",
-        "integrability": "multiplication-closure residual of a structure",
-        "quantum-hs": "hilbert-schmidt norm of the quantum derivative",
-        "kernel": "welding kernel diagonal limits with a value table",
-        "invariance-suite": "run the full property catalog",
-    }
-    # Every subcommand takes --out; these flags only where they are read.
-    reads = {
-        "energy": ("--grid", "--tol"),
-        "pullback-matrix": ("--grid",),
-        "period": ("--grid",),
-        "siegel-check": ("--grid", "--tol"),
-        "rauch-check": ("--grid",),
-        "equivariance": ("--grid", "--tol"),
-        "integrability": ("--grid", "--tol", "--seed"),
-        "kernel": ("--grid", "--tol"),
-        "invariance-suite": ("--seed",),
-    }
-    flags = {
-        "--grid": {"type": int, "help": "sample count M"},
-        "--seed": {"type": int, "help": "seed for randomized trials"},
-        "--tol": {"type": float, "help": "pass tolerance"},
-    }
-    parsers = {}
-    for name in _handlers:
-        parsers[name] = sub.add_parser(name, help=helps[name])
-        parsers[name].add_argument(
-            "--out", help="report path; .csv selects the table"
-        )
-        for flag in reads.get(name, ()):
-            parsers[name].add_argument(flag, **flags[flag])
-
-    for name in ("norm", "hilbert", "energy", "quantum-hs"):
-        parsers[name].add_argument("--input", help="circle function JSON")
-        parsers[name].add_argument("--modes", help='inline modes {"n": value}')
-    for name in (
-        "pullback-matrix",
-        "period",
-        "siegel-check",
-        "equivariance",
-        "integrability",
-        "kernel",
-    ):
-        parsers[name].add_argument(
-            "--map",
-            action="append",
-            help="map descriptor JSON (twice for equivariance: outer, inner)",
-        )
-    for name in ("siegel-check", "integrability"):
-        parsers[name].add_argument(
-            "--matrix", help="period matrix or block operator JSON"
-        )
-    parsers["rauch-check"].add_argument(
-        "--m", type=int, help="monomial direction degree"
-    )
-    parsers["rauch-check"].add_argument(
-        "--eps", type=float, help="finite difference step (default 1e-3)"
-    )
-    parsers["kernel"].add_argument(
-        "--order", type=int, choices=(0, 1, 2), help="kernel order"
-    )
-    parsers["kernel"].add_argument(
-        "--window", help="comma separated deltas, largest first"
-    )
+    for name, (handler, reads) in _commands.items():
+        command = sub.add_parser(name, help=handler.__doc__)
+        for flag in ("--out",) + reads:
+            command.add_argument(flag, **_flags[flag])
     return parser
 
 
@@ -584,8 +549,8 @@ def run_command(argv):
     try:
         args = _build_parser().parse_args(argv)
         cfg = _resolve_config(args)
-        report, curve, code = _handlers[args.command](args, cfg)
-        _emit(report, curve, cfg.out)
+        report, curve, code = _commands[args.command][0](args, cfg)
+        _emit(report, curve, args.out)
         return code
     except ValidationError as exc:
         print("error: %s" % exc, file=sys.stderr)

@@ -11,7 +11,7 @@ from .fourier import SampleGrid, json_fields, json_integer, json_real
 from .pullback import read_cutoff
 
 config_env_var = "HHP_CONFIG"
-_fields = ("cutoff", "grid_size", "spectral_tol", "matrix_tol", "seed", "out")
+_fields = ("cutoff", "grid_size", "spectral_tol", "matrix_tol", "seed")
 
 
 @dataclass(frozen=True)
@@ -31,8 +31,8 @@ class RunConfig:
         Pass tolerance for matrix-level checks (Siegel, equivariance).
     seed : int
         Seed for every randomized trial set; fixes report bytes.
-    out : str
-        Default output path, or None for stdout only.
+
+    The report path is not part of it: `--out` is a flag only.
     """
 
     cutoff: int = 32
@@ -40,7 +40,6 @@ class RunConfig:
     spectral_tol: float = 1e-8
     matrix_tol: float = 1e-6
     seed: int = 0
-    out: str = None
 
     def __post_init__(self):
         object.__setattr__(self, "cutoff", read_cutoff(self.cutoff))
@@ -53,8 +52,6 @@ class RunConfig:
             object.__setattr__(self, name, value)
         if self.seed < 0:
             raise ValidationError("seed must be a nonnegative integer")
-        if self.out is not None and not isinstance(self.out, str):
-            raise ValidationError("out must be a path string or None")
 
 
 def config_from_json(obj):

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import AliasingError, MonotonicityError, ValidationError
+from .errors import AliasingError, GridError, MonotonicityError, ValidationError
 from .fourier import (
     CircleFunction,
     SampleGrid,
@@ -284,7 +284,7 @@ def _validate_descriptor(d, grid):
         # times the grid size.
         nyquist = (grid.size - 1) // 2
         if d.v.bandlimit > nyquist:
-            raise AliasingError(
+            raise GridError(
                 "grid size %d cannot resolve a flow field of bandlimit %d, "
                 "past Nyquist mode %d" % (grid.size, d.v.bandlimit, nyquist)
             )
@@ -333,7 +333,7 @@ def periodic_part(m):
     part = analyze(m.lift_samples - m.degree * points, m.grid, nyquist)
     band = active_band(part)
     if band >= nyquist:
-        raise ValidationError(
+        raise AliasingError(
             "lift spectrum does not resolve on the map grid; derivatives "
             "of the lift need a smooth, resolved descriptor"
         )

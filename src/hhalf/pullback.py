@@ -144,6 +144,7 @@ def assembly_grid(m, cutoff, grid):
     map's own tail band, keeps the map's grid; a grid below 4 cutoff
     is refused.
     """
+    cutoff = read_cutoff(cutoff)
     size = grid.size
     lift = _own_lift(m, grid)
     _refuse_coarse_grid(cutoff, grid)
@@ -173,6 +174,7 @@ def pullback_matrix(m, cutoff, grid):
     4 x cutoff floor reads the map's grid and the tail check the
     assembly grid.
     """
+    cutoff = read_cutoff(cutoff)
     if m.degree != 1:
         raise ValidationError("block matrices are defined for degree-1 maps")
     coarse = assembly_grid(m, cutoff, grid)

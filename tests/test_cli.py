@@ -17,7 +17,7 @@ from hypothesis.extra.numpy import arrays
 
 from hhalf import cli
 from hhalf.cli import main
-from hhalf.errors import NumericalError
+from hhalf.errors import NumericalError, ValidationError
 from hhalf.fourier import (
     from_modes,
     function_from_json,
@@ -239,6 +239,19 @@ class TestPeriod:
             report = run_json(["period", "--map", descriptor], capsys)
             z = matrix_from_json(report["Z"], "Z")
             assert np.max(np.abs(z)) <= 1e-14, descriptor
+
+    def test_flow_past_nyquist_is_an_input_error(self, capsys):
+        # Refused before the field is evaluated, so exit 1, not 2.
+        v = function_to_json(from_modes(5, {5: 0.5, -5: 0.5}))
+        descriptor = json.dumps({"type": "flow", "v": v, "eps": 0.01})
+        code, out, err = run(
+            ["period", "--grid", "8", "--map", descriptor], capsys
+        )
+        assert (code, out) == (1, "")
+        assert err == (
+            "error: grid size 8 cannot resolve a flow field of bandlimit 5, "
+            "past Nyquist mode 3\n"
+        )
 
     def test_grid_is_the_ceiling_of_the_assembly_grid(self, capsys):
         # Both grids halve down to the same sub-grid for this flow.
@@ -593,6 +606,19 @@ class TestKernel:
         assert code == 1 and out == ""
         assert err == "error: deltas must be finite\n"
 
+    def test_unresolved_lift_is_a_numerical_failure(self, capsys):
+        # Refused after the FFT of the lift shows a spectrum reaching
+        # Nyquist, so exit 2, not 1.
+        descriptor = '{"type": "moebius", "a": {"re": 0.9, "im": 0.0}, "beta": 0}'
+        code, out, err = run(
+            ["kernel", "--order", "0", "--grid", "64", "--map", descriptor],
+            capsys,
+        )
+        assert (code, out) == (2, "")
+        assert err.startswith(
+            "numerical failure: lift spectrum does not resolve on the map grid"
+        )
+
 
 class TestInvarianceSuite:
     def test_matrix_report(self, capsys, monkeypatch):
@@ -666,6 +692,14 @@ class TestPlumbing:
         code, _, err = run(["norm", "--modes", cos_modes], capsys)
         assert code == 1 and "bogus" in err
 
+    def test_out_is_a_flag_not_a_config_field(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        monkeypatch.setenv("HHP_CONFIG", '{"out": "r.json"}')
+        code, out, err = run(["norm", "--modes", cos_modes], capsys)
+        assert (code, out) == (1, "")
+        assert err == "error: unknown RunConfig fields: out\n"
+        assert list(tmp_path.iterdir()) == []
+
     def test_flag_overrides_beat_the_config(self, tmp_path, capsys, monkeypatch):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"seed": 3}))
@@ -690,6 +724,54 @@ class TestPlumbing:
         ):
             code, _, err = run(argv, capsys)
             assert code == 1 and "unrecognized arguments" in err
+
+    # Which subcommand takes which flag (x) and which refuses it (.), as
+    # README states it: --out everywhere, --grid, --tol and --seed where
+    # they are read, and each subcommand's own input flags.
+    flag_table = """
+                      out grid tol seed input modes map matrix m eps order window
+    norm               x   .    .   .    x     x     .    .    .  .    .     .
+    hilbert            x   .    .   .    x     x     .    .    .  .    .     .
+    energy             x   x    x   .    x     x     .    .    .  .    .     .
+    pullback-matrix    x   x    .   .    .     .     x    .    .  .    .     .
+    period             x   x    .   .    .     .     x    .    .  .    .     .
+    siegel-check       x   x    x   .    .     .     x    x    .  .    .     .
+    rauch-check        x   x    .   .    .     .     .    .    x  x    .     .
+    equivariance       x   x    x   .    .     .     x    .    .  .    .     .
+    integrability      x   x    x   x    .     .     x    x    .  .    .     .
+    quantum-hs         x   .    .   .    x     x     .    .    .  .    .     .
+    kernel             x   x    x   .    .     .     x    .    .  .    x     x
+    invariance-suite   x   .    .   x    .     .     .    .    .  .    .     .
+    """
+    flag_values = {"grid": "64", "tol": "0.5", "seed": "3", "m": "2",
+                   "eps": "0.001", "order": "1"}
+
+    def test_each_subcommand_takes_exactly_its_flags(self):
+        lines = self.flag_table.strip().splitlines()
+        header, *rows = [line.split() for line in lines]
+        assert len(header) == len(rows) == 12
+        parser = cli._build_parser()
+        for command, *cells in rows:
+            takes = {
+                flag for flag, cell in zip(header, cells, strict=True) if cell == "x"
+            }
+            assert set(vars(parser.parse_args([command]))) == {"command"} | takes
+            for flag in header:
+                argv = [command, "--" + flag, self.flag_values.get(flag, "x")]
+                if flag in takes:
+                    assert getattr(parser.parse_args(argv), flag) is not None
+                elif any(other.startswith(flag) for other in takes):
+                    # argparse reads --m as the one flag it abbreviates
+                    # (--map or --modes), or refuses it as ambiguous.
+                    try:
+                        assert not hasattr(parser.parse_args(argv), flag)
+                    except ValidationError as exc:
+                        assert str(exc).startswith("ambiguous option: --m")
+                else:
+                    with pytest.raises(
+                        ValidationError, match="^unrecognized arguments"
+                    ):
+                        parser.parse_args(argv)
 
     @pytest.mark.parametrize(
         "config, argv",
@@ -1117,7 +1199,7 @@ class TestEmission:
             ["invariance-suite", "--seed", "7"],
         ):
             run_json(argv, capsys)
-        assert len(emitted) == len(cli._handlers)
+        assert len(emitted) == len(cli._commands)
 
     def test_a_block_of_benchmark_requests(self, emitted, capsys):
         requests = cli_inputs().cli_requests(5)[:7]

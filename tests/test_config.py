@@ -1,5 +1,6 @@
 """Tests for run configuration loading and validation."""
 
+import dataclasses
 import json
 
 import pytest
@@ -16,7 +17,10 @@ class TestRunConfig:
         assert cfg.spectral_tol == 1e-8
         assert cfg.matrix_tol == 1e-6
         assert cfg.seed == 0
-        assert cfg.out is None
+        # The report path is a flag only, not a configuration field.
+        assert [field.name for field in dataclasses.fields(RunConfig)] == [
+            "cutoff", "grid_size", "spectral_tol", "matrix_tol", "seed"
+        ]
 
     def test_grid_needs_only_four_points(self):
         # Pullbacks refuse a grid below 4 x their reach themselves; the
@@ -38,8 +42,8 @@ class TestRunConfig:
             RunConfig(matrix_tol=-1e-6)
         with pytest.raises(ValidationError):
             RunConfig(seed=-1)
-        with pytest.raises(ValidationError):
-            RunConfig(out=7)
+        with pytest.raises(ValidationError, match="^unknown RunConfig fields: out$"):
+            config_from_json({"out": "r.json"})
         # int() read True as 1 and False as 0.
         for field, flag in (("cutoff", True), ("seed", True), ("seed", False)):
             with pytest.raises(ValidationError, match=field):

@@ -11,7 +11,12 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from hhalf import fourier, maps
-from hhalf.errors import AliasingError, MonotonicityError, ValidationError
+from hhalf.errors import (
+    AliasingError,
+    GridError,
+    MonotonicityError,
+    ValidationError,
+)
 from hhalf.fourier import SampleGrid, from_modes, function_to_json, max_bandlimit
 from hhalf.maps import (
     Flow,
@@ -175,12 +180,12 @@ class TestValidation:
         d = rauch_flow(100000, 1e-6)
         fine = SampleGrid(4096)
         start = time.perf_counter()
-        with pytest.raises(AliasingError, match="cannot resolve.*past Nyquist"):
+        with pytest.raises(GridError, match="cannot resolve.*past Nyquist"):
             make_map(d, fine)
         assert time.perf_counter() - start < 0.05
         wrapped = (compose_descriptors([moebius(0.2), d]), inverse_descriptor(d))
         for descriptor in wrapped:
-            with pytest.raises(AliasingError, match="past Nyquist"):
+            with pytest.raises(GridError, match="past Nyquist"):
                 make_map(descriptor, fine)
 
     def test_flow_up_to_nyquist_builds(self):
@@ -188,7 +193,7 @@ class TestValidation:
         v = from_modes(6, {6: -0.5j, -6: 0.5j})
         make_map(flow(v, 0.01), SampleGrid(64))
         make_map(flow(v, 0.01), SampleGrid(13))
-        with pytest.raises(AliasingError, match="past Nyquist mode 5"):
+        with pytest.raises(GridError, match="past Nyquist mode 5"):
             make_map(flow(v, 0.01), SampleGrid(12))
 
     def test_power_validation(self):
@@ -350,7 +355,7 @@ class TestEstimators:
 
     def test_dilatation_of_an_unresolved_lift_is_refused(self):
         # Differentiated anyway, this spectrum gives K = 20.856 against 19.
-        with pytest.raises(ValidationError, match="does not resolve"):
+        with pytest.raises(AliasingError, match="does not resolve"):
             radial_dilatation(make_map(moebius(0.9), SampleGrid(64)))
 
     def test_lift_bandwidth(self):

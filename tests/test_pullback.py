@@ -463,6 +463,22 @@ class TestAssemblyGrid:
             m = make_map(descriptor, coarse)
             assert assembly_grid(m, cutoff, coarse) == coarse
 
+    @pytest.mark.parametrize("assemble", [pullback_matrix, assembly_grid])
+    @pytest.mark.parametrize("cutoff", [0, True, 2.5, -1])
+    def test_cutoff_is_read_before_the_grid(self, assemble, cutoff):
+        # 0 halved the grid to one point, -1 reached numpy's "negative
+        # dimensions", True and 2.5 a bare TypeError or a grid.
+        m = make_map(moebius(0.3), grid)
+        with pytest.raises(ValidationError, match="^cutoff must be an integer"):
+            assemble(m, cutoff, grid)
+
+    def test_integral_float_cutoff_reads_as_its_integer(self):
+        m = make_map(moebius(0.3), grid)
+        assert assembly_grid(m, 32.0, grid) == assembly_grid(m, 32, grid)
+        t, exact = pullback_matrix(m, 32.0, grid), pullback_matrix(m, 32, grid)
+        assert t.cutoff == 32
+        assert np.array_equal(t.A, exact.A) and np.array_equal(t.B, exact.B)
+
     @pytest.mark.parametrize("cutoff, size", sizes)
     def test_blocks_equal_those_of_the_map_rebuilt_on_the_sub_grid(
         self, cutoff, size

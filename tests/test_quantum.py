@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from hhalf.catalog import catalog_maps, cos_field, sin_field
-from hhalf.errors import NumericalError, ValidationError
+from hhalf.errors import AliasingError, NumericalError, ValidationError
 from hhalf.fourier import SampleGrid, from_modes, norm_squared, zero_function
 from hhalf.maps import (
     compose,
@@ -248,7 +248,7 @@ class TestKernelEval:
 
     def test_unresolved_lift_is_rejected(self):
         coarse = make_map(moebius(0.5), SampleGrid(8))
-        with pytest.raises(ValidationError):
+        with pytest.raises(AliasingError, match="does not resolve"):
             kernel_eval(coarse, 0, 0.1, 0.3)
 
     def test_cocycle_property_order_zero(self):
