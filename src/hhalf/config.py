@@ -1,7 +1,6 @@
 """Run configuration shared by the command line subcommands."""
 
 import json
-import math
 import os
 
 from dataclasses import dataclass
@@ -44,14 +43,12 @@ class RunConfig:
     def __post_init__(self):
         object.__setattr__(self, "cutoff", read_cutoff(self.cutoff))
         object.__setattr__(self, "grid_size", SampleGrid(self.grid_size).size)
-        object.__setattr__(self, "seed", json_integer(self.seed, "seed"))
+        object.__setattr__(self, "seed", json_integer(self.seed, "seed", 0))
         for name in ("spectral_tol", "matrix_tol"):
             value = json_real(getattr(self, name), name)
             if not value > 0.0:
                 raise ValidationError("%s must be positive" % name)
             object.__setattr__(self, name, value)
-        if self.seed < 0:
-            raise ValidationError("seed must be a nonnegative integer")
 
 
 def config_from_json(obj):
@@ -59,36 +56,23 @@ def config_from_json(obj):
     if not isinstance(obj, dict):
         raise ValidationError("RunConfig object must be a JSON object")
     json_fields(obj, _fields, "RunConfig")
-    try:
-        return RunConfig(**obj)
-    except ValidationError:
-        raise
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise ValidationError("malformed RunConfig object: %s" % exc)
-
-
-def _finite(text):
-    value = float(text)
-    if not math.isfinite(value):
-        raise ValueError("non-finite number %s" % text)
-    return value
+    return RunConfig(**obj)
 
 
 def json_argument(value, name):
     """Inline JSON when the value starts with '{', else a file path.
 
-    NaN, Infinity and numbers that overflow to infinity are refused
-    like any other malformed input.
+    NaN, Infinity and numbers that overflow to infinity parse as
+    floats; the field reader of each value refuses them by name.
     """
-    strict = {"parse_constant": _finite, "parse_float": _finite}
     if value.lstrip().startswith("{"):
         try:
-            return json.loads(value, **strict)
+            return json.loads(value)
         except ValueError as exc:
             raise ValidationError("%s is not valid JSON: %s" % (name, exc))
     try:
         with open(value) as handle:
-            return json.load(handle, **strict)
+            return json.load(handle)
     except OSError as exc:
         raise ValidationError("cannot read %s file: %s" % (name, exc))
     except ValueError as exc:

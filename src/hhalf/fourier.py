@@ -54,9 +54,7 @@ class CircleFunction:
     real: bool = None
 
     def __post_init__(self):
-        n = json_integer(self.bandlimit, "bandlimit")
-        if n < 1:
-            raise ValidationError("bandlimit must be an integer >= 1")
+        n = json_integer(self.bandlimit, "bandlimit", 1)
         object.__setattr__(self, "bandlimit", n)
         c = np.array(self.coeffs, dtype=np.complex128)
         if c.shape != (2 * self.bandlimit + 1,):
@@ -380,14 +378,17 @@ def function_to_json(f):
     return {"bandlimit": f.bandlimit, "real": bool(f.real), "coeffs": entries}
 
 
-def json_integer(value, name):
-    """int(value), refusing by name a bool, string or fraction."""
+def json_integer(value, name, least=None):
+    """int(value), refusing by name a bool, string, fraction or one below least."""
     if isinstance(value, bool) or not (
         isinstance(value, numbers.Integral)
         or (isinstance(value, float) and value.is_integer())
     ):
         raise ValidationError("%s must be an integer, not %r" % (name, value))
-    return int(value)
+    value = int(value)
+    if least is not None and value < least:
+        raise ValidationError("%s must be an integer >= %d" % (name, least))
+    return value
 
 
 def json_fields(obj, fields, name):
@@ -417,7 +418,7 @@ def function_from_json(obj):
     """Inverse of function_to_json, with validation."""
     try:
         bandlimit = json_integer(obj["bandlimit"], "bandlimit")
-        entries = obj["coeffs"]
+        entries = iter(obj["coeffs"])  # a number or null is malformed
         real = obj.get("real", False)
     except (KeyError, TypeError, ValueError) as exc:
         raise ValidationError("malformed CircleFunction object: %s" % exc)

@@ -78,10 +78,7 @@ def rotation(alpha):
 
 
 def power(k):
-    k = json_integer(k, "power degree k")
-    if k < 1:
-        raise ValidationError("power descriptor needs a positive integer degree")
-    return Power(k)
+    return Power(json_integer(k, "power degree k", 1))
 
 
 def moebius(a, beta=0.0):
@@ -103,10 +100,7 @@ def flow(v, eps):
 
 def rauch_flow(m, eps):
     """Flow along v_m = -2/(m+1) sin((m+2) theta): +-i/(m+1) at +-(m+2)."""
-    m = json_integer(m, "rauch_flow index m")
-    if m < 0:
-        raise ValidationError("rauch_flow index must be a nonnegative integer")
-    k = m + 2
+    k = json_integer(m, "rauch_flow index m", 0) + 2
     v = from_modes(k, {k: 1j / (k - 1), -k: -1j / (k - 1)}, real=True)
     return flow(v, json_real(eps, "rauch_flow eps"))
 

@@ -15,9 +15,9 @@ working set does not grow with the cutoff.
 A grid below 4 x the reach of a result, the highest mode its input
 reaches before any spread (bandlimit x degree, or the cutoff for a
 block matrix), is refused before any FFT.  On a grid that holds it,
-a result is refused as aliased when the spectrum it was read from,
-above the reach and within size/8 of Nyquist, has not decayed to
-1e-12.
+a result is refused as aliased when the spectrum it is read from
+(of w^cutoff on the map's grid, for a block matrix), above the reach
+and within size/8 of Nyquist, has not decayed to 1e-12.
 """
 
 from dataclasses import dataclass
@@ -39,10 +39,7 @@ from .symplectic import symplectic_form
 
 def read_cutoff(value):
     """A truncation order: an integer >= 1, not a bool or fraction."""
-    n = json_integer(value, "cutoff")
-    if n < 1:
-        raise ValidationError("cutoff must be an integer >= 1")
-    return n
+    return json_integer(value, "cutoff", 1)
 
 
 def _own_lift(m, grid):
@@ -140,9 +137,9 @@ def assembly_grid(m, cutoff, grid):
     M' = M / 2^j with M' >= 4 cutoff and 3 M' / 8 > K, so every
     resolved mode lies below the tail band that the assembly checks.
     Every 2^j-th sample of the map's grid is, bit for bit, the point
-    of SampleGrid(M').  An odd size, or a spectrum that fills the
-    map's own tail band, keeps the map's grid; a grid below 4 cutoff
-    is refused.
+    of SampleGrid(M').  An odd size keeps the map's grid; a grid
+    below 4 cutoff, or a spectrum that fills the map's own tail band,
+    is refused, as a sub-grid cannot show the modes folding past it.
     """
     cutoff = read_cutoff(cutoff)
     size = grid.size
@@ -150,6 +147,7 @@ def assembly_grid(m, cutoff, grid):
     _refuse_coarse_grid(cutoff, grid)
     magnitudes = np.abs(np.fft.fft(np.exp(1j * cutoff * lift))) / size
     modes = np.abs(np.fft.fftfreq(size, 1.0 / size))
+    _refuse_tail(magnitudes, modes, cutoff, cutoff, grid)
     reach = np.max(modes[magnitudes > 1e-12], initial=0.0)
     while size % 2 == 0 and size // 2 >= 4 * cutoff and 3 * size / 16 > reach:
         size //= 2
@@ -161,24 +159,22 @@ def pullback_matrix(m, cutoff, grid):
 
     A[p-1, q-1] = sqrt(p/q) c_p(w^q) and B[r-1, s-1] = sqrt(r/s)
     c_r(w^{-s}), with w = e^{i lift} on assembly_grid(m, cutoff, grid),
-    the map's grid or a power-of-two sub-grid of it.  Column q of both
-    blocks comes from the FFT of w^q: c_p(w^q) is read at bin p and
-    c_r(w^{-q}) = conj(c_{-r}(w^q)) at bin size - r.
+    the map's grid or a power-of-two sub-grid of it, which also makes
+    the grid and aliasing refusals.  Column q of both blocks comes from
+    the FFT of w^q: c_p(w^q) is read at bin p and c_r(w^{-q}) =
+    conj(c_{-r}(w^q)) at bin size - r.
 
     The powers w^q are written as rows of one reused buffer of
     max(1, min(cutoff, 2**16 // size)) rows, at most 1 MiB unless a
     single row is larger, and each chunk of rows is transformed in
     place by one batched FFT.  Each w^q is the same running product
     w^{q-1} w, and a batched FFT row equals the single transform, so
-    the blocks are those of one FFT per column, bit for bit.  The
-    4 x cutoff floor reads the map's grid and the tail check the
-    assembly grid.
+    the blocks are those of one FFT per column, bit for bit.
     """
     cutoff = read_cutoff(cutoff)
     if m.degree != 1:
         raise ValidationError("block matrices are defined for degree-1 maps")
-    coarse = assembly_grid(m, cutoff, grid)
-    size = coarse.size
+    size = assembly_grid(m, cutoff, grid).size
     w = np.exp(1j * m.lift_samples[:: grid.size // size])
     ps = np.arange(1, cutoff + 1)
     roots = np.sqrt(ps.astype(float))
@@ -197,9 +193,6 @@ def pullback_matrix(m, cutoff, grid):
         ratios = roots / roots[qs, None]
         a[:, qs] = (ratios * (chunk[:, 1 : cutoff + 1] / size)).T
         b[:, qs] = (ratios * (np.conj(chunk[:, size - ps]) / size)).T
-    # The last row is the spectrum of w^cutoff, the widest power read.
-    modes = np.abs(np.fft.fftfreq(size, 1.0 / size))
-    _refuse_tail(np.abs(chunk[-1]) / size, modes, cutoff, cutoff, coarse)
     return BlockOperator(cutoff, a, b)
 
 

@@ -40,9 +40,7 @@ class QuantumOperator:
     source_bandlimit: int
 
     def __post_init__(self):
-        n = json_integer(self.cutoff, "operator cutoff")
-        if n < 1:
-            raise ValidationError("operator cutoff must be at least 1")
+        n = json_integer(self.cutoff, "operator cutoff", 1)
         entries = np.asarray(self.entries, np.complex128)
         if entries.shape != (2 * n + 1, 2 * n + 1):
             raise ValidationError(
@@ -79,9 +77,7 @@ def quantum_derivative_matrix(f, cutoff):
     -------
     QuantumOperator
     """
-    n = json_integer(cutoff, "ambient cutoff")
-    if n < 1:
-        raise ValidationError("ambient cutoff must be a positive integer")
+    n = json_integer(cutoff, "ambient cutoff", 1)
     if n < f.bandlimit:
         raise ValidationError(
             "ambient cutoff must cover the bandlimit of the function"
@@ -129,11 +125,20 @@ def hs_bracket_check(f):
 
 def _kernel(order, dx, dh, slope_x, slope_y):
     """Kernel of the given order from x - y, h(x) - h(y), h'(x), h'(y)."""
-    if order == 0:
-        return math.log(dh / dx)
-    if order == 1:
-        return slope_x / dh - 1.0 / dx
-    return slope_x * slope_y / dh**2 - 1.0 / dx**2
+    try:
+        if order == 0:
+            value = math.log(dh / dx)
+        elif order == 1:
+            value = slope_x / dh - 1.0 / dx
+        else:
+            value = slope_x * slope_y / dh**2 - 1.0 / dx**2
+    except (ArithmeticError, ValueError):  # underflow to 0, or overflow
+        value = math.nan
+    if not math.isfinite(value):
+        raise NumericalError(
+            "order %d kernel is not finite at offset x - y = %r" % (order, dx)
+        )
+    return value
 
 
 def _kernel_values(m, d1, order, x, ys):
@@ -197,7 +202,8 @@ def kernel_eval_line(h, hp, order, x, y):
         raise ValidationError("kernel angles must be finite")
     if x == y:
         raise ValidationError("kernel requires x != y")
-    return _kernel(order, x - y, h(x) - h(y), hp(x), hp(y))
+    dh = float(h(x) - h(y))  # a numpy scalar would warn, not raise
+    return _kernel(order, x - y, dh, float(hp(x)), float(hp(y)))
 
 
 def _checked_deltas(deltas):

@@ -526,6 +526,23 @@ class TestQuantumHs:
 
 
 class TestKernel:
+    def test_offset_without_a_finite_kernel_is_a_numerical_failure(self, capsys):
+        # 1e-300 squared underflows: a ZeroDivisionError traceback before.
+        sin_two_flow = json.dumps(
+            {
+                "type": "flow",
+                "v": function_to_json(from_modes(2, {2: -0.5j, -2: 0.5j})),
+                "eps": 0.1,
+            }
+        )
+        argv = ["kernel", "--order", "2", "--window", "1e-300,1e-301",
+                "--map", sin_two_flow]
+        assert run(argv, capsys) == (
+            2, "",
+            "numerical failure: order 2 kernel is not finite at offset "
+            "x - y = -1e-300\n",
+        )
+
     def test_rotation_kernels_vanish(self, tmp_path, capsys):
         out = tmp_path / "kernel.json"
         report = run_json(
@@ -827,6 +844,34 @@ class TestPlumbing:
         code, out, err = run(argv, capsys)
         assert code == 1 and out == ""
         assert err.startswith("error:")
+
+    @pytest.mark.parametrize(
+        "coeffs",
+        ["null", "true", "0", "1", "-1", "1.5", "1e300", "NaN", "Infinity",
+         "-Infinity"],
+    )
+    def test_coeffs_that_are_not_a_list_are_input_errors(self, coeffs, capsys):
+        # Each raised a TypeError out of run_command.
+        text = '{"bandlimit": 1, "coeffs": %s}' % coeffs
+        code, out, err = run(["norm", "--input", text], capsys)
+        assert (code, out) == (1, "")
+        assert err.startswith("error: malformed CircleFunction object: ")
+
+    @pytest.mark.parametrize(
+        "text, name",
+        [
+            ('{"type": "rotation", "alpha": NaN}', "rotation alpha"),
+            ('{"type": "moebius", "a": {"re": -Infinity}}', "moebius a"),
+            ('{"type": "rauch_flow", "m": 1, "eps": 1e999}', "rauch_flow eps"),
+        ],
+    )
+    def test_non_finite_literals_are_refused_by_their_field(
+        self, text, name, capsys
+    ):
+        # These were refused by the parser, "--map is not valid JSON".
+        assert run(["period", "--map", text], capsys) == (
+            1, "", "error: %s must be finite\n" % name
+        )
 
     @pytest.mark.parametrize(
         "descriptor, name",
@@ -1213,3 +1258,113 @@ class TestEmission:
             code, artifacts[index], err = run(argv, capsys)
             assert code == 0, err
         assert len(emitted) == 7
+
+
+def complex_rows(*rows):
+    return matrix_to_json(np.array(rows, np.complex128))
+
+
+moebius_source = {"type": "moebius", "a": {"re": 0.5, "im": 0.1}, "beta": 0.5}
+flow_source = json.loads(flow_map)
+small_config = '{"cutoff": 2, "grid_size": 64}'
+# Each JSON input of the command line: (template, argv and HHP_CONFIG
+# for a JSON text in its place).
+fuzz_templates = {
+    "--input": (
+        function_to_json(from_modes(2, {1: 0.5, -1: 0.5, 2: 0.25j, -2: -0.25j})),
+        lambda text: (["norm", "--input", text], None),
+    ),
+    "--modes": (
+        {"1": [0.5, 0.0], "-2": 0.25},
+        lambda text: (["norm", "--modes", text], None),
+    ),
+    "HHP_CONFIG": (
+        {"cutoff": 2, "grid_size": 64, "spectral_tol": 1e-8,
+         "matrix_tol": 1e-6, "seed": 3},
+        lambda text: (["period", "--map", rotation_map], text),
+    ),
+    "period artifact": (
+        {"cutoff": 2, "Z": complex_rows([0.1, 0.2j], [0.2j, -0.1]),
+         "source": moebius_source},
+        lambda text: (["siegel-check", "--matrix", text], None),
+    ),
+    "operator artifact": (
+        {"cutoff": 2, "A": complex_rows([1, 0.1], [0, 1j]),
+         "B": complex_rows([0.1, 0], [0, 0.2])},
+        lambda text: (["siegel-check", "--matrix", text], None),
+    ),
+}
+for kind, descriptor in {
+    "flow": flow_source,
+    "moebius": moebius_source,
+    "compose": {"type": "compose", "maps": [moebius_source, json.loads(rotation_map)]},
+    "inverse": {"type": "inverse", "of": flow_source},
+    "rauch_flow": {"type": "rauch_flow", "m": 1, "eps": 0.01},
+    "power": {"type": "power", "k": 2},
+}.items():
+    fuzz_templates["--map " + kind] = (
+        descriptor, lambda text: (["period", "--map", text], small_config)
+    )
+# What replaces each value and container in turn, as JSON text, so
+# that 1e999 reaches the parser as the literal that overflows.
+non_finite = ["NaN", "Infinity", "-Infinity", "1e999"]
+fuzz_values = non_finite + [
+    "null", "true", "0", "-1", "1.5", '"x"', "[]", "{}", "[1]", '{"a": 1}',
+]
+
+
+def fuzzed_texts(template):
+    """(path, value, JSON text) with each value of template replaced in turn."""
+    marker = "fuzz-marker"
+
+    def paths(value, path):
+        yield path
+        items = value.items() if isinstance(value, dict) else (
+            enumerate(value) if isinstance(value, list) else ()
+        )
+        for key, item in items:
+            yield from paths(item, path + (key,))
+
+    for path in paths(template, ()):
+        copy = json.loads(json.dumps(template))
+        if path:
+            parent = copy
+            for key in path[:-1]:
+                parent = parent[key]
+            parent[path[-1]] = marker
+        else:
+            copy = marker
+        text = json.dumps(copy)
+        for value in fuzz_values:
+            yield path, value, text.replace(json.dumps(marker), value)
+
+
+class TestJsonFuzz:
+    """Each JSON input is an input error, a numerical failure or a
+    report, whatever one value or container in it is replaced by; a
+    non-finite number is always refused by the field that reads it."""
+
+    @pytest.mark.parametrize("name", list(fuzz_templates))
+    def test_one_replaced_value_never_raises(
+        self, name, tmp_path, capsys, monkeypatch
+    ):
+        monkeypatch.chdir(tmp_path)  # a root replaced by text reads as a path
+        template, command = fuzz_templates[name]
+        runs = 0
+        for path, value, text in fuzzed_texts(template):
+            argv, config = command(text)
+            if config is None:
+                monkeypatch.delenv("HHP_CONFIG", raising=False)
+            else:
+                monkeypatch.setenv("HHP_CONFIG", config)
+            where = "%s at %s" % (value, list(path))
+            try:
+                code = cli.run_command(argv)
+            except Exception as exc:
+                pytest.fail("%s raised %r" % (where, exc))
+            err = capsys.readouterr().err
+            assert code in (0, 1, 2), where
+            if value in non_finite:
+                assert code == 1 and err.startswith("error: "), (where, err)
+            runs += 1
+        assert runs >= 2 * len(fuzz_values)

@@ -11,6 +11,7 @@ from hypothesis.extra.numpy import arrays
 from numpy.testing import assert_allclose
 
 from hhalf import _accel
+from hhalf.config import RunConfig
 from hhalf.errors import GridError, ValidationError
 from hhalf.fourier import (
     CircleFunction,
@@ -26,6 +27,7 @@ from hhalf.fourier import (
     h_half_norm,
     hilbert_transform,
     inner_product,
+    json_integer,
     json_real,
     max_bandlimit,
     norm_squared,
@@ -33,6 +35,9 @@ from hhalf.fourier import (
     value_and_slope,
     zero_function,
 )
+from hhalf.maps import power, rauch_flow
+from hhalf.pullback import read_cutoff
+from hhalf.quantum import QuantumOperator, quantum_derivative_matrix
 
 cos_theta = from_modes(4, {1: 0.5, -1: 0.5})
 sin_theta = from_modes(4, {1: -0.5j, -1: 0.5j})
@@ -509,6 +514,31 @@ class TestJson:
         f = function_from_json(obj)
         assert f.coefficient(2) == 1.0 + 0.5j
         assert f.coefficient(1) == 0.0
+
+    def test_json_integer_floor_follows_the_integer_check(self):
+        assert json_integer(4.0, "n", 4) == 4
+        assert json_integer(-3, "n") == -3
+        with pytest.raises(ValidationError, match="^n must be an integer >= 5$"):
+            json_integer(4, "n", 5)
+        with pytest.raises(ValidationError, match="^n must be an integer, not 0.5$"):
+            json_integer(0.5, "n", 1)
+
+    @pytest.mark.parametrize(
+        "build, message",
+        [
+            (lambda: read_cutoff(0), "cutoff must be an integer >= 1"),
+            (lambda: CircleFunction(0, [0j]), "bandlimit must be an integer >= 1"),
+            (lambda: QuantumOperator(0, [[0j]], 0), "operator cutoff must be an integer >= 1"),
+            (lambda: quantum_derivative_matrix(cos_theta, 0), "ambient cutoff must be an integer >= 1"),
+            (lambda: power(0), "power degree k must be an integer >= 1"),
+            (lambda: rauch_flow(-1, 0.1), "rauch_flow index m must be an integer >= 0"),
+            (lambda: RunConfig(seed=-1), "seed must be an integer >= 0"),
+        ],
+    )
+    def test_integer_floors_name_their_field(self, build, message):
+        with pytest.raises(ValidationError) as info:
+            build()
+        assert str(info.value) == message
 
     def test_json_real_reads_numbers_as_floats(self):
         for value in (3, 2.5, np.float64(-0.0), np.int64(7)):

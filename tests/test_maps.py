@@ -443,7 +443,7 @@ class TestJson:
             with pytest.raises(ValidationError):
                 descriptor_from_json(obj)
         # A constructor's own refusal passes through unwrapped.
-        with pytest.raises(ValidationError, match="^power descriptor"):
+        with pytest.raises(ValidationError, match="^power degree k must be an integer >= 1$"):
             descriptor_from_json({"type": "power", "k": 0})
 
     @pytest.mark.parametrize(

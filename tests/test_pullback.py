@@ -102,7 +102,7 @@ def under_resolved_cases():
 def column_blocks(lift, cutoff):
     # One FFT per block column of the lift samples, w^q formed by the
     # running product w^{q-1} w: the assembly before batching, kept as
-    # the oracle.  Returns A, B and the spectrum of w^cutoff; no refusals.
+    # the oracle.  Returns A and B; no refusals.
     size = len(lift)
     w = np.exp(1j * lift)
     ps = np.arange(1, cutoff + 1)
@@ -118,7 +118,7 @@ def column_blocks(lift, cutoff):
         b[:, q - 1] = (roots / roots[q - 1]) * coeffs
         if q < cutoff:
             wq *= w
-    return a, b, spectrum
+    return a, b
 
 
 def peak_traced_mib(call):
@@ -391,7 +391,7 @@ class TestChunkedAssembly:
             m = make_map(descriptor, g)
             t = pullback_matrix(m, cutoff, g)
             stride = size // assembly_grid(m, cutoff, g).size
-            a, b, _ = column_blocks(m.lift_samples[::stride], cutoff)
+            a, b = column_blocks(m.lift_samples[::stride], cutoff)
             assert np.array_equal(t.A, a), descriptor
             assert np.array_equal(t.B, b), descriptor
 
@@ -409,17 +409,19 @@ class TestChunkedAssembly:
         ]
         for descriptor, cutoff, coarse in cases:
             m = make_map(descriptor, coarse)
-            assert assembly_grid(m, cutoff, coarse) == coarse
-            spectrum = column_blocks(m.lift_samples, cutoff)[2]
+            # The tail is read from the probe of w^N on the map's grid,
+            # before any FFT of the assembly.
+            probe = np.fft.fft(np.exp(1j * cutoff * m.lift_samples))
             modes = np.abs(np.fft.fftfreq(coarse.size, 1.0 / coarse.size))
             band = modes >= max(3 * coarse.size / 8, cutoff + 1)
-            tail = np.max(np.abs(spectrum[band])) / coarse.size
-            with pytest.raises(AliasingError) as caught:
-                pullback_matrix(m, cutoff, coarse)
-            assert str(caught.value) == (
-                "grid size %d cannot resolve bandlimit %d under this map "
-                "(spectral tail %.1e near Nyquist)" % (coarse.size, cutoff, tail)
-            )
+            tail = np.max(np.abs(probe[band])) / coarse.size
+            for assemble in (assembly_grid, pullback_matrix):
+                with pytest.raises(AliasingError) as caught:
+                    assemble(m, cutoff, coarse)
+                assert str(caught.value) == (
+                    "grid size %d cannot resolve bandlimit %d under this map "
+                    "(spectral tail %.1e near Nyquist)" % (coarse.size, cutoff, tail)
+                )
 
     @pytest.mark.parametrize("cutoff, size, bound", [(256, 16384, 6.0), (32, 4096, 1.5)])
     def test_working_set_is_bounded(self, cutoff, size, bound):
@@ -433,7 +435,9 @@ class TestChunkedAssembly:
 
 class TestAssemblyGrid:
     # Blocks are assembled on the coarsest sub-grid M' = M / 2^j with
-    # M' >= 4N whose tail band the spectrum of w^N leaves empty.
+    # M' >= 4N whose tail band the spectrum of w^N on the map's grid
+    # leaves empty; a spectrum that fills the map's own tail band is
+    # refused before any halving.
     sizes = [(16, 4096), (32, 4096), (97, 4096), (40, 3000), (256, 16384)]
 
     def maps(self, g):
@@ -453,15 +457,40 @@ class TestAssemblyGrid:
             coarser += sub.size < size
         assert coarser == len(catalog_descriptors()) + 1
 
-    def test_odd_or_filled_grids_keep_the_map_grid(self):
+    def test_odd_grids_keep_the_map_grid_and_filled_tails_are_refused(self):
+        refused = []
         for cutoff, size in ((32, 4097), (4, 2**17 + 1), (40, 375)):
             g = SampleGrid(size)
             for name, m in self.maps(g):
-                assert assembly_grid(m, cutoff, g) == g, name
+                try:
+                    sub = assembly_grid(m, cutoff, g)
+                except AliasingError:
+                    refused.append((cutoff, size, name))
+                else:
+                    assert sub == g, name
+        assert refused == [(40, 375, "moebius_0.5_0.5")]
         # w^N already fills the tail band of the map's own grid.
         for descriptor, cutoff, coarse in under_resolved_cases():
             m = make_map(descriptor, coarse)
-            assert assembly_grid(m, cutoff, coarse) == coarse
+            with pytest.raises(AliasingError, match="^grid size %d " % coarse.size):
+                assembly_grid(m, cutoff, coarse)
+
+    @pytest.mark.parametrize("k", [61, 62, 63, 64])
+    @pytest.mark.parametrize("eps, size", [(1e-3, 1024), (1e-2, 2048)])
+    def test_modes_that_fold_past_a_sub_grid_are_read_on_the_map_grid(
+        self, k, eps, size
+    ):
+        # w^32 for the flow of sin k theta spreads in steps of k past
+        # the 128-point sub-grid.  Judged by its own samples, that grid
+        # shows no tail for most of these maps, and its blocks are off
+        # by 1.2e-4 to 0.16.  Read on the map's grid, the spectrum
+        # keeps every spread mode below the tail band of M'.
+        m = make_map(flow(sin_field(k), eps), grid)
+        assert assembly_grid(m, 32, grid).size == size
+        t = pullback_matrix(m, 32, grid)
+        a, b = bessel_blocks(k, -1.0, eps, 32)
+        assert np.max(np.abs(t.A - a)) <= 1e-14
+        assert np.max(np.abs(t.B - b)) <= 1e-14
 
     @pytest.mark.parametrize("assemble", [pullback_matrix, assembly_grid])
     @pytest.mark.parametrize("cutoff", [0, True, 2.5, -1])

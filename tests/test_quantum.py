@@ -251,6 +251,28 @@ class TestKernelEval:
         with pytest.raises(AliasingError, match="does not resolve"):
             kernel_eval(coarse, 0, 0.1, 0.3)
 
+    @pytest.mark.parametrize(
+        "order, offset",
+        # dx**2 underflows to zero at 1e-300 and 1e-320, a
+        # ZeroDivisionError; at the others both terms overflow, and
+        # inf - inf is NaN.
+        [(2, 1e-300), (2, 1e-320), (2, 1e-160), (2, 1e-155), (1, 1e-320)],
+    )
+    def test_offsets_without_a_finite_kernel_are_numerical_failures(
+        self, order, offset
+    ):
+        circle = make_map(flow(sin_field(2), 0.1), grid)
+        line = fractional_linear(moebius_line_coefficients(moebius(0.3)))
+        message = "^order %d kernel is not finite at offset x - y = %r$"
+        for call in (
+            lambda: kernel_eval(circle, order, 0.0, offset),
+            lambda: kernel_eval_line(*line, order, 0.0, offset),
+        ):
+            with pytest.raises(NumericalError, match=message % (order, -offset)):
+                call()
+        with pytest.raises(NumericalError, match="^order %d kernel" % order):
+            diagonal_limit_line(*line, order, 0.0, (2.0 * offset, offset))
+
     def test_cocycle_property_order_zero(self):
         inner = make_map(flow(sin_one, 0.1), grid)
         outer = make_map(flow(sin_field(2), 0.05), grid)
