@@ -94,7 +94,6 @@ from .pullback import (
     sub_operator,
 )
 from .quantum import (
-    QuantumOperator,
     diagonal_limit,
     diagonal_limit_line,
     diagonal_report,

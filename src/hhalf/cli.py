@@ -14,6 +14,7 @@ import functools
 import json
 import math
 import os
+import re
 import sys
 
 from dataclasses import replace
@@ -57,11 +58,9 @@ from .quantum import (
     diagonal_report,
     hs_bracket_check,
     hs_norm,
-    quantum_derivative_matrix,
+    kernel_base_points,
 )
 from .suite import run_all
-
-kernel_base_points = (0.0, np.pi / 3.0, 1.0)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -79,7 +78,11 @@ def _function_from_modes(obj):
     modes = {}
     for key, value in obj.items():
         try:
-            n = int(key)
+            # Only the text JSON writes for an integer: int() alone also
+            # takes "1_0", " 2 ", "+2", "01" and non-ASCII digits.
+            if not re.fullmatch("-?(0|[1-9][0-9]*)", key):
+                raise ValueError(key)
+            n = int(key)  # and refuses more than 4300 digits
         except ValueError:
             raise ValidationError("mode index %r is not an integer" % (key,))
         if n in modes:
@@ -335,13 +338,12 @@ def _cmd_integrability(args, cfg):
 def _cmd_quantum_hs(args, cfg):
     """hilbert-schmidt norm of the quantum derivative"""
     f = _function_argument(args)
-    cutoff = max(2 * f.bandlimit, 1)
-    value = hs_norm(quantum_derivative_matrix(f, cutoff))
+    value = hs_norm(f)
     squared_norm = norm_squared(f)
     report = {
         "command": "quantum-hs",
         "bandlimit": f.bandlimit,
-        "cutoff": cutoff,
+        "cutoff": f.bandlimit,
         "hs_norm": value,
         "hs_norm_squared": value * value,
         "h_half_norm_squared": squared_norm,

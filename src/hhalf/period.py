@@ -52,7 +52,11 @@ def _right_divide(numerator, denominator, name):
 
 @dataclass(frozen=True)
 class PeriodMatrix:
-    """Symmetric contraction Z describing a deformed polarization."""
+    """Symmetric contraction Z describing a deformed polarization.
+
+    A complex128 array given for Z is kept, not copied, and becomes
+    read-only.
+    """
 
     cutoff: int
     Z: np.ndarray
@@ -61,7 +65,7 @@ class PeriodMatrix:
     def __post_init__(self):
         n = read_cutoff(self.cutoff)
         object.__setattr__(self, "cutoff", n)
-        z = np.array(self.Z, dtype=np.complex128)
+        z = np.asarray(self.Z, np.complex128)
         if z.shape != (self.cutoff, self.cutoff):
             raise ValidationError("Z must be %d x %d" % (n, n))
         if not np.all(np.isfinite(z)):

@@ -90,7 +90,11 @@ def pullback_function(m, f, grid):
 
 @dataclass(frozen=True)
 class BlockOperator:
-    """Truncated pullback operator: A (W+ -> W+) and B (W- -> W+)."""
+    """Truncated pullback operator: A (W+ -> W+) and B (W- -> W+).
+
+    A complex128 array given for a block is kept, not copied, and
+    becomes read-only.
+    """
 
     cutoff: int
     A: np.ndarray
@@ -100,13 +104,16 @@ class BlockOperator:
         n = read_cutoff(self.cutoff)
         object.__setattr__(self, "cutoff", n)
         for name in ("A", "B"):
-            block = np.array(getattr(self, name), dtype=np.complex128)
+            block = np.asarray(getattr(self, name), np.complex128)
             if block.shape != (self.cutoff, self.cutoff):
                 raise ValidationError("%s block must be %d x %d" % (name, n, n))
             if not np.all(np.isfinite(block)):
                 raise ValidationError("%s block entries must be finite" % name)
-            block.flags.writeable = False
             object.__setattr__(self, name, block)
+        # Only once both pass, so a refusal leaves the caller's arrays
+        # as they were.
+        self.A.flags.writeable = False
+        self.B.flags.writeable = False
 
     def full(self):
         """Dense 2N x 2N complexified matrix."""

@@ -11,7 +11,6 @@ log h', h''/(2h'), and the Schwarzian derivative over six.
 """
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -26,83 +25,48 @@ two_pi = 2.0 * np.pi
 # smooth catalog map is in its asymptotic regime.
 default_deltas = (0.02, 0.01, 0.005)
 
+# Base angles at which `kernel` reports and suite criterion 9 take
+# diagonal limits.
+kernel_base_points = (0.0, np.pi / 3.0, 1.0)
 
-@dataclass(frozen=True)
-class QuantumOperator:
-    """Commutator matrix [J, M_f] on modes m, n in {-N..N}.
+# Largest bandlimit whose quantum derivative is built: the (2K + 1)^2
+# matrix peaks near 160 MiB to build at K = 1024.
+max_quantum_bandlimit = 1024
 
-    Entry (m, n) is -i(sgn m - sgn n) c_{m-n}(f) with sgn 0 = 0, so the
-    matrix vanishes whenever the two modes share a sign.
+
+def quantum_derivative_matrix(f):
+    """Matrix of [J, M_f] on the modes -K..K, K the bandlimit of f.
+
+    Entry (m, n) is -i(sgn m - sgn n) c_{m-n}(f) with sgn 0 = 0.  It
+    vanishes unless m and n have opposite signs or one of them is 0,
+    and then |m| and |n| are at most |m - n| <= K, so this block holds
+    every nonzero entry of the commutator.  The array is read-only.
+    A bandlimit above max_quantum_bandlimit is refused before anything
+    is allocated.
     """
-
-    cutoff: int
-    entries: np.ndarray
-    source_bandlimit: int
-
-    def __post_init__(self):
-        n = json_integer(self.cutoff, "operator cutoff", 1)
-        entries = np.asarray(self.entries, np.complex128)
-        if entries.shape != (2 * n + 1, 2 * n + 1):
-            raise ValidationError(
-                "entries must be a (2N+1) x (2N+1) matrix for cutoff N"
-            )
-        signs = np.sign(np.arange(-n, n + 1))
-        same = signs[:, None] == signs[None, :]
-        if np.any(entries[same] != 0):
-            raise ValidationError(
-                "entries must vanish whenever the mode signs agree"
-            )
-        source = json_integer(self.source_bandlimit, "source bandlimit")
-        if not 0 <= source <= n:
-            raise ValidationError(
-                "source bandlimit must lie between 0 and the cutoff"
-            )
-        entries.flags.writeable = False
-        object.__setattr__(self, "entries", entries)
-        object.__setattr__(self, "cutoff", n)
-        object.__setattr__(self, "source_bandlimit", source)
-
-
-def quantum_derivative_matrix(f, cutoff):
-    """Matrix of [J, M_f] on the ambient modes {-N..N}.
-
-    Parameters
-    ----------
-    f : CircleFunction
-        Generating function of the multiplication operator.
-    cutoff : int
-        Ambient half-bandwidth N; must be at least bandlimit(f).
-
-    Returns
-    -------
-    QuantumOperator
-    """
-    n = json_integer(cutoff, "ambient cutoff", 1)
-    if n < f.bandlimit:
-        raise ValidationError(
-            "ambient cutoff must cover the bandlimit of the function"
-        )
-    idx = np.arange(-n, n + 1)
-    signs = np.sign(idx).astype(float)
-    padded = np.zeros(4 * n + 1, np.complex128)
     k = f.bandlimit
-    padded[2 * n - k : 2 * n + k + 1] = f.coeffs
-    lookup = padded[2 * n + (idx[:, None] - idx[None, :])]
-    entries = -1j * (signs[:, None] - signs[None, :]) * lookup
-    return QuantumOperator(n, entries, f.bandlimit)
-
-
-def hs_norm(op):
-    """Hilbert-Schmidt (Frobenius) norm of a quantum derivative.
-
-    Exact for bandlimited sources once the ambient cutoff is at least
-    twice the source bandlimit, so no nonzero entry is truncated away.
-    """
-    if op.cutoff < 2 * op.source_bandlimit:
+    if k > max_quantum_bandlimit:
         raise ValidationError(
-            "ambient cutoff must be at least twice the source bandlimit"
+            "quantum derivative needs a bandlimit of at most %d, not %d"
+            % (max_quantum_bandlimit, k)
         )
-    return float(np.linalg.norm(op.entries))
+    idx = np.arange(-k, k + 1)
+    signs = np.sign(idx).astype(float)
+    padded = np.zeros(4 * k + 1, np.complex128)
+    padded[k : 3 * k + 1] = f.coeffs
+    lookup = padded[2 * k + (idx[:, None] - idx[None, :])]
+    entries = -1j * (signs[:, None] - signs[None, :]) * lookup
+    entries.flags.writeable = False
+    return entries
+
+
+def hs_norm(f):
+    """Hilbert-Schmidt (Frobenius) norm of the quantum derivative of f.
+
+    Exact for a bandlimited f: quantum_derivative_matrix holds every
+    nonzero entry.
+    """
+    return float(np.linalg.norm(quantum_derivative_matrix(f)))
 
 
 def hs_bracket_check(f):
@@ -114,8 +78,7 @@ def hs_bracket_check(f):
     """
     if not f.real:
         raise ValidationError("the bracket is stated for real functions")
-    ambient = max(2 * f.bandlimit, 1)
-    hs2 = hs_norm(quantum_derivative_matrix(f, ambient)) ** 2
+    hs2 = hs_norm(f) ** 2
     n2 = norm_squared(f)
     slack = 32.0 * eps * max(1.0, hs2, 4.0 * n2)
     lower_ok = 2.0 * n2 <= hs2 + slack

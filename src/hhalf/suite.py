@@ -60,8 +60,8 @@ from .quantum import (
     fractional_linear,
     hs_bracket_check,
     hs_norm,
+    kernel_base_points,
     moebius_line_coefficients,
-    quantum_derivative_matrix,
 )
 from .symplectic import compatibility_defect
 
@@ -213,7 +213,7 @@ def check_quantum_hs(seed):
     """Hilbert-Schmidt norms match the closed form and the bracket."""
     worst = 0.0
     for f in trial_functions(20, 8, seed + 3):
-        hs2 = hs_norm(quantum_derivative_matrix(f, 16)) ** 2
+        hs2 = hs_norm(f) ** 2
         ks = np.arange(1, f.bandlimit + 1)
         plus = np.abs(f.coeffs[f.bandlimit + 1:]) ** 2
         minus = np.abs(f.coeffs[f.bandlimit - 1:: -1]) ** 2
@@ -224,7 +224,7 @@ def check_quantum_hs(seed):
         low, high = hs_bracket_check(f)
         failures += not (low and high)
     cos_one = cos_field(1)
-    hs2 = hs_norm(quantum_derivative_matrix(cos_one, 2)) ** 2
+    hs2 = hs_norm(cos_one) ** 2
     attained = hs2 == 2.0 * norm_squared(cos_one)
     detail = (
         "worst closed-form mismatch %.3e (limit 1e-10); bracket failures "
@@ -237,13 +237,12 @@ def check_quantum_hs(seed):
 def check_kernel_limits():
     """Welding kernels reach their classical diagonal values."""
     grid = SampleGrid(4096)
-    points = (0.0, np.pi / 3.0, 1.0)
     worst_flow = 0.0
     for d in (flow(sin_field(1), 0.1), flow(sin_field(2), 0.05),
               flow(cos_field(3), 0.04)):
         h = make_map(d, grid)
         for order in (0, 1, 2):
-            for x in points:
+            for x in kernel_base_points:
                 worst_flow = max(worst_flow, diagonal_limit(h, order, x)[2])
     wide = (0.04, 0.02, 0.01)
     worst_moebius = 0.0

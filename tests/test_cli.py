@@ -7,6 +7,7 @@ import os
 import pathlib
 import subprocess
 import sys
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -99,9 +100,24 @@ class TestNorm:
             "[1]",
             '{"1": 1, "01": 2}',
             '{"1": [true, 0]}',
+            '{"1_0": 1}',
+            '{" 2 ": 1}',
+            '{"+2": 1}',
+            '{"01": 1}',
+            '{"\u0661": 1}',
         ):
             code, _, _ = run(["norm", "--modes", bad], capsys)
             assert code == 1, bad
+
+    def test_mode_keys_are_read_as_json_integer_text(self, capsys):
+        # int() read "1_0" as mode 10, and "01" as a duplicate of "1".
+        for modes, key in (('{"1_0": 1}', "1_0"), ('{"1": 1, "01": 2}', "01")):
+            code, _, err = run(["norm", "--modes", modes], capsys)
+            assert err == "error: mode index '%s' is not an integer\n" % key
+        code, _, err = run(["norm", "--modes", json.dumps({"1" * 5000: 1})], capsys)
+        assert code == 1 and err.endswith("1' is not an integer\n")
+        report = run_json(["norm", "--modes", '{"-10": 1, "10": 1}'], capsys)
+        assert report["bandlimit"] == 10
 
 
 class TestHilbert:
@@ -516,6 +532,29 @@ class TestQuantumHs:
         assert report["hs_norm"] == 1.0
         assert report["hs_norm_squared"] == report["lower_bound"] == 1.0
         assert report["bracket_holds"] == [True, True]
+
+    def test_cutoff_is_the_bandlimit(self, capsys):
+        modes = '{"3": [0.5, 0.0], "-3": [0.5, 0.0]}'
+        report = run_json(["quantum-hs", "--modes", modes], capsys)
+        assert report["bandlimit"] == report["cutoff"] == 3
+
+    def test_bandlimit_past_the_limit_is_an_input_error(self, capsys):
+        # The build asked numpy for 47.7 GiB: a MemoryError traceback.
+        modes = '{"20000": 1, "-20000": 1}'
+        tracemalloc.start()
+        try:
+            code, out, err = run(["quantum-hs", "--modes", modes], capsys)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 1 and out == ""
+        assert err == (
+            "error: quantum derivative needs a bandlimit of at most 1024, "
+            "not 20000\n"
+        )
+        # Reading the function takes about 2 MiB; its matrix would take
+        # 24 GiB.
+        assert peak < 2**22
 
     def test_complex_input_skips_the_bracket(self, tmp_path, capsys):
         path = tmp_path / "f.json"

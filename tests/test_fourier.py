@@ -37,7 +37,6 @@ from hhalf.fourier import (
 )
 from hhalf.maps import power, rauch_flow
 from hhalf.pullback import read_cutoff
-from hhalf.quantum import QuantumOperator, quantum_derivative_matrix
 
 cos_theta = from_modes(4, {1: 0.5, -1: 0.5})
 sin_theta = from_modes(4, {1: -0.5j, -1: 0.5j})
@@ -528,8 +527,6 @@ class TestJson:
         [
             (lambda: read_cutoff(0), "cutoff must be an integer >= 1"),
             (lambda: CircleFunction(0, [0j]), "bandlimit must be an integer >= 1"),
-            (lambda: QuantumOperator(0, [[0j]], 0), "operator cutoff must be an integer >= 1"),
-            (lambda: quantum_derivative_matrix(cos_theta, 0), "ambient cutoff must be an integer >= 1"),
             (lambda: power(0), "power degree k must be an integer >= 1"),
             (lambda: rauch_flow(-1, 0.1), "rauch_flow index m must be an integer >= 0"),
             (lambda: RunConfig(seed=-1), "seed must be an integer >= 0"),

@@ -168,6 +168,16 @@ class TestPeriodMatrix:
             with pytest.raises(ValidationError, match="finite"):
                 siegel_membership(PeriodMatrix(1, [[bad]]))
 
+    def test_complex_z_is_kept_read_only(self):
+        z = 0.5 * np.eye(2, dtype=complex)
+        p = PeriodMatrix(2, z)
+        assert np.shares_memory(p.Z, z)
+        assert not p.Z.flags.writeable
+        bad = np.full((2, 2), complex(math.nan, 0.0))
+        with pytest.raises(ValidationError, match="^Z entries must be finite$"):
+            PeriodMatrix(2, bad)
+        assert bad.flags.writeable
+
 
 class TestSiegelMembership:
     def test_origin_report(self):

@@ -686,6 +686,27 @@ class TestBlockOperator:
             with pytest.raises(ValidationError, match="B block"):
                 BlockOperator(2, np.eye(2), [[bad, 0.0], [0.0, 0.0]])
 
+    def test_complex_blocks_are_kept_read_only(self):
+        a, b = np.eye(2, dtype=complex), np.zeros((2, 2), complex)
+        t = BlockOperator(2, a, b)
+        assert np.shares_memory(t.A, a) and np.shares_memory(t.B, b)
+        assert not (t.A.flags.writeable or t.B.flags.writeable)
+        with pytest.raises(ValueError):
+            a[0, 0] = 2.0
+        # Other dtypes are converted, so the caller's array is untouched.
+        real = np.eye(2)
+        assert not np.shares_memory(BlockOperator(2, real, real).A, real)
+        assert real.flags.writeable
+
+    def test_refused_blocks_stay_writeable(self):
+        a = np.eye(2, dtype=complex)
+        bad = np.full((2, 2), complex(math.nan, 0.0))
+        with pytest.raises(ValidationError, match="^B block entries must be finite$"):
+            BlockOperator(2, a, bad)
+        with pytest.raises(ValidationError, match="^B block must be 2 x 2$"):
+            BlockOperator(2, a, np.zeros((3, 3), complex))
+        assert a.flags.writeable and bad.flags.writeable
+
     def test_sub_operator_reads_the_corner(self):
         t = pullback_matrix(make_map(moebius(0.3), grid), 16, grid)
         s = sub_operator(t, 5)

@@ -1,6 +1,7 @@
 """Tests for quantum derivatives, HS diagnostics, and welding kernels."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -8,7 +9,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
-from hhalf.catalog import catalog_maps, cos_field, sin_field
+from hhalf import quantum
+from hhalf.catalog import catalog_maps, sin_field
 from hhalf.errors import AliasingError, NumericalError, ValidationError
 from hhalf.fourier import SampleGrid, from_modes, norm_squared, zero_function
 from hhalf.maps import (
@@ -31,7 +33,6 @@ from hhalf.period import (
 )
 from hhalf.pullback import pullback_matrix
 from hhalf.quantum import (
-    QuantumOperator,
     _extrapolate,
     default_deltas,
     diagonal_limit,
@@ -82,77 +83,115 @@ def real_functions(draw, band=6):
     return from_modes(band, modes)
 
 
+def wide_commutator(f, reach):
+    """[J, M_f] on the modes -reach..reach, entry by entry."""
+    idx = np.arange(-reach, reach + 1)
+    out = np.zeros((idx.size, idx.size), np.complex128)
+    for i, m in enumerate(idx):
+        for j, n in enumerate(idx):
+            out[i, j] = -1j * (np.sign(m) - np.sign(n)) * f.coefficient(m - n)
+    return out
+
+
+@st.composite
+def real_or_complex_functions(draw):
+    band = draw(st.integers(1, 6))
+    real = draw(st.booleans())
+    parts = st.floats(-4.0, 4.0, allow_nan=False)
+    modes = {}
+    for k in range(1, band + 1):
+        modes[k] = complex(draw(parts), draw(parts))
+        modes[-k] = np.conj(modes[k]) if real else complex(draw(parts), draw(parts))
+    return from_modes(band, modes)
+
+
 class TestQuantumDerivativeMatrix:
     def test_zero_function_gives_zero_operator(self):
-        op = quantum_derivative_matrix(zero_function(3), 6)
-        assert np.all(op.entries == 0)
-        assert op.source_bandlimit == 3
+        entries = quantum_derivative_matrix(zero_function(3))
+        assert np.all(entries == 0)
+        assert entries.shape == (7, 7)
 
     def test_first_mode_has_exactly_four_entries(self):
-        op = quantum_derivative_matrix(cos_one, 2)
-        rows, cols = np.nonzero(op.entries)
-        positions = sorted(zip((rows - 2).tolist(), (cols - 2).tolist()))
+        entries = quantum_derivative_matrix(cos_one)
+        assert entries.shape == (3, 3)
+        rows, cols = np.nonzero(entries)
+        positions = sorted(zip((rows - 1).tolist(), (cols - 1).tolist()))
         assert positions == [(-1, 0), (0, -1), (0, 1), (1, 0)]
-        assert np.all(np.abs(op.entries[rows, cols]) == 0.5)
+        assert np.all(np.abs(entries[rows, cols]) == 0.5)
         # commutator with the conjugation diagonal fixes the phases
-        assert op.entries[3, 2] == -0.5j
-        assert op.entries[1, 2] == 0.5j
+        assert entries[2, 1] == -0.5j
+        assert entries[0, 1] == 0.5j
 
     def test_sparsity_law(self):
         f = from_modes(6, random_real_modes(6, seed=5))
-        op = quantum_derivative_matrix(f, 13)
-        signs = np.sign(np.arange(-13, 14))
+        entries = quantum_derivative_matrix(f)
+        signs = np.sign(np.arange(-6, 7))
         same = signs[:, None] == signs[None, :]
-        assert np.all(op.entries[same] == 0)
+        assert np.all(entries[same] == 0)
 
     def test_linearity_is_exact(self):
         a = random_real_modes(6, seed=1)
         b = random_real_modes(6, seed=2)
         both = {k: a[k] + b[k] for k in a}
-        op_a = quantum_derivative_matrix(from_modes(6, a), 12)
-        op_b = quantum_derivative_matrix(from_modes(6, b), 12)
-        op_sum = quantum_derivative_matrix(from_modes(6, both), 12)
-        assert np.array_equal(op_sum.entries, op_a.entries + op_b.entries)
+        op_a = quantum_derivative_matrix(from_modes(6, a))
+        op_b = quantum_derivative_matrix(from_modes(6, b))
+        op_sum = quantum_derivative_matrix(from_modes(6, both))
+        assert np.array_equal(op_sum, op_a + op_b)
 
-    def test_cutoff_must_cover_the_bandlimit(self):
-        with pytest.raises(ValidationError):
-            quantum_derivative_matrix(from_modes(4, {4: 1.0, -4: 1.0}), 3)
+    def test_matrix_is_read_only(self):
+        entries = quantum_derivative_matrix(cos_one)
+        with pytest.raises(ValueError):
+            entries[0, 1] = 0.0
 
-    def test_operator_validation(self):
-        with pytest.raises(ValidationError):
-            QuantumOperator(2, np.zeros((4, 4)), 1)
-        bad = np.zeros((5, 5), complex)
-        bad[3, 4] = 1.0
-        with pytest.raises(ValidationError):
-            QuantumOperator(2, bad, 1)
-        with pytest.raises(ValidationError):
-            QuantumOperator(2, np.zeros((5, 5)), 3)
+    @given(real_or_complex_functions())
+    @settings(max_examples=100, deadline=None)
+    def test_modes_up_to_the_bandlimit_hold_every_entry(self, f):
+        k = f.bandlimit
+        wide = wide_commutator(f, 3 * k)
+        rows, cols = np.nonzero(wide)
+        assert np.all(np.abs(rows - 3 * k) <= k)
+        assert np.all(np.abs(cols - 3 * k) <= k)
+        inner = wide[2 * k : 4 * k + 1, 2 * k : 4 * k + 1]
+        assert np.array_equal(inner, quantum_derivative_matrix(f))
+        norm = np.linalg.norm(wide)
+        assert abs(hs_norm(f) - norm) <= 2e-15 * norm
 
-    def test_integers_are_not_truncated(self):
-        # int() read cutoff 2.7 as 2 and source bandlimit 1.9 as 1.
-        with pytest.raises(ValidationError, match="^operator cutoff must be"):
-            QuantumOperator(2.7, np.zeros((5, 5)), 1)
-        with pytest.raises(ValidationError, match="^source bandlimit must be"):
-            QuantumOperator(2, np.zeros((5, 5)), 1.9)
-        for bad in (True, 1.5):
-            with pytest.raises(ValidationError, match="^ambient cutoff must be"):
-                quantum_derivative_matrix(cos_field(1), bad)
-        assert quantum_derivative_matrix(cos_field(1), 2.0).cutoff == 2
+    def test_bandlimit_past_the_limit_is_refused_before_allocating(self):
+        f = from_modes(20000, {20000: 1.0, -20000: 1.0})
+        tracemalloc.start()
+        try:
+            with pytest.raises(
+                ValidationError,
+                match="^quantum derivative needs a bandlimit of at most "
+                "1024, not 20000$",
+            ):
+                quantum_derivative_matrix(f)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
+        with pytest.raises(ValidationError):
+            hs_norm(f)
+
+    def test_the_limit_itself_is_built(self, monkeypatch):
+        monkeypatch.setattr(quantum, "max_quantum_bandlimit", 4)
+        assert quantum_derivative_matrix(from_modes(4, {4: 1.0})).shape == (9, 9)
+        with pytest.raises(ValidationError, match="at most 4, not 5$"):
+            quantum_derivative_matrix(from_modes(5, {5: 1.0}))
 
 
 class TestHilbertSchmidt:
     def test_first_mode_norm_is_exactly_one(self):
-        op = quantum_derivative_matrix(cos_one, 2)
-        assert hs_norm(op) ** 2 == 1.0
+        assert hs_norm(cos_one) ** 2 == 1.0
 
     def test_zero_norm(self):
-        assert hs_norm(quantum_derivative_matrix(zero_function(2), 4)) == 0.0
+        assert hs_norm(zero_function(2)) == 0.0
 
     def test_closed_form_from_entry_enumeration(self):
         # HS^2 = sum over k >= 1 of (4k-2)(|c_k|^2 + |c_-k|^2)
         modes = random_real_modes(8, seed=7, decay=1.5)
         f = from_modes(8, modes)
-        hs2 = hs_norm(quantum_derivative_matrix(f, 16)) ** 2
+        hs2 = hs_norm(f) ** 2
         closed = sum(
             (4.0 * k - 2.0) * (abs(modes[k]) ** 2 + abs(modes[-k]) ** 2)
             for k in range(1, 9)
@@ -163,21 +202,16 @@ class TestHilbertSchmidt:
         previous = 0.0
         for k in (1, 5, 25, 100):
             f = from_modes(k, {k: 0.5, -k: 0.5})
-            hs2 = hs_norm(quantum_derivative_matrix(f, 2 * k)) ** 2
+            hs2 = hs_norm(f) ** 2
             ratio = hs2 / norm_squared(f)
             assert_allclose(ratio, 4.0 - 2.0 / k, rtol=1e-13)
             assert ratio > previous
             previous = ratio
         assert previous > 3.97
 
-    def test_truncated_ambient_is_rejected(self):
-        op = quantum_derivative_matrix(from_modes(4, {4: 1.0, -4: 1.0}), 6)
-        with pytest.raises(ValidationError):
-            hs_norm(op)
-
     def test_bracket_on_first_mode_attains_lower_exactly(self):
         f = from_modes(1, {1: complex(0.37, -0.181), -1: complex(0.37, 0.181)})
-        hs2 = hs_norm(quantum_derivative_matrix(f, 2)) ** 2
+        hs2 = hs_norm(f) ** 2
         assert hs2 == 2.0 * norm_squared(f)
         assert hs_bracket_check(f) == (True, True)
 
