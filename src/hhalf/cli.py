@@ -33,6 +33,7 @@ from .fourier import (
     h_half_norm,
     hilbert_transform,
     json_real,
+    max_bandlimit,
     norm_squared,
 )
 from .maps import descriptor_from_json, descriptor_to_json, make_map
@@ -77,14 +78,17 @@ def _function_from_modes(obj):
         )
     modes = {}
     for key, value in obj.items():
-        try:
-            # Only the text JSON writes for an integer: int() alone also
-            # takes "1_0", " 2 ", "+2", "01" and non-ASCII digits.
-            if not re.fullmatch("-?(0|[1-9][0-9]*)", key):
-                raise ValueError(key)
-            n = int(key)  # and refuses more than 4300 digits
-        except ValueError:
-            raise ValidationError("mode index %r is not an integer" % (key,))
+        shown = key if len(key) <= 12 else key[:12] + "…"
+        # Only the text JSON writes for an integer: int() alone also
+        # takes "1_0", " 2 ", "+2", "01" and non-ASCII digits.
+        if not re.fullmatch("-?(0|[1-9][0-9]*)", key):
+            raise ValidationError("mode index %r is not an integer" % (shown,))
+        if len(key.lstrip("-")) > len(str(max_bandlimit)):
+            raise ValidationError(
+                "mode index %s exceeds the largest bandlimit %d"
+                % (shown, max_bandlimit)
+            )
+        n = int(key)
         if n in modes:
             raise ValidationError("duplicate mode index %d" % n)
         parts = value if isinstance(value, list) and len(value) == 2 else [value]

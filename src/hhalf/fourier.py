@@ -289,9 +289,9 @@ def douglas_energy(f, grid):
     coefficients c_k e^{ik pi/M}: the two axes never meet, so the
     removable diagonal singularity is dodged.  The squared integrand
     is a trig polynomial of degree below 2N per axis, so the rule is
-    exact to rounding once grid.size exceeds 2*bandlimit.  Both axes
-    are uniform, so douglas_pair_sum sums the M^2 pairs as a circulant
-    in O(M log M) plus 16 M operations.
+    exact to rounding once grid.size exceeds 2*bandlimit.  The axes
+    sit an odd number of half cells apart, so douglas_pair_sum sums
+    the M^2 pairs in closed form from two FFTs.
     """
     m, n, c = grid.size, f.bandlimit, f.coeffs
     half = np.pi / m
@@ -311,15 +311,12 @@ def douglas_pair_sum(fx, fy, tx, ty):
     """Sum of |fx_i - fy_j|^2 / sin^2((tx_i - ty_j)/2) over the product grid.
 
     tx and ty must each be a uniform grid t_0 + 2 pi j / M, the four
-    arrays all of length M, and the two grids must not meet; anything
-    else raises ValidationError.  The weight then depends only on
-    k = i - j mod M, so the sum is S (sum |fx|^2 + sum |fy|^2)
-    - 2 Re sum_k K_k r_k with S the sum of the weights K_k and
-    r_k = sum_i fx_i conj(fy_{i-k}) the cross-correlation, taken by
-    one forward and one inverse FFT.  That form cancels where the
-    weights blow up, so the 16 offsets nearest the singularity are
-    summed directly as sum_i |fx_i - fy_{i-k}|^2 and the FFT carries
-    the rest: O(M log M) plus 16 M operations, memory linear in M.
+    arrays all of length M, and tx - ty an odd number of half cells
+    d = (2s + 1) pi / M; anything else raises ValidationError.  The
+    weight then depends only on k = i - j, and its DFT is exactly
+    M (M - 2|w|) e^{-iwd} at each signed mode |w| <= M/2.  With F the
+    FFT of each sample array and G = e^{iwd} F_y, the sum is
+    sum_w M |F_x - G|^2 + 4|w| Re(F_x conj G): two FFTs, no cancellation.
     """
     fx = np.asarray(fx, np.complex128)
     fy = np.asarray(fy, np.complex128)
@@ -329,28 +326,23 @@ def douglas_pair_sum(fx, fy, tx, ty):
             "douglas_pair_sum wants four 1-D arrays of one length M >= 1"
         )
     steps = 2.0 * np.pi * np.arange(m) / m
-    delta = _grid_start(tx, steps, "tx") - _grid_start(ty, steps, "ty")
-    # Signed offsets k centred on the singularity at k = -delta M / 2 pi,
-    # so every kernel argument lies within pi of zero.
-    first = math.floor(-delta * m / (2.0 * np.pi)) + 1 - m // 2
-    ks = first + np.arange(m)
-    s = np.sin(0.5 * (delta + 2.0 * np.pi * ks / m))
-    if not np.all(s):
-        raise ValidationError("douglas_pair_sum axes meet: the kernel is singular")
-    weights = 1.0 / (s * s)
-    # Up to 8 offsets on each side of the singularity go pair by pair.
-    h = min(8, m // 2)
-    near = slice(m // 2 - h, m // 2 + h)
-    total = 0.0
-    for k, w in zip(ks[near], weights[near]):
-        d = fx - np.roll(fy, k)
-        total += w * float(np.vdot(d, d).real)
-    weights[near] = 0.0
+    sx = _grid_start(tx, steps, "tx")
+    sy = _grid_start(ty, steps, "ty")
+    delta = sx - sy
+    cells = np.rint(delta * m / np.pi)
+    slack = 64.0 * eps * (2.0 * np.pi + abs(sx) + abs(sy))
+    if not (cells % 2.0 == 1.0 and abs(delta - cells * np.pi / m) <= slack):
+        raise ValidationError(
+            "douglas_pair_sum wants tx - ty an odd number of half cells "
+            "(2s + 1) pi / M, not %r" % float(delta)
+        )
+    w = (np.arange(m) + m // 2) % m - m // 2  # signed modes
+    turn = np.exp(1j * np.pi * ((int(cells) % (2 * m)) * w % (2 * m)) / m)
     spectra = np.fft.fft(np.stack((fx, fy)))
-    r = np.fft.ifft(spectra[0] * spectra[1].conj())
-    power = float(np.vdot(fx, fx).real + np.vdot(fy, fy).real)
-    cross = float(np.dot(weights, np.roll(r.real, -first)))
-    return total + power * float(np.sum(weights)) - 2.0 * cross
+    g = turn * spectra[1]
+    diff = spectra[0] - g
+    cross = spectra[0].real * g.real + spectra[0].imag * g.imag
+    return float(np.sum(m * (diff.real**2 + diff.imag**2) + 4.0 * np.abs(w) * cross))
 
 
 def _grid_start(t, steps, name):

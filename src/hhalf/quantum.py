@@ -10,6 +10,7 @@ its first two derivative kernels near the diagonal, where they recover
 log h', h''/(2h'), and the Schwarzian derivative over six.
 """
 
+import cmath
 import math
 
 import numpy as np
@@ -87,19 +88,32 @@ def hs_bracket_check(f):
 
 
 def _kernel(order, dx, dh, slope_x, slope_y):
-    """Kernel of the given order from x - y, h(x) - h(y), h'(x), h'(y)."""
+    """Kernel of the given order from x - y, h(x) - h(y), h'(x), h'(y).
+
+    The kernel is formed as a - b (b = 0 for order 0).  An offset below
+    the smallest normal float, or a difference whose rounding
+    4 eps (|a| + |b|) exceeds 1e-6 max(1, |a - b|), has no reliable
+    digits and is refused rather than returned.
+    """
     try:
         if order == 0:
-            value = math.log(dh / dx)
+            a, b = math.log(dh / dx), 0.0
         elif order == 1:
-            value = slope_x / dh - 1.0 / dx
+            a, b = slope_x / dh, 1.0 / dx
         else:
-            value = slope_x * slope_y / dh**2 - 1.0 / dx**2
+            a, b = slope_x * slope_y / dh**2, 1.0 / dx**2
+        value = a - b
     except (ArithmeticError, ValueError):  # underflow to 0, or overflow
         value = math.nan
     if not math.isfinite(value):
         raise NumericalError(
             "order %d kernel is not finite at offset x - y = %r" % (order, dx)
+        )
+    noise = 4.0 * eps * (abs(a) + abs(b))
+    if abs(dx) < np.finfo(float).tiny or noise > 1e-6 * max(1.0, abs(value)):
+        raise NumericalError(
+            "order %d kernel has no reliable digits at offset x - y = %r"
+            % (order, dx)
         )
     return value
 
@@ -273,50 +287,34 @@ def diagonal_limit_line(h, hp, order, x, deltas=default_deltas):
     return _extrapolate(deltas, values)
 
 
-def _disk_matrix(d):
-    if isinstance(d, Moebius):
-        scale = 1.0 / math.sqrt(1.0 - abs(d.a) ** 2)
-        half = np.exp(0.5j * d.beta)
-        return scale * np.array(
-            [[half, -d.a * half], [-np.conj(d.a * half), np.conj(half)]]
-        )
-    if isinstance(d, Compose):
-        out = np.eye(2, dtype=np.complex128)
-        for item in d.maps:
-            out = out @ _disk_matrix(item)
-        return out
-    raise ValidationError(
-        "line realization exists only for moebius-type descriptors"
-    )
-
-
 def moebius_line_coefficients(d):
     """Boundary action of a disk moebius map on the real line.
 
-    The disk automorphism is conjugated by the Cayley transform into
-    an automorphism of the upper half plane; its boundary action is a
-    real fractional linear map x -> (p x + q)/(r x + s), returned as a
-    2 x 2 coefficient matrix with unit determinant.  The order-2
-    kernel of such a map vanishes identically; this is the law the
-    circle lift cannot see, because lifting through the exponential
-    adds (1 - (h')^2)/2 to the Schwarzian.
+    The Cayley transform conjugates e^{i beta}(z - a)/(1 - conj(a) z)
+    into an automorphism of the upper half plane.  With
+    u = e^{i beta/2}/sqrt(1 - |a|^2) and g = -a u its boundary action
+    is the real fractional linear map x -> (p x + q)/(r x + s) with
+    [[p, q], [r, s]] = [[Re u + Re g, Im u - Im g],
+    [-Im u - Im g, Re u - Re g]], of determinant |u|^2 - |g|^2 = 1.  A
+    composition is the product of its factors' matrices, in the order
+    of d.maps.  The order-2 kernel of such a map vanishes identically;
+    this is the law the circle lift cannot see, because lifting through
+    the exponential adds (1 - (h')^2)/2 to the Schwarzian.
     """
-    disk = _disk_matrix(d)
-    cayley = np.array([[1.0, -1j], [1.0, 1j]])
-    inverse_cayley = np.array([[1j, 1j], [-1.0, 1.0]])
-    raw = inverse_cayley @ disk @ cayley
-    pivot = raw.flat[int(np.argmax(np.abs(raw)))]
-    aligned = raw / (pivot / abs(pivot))
-    if np.max(np.abs(aligned.imag)) > 1e-9 * np.max(np.abs(aligned.real)):
-        raise NumericalError(
-            "conjugated coefficient matrix is not real; the descriptor "
-            "does not act on the line"
+    if isinstance(d, Compose):
+        out = np.eye(2)
+        for item in d.maps:
+            out = out @ moebius_line_coefficients(item)
+        return out
+    if not isinstance(d, Moebius):
+        raise ValidationError(
+            "line realization exists only for moebius-type descriptors"
         )
-    real = aligned.real
-    det = real[0, 0] * real[1, 1] - real[0, 1] * real[1, 0]
-    if det <= 0.0:
-        raise NumericalError("line realization lost orientation")
-    return real / math.sqrt(det)
+    u = cmath.exp(0.5j * d.beta) / math.sqrt(1.0 - abs(d.a) ** 2)
+    g = -d.a * u
+    return np.array(
+        [[u.real + g.real, u.imag - g.imag], [-u.imag - g.imag, u.real - g.real]]
+    )
 
 
 def fractional_linear(coefficients):

@@ -33,3 +33,23 @@ def test_run_all_returns_the_ordered_matrix():
     assert all(r.passed for r in results), [
         r.name for r in results if not r.passed
     ]
+
+
+# Criteria whose trial sets are drawn from the seed.
+seeded = (1, 2, 3, 8, 10)
+seeded_rows = [
+    (seed, criterion, name, thunk)
+    for seed in range(6)
+    for criterion, name, thunk in checks(seed=seed)
+    if criterion in seeded
+]
+
+
+@pytest.mark.parametrize(
+    "seed,criterion,name,thunk",
+    seeded_rows,
+    ids=["seed%d-%02d" % (seed, criterion) for seed, criterion, _, _ in seeded_rows],
+)
+def test_seeded_criterion_at_more_seeds(seed, criterion, name, thunk):
+    passed, detail = thunk()
+    assert passed, "seed %d criterion %d %s: %s" % (seed, criterion, name, detail)

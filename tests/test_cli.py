@@ -114,10 +114,24 @@ class TestNorm:
         for modes, key in (('{"1_0": 1}', "1_0"), ('{"1": 1, "01": 2}', "01")):
             code, _, err = run(["norm", "--modes", modes], capsys)
             assert err == "error: mode index '%s' is not an integer\n" % key
-        code, _, err = run(["norm", "--modes", json.dumps({"1" * 5000: 1})], capsys)
-        assert code == 1 and err.endswith("1' is not an integer\n")
         report = run_json(["norm", "--modes", '{"-10": 1, "10": 1}'], capsys)
         assert report["bandlimit"] == 10
+
+    @pytest.mark.parametrize(
+        "key, message",
+        # A key past int()'s 4300-digit limit was called "not an
+        # integer", and every refused key was echoed whole.
+        [
+            ("9" * 5000, "mode index 999999999999… exceeds the largest bandlimit"),
+            ("-" + "1" * 5000, "mode index -11111111111… exceeds the largest bandlimit"),
+            ("x" * 5000, "mode index 'xxxxxxxxxxxx…' is not an integer"),
+        ],
+    )
+    def test_long_mode_keys_are_refused_in_a_short_line(self, key, message, capsys):
+        code, out, err = run(["norm", "--modes", json.dumps({key: 1})], capsys)
+        assert (code, out) == (1, "")
+        assert err.startswith("error: " + message)
+        assert len(err.encode()) < 200
 
 
 class TestHilbert:
@@ -580,6 +594,23 @@ class TestKernel:
             2, "",
             "numerical failure: order 2 kernel is not finite at offset "
             "x - y = -1e-300\n",
+        )
+
+    def test_offset_without_reliable_digits_is_a_numerical_failure(self, capsys):
+        # Finite but pure cancellation noise: -2.97e284 at 1e-300.
+        sin_two_flow = json.dumps(
+            {
+                "type": "flow",
+                "v": function_to_json(from_modes(2, {2: -0.5j, -2: 0.5j})),
+                "eps": 0.1,
+            }
+        )
+        argv = ["kernel", "--order", "1", "--window", "1e-300,1e-301",
+                "--map", sin_two_flow]
+        assert run(argv, capsys) == (
+            2, "",
+            "numerical failure: order 1 kernel has no reliable digits at "
+            "offset x - y = -1e-300\n",
         )
 
     def test_rotation_kernels_vanish(self, tmp_path, capsys):

@@ -394,9 +394,8 @@ class TestDouglas:
             assert_allclose(energy, norm_squared(f), rtol=1e-13)
 
     def test_fine_grid_keeps_rounding_error_small(self):
-        # Summing the circulant in one FFT cancels to about 1e-12 at
-        # M = 4096; the offsets next to the singularity must go pair by
-        # pair to stay near 1e-14.
+        # Next to the singular diagonal the weights reach 4 M^2 / pi^2;
+        # a sum that cancels against them loses digits on a fine grid.
         rng = np.random.default_rng(4096)
         grid = SampleGrid(4096)
         for _ in range(10):
@@ -473,12 +472,45 @@ class TestDouglasPairSum:
         assert np.isfinite(_accel.douglas_pair_reference(fx, fy, tx, bent))
 
     def test_refuses_axes_that_meet(self):
+        # Meeting axes, a quarter cell and one and a half half cells are
+        # none of them an odd number of half cells apart.
         m = 16
         points = 2.0 * np.pi * np.arange(m) / m
         fx = np.ones(m, complex)
-        for ty in (points, points + 2.0 * np.pi / m):
-            with pytest.raises(ValidationError, match="axes meet"):
-                douglas_pair_sum(fx, fx, points, ty)
+        for offset in (0.0, 2.0 * np.pi / m, 0.5 * np.pi / m, 1.5 * np.pi / m):
+            with pytest.raises(ValidationError, match="odd number of half cells"):
+                douglas_pair_sum(fx, fx, points, points + offset)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        m=st.integers(1, 64),
+        s=st.integers(-3, 3),
+        start=st.floats(-10.0, 10.0),
+        seed=st.integers(0, 2**32 - 1),
+        noise=st.booleans(),
+        data=st.data(),
+    )
+    def test_closed_form_matches_the_direct_pair_sum(
+        self, m, s, start, seed, noise, data
+    ):
+        # Complex noise, or samples of a trig polynomial whose bandlimit
+        # reaches 2M, so that its samples alias.
+        rng = np.random.default_rng(seed)
+        points = 2.0 * np.pi * np.arange(m) / m
+        ty = start + points
+        tx = (start + (2 * s + 1) * np.pi / m) + points
+        if noise:
+            z = rng.standard_normal((4, m))
+            fx, fy = z[0] + 1j * z[1], z[2] + 1j * z[3]
+        else:
+            n = data.draw(st.integers(1, 2 * m))
+            c = rng.standard_normal(2 * n + 1) + 1j * rng.standard_normal(2 * n + 1)
+            c[n] = 0.0
+            f = CircleFunction(n, c)
+            fx, fy = evaluate_at(f, tx), evaluate_at(f, ty)
+        value = douglas_pair_sum(fx, fy, tx, ty)
+        expected = _accel.douglas_pair_reference(fx, fy, tx, ty)
+        assert abs(value - expected) <= 1e-12 * abs(expected)
 
 
 class TestJson:

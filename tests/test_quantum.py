@@ -14,6 +14,8 @@ from hhalf.catalog import catalog_maps, sin_field
 from hhalf.errors import AliasingError, NumericalError, ValidationError
 from hhalf.fourier import SampleGrid, from_modes, norm_squared, zero_function
 from hhalf.maps import (
+    Compose,
+    Moebius,
     compose,
     compose_descriptors,
     evaluate_lift,
@@ -307,6 +309,33 @@ class TestKernelEval:
         with pytest.raises(NumericalError, match="^order %d kernel" % order):
             diagonal_limit_line(*line, order, 0.0, (2.0 * offset, offset))
 
+    @pytest.mark.parametrize(
+        "order, offset",
+        # Finite but wrong: -2.97e284 and -1.56e144 where the order-1
+        # kernel is near zero, a value wrong in the 4th digit at a
+        # subnormal offset, and an order-2 difference of two 1e20 terms.
+        [(1, 1e-300), (1, 1e-160), (0, 1e-320), (2, 1e-10)],
+    )
+    def test_offsets_without_reliable_digits_are_numerical_failures(
+        self, order, offset
+    ):
+        circle = make_map(flow(sin_field(2), 0.1), grid)
+        line = fractional_linear(moebius_line_coefficients(moebius(0.3)))
+        message = "^order %d kernel has no reliable digits at offset x - y = %r$"
+        for call in (
+            lambda: kernel_eval(circle, order, 0.0, offset),
+            lambda: kernel_eval_line(*line, order, 0.0, offset),
+        ):
+            with pytest.raises(NumericalError, match=message % (order, -offset)):
+                call()
+
+    def test_small_offsets_with_reliable_digits_are_kept(self):
+        # At 1e-4 the order-2 terms are 1e8 each and round to about
+        # 2e-7, inside the 1e-6 the refusal allows.
+        circle = make_map(flow(sin_field(2), 0.1), grid)
+        classical = diagonal_limit(circle, 2, 0.0)[1]
+        assert abs(kernel_eval(circle, 2, 0.0, 1e-4) - classical) <= 1e-6
+
     def test_cocycle_property_order_zero(self):
         inner = make_map(flow(sin_one, 0.1), grid)
         outer = make_map(flow(sin_field(2), 0.05), grid)
@@ -484,6 +513,43 @@ class TestLineKernels:
             kernel_eval_line(math.exp, math.exp, 2, 0.3, 0.3)
 
 
+def cayley_line_matrix(d):
+    """Line matrix of a moebius-type descriptor by Cayley conjugation.
+
+    Builds each factor's SU(1,1) disk matrix, multiplies them, conjugates
+    the product by the Cayley transform, rotates away the common phase
+    of the largest entry and rescales to unit determinant.  The matrix
+    it returns is fixed only up to sign.
+    """
+
+    def disk(d):
+        if isinstance(d, Compose):
+            out = np.eye(2, dtype=np.complex128)
+            for item in d.maps:
+                out = out @ disk(item)
+            return out
+        scale = 1.0 / math.sqrt(1.0 - abs(d.a) ** 2)
+        half = np.exp(0.5j * d.beta)
+        return scale * np.array(
+            [[half, -d.a * half], [-np.conj(d.a * half), np.conj(half)]]
+        )
+
+    cayley = np.array([[1.0, -1j], [1.0, 1j]])
+    inverse_cayley = np.array([[1j, 1j], [-1.0, 1.0]])
+    raw = inverse_cayley @ disk(d) @ cayley
+    pivot = raw.flat[int(np.argmax(np.abs(raw)))]
+    real = (raw / (pivot / abs(pivot))).real
+    return real / math.sqrt(real[0, 0] * real[1, 1] - real[0, 1] * real[1, 0])
+
+
+@st.composite
+def disk_moebius(draw):
+    radius = draw(st.floats(0.0, 0.95, exclude_max=True))
+    angle = draw(st.floats(-math.pi, math.pi))
+    beta = draw(st.floats(-10.0, 10.0))
+    return moebius(radius * complex(math.cos(angle), math.sin(angle)), beta)
+
+
 class TestLineRealization:
     def test_identity_is_the_unit_matrix(self):
         assert np.array_equal(
@@ -537,6 +603,24 @@ class TestLineRealization:
         )
         h0, _ = fractional_linear(moebius_line_coefficients(moebius(0.3, 0.5)))
         assert abs(hi(h0(0.37)) - 0.37) <= 1e-12
+
+    @settings(max_examples=80, deadline=None)
+    @given(first=disk_moebius(), second=disk_moebius(), composed=st.booleans())
+    def test_closed_form_matches_the_cayley_conjugation(
+        self, first, second, composed
+    ):
+        d = compose_descriptors([first, second]) if composed else first
+        mat = moebius_line_coefficients(d)
+        expected = cayley_line_matrix(d)
+        if np.sum(mat * expected) < 0.0:  # the oracle fixes no sign
+            expected = -expected
+        scale = float(np.max(np.abs(mat)))
+        assert np.max(np.abs(mat - expected)) <= 1e-13 * scale
+        # Rounding p s alone costs eps |ps|, so the bound scales with the
+        # squared entries (their sum is about 39 for one factor at
+        # |a| = 0.95).
+        det = mat[0, 0] * mat[1, 1] - mat[0, 1] * mat[1, 0]
+        assert abs(det - 1.0) <= 8.0 * quantum.eps * float(np.sum(mat * mat))
 
     def test_non_moebius_descriptors_are_rejected(self):
         with pytest.raises(ValidationError):
