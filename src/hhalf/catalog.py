@@ -8,7 +8,7 @@ seed are reproducible.
 
 import numpy as np
 
-from .fourier import from_modes
+from .fourier import CircleFunction, from_modes
 from .maps import (
     compose_descriptors,
     flow,
@@ -78,13 +78,13 @@ def equivariance_pairs():
 def trial_functions(count, bandlimit, seed):
     """Reproducible random real functions, mode k scaled by k^-1.5."""
     rng = np.random.default_rng(seed)
+    # Python's k**1.5 and a division per part give the bits of Python's
+    # complex arithmetic; numpy's power and complex division can differ.
+    scales = np.array([[k**1.5] for k in range(1, bandlimit + 1)])
     out = []
     for _ in range(count):
-        modes = {}
-        for k in range(1, bandlimit + 1):
-            value = complex(rng.standard_normal(), rng.standard_normal())
-            value /= k**1.5
-            modes[k] = value
-            modes[-k] = np.conj(value)
-        out.append(from_modes(bandlimit, modes))
+        draws = rng.standard_normal((bandlimit, 2)) / scales
+        upper = draws.view(np.complex128)[:, 0]
+        c = np.concatenate([np.conj(upper[::-1]), [0.0], upper])
+        out.append(CircleFunction(bandlimit, c))
     return out

@@ -43,41 +43,42 @@ class SampleGrid:
 class CircleFunction:
     """Bandlimited mean-zero function on the circle.
 
-    coeffs holds c_n at slot bandlimit+n.  real=None asks the
-    constructor to detect Hermitian symmetry; real=True asserts it and
-    enforces it exactly, rejecting input whose symmetry defect is not
-    small.
+    coeffs holds c_n at slot bandlimit+n, a complex128 array kept as
+    given and made read-only.  real=True asserts Hermitian symmetry,
+    refusing a defect that is not small, and enforces it exactly;
+    otherwise the constructor detects it exactly.
     """
 
     bandlimit: int
     coeffs: np.ndarray
-    real: bool = None
+    real: bool = False
 
     def __post_init__(self):
         n = json_integer(self.bandlimit, "bandlimit", 1)
         object.__setattr__(self, "bandlimit", n)
-        c = np.array(self.coeffs, dtype=np.complex128)
-        if c.shape != (2 * self.bandlimit + 1,):
+        c = np.asarray(self.coeffs, np.complex128)
+        if c.shape != (2 * n + 1,):
             raise ValidationError("coeffs must have length 2*bandlimit+1")
-        if c[self.bandlimit] != 0:
+        if c[n] != 0:
             raise ValidationError("mean coefficient must be zero")
-        mirror = np.conj(c[::-1])
-        if self.real is None:
-            object.__setattr__(self, "real", bool(np.array_equal(c, mirror)))
-        elif self.real:
+        upper, mirror = c[n + 1 :], np.conj(c[n - 1 :: -1])
+        if self.real:
             scale = 1.0 + float(np.max(np.abs(c)))
-            defect = float(np.max(np.abs(c - mirror)))
+            defect = float(np.max(np.abs(upper - mirror)))
             if defect > 1e-9 * scale:
                 raise ValidationError(
                     "real flag set but coefficients are not Hermitian "
                     "symmetric (defect %.3e)" % defect
                 )
-            # Exact symmetrization; a no-op when already symmetric.
-            c = 0.5 * (c + mirror)
-            c[self.bandlimit] = 0.0
+            c = c if c.flags.writeable else c.copy()
+            # Each half averaged with the other's conjugate: the bits of
+            # 0.5 (c + conj(c[::-1])) without a full mirrored copy.
+            lower = 0.5 * (c[:n] + np.conj(c[:n:-1]))
+            c[n + 1 :], c[:n], c[n] = 0.5 * (upper + mirror), lower, 0.0
+        real = bool(self.real) or np.array_equal(upper, mirror)
         c.flags.writeable = False
         object.__setattr__(self, "coeffs", c)
-        object.__setattr__(self, "real", bool(self.real))
+        object.__setattr__(self, "real", real)
 
     def coefficient(self, n):
         """Return c_n, zero outside the stored band."""
@@ -102,7 +103,7 @@ class CircleFunction:
     __rmul__ = __mul__
 
 
-def from_modes(bandlimit, modes, real=None):
+def from_modes(bandlimit, modes, real=False):
     """Build a CircleFunction from a {mode: coefficient} mapping."""
     if not 1 <= bandlimit <= max_bandlimit:
         raise ValidationError("bandlimit must lie in 1..%d" % max_bandlimit)
@@ -138,8 +139,8 @@ def analyze(samples, grid, bandlimit):
 
     Exact (to rounding) for input that is bandlimited below the
     requested bandlimit, which needs grid.size >= 2*bandlimit+1.  The
-    mean is discarded.  Real sample arrays produce a real function
-    with the Hermitian symmetry enforced exactly.
+    mean is discarded.  Real sample arrays produce a real function,
+    its negative modes the exact conjugates of its positive ones.
     """
     samples = np.asarray(samples)
     m = grid.size
@@ -147,16 +148,15 @@ def analyze(samples, grid, bandlimit):
         raise GridError("sample array does not match the grid size")
     if m < 2 * bandlimit + 1:
         raise GridError("grid size %d cannot resolve bandlimit %d" % (m, bandlimit))
-    was_real = bool(np.isrealobj(samples))
     raw = np.fft.fft(np.asarray(samples, np.complex128)) / m
     c = np.zeros(2 * bandlimit + 1, np.complex128)
     ns = np.arange(1, bandlimit + 1)
     c[bandlimit + ns] = raw[ns]
-    if was_real:
+    if np.isrealobj(samples):
         c[bandlimit - ns] = np.conj(c[bandlimit + ns])
     else:
         c[bandlimit - ns] = raw[m - ns]
-    return CircleFunction(bandlimit, c, True if was_real else None)
+    return CircleFunction(bandlimit, c)
 
 
 def synthesize(f, grid):
@@ -272,12 +272,13 @@ def hilbert_transform(f):
     """Conjugation operator c_n -> -i sgn(n) c_n.
 
     Exact isometry and exact involution in coefficient arithmetic: the
-    multipliers only swap and negate real and imaginary parts.
+    multipliers only swap and negate real and imaginary parts.  real=True
+    for real f fixes the sign of zero parts, which function_to_json prints.
     """
     n = f.bandlimit
     ns = np.arange(-n, n + 1)
     mult = np.where(ns > 0, -1j, np.where(ns < 0, 1j, 0j))
-    return CircleFunction(n, f.coeffs * mult, f.real if f.real else None)
+    return CircleFunction(n, f.coeffs * mult, f.real)
 
 
 def douglas_energy(f, grid):
@@ -432,7 +433,7 @@ def function_from_json(obj):
         if n in modes:
             raise ValidationError("duplicate coefficient index %d" % n)
         modes[n] = value
-    return from_modes(bandlimit, modes, True if real else None)
+    return from_modes(bandlimit, modes, real)
 
 
 def matrix_from_json(rows, name):

@@ -336,7 +336,7 @@ def periodic_part(m):
     # Slicing the full analysis equals re-analyzing at the kept band.
     keep = min(2 * band + 8, nyquist)
     coeffs = part.coeffs[nyquist - keep : nyquist + keep + 1]
-    return CircleFunction(keep, coeffs, part.real)
+    return CircleFunction(keep, coeffs)
 
 
 def active_band(part):

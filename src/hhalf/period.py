@@ -225,7 +225,7 @@ def _product(f, g, cutoff):
     """
     c = np.convolve(_extended(f, cutoff), _extended(g, cutoff), "same")
     c[cutoff] = 0.0
-    return CircleFunction(cutoff, c, True if f.real and g.real else None)
+    return CircleFunction(cutoff, c, f.real and g.real)
 
 
 def integrability_residual(p, trial_functions):

@@ -227,7 +227,7 @@ def apply_operator(t, f):
     coeffs = np.zeros(2 * n + 1, np.complex128)
     coeffs[n + 1 :] = out_plus / roots
     coeffs[:n] = (out_minus / roots)[::-1]
-    return CircleFunction(n, coeffs, real=True if f.real else None)
+    return CircleFunction(n, coeffs)
 
 
 def operator_norm_estimate(t):

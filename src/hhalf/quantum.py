@@ -11,6 +11,7 @@ log h', h''/(2h'), and the Schwarzian derivative over six.
 """
 
 import cmath
+import contextlib
 import math
 
 import numpy as np
@@ -20,6 +21,7 @@ from .fourier import derivative, evaluate_at, json_integer, norm_squared
 from .maps import Compose, Moebius, periodic_part, periodic_values
 
 eps = np.finfo(float).eps
+tiny = np.finfo(float).tiny
 two_pi = 2.0 * np.pi
 
 # Half-widths for diagonal extrapolation, small enough that every
@@ -90,27 +92,23 @@ def hs_bracket_check(f):
 def _kernel(order, dx, dh, slope_x, slope_y):
     """Kernel of the given order from x - y, h(x) - h(y), h'(x), h'(y).
 
-    The kernel is formed as a - b (b = 0 for order 0).  An offset below
-    the smallest normal float, or a difference whose rounding
-    4 eps (|a| + |b|) exceeds 1e-6 max(1, |a - b|), has no reliable
-    digits and is refused rather than returned.
+    The kernel is formed as a - b (b = 0 for order 0).  A value that is
+    not finite, an offset below the smallest normal float, or rounding
+    4 eps (|a| + |b|) above 1e-6 max(1, |a - b|) leaves no reliable
+    digits, and the kernel is refused rather than returned.
     """
-    try:
+    a = b = math.inf  # kept by an overflow or a division by zero
+    with contextlib.suppress(ArithmeticError, ValueError):
         if order == 0:
             a, b = math.log(dh / dx), 0.0
         elif order == 1:
             a, b = slope_x / dh, 1.0 / dx
         else:
             a, b = slope_x * slope_y / dh**2, 1.0 / dx**2
-        value = a - b
-    except (ArithmeticError, ValueError):  # underflow to 0, or overflow
-        value = math.nan
-    if not math.isfinite(value):
-        raise NumericalError(
-            "order %d kernel is not finite at offset x - y = %r" % (order, dx)
-        )
+    value = a - b
     noise = 4.0 * eps * (abs(a) + abs(b))
-    if abs(dx) < np.finfo(float).tiny or noise > 1e-6 * max(1.0, abs(value)):
+    floor = 1e-6 * max(1.0, abs(value))
+    if not (math.isfinite(value) and abs(dx) >= tiny and noise <= floor):
         raise NumericalError(
             "order %d kernel has no reliable digits at offset x - y = %r"
             % (order, dx)

@@ -566,8 +566,8 @@ class TestQuantumHs:
             "error: quantum derivative needs a bandlimit of at most 1024, "
             "not 20000\n"
         )
-        # Reading the function takes about 2 MiB; its matrix would take
-        # 24 GiB.
+        # Reading the function takes about 1.2 MiB; its matrix would
+        # take 24 GiB.
         assert peak < 2**22
 
     def test_complex_input_skips_the_bracket(self, tmp_path, capsys):
@@ -592,8 +592,8 @@ class TestKernel:
                 "--map", sin_two_flow]
         assert run(argv, capsys) == (
             2, "",
-            "numerical failure: order 2 kernel is not finite at offset "
-            "x - y = -1e-300\n",
+            "numerical failure: order 2 kernel has no reliable digits at "
+            "offset x - y = -1e-300\n",
         )
 
     def test_offset_without_reliable_digits_is_a_numerical_failure(self, capsys):

@@ -11,6 +11,7 @@ from hypothesis.extra.numpy import arrays
 from numpy.testing import assert_allclose
 
 from hhalf import _accel
+from hhalf.catalog import trial_functions
 from hhalf.config import RunConfig
 from hhalf.errors import GridError, ValidationError
 from hhalf.fourier import (
@@ -138,6 +139,158 @@ class TestConstruction:
             from_modes(2, {3: 1.0})
         with pytest.raises(ValidationError):
             from_modes(2, {0: 1.0})
+
+
+def constructed_before(bandlimit, c, real):
+    """(real, coeffs), or the refusal, of the constructor that copied.
+
+    It converted every array, tested a full mirrored copy, and took
+    real=None to detect and real=True to assert.
+    """
+    c = np.array(c, dtype=np.complex128)
+    mirror = np.conj(c[::-1])
+    if real is None:
+        return bool(np.array_equal(c, mirror)), c
+    scale = 1.0 + float(np.max(np.abs(c)))
+    defect = float(np.max(np.abs(c - mirror)))
+    if defect > 1e-9 * scale:
+        return (
+            "real flag set but coefficients are not Hermitian "
+            "symmetric (defect %.3e)" % defect
+        )
+    c = 0.5 * (c + mirror)
+    c[bandlimit] = 0.0
+    return True, c
+
+
+def trial_functions_before(count, bandlimit, seed):
+    """trial_functions as it was, one dict entry per mode."""
+    rng = np.random.default_rng(seed)
+    out = []
+    for _ in range(count):
+        modes = {}
+        for k in range(1, bandlimit + 1):
+            value = complex(rng.standard_normal(), rng.standard_normal())
+            value /= k**1.5
+            modes[k] = value
+            modes[-k] = np.conj(value)
+        out.append(from_modes(bandlimit, modes))
+    return out
+
+
+def same_bits(a, b):
+    return a.dtype == b.dtype and np.array_equal(a.view(np.uint64), b.view(np.uint64))
+
+
+class TestKeptArray:
+    @settings(max_examples=300, deadline=None)
+    @given(
+        n=st.integers(1, 40),
+        kind=st.sampled_from(["hermitian", "below", "above", "complex"]),
+        exponent=st.integers(-300, 300),
+        zeros=st.booleans(),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_matches_the_copying_constructor(self, n, kind, exponent, zeros, seed):
+        # Exactly Hermitian, Hermitian plus noise below and above the
+        # 1e-9 x scale tolerance, and arbitrary complex arrays; with
+        # zeros, some parts are +0 or -0, whose signs the symmetrization
+        # sets.
+        rng = np.random.default_rng(seed)
+        mag = 10.0**exponent
+        upper = mag * (rng.standard_normal(n) + 1j * rng.standard_normal(n))
+        if zeros:
+            parts = upper.view(np.float64)
+            parts[rng.random(2 * n) < 0.3] = 0.0
+            parts[rng.random(2 * n) < 0.3] = -0.0
+        lower = np.conj(upper)
+        if kind == "complex":
+            lower = mag * (rng.standard_normal(n) + 1j * rng.standard_normal(n))
+        elif kind != "hermitian":
+            size = 1e-12 if kind == "below" else 1e-6
+            lower = lower + size * (1.0 + mag) * rng.standard_normal(n)
+        c = np.concatenate([lower[::-1], [0.0], upper])
+        for real, before in ((True, True), (False, None)):
+            expected = constructed_before(n, c, before)
+            given_c = c.copy()
+            if isinstance(expected, str):
+                with pytest.raises(ValidationError) as info:
+                    CircleFunction(n, given_c, real)
+                assert str(info.value) == expected
+                continue
+            f = CircleFunction(n, given_c, real)
+            assert f.real == expected[0]
+            assert same_bits(f.coeffs, expected[1])
+
+    @pytest.mark.parametrize("real", [True, False])
+    def test_a_given_array_is_kept_and_frozen(self, real):
+        c = np.array([0.5 - 1j, 0.0, 0.5 + 1j])
+        f = CircleFunction(1, c, real)
+        assert f.coeffs is c and f.real
+        assert not c.flags.writeable
+        # A frozen array is copied only where real=True must write.
+        g = CircleFunction(1, c, True)
+        assert g.real and np.array_equal(g.coeffs, c)
+
+    def test_a_refused_array_stays_writeable(self):
+        refused = [
+            (1, np.array([1.0, 1.0, 1.0], np.complex128), False),
+            (2, np.zeros(3, np.complex128), False),
+            (1, np.array([1j, 0.0, 1j]), True),
+        ]
+        for n, c, real in refused:
+            with pytest.raises(ValidationError):
+                CircleFunction(n, c, real)
+            assert c.flags.writeable
+
+    def test_real_false_on_hermitian_coefficients_reads_real(self):
+        assert CircleFunction(1, np.array([1j, 0.0, -1j]), real=False).real
+        assert from_modes(2, {2: 0.5, -2: 0.5}, real=False).real
+
+    def test_reading_modes_keeps_one_coefficient_array(self):
+        # 40001 coefficients take 0.61 MiB; the mirrored half the
+        # symmetry test compares takes half that again.
+        from hhalf.cli import _function_from_modes
+
+        modes = {"20000": 1, "-20000": 1}
+        tracemalloc.start()
+        try:
+            f = _function_from_modes(modes)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert f.real and f.bandlimit == 20000
+        assert peak <= 1.2 * 2**20
+
+
+class TestTrialFunctions:
+    # The invariance suite's (count, bandlimit, seed) at seed 2026, and
+    # the integrability command's at the default seed 0.
+    @pytest.mark.parametrize(
+        "count, bandlimit, seed",
+        [(100, 32, 2026), (20, 16, 2027), (20, 8, 2028), (20, 8, 2029),
+         (100, 6, 2030), (2, 8, 2031), (4, 8, 0)],
+    )
+    def test_bits_of_the_suite_and_command_draws(self, count, bandlimit, seed):
+        self.check(count, bandlimit, seed)
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        count=st.integers(0, 5),
+        bandlimit=st.integers(1, 200),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_bits_of_drawn_triples(self, count, bandlimit, seed):
+        self.check(count, bandlimit, seed)
+
+    @staticmethod
+    def check(count, bandlimit, seed):
+        got = trial_functions(count, bandlimit, seed)
+        expected = trial_functions_before(count, bandlimit, seed)
+        assert len(got) == len(expected) == count
+        for f, g in zip(got, expected):
+            assert f.real and g.real and f.bandlimit == g.bandlimit
+            assert same_bits(f.coeffs, g.coeffs)
 
 
 class TestAnalyze:

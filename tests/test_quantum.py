@@ -299,7 +299,7 @@ class TestKernelEval:
     ):
         circle = make_map(flow(sin_field(2), 0.1), grid)
         line = fractional_linear(moebius_line_coefficients(moebius(0.3)))
-        message = "^order %d kernel is not finite at offset x - y = %r$"
+        message = "^order %d kernel has no reliable digits at offset x - y = %r$"
         for call in (
             lambda: kernel_eval(circle, order, 0.0, offset),
             lambda: kernel_eval_line(*line, order, 0.0, offset),
