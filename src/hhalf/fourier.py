@@ -44,9 +44,10 @@ class CircleFunction:
     """Bandlimited mean-zero function on the circle.
 
     coeffs holds c_n at slot bandlimit+n, a complex128 array kept as
-    given and made read-only.  real=True asserts Hermitian symmetry,
-    refusing a defect that is not small, and enforces it exactly;
-    otherwise the constructor detects it exactly.
+    given and made read-only; every coefficient must be finite.
+    real=True asserts Hermitian symmetry, refusing a defect that is
+    not small, and enforces it exactly; otherwise the constructor
+    detects it exactly.
     """
 
     bandlimit: int
@@ -61,9 +62,14 @@ class CircleFunction:
             raise ValidationError("coeffs must have length 2*bandlimit+1")
         if c[n] != 0:
             raise ValidationError("mean coefficient must be zero")
+        # real=True scales its tolerance by max |c|, which is finite
+        # only if every coefficient is, so it skips the full test.
+        peak = float(np.max(np.abs(c))) if self.real else math.inf
+        if not (math.isfinite(peak) or np.isfinite(c).all()):
+            raise ValidationError("coeffs must be finite")
         upper, mirror = c[n + 1 :], np.conj(c[n - 1 :: -1])
         if self.real:
-            scale = 1.0 + float(np.max(np.abs(c)))
+            scale = 1.0 + peak
             defect = float(np.max(np.abs(upper - mirror)))
             if defect > 1e-9 * scale:
                 raise ValidationError(
@@ -73,8 +79,8 @@ class CircleFunction:
             c = c if c.flags.writeable else c.copy()
             # Each half averaged with the other's conjugate: the bits of
             # 0.5 (c + conj(c[::-1])) without a full mirrored copy.
-            lower = 0.5 * (c[:n] + np.conj(c[:n:-1]))
-            c[n + 1 :], c[:n], c[n] = 0.5 * (upper + mirror), lower, 0.0
+            lower = _average(c[:n], np.conj(c[:n:-1]))
+            c[n + 1 :], c[:n], c[n] = _average(upper, mirror), lower, 0.0
         real = bool(self.real) or np.array_equal(upper, mirror)
         c.flags.writeable = False
         object.__setattr__(self, "coeffs", c)
@@ -101,6 +107,20 @@ class CircleFunction:
         return CircleFunction(self.bandlimit, self.coeffs * scalar)
 
     __rmul__ = __mul__
+
+
+def _average(a, b):
+    """0.5 a + 0.5 b, part by part, so no finite pair overflows.
+
+    Halving is exact above the subnormal range, so these are the bits
+    of the complex product 0.5 (a + b) wherever that sum is finite; the
+    closing complex product by 1.0 gives each zero part the sign that
+    product gives it.
+    """
+    out = np.empty(a.shape, np.complex128)
+    out.real = 0.5 * a.real + 0.5 * b.real
+    out.imag = 0.5 * a.imag + 0.5 * b.imag
+    return out * 1.0
 
 
 def from_modes(bandlimit, modes, real=False):
@@ -130,8 +150,9 @@ def _aligned(f, g):
 def _extended(f, n):
     if f.bandlimit == n:
         return f.coeffs
-    pad = n - f.bandlimit
-    return np.pad(f.coeffs, (pad, pad))
+    c = np.zeros(2 * n + 1, np.complex128)
+    c[n - f.bandlimit : n + f.bandlimit + 1] = f.coeffs
+    return c
 
 
 def analyze(samples, grid, bandlimit):
@@ -175,23 +196,30 @@ def synthesize(f, grid):
 def horner_sum(c, n, x, real=False):
     """Sum of c[n+k] e^{ikx} over |k| <= n, by Horner's rule in z = e^{ix}.
 
-    One complex exponential per point, then n multiply-adds per chain:
-    c_0 + 2 Re sum_{k>=1} c_k z^k when real (c Hermitian symmetric,
-    so the result is the real float64 value), otherwise a second chain
-    over the negative modes in conj(z).  Working memory is a few arrays
-    of the size of x; the result has the shape of x.
+    One complex exponential per point, then unit_horner_sum on z.
+    Working memory is a few arrays of the size of x; the result has
+    the shape of x.
     """
     x = np.asarray(x, np.float64)
-    z = _unit(x)
+    return unit_horner_sum(c, n, _unit(x), real).reshape(x.shape)
+
+
+def unit_horner_sum(c, n, z, real=False):
+    """Sum of c[n+k] z^k over |k| <= n for a 1-D array z on the unit circle.
+
+    n multiply-adds per chain: c_0 + 2 Re sum_{k>=1} c_k z^k when real
+    (c Hermitian symmetric, so the result is the real float64 value),
+    otherwise a second chain over the negative modes in conj(z), a
+    copy, so z itself is only read.
+    """
     values = _horner_chain(c[n + 1 :], z)
     if real:
         values = 2.0 * values.real
         values += c[n].real
     else:
-        np.conjugate(z, out=z)
-        values += _horner_chain(c[:n][::-1], z)
+        values += _horner_chain(c[:n][::-1], np.conj(z))
         values += c[n]
-    return values.reshape(x.shape)
+    return values
 
 
 def value_and_slope(f, points):
@@ -207,9 +235,8 @@ def value_and_slope(f, points):
     x = np.asarray(points, np.float64)
     z = _unit(x)
     n = f.bandlimit
+    values = unit_horner_sum(f.coeffs, n, z, True)
     c = f.coeffs[n + 1 :]
-    values = 2.0 * _horner_chain(c, z).real
-    values += f.coeffs[n].real
     slopes = 2.0 * _horner_chain(c * (1j * np.arange(1, n + 1)), z).real
     return values.reshape(x.shape), slopes.reshape(x.shape)
 

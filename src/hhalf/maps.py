@@ -11,6 +11,7 @@ import cmath
 import math
 import numbers
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -18,6 +19,7 @@ from .errors import AliasingError, GridError, MonotonicityError, ValidationError
 from .fourier import (
     CircleFunction,
     SampleGrid,
+    _unit,
     analyze,
     derivative,
     evaluate_at,
@@ -87,6 +89,12 @@ def moebius(a, beta=0.0):
     a = complex(a)
     if not cmath.isfinite(a):
         raise ValidationError("moebius a must be finite")
+    return _moebius(a, beta)
+
+
+def _moebius(a, beta):
+    # moebius() past its type and finiteness checks on a, which
+    # descriptor_from_json has already made on the two parts of a.
     if abs(a) >= 1.0:
         raise ValidationError("moebius parameter must satisfy |a| < 1")
     return Moebius(a, json_real(beta, "moebius beta"))
@@ -256,6 +264,13 @@ class CircleMap:
             )
         samples.flags.writeable = False
         object.__setattr__(self, "lift_samples", samples)
+
+    @cached_property
+    def unit_samples(self):
+        """e^{i lift} on the sample grid, computed on first use, read-only."""
+        z = _unit(self.lift_samples)
+        z.flags.writeable = False
+        return z
 
 
 def make_map(d, grid):
@@ -442,7 +457,7 @@ def descriptor_from_json(obj):
             re, im = a["re"], a.get("im", 0.0)
             json_fields(a, ("re", "im"), name)
             a = complex(json_real(re, name), json_real(im, name))
-            return moebius(a, obj.get("beta", 0.0))
+            return _moebius(a, obj.get("beta", 0.0))
         if kind == "flow":
             return flow(function_from_json(obj["v"]), obj["eps"])
         if kind == "rauch_flow":

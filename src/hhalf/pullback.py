@@ -29,10 +29,10 @@ from .fourier import (
     CircleFunction,
     SampleGrid,
     analyze,
-    evaluate_at,
     json_fields,
     json_integer,
     matrix_from_json,
+    unit_horner_sum,
 )
 from .symplectic import symplectic_form
 
@@ -75,12 +75,15 @@ def pullback_function(m, f, grid):
     """V_phi f: compose with the map, drop the mean, reanalyze.
 
     The result carries every mode the grid resolves, so downstream
-    identities see the full spread spectrum of the composition.
+    identities see the full spread spectrum of the composition.  f o phi
+    is summed on the map's unit_samples, e^{i lift}, so a map pays for
+    that exponential once, however many functions it pulls back.
     """
-    lift = _own_lift(m, grid)
+    _own_lift(m, grid)
     reach = f.bandlimit * m.degree
     _refuse_coarse_grid(reach, grid, "bandlimit x degree")
-    vf = analyze(evaluate_at(f, lift), grid, (grid.size - 1) // 2)
+    values = unit_horner_sum(f.coeffs, f.bandlimit, m.unit_samples, f.real)
+    vf = analyze(values, grid, (grid.size - 1) // 2)
     magnitudes = np.abs(vf.coeffs)
     magnitudes /= np.max(magnitudes) or 1.0
     modes = np.abs(np.arange(-vf.bandlimit, vf.bandlimit + 1))

@@ -5,8 +5,12 @@ this file, the invariance-suite subcommand, and the library agree on
 what is being promised; the printed line carries the measured values.
 """
 
+import json
+
 import pytest
 
+from hhalf import catalog
+from hhalf.maps import descriptor_to_json
 from hhalf.suite import checks, run_all
 
 suite_rows = checks(seed=2026)
@@ -33,6 +37,27 @@ def test_run_all_returns_the_ordered_matrix():
     assert all(r.passed for r in results), [
         r.name for r in results if not r.passed
     ]
+
+
+def test_a_pass_realizes_the_catalog_once(monkeypatch):
+    # Criteria 3, 5, 7 and 10 read the twelve catalog maps; one pass
+    # realizes them once, through catalog.make_map.
+    realized = []
+    make_map = catalog.make_map
+
+    def counted(descriptor, grid):
+        realized.append(json.dumps(descriptor_to_json(descriptor)))
+        return make_map(descriptor, grid)
+
+    monkeypatch.setattr(catalog, "make_map", counted)
+    assert all(r.passed for r in run_all(seed=0))
+    expected = [
+        json.dumps(descriptor_to_json(d)) for _, d in catalog.catalog_descriptors()
+    ]
+    assert realized == expected
+    # A second pass realizes its own catalog.
+    run_all(seed=1)
+    assert realized == expected + expected
 
 
 # Criteria whose trial sets are drawn from the seed.

@@ -147,6 +147,19 @@ class TestHilbert:
         report = run_json(["norm", "--input", str(out)], capsys)
         assert report["norm_squared"] == 0.5
 
+    def test_coefficients_near_the_float_limit(self, tmp_path, capsys):
+        # The transform only swaps and negates parts, so 1e308 stays
+        # finite; symmetrizing the input must not overflow either.
+        path = tmp_path / "big.json"
+        coeffs = [{"n": 1, "re": 1e308}, {"n": -1, "re": 1e308}]
+        path.write_text(json.dumps({"bandlimit": 1, "coeffs": coeffs}))
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code, out, err = run(["hilbert", "--input", str(path)], capsys)
+        assert (code, err, caught) == (0, "", [])
+        f = function_from_json(json.loads(out))
+        assert f.coefficient(1) == -1e308j and f.coefficient(-1) == 1e308j
+
 
 class TestEnergy:
     def test_report_and_table(self, tmp_path, capsys):

@@ -2,6 +2,7 @@
 
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -17,6 +18,7 @@ from hhalf.errors import GridError, ValidationError
 from hhalf.fourier import (
     CircleFunction,
     SampleGrid,
+    _extended,
     analyze,
     douglas_energy,
     douglas_pair_sum,
@@ -139,6 +141,33 @@ class TestConstruction:
             from_modes(2, {3: 1.0})
         with pytest.raises(ValidationError):
             from_modes(2, {0: 1.0})
+
+    @pytest.mark.parametrize("real", [True, False])
+    @pytest.mark.parametrize(
+        "bad", [np.nan, np.inf, -np.inf, complex(0.0, np.inf), complex(np.nan, 1.0)]
+    )
+    def test_non_finite_coefficients_are_refused(self, bad, real):
+        c = np.array([np.conj(bad), 0.0, bad], np.complex128)
+        with pytest.raises(ValidationError) as info:
+            CircleFunction(1, c, real)
+        assert str(info.value) == "coeffs must be finite"
+        assert c.flags.writeable
+
+    def test_symmetrizing_near_the_float_limit_does_not_overflow(self):
+        # Halves are added, not halved sums: 0.5 (1e308 + 1e308) is inf.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            f = CircleFunction(1, np.array([1e308, 0.0, 1e308]), True)
+            assert same_bits(f.coeffs, np.array([1e308, 0.0, 1e308], np.complex128))
+            # |c| overflows here though every part is finite.
+            big = np.array([1.5e308 - 1.5e308j, 0.0, 1.5e308 + 1.5e308j])
+            g = CircleFunction(1, big.copy(), True)
+            assert g.real and same_bits(g.coeffs, big)
+
+    def test_zero_extension_equals_padding(self):
+        f = random_real_function(3, np.random.default_rng(8))
+        for n in (3, 4, 9):
+            assert same_bits(_extended(f, n), np.pad(f.coeffs, n - 3))
 
 
 def constructed_before(bandlimit, c, real):

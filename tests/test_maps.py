@@ -19,6 +19,7 @@ from hhalf.errors import (
 )
 from hhalf.fourier import SampleGrid, from_modes, function_to_json, max_bandlimit
 from hhalf.maps import (
+    CircleMap,
     Flow,
     compose,
     compose_descriptors,
@@ -213,6 +214,27 @@ class TestValidation:
         m = make_map(power(3), grid)
         with pytest.raises(ValidationError):
             radial_dilatation(m)
+
+
+class TestCircleMap:
+    def test_unit_samples_are_kept_read_only(self):
+        m = make_map(flow(sin_theta, 0.1), grid)
+        assert "unit_samples" not in vars(m)  # computed on first use
+        z = m.unit_samples
+        assert z is m.unit_samples
+        assert np.array_equal(z, np.exp(1j * m.lift_samples))
+        assert not z.flags.writeable
+        with pytest.raises(ValueError):
+            z[0] = 1.0
+
+    def test_lift_that_is_not_increasing_is_refused(self):
+        points = grid.points()
+        # A step back inside the grid, and a closing step lift(0) + 2 pi
+        # - lift(last) that is not positive.
+        for samples in (points[::-1], 2.0 * points):
+            with pytest.raises(MonotonicityError, match="not strictly increasing"):
+                CircleMap(identity(), grid, samples)
+        assert CircleMap(identity(), grid, points).degree == 1
 
 
 class TestComposition:

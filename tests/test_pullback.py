@@ -13,7 +13,13 @@ from numpy.testing import assert_allclose
 from hhalf import cli
 from hhalf.catalog import catalog_descriptors, sin_field
 from hhalf.errors import AliasingError, GridError, ValidationError
-from hhalf.fourier import SampleGrid, from_modes
+from hhalf.fourier import (
+    CircleFunction,
+    SampleGrid,
+    analyze,
+    evaluate_at,
+    from_modes,
+)
 from hhalf.maps import (
     compose,
     compose_descriptors,
@@ -31,6 +37,7 @@ from hhalf.maps import (
 from hhalf.period import period_matrix
 from hhalf.pullback import (
     BlockOperator,
+    apply_operator,
     assembly_grid,
     invariance_defect,
     operator_from_json,
@@ -607,24 +614,54 @@ class TestGridFloor:
                     pullback_function(make_map(descriptor, g), f, g)
 
 
+def family_descriptors():
+    """One descriptor of each family, power(2) and an inverse flow included."""
+    return [
+        identity(),
+        rotation(0.7),
+        power(2),
+        moebius(0.3 + 0.2j, 1.0),
+        flow(sin_two_theta, 0.05),
+        rauch_flow(1, 0.01),
+        compose_descriptors([flow(sin_two_theta, 0.05), moebius(0.2)]),
+        inverse_descriptor(flow(sin_theta, 0.1)),
+    ]
+
+
+def random_complex_function(bandlimit, rng):
+    c = rng.standard_normal(2 * bandlimit + 1) + 1j * rng.standard_normal(
+        2 * bandlimit + 1
+    )
+    c[bandlimit] = 0.0
+    return CircleFunction(bandlimit, c)
+
+
 class TestOwnGrid:
     # Pullbacks read the lift samples the map stored on its own grid.
 
     def test_lift_samples_are_the_lift_on_the_grid(self):
-        descriptors = [
-            identity(),
-            rotation(0.7),
-            power(2),
-            moebius(0.3 + 0.2j, 1.0),
-            flow(sin_two_theta, 0.05),
-            rauch_flow(1, 0.01),
-            compose_descriptors([flow(sin_two_theta, 0.05), moebius(0.2)]),
-            inverse_descriptor(flow(sin_theta, 0.1)),
-        ]
         for g in (grid, SampleGrid(1024)):
-            for descriptor in descriptors:
+            for descriptor in family_descriptors():
                 m = make_map(descriptor, g)
                 assert np.array_equal(m.lift_samples, evaluate_lift(m, g.points()))
+
+    def test_pullback_equals_evaluation_at_the_lift(self):
+        # pullback_function sums f on the map's kept e^{i lift}; the
+        # oracle evaluates f at the lift, one fresh exponential per call.
+        rng = np.random.default_rng(31)
+        real, cplx = random_real_function(6, rng), random_complex_function(6, rng)
+        assert real.real and not cplx.real
+        for descriptor in family_descriptors():
+            m = make_map(descriptor, grid)
+            # The complex sum conjugates z; the second real call shows
+            # that it conjugated a copy.
+            for f in (real, cplx, real):
+                got = pullback_function(m, f, grid)
+                oracle = analyze(
+                    evaluate_at(f, m.lift_samples), grid, (grid.size - 1) // 2
+                )
+                assert np.array_equal(got.coeffs, oracle.coeffs)
+                assert got.real == oracle.real == f.real
 
     def test_foreign_grid_is_refused(self):
         m = make_map(flow(sin_theta, 0.1), grid)
@@ -714,6 +751,24 @@ class TestBlockOperator:
         assert np.array_equal(s.B, t.B[:5, :5])
         with pytest.raises(ValidationError):
             sub_operator(t, 17)
+
+    @pytest.mark.parametrize("bandlimit", [3, 8])
+    def test_complex_input_matches_the_full_matrix(self, bandlimit):
+        # The complexified matrix acts on (sqrt(q) c_q, sqrt(q) c_{-q}).
+        n = 8
+        t = pullback_matrix(make_map(flow(sin_two_theta, 0.05), grid), n, grid)
+        f = random_complex_function(bandlimit, np.random.default_rng(bandlimit))
+        assert not f.real
+        roots = np.sqrt(np.arange(1.0, n + 1.0))
+        x = np.zeros(2 * n, np.complex128)
+        x[:bandlimit] = f.coeffs[bandlimit + 1 :] * roots[:bandlimit]
+        x[n : n + bandlimit] = f.coeffs[bandlimit - 1 :: -1] * roots[:bandlimit]
+        y = t.full() @ x
+        tf = apply_operator(t, f)
+        assert tf.bandlimit == n and not tf.real
+        scale = np.max(np.abs(tf.coeffs))
+        assert_allclose(tf.coeffs[n + 1 :], y[:n] / roots, rtol=0, atol=1e-15 * scale)
+        assert_allclose(tf.coeffs[n - 1 :: -1], y[n:] / roots, rtol=0, atol=1e-15 * scale)
 
 
 class TestOperatorNorm:
