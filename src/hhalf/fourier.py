@@ -170,14 +170,14 @@ def analyze(samples, grid, bandlimit):
     if m < 2 * bandlimit + 1:
         raise GridError("grid size %d cannot resolve bandlimit %d" % (m, bandlimit))
     raw = np.fft.fft(np.asarray(samples, np.complex128)) / m
-    c = np.zeros(2 * bandlimit + 1, np.complex128)
-    ns = np.arange(1, bandlimit + 1)
-    c[bandlimit + ns] = raw[ns]
+    n = bandlimit
+    c = np.empty(2 * n + 1, np.complex128)
+    c[n + 1 :], c[n] = raw[1 : n + 1], 0.0
     if np.isrealobj(samples):
-        c[bandlimit - ns] = np.conj(c[bandlimit + ns])
+        c[:n] = np.conj(c[:n:-1])
     else:
-        c[bandlimit - ns] = raw[m - ns]
-    return CircleFunction(bandlimit, c)
+        c[:n] = raw[m - n :]
+    return CircleFunction(n, c)
 
 
 def synthesize(f, grid):
@@ -277,10 +277,13 @@ def derivative(f):
 
 def norm_squared(f):
     """Squared norm sum |n| |c_n|^2, computed without a square root."""
-    n = f.bandlimit
+    return float(_energy(f.coeffs, f.bandlimit))
+
+
+def _energy(c, n):
+    # sum |k| |c[n+k]|^2 along the last axis, one pairwise sum per row.
     weights = np.abs(np.arange(-n, n + 1)).astype(float)
-    c = f.coeffs
-    return float(np.sum(weights * (c.real * c.real + c.imag * c.imag)))
+    return np.sum(weights * (c.real * c.real + c.imag * c.imag), axis=-1)
 
 
 def h_half_norm(f):

@@ -23,6 +23,8 @@ import numpy as np
 from .errors import ConditioningError, ValidationError
 from .fourier import (
     CircleFunction,
+    _average,
+    _energy,
     _extended,
     h_half_norm,
     json_fields,
@@ -35,7 +37,7 @@ from .maps import (
     make_map,
     rauch_flow,
 )
-from .pullback import BlockOperator, apply_operator, pullback_matrix, read_cutoff
+from .pullback import BlockOperator, pullback_matrix, read_cutoff
 
 condition_limit = 1e12
 
@@ -217,15 +219,51 @@ def structure_from_period(p):
     return BlockOperator(p.cutoff, -1j * (2 * s_inv - eye), 2j * s_inv @ z_bar)
 
 
-def _product(f, g, cutoff):
-    """fg, mean removed, for f and g of bandlimit <= cutoff.
+def _finite(c):
+    """c, refused as CircleFunction refuses a non-finite coefficient."""
+    if not np.isfinite(c).all():
+        raise ValidationError("coeffs must be finite")
+    return c
 
-    Coefficients convolve, so the product is exact and cannot alias;
-    the centred ("same") part of the convolution holds |n| <= cutoff.
+
+def _hermitian_rows(c, n):
+    """Coefficient rows made real as CircleFunction(real=True) makes one.
+
+    The mean slot is zeroed, each row averaged with its mirror's
+    conjugate by _average, and a row that is not finite or whose
+    Hermitian defect exceeds 1e-9 (1 + max |c|) refused with the
+    constructor's messages.
     """
-    c = np.convolve(_extended(f, cutoff), _extended(g, cutoff), "same")
-    c[cutoff] = 0.0
-    return CircleFunction(cutoff, c, f.real and g.real)
+    c[:, n] = 0.0
+    _finite(c)
+    mirror = np.conj(c[:, ::-1])
+    defect = np.max(np.abs(c - mirror), axis=1)
+    loose = defect > 1e-9 * (1.0 + np.max(np.abs(c), axis=1))
+    if loose.any():
+        raise ValidationError(
+            "real flag set but coefficients are not Hermitian "
+            "symmetric (defect %.3e)" % defect[loose][0]
+        )
+    c = _average(c, mirror)
+    c[:, n] = 0.0
+    return c
+
+
+def _apply_real_rows(t, rows):
+    """apply_operator's real branch on each Hermitian coefficient row.
+
+    One matrix-vector product per row, as apply_operator makes it; the
+    negative half of each result is the conjugate of its positive half.
+    """
+    n = t.cutoff
+    roots = np.sqrt(np.arange(1.0, n + 1.0))
+    plus, minus = rows[:, n + 1 :] * roots, rows[:, n - 1 :: -1] * roots
+    out = np.array([t.A @ x + t.B @ y for x, y in zip(plus, minus)])
+    c = np.empty(rows.shape, np.complex128)
+    c[:, n + 1 :] = out / roots
+    c[:, :n] = (np.conj(out) / roots)[:, ::-1]
+    c[:, n] = 0.0
+    return _finite(c)
 
 
 def integrability_residual(p, trial_functions):
@@ -238,33 +276,49 @@ def integrability_residual(p, trial_functions):
     circle map, whose structure is conjugated from the reference one
     by the composition operator.  Products are exact convolutions of
     coefficients, mean removed and truncated to the cutoff of p.
+
+    The trials and their images under J are stacked as coefficient
+    rows, and every pair i <= j is formed at once: one convolution per
+    product, one matrix-vector product per row, and no CircleFunction.
+    Each step is the arithmetic the function objects would do, so the
+    result is theirs bit for bit, and so are the refusals of a
+    non-finite or non-Hermitian intermediate.
     """
     if not isinstance(p, PeriodMatrix):
         raise ValidationError("structure source must be a PeriodMatrix")
-    cutoff = p.cutoff
-    structure = structure_from_period(p)
     trials = list(trial_functions)
+    if not trials:
+        raise ValidationError("integrability needs at least one trial function")
+    n = p.cutoff
+    structure = structure_from_period(p)
+    norms = []
     for f in trials:
         if not f.real:
             raise ValidationError("trial functions must be real")
-        if 2 * f.bandlimit > cutoff:
+        if 2 * f.bandlimit > n:
             raise ValidationError("trial bandlimit exceeds half the cutoff")
-        if h_half_norm(f) == 0.0:
+        norms.append(h_half_norm(f))
+        if norms[-1] == 0.0:
             raise ValidationError("trial functions must be nonzero")
-    rotated = [apply_operator(structure, f) for f in trials]
-    norms = [h_half_norm(f) for f in trials]
-    worst = 0.0
-    for i in range(len(trials)):
-        for j in range(i, len(trials)):
-            f, g = trials[i], trials[j]
-            jf, jg = rotated[i], rotated[j]
-            plain = _product(f, g, cutoff)
-            twisted = _product(jf, jg, cutoff)
-            left = apply_operator(structure, plain - twisted)
-            right = _product(f, jg, cutoff) + _product(g, jf, cutoff)
-            residual = h_half_norm(left - right) / (norms[i] * norms[j])
-            worst = max(worst, residual)
-    return worst
+    rows = np.stack([_extended(f, n) for f in trials])
+    turned = _apply_real_rows(structure, rows)
+    i, j = np.triu_indices(len(trials))
+    factors = (
+        (rows[i], rows[j]),
+        (turned[i], turned[j]),
+        (rows[i], turned[j]),
+        (rows[j], turned[i]),
+    )
+    products = np.array(
+        [np.convolve(a, b, "same") for x, y in factors for a, b in zip(x, y)]
+    )
+    plain, twisted, f_jg, g_jf = _hermitian_rows(products, n).reshape(4, len(i), -1)
+    left = _apply_real_rows(structure, _finite(plain - twisted))
+    defect = _finite(left - _finite(f_jg + g_jf))
+    norms = np.array(norms)
+    residuals = np.sqrt(_energy(defect, n)) / (norms[i] * norms[j])
+    # Python's max in pair order, as a running maximum: a NaN never wins.
+    return max(0.0, *residuals.tolist())
 
 
 def period_to_json(p):

@@ -21,12 +21,14 @@ def symplectic_form(f, g):
     p_n = c_n(f) c_{-n}(g) and q_n = c_{-n}(f) c_n(g).
     """
     a, b, n = _aligned(f, g)
-    ns = np.arange(1, n + 1)
-    w = ns.astype(float)
-    xr, xi = a[n + ns].real, a[n + ns].imag
-    yr, yi = a[n - ns].real, a[n - ns].imag
-    ur, ui = b[n + ns].real, b[n + ns].imag
-    vr, vi = b[n - ns].real, b[n - ns].imag
+    w = np.arange(1.0, n + 1.0)
+    # Slot n + k holds c_k: upper halves run k = 1..n, reversed lower
+    # halves k = -1..-n.
+    x, y, u, v = a[n + 1 :], a[n - 1 :: -1], b[n + 1 :], b[n - 1 :: -1]
+    xr, xi = x.real, x.imag
+    yr, yi = y.real, y.imag
+    ur, ui = u.real, u.imag
+    vr, vi = v.real, v.imag
     pr = xr * vr - xi * vi
     pi = xr * vi + xi * vr
     qr = yr * ur - yi * ui

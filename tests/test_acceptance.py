@@ -9,9 +9,10 @@ import json
 
 import pytest
 
-from hhalf import catalog
+from hhalf import catalog, suite
+from hhalf.fourier import CircleFunction, SampleGrid
 from hhalf.maps import descriptor_to_json
-from hhalf.suite import checks, run_all
+from hhalf.suite import check_integrability, checks, run_all
 
 suite_rows = checks(seed=2026)
 row_ids = ["%02d-%s" % (c, name.replace(" ", "-")) for c, name, _ in suite_rows]
@@ -58,6 +59,34 @@ def test_a_pass_realizes_the_catalog_once(monkeypatch):
     # A second pass realizes its own catalog.
     run_all(seed=1)
     assert realized == expected + expected
+
+
+def test_integrability_builds_no_function_per_pair(monkeypatch):
+    # The residual works on stacked coefficient rows: criterion 10
+    # builds only its trials and its hand case.
+    built = []
+    post_init = CircleFunction.__post_init__
+
+    def counted(self):
+        built.append(self)
+        post_init(self)
+
+    inside = []
+    residual = suite.integrability_residual
+
+    def observed(p, trials):
+        before = len(built)
+        value = residual(p, trials)
+        inside.append(len(built) - before)
+        return value
+
+    maps = catalog.catalog_maps(SampleGrid(4096))
+    monkeypatch.setattr(CircleFunction, "__post_init__", counted)
+    monkeypatch.setattr(suite, "integrability_residual", observed)
+    passed, _ = check_integrability(0, maps)
+    assert passed
+    assert inside == [0] * 12
+    assert 0 < len(built) <= 16
 
 
 # Criteria whose trial sets are drawn from the seed.

@@ -207,6 +207,20 @@ def trial_functions_before(count, bandlimit, seed):
     return out
 
 
+def indexed_analyze(samples, grid, bandlimit):
+    """analyze with its halves read through index arrays."""
+    m = grid.size
+    raw = np.fft.fft(np.asarray(samples, np.complex128)) / m
+    c = np.zeros(2 * bandlimit + 1, np.complex128)
+    ns = np.arange(1, bandlimit + 1)
+    c[bandlimit + ns] = raw[ns]
+    if np.isrealobj(samples):
+        c[bandlimit - ns] = np.conj(c[bandlimit + ns])
+    else:
+        c[bandlimit - ns] = raw[m - ns]
+    return CircleFunction(bandlimit, c)
+
+
 def same_bits(a, b):
     return a.dtype == b.dtype and np.array_equal(a.view(np.uint64), b.view(np.uint64))
 
@@ -367,6 +381,31 @@ class TestAnalyze:
         grid = SampleGrid(8)
         with pytest.raises(GridError):
             analyze(np.zeros(8), grid, 4)
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        m=st.integers(4, 80),
+        real=st.booleans(),
+        kind=st.sampled_from(["random", "impulse", "signed zeros"]),
+        seed=st.integers(0, 2**32 - 1),
+        data=st.data(),
+    )
+    def test_slices_match_the_index_arrays(self, m, real, kind, seed, data):
+        # An impulse has spectra with zero imaginary parts, whose
+        # conjugates are -0; signed zero samples give signed zero bins.
+        bandlimit = data.draw(st.integers(1, (m - 1) // 2))
+        rng = np.random.default_rng(seed)
+        samples = rng.standard_normal(m)
+        if kind == "impulse":
+            samples[1:] = 0.0
+        elif kind == "signed zeros":
+            samples = np.where(samples < 0, -0.0, 0.0)
+        if not real:
+            samples = samples + 1j * samples[::-1]
+        grid = SampleGrid(m)
+        f = analyze(samples, grid, bandlimit)
+        g = indexed_analyze(samples, grid, bandlimit)
+        assert same_bits(f.coeffs, g.coeffs) and f.real == g.real
 
 
 class TestNormAndInner:

@@ -11,7 +11,9 @@ from numpy.testing import assert_allclose
 
 from hhalf import cli
 from hhalf.catalog import (
+    catalog_descriptors,
     catalog_maps,
+    cos_field,
     equivariance_pairs,
     sin_field,
     trial_functions,
@@ -20,8 +22,10 @@ from hhalf.errors import ConditioningError, ValidationError
 from hhalf.fourier import (
     CircleFunction,
     SampleGrid,
+    _extended,
     analyze,
     from_modes,
+    h_half_norm,
     synthesize,
 )
 from hhalf.maps import (
@@ -50,7 +54,6 @@ from hhalf.period import (
     siegel_report_to_json,
     structure_from_period,
 )
-from hhalf.period import _product
 from hhalf.pullback import (
     BlockOperator,
     apply_operator,
@@ -68,6 +71,63 @@ sin_two_theta = sin_field(2)
 
 def zero_period(cutoff):
     return PeriodMatrix(cutoff, np.zeros((cutoff, cutoff)))
+
+
+def _product(f, g, cutoff):
+    """fg, mean removed, as a CircleFunction of bandlimit cutoff."""
+    c = np.convolve(_extended(f, cutoff), _extended(g, cutoff), "same")
+    c[cutoff] = 0.0
+    return CircleFunction(cutoff, c, f.real and g.real)
+
+
+def pairwise_residual(p, trials):
+    """integrability_residual as one pass of function objects per pair."""
+    cutoff = p.cutoff
+    structure = structure_from_period(p)
+    rotated = [apply_operator(structure, f) for f in trials]
+    norms = [h_half_norm(f) for f in trials]
+    worst = 0.0
+    for i in range(len(trials)):
+        for j in range(i, len(trials)):
+            f, g = trials[i], trials[j]
+            jf, jg = rotated[i], rotated[j]
+            plain = _product(f, g, cutoff)
+            twisted = _product(jf, jg, cutoff)
+            left = apply_operator(structure, plain - twisted)
+            right = _product(f, jg, cutoff) + _product(g, jf, cutoff)
+            residual = h_half_norm(left - right) / (norms[i] * norms[j])
+            worst = max(worst, residual)
+    return worst
+
+
+@st.composite
+def residual_cases(draw):
+    """A period matrix at cutoff 2..32 and 1..6 real trials it admits.
+
+    Z is a catalog map's period matrix or a random symmetric
+    contraction; trials are random real functions or cos/sin fields of
+    bandlimit 1..cutoff/2.
+    """
+    cutoff = draw(st.integers(2, 32))
+    seed = draw(st.integers(0, 2**32 - 1))
+    rng = np.random.default_rng(seed)
+    descriptor = draw(st.sampled_from([None] + catalog_descriptors()))
+    if descriptor is None:
+        shape = (cutoff, cutoff)
+        raw = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+        z = raw + raw.T
+        z *= rng.uniform(0.05, 0.95) / np.linalg.svd(z, compute_uv=False)[0]
+    else:
+        z = period_matrix(make_map(descriptor[1], grid), cutoff, grid).Z
+    kinds = st.sampled_from([trial_functions, cos_field, sin_field])
+    trials = []
+    for kind in draw(st.lists(kinds, min_size=1, max_size=6)):
+        bandlimit = draw(st.integers(1, cutoff // 2))
+        if kind is trial_functions:
+            trials += trial_functions(1, bandlimit, int(rng.integers(2**31)))
+        else:
+            trials.append(kind(bandlimit))
+    return PeriodMatrix(cutoff, z), trials
 
 
 @st.composite
@@ -595,6 +655,14 @@ class TestIntegrability:
                 assert error <= 1e-15 * scale
                 assert exact.real == (f.real and g.real) == oracle.real
 
+    @given(residual_cases())
+    @settings(max_examples=80, deadline=None)
+    def test_stacked_rows_equal_the_pairwise_loop(self, case):
+        # Every stacked step is the arithmetic of the function objects,
+        # so the residual is theirs bit for bit.
+        p, trials = case
+        assert integrability_residual(p, trials) == pairwise_residual(p, trials)
+
     def test_map_sourced_structures_are_integrable(self):
         trials = [cos_theta, sin_two_theta] + trial_functions(2, 8, seed=42)
         for name, m in catalog_maps(grid):
@@ -641,6 +709,27 @@ class TestIntegrability:
         for source in (m, pullback_matrix(m, 16, grid)):
             with pytest.raises(ValidationError, match="PeriodMatrix"):
                 integrability_residual(source, [cos_theta])
+
+    def test_no_trials_is_refused(self):
+        # An empty list checks no pair, so it cannot show closure.  It
+        # is refused before the structure, which here is singular.
+        message = "integrability needs at least one trial function"
+        for z in (0.5 * np.eye(4), np.eye(4)):
+            with pytest.raises(ValidationError, match=message):
+                integrability_residual(PeriodMatrix(4, z), [])
+            with pytest.raises(ValidationError, match=message):
+                integrability_residual(PeriodMatrix(4, z), iter(()))
+
+    def test_non_finite_intermediates_are_refused(self):
+        # Products of coefficients near 1e200 overflow; the function
+        # objects refused them, and so do the stacked rows.
+        huge = from_modes(2, {1: 1e200, -1: 1e200}, real=True)
+        p = PeriodMatrix(4, 0.5 * np.eye(4))
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(ValidationError, match="coeffs must be finite"):
+                pairwise_residual(p, [huge])
+            with pytest.raises(ValidationError, match="coeffs must be finite"):
+                integrability_residual(p, [huge])
 
 
 class TestJson:

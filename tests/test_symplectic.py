@@ -3,12 +3,14 @@
 import numpy as np
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from hhalf.errors import ValidationError
 from hhalf.fourier import (
     CircleFunction,
     SampleGrid,
+    _aligned,
     derivative,
     from_modes,
     h_half_norm,
@@ -19,10 +21,48 @@ from hhalf.fourier import (
 )
 from hhalf.symplectic import compatibility_defect, symplectic_form
 
-from test_fourier import coefficient_functions, random_real_function, split_modes
+from test_fourier import (
+    coefficient_functions,
+    random_real_function,
+    same_bits,
+    split_modes,
+)
 
 cos_theta = from_modes(4, {1: 0.5, -1: 0.5})
 sin_theta = from_modes(4, {1: -0.5j, -1: 0.5j})
+
+
+def indexed_form(f, g):
+    """symplectic_form with its halves read through index arrays."""
+    a, b, n = _aligned(f, g)
+    ns = np.arange(1, n + 1)
+    w = ns.astype(float)
+    xr, xi = a[n + ns].real, a[n + ns].imag
+    yr, yi = a[n - ns].real, a[n - ns].imag
+    ur, ui = b[n + ns].real, b[n + ns].imag
+    vr, vi = b[n - ns].real, b[n - ns].imag
+    pr = xr * vr - xi * vi
+    pi = xr * vi + xi * vr
+    qr = yr * ur - yi * ui
+    qi = yr * ui + yi * ur
+    sr = float(np.sum(w * (pr - qr)))
+    si = float(np.sum(w * (pi - qi)))
+    return complex(si, -sr)
+
+
+@st.composite
+def signed_zero_functions(draw):
+    """Complex or real functions with some parts +0 or -0."""
+    n = draw(st.integers(1, 12))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    c = rng.standard_normal(2 * n + 1) + 1j * rng.standard_normal(2 * n + 1)
+    parts = c.view(np.float64)
+    parts[rng.random(parts.size) < 0.3] = 0.0
+    parts[rng.random(parts.size) < 0.3] = -0.0
+    c[n] = 0.0
+    if draw(st.booleans()):
+        c[:n] = np.conj(c[:n:-1])
+    return CircleFunction(n, c)
 
 
 def quadrature_form(f, g, grid):
@@ -53,6 +93,15 @@ class TestForm:
     @settings(max_examples=40, deadline=None)
     def test_antisymmetry_exact(self, f, g):
         assert symplectic_form(f, g) == -symplectic_form(g, f)
+
+    @given(
+        st.one_of(coefficient_functions(), signed_zero_functions()),
+        st.one_of(coefficient_functions(), signed_zero_functions()),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_slices_match_the_index_arrays(self, f, g):
+        value, expected = symplectic_form(f, g), indexed_form(f, g)
+        assert same_bits(np.array([value]), np.array([expected]))
 
     @given(coefficient_functions())
     @settings(max_examples=40, deadline=None)
