@@ -58,7 +58,6 @@ from .maps import (
     make_map,
     moebius,
     periodic_part,
-    periodic_values,
     power,
     qs_ratio,
     radial_dilatation,

@@ -323,15 +323,18 @@ def _cmd_integrability(args, cfg):
     """multiplication-closure residual of a structure"""
     tol = _tolerance(args, cfg.matrix_tol)
     p = _period_argument(args, cfg)
-    trials = trial_functions(4, 8, cfg.seed)
+    # Products of trials of bandlimit K reach 2K, which must fit the
+    # cutoff; at cutoff 1 none fits, and integrability_residual says so.
+    bandlimit = max(1, min(8, p.cutoff // 2))
+    trials = trial_functions(4, bandlimit, cfg.seed)
     residual = integrability_residual(p, trials)
     report = {
         "command": "integrability",
         "cutoff": p.cutoff,
         "grid_size": cfg.grid_size,
         "seed": cfg.seed,
-        "trial_count": 4,
-        "trial_bandlimit": 8,
+        "trial_count": len(trials),
+        "trial_bandlimit": bandlimit,
         "residual": residual,
         "tol": tol,
         "within_tol": bool(residual <= tol),

@@ -5,6 +5,9 @@ sample grid.  Lift evaluation goes through the descriptor, so values at
 arbitrary angles are exact up to rounding; the samples are that same
 evaluation on the grid, done once, and they certify monotonicity, feed
 spectral work on the periodic part and are the lift pullbacks read.
+The lift is the one thing evaluated: derivatives and welding kernels
+read the periodic part lift - degree*theta from the samples' spectrum
+(`periodic_part`), never from differences of lift values.
 """
 
 import cmath
@@ -153,15 +156,10 @@ def descriptor_degree(d):
     return 1
 
 
-def _walk(d, x):
-    """Lift of the descriptor at arbitrary angles and its periodic part.
-
-    The periodic part lift(x) - degree*x is walked, not formed from lift
-    values, which would lose its low bits where |x| dominates; rotations
-    stay exact, which matters for kernels built from lift differences.
-    """
+def _lift_values(d, x):
+    """Lift of the descriptor at an array of angles."""
     if isinstance(d, Power):
-        return float(d.k) * x, np.zeros(x.shape)
+        return float(d.k) * x
     if isinstance(d, Moebius):
         # w = e^{i beta} (z - a)/(1 - conj(a) z) on |z| = 1 factors as
         # e^{i(theta+beta)} conj(D)/D with D = 1 - conj(a) e^{i theta};
@@ -171,34 +169,21 @@ def _walk(d, x):
         # rounding away the low bits of x.
         beta = math.remainder(d.beta, two_pi)
         turn = 2.0 * np.angle(1.0 - np.conj(d.a) * np.exp(1j * x))
-        return x + beta - turn, beta - turn
+        return x + beta - turn
     if isinstance(d, Flow):
-        part = d.eps * evaluate_at(d.v, x)
-        return x + part, part
+        return x + d.eps * evaluate_at(d.v, x)
     if isinstance(d, Compose):
-        lift, part = x, np.zeros(x.shape)
+        lift = x
         for item in reversed(d.maps):
-            lift, step = _walk(item, lift)
-            part = descriptor_degree(item) * part + step
-        return lift, part
+            lift = _lift_values(item, lift)
+        return lift
     if isinstance(d, Inverse):
         return _invert_lift(d.of, x)
     raise ValidationError("unknown map descriptor %r" % (d,))
 
 
-def _lift_values(d, x):
-    return _walk(d, x)[0]
-
-
-def periodic_values(d, x):
-    """Periodic part lift(x) - degree*x, evaluated without cancellation."""
-    return _walk(d, np.asarray(x, float))[1]
-
-
 def _invert_lift(d, targets):
     """Solve x + eps*v(x) = target for a flow d by safeguarded Newton.
-
-    Returns the roots and the inverse's periodic part, root - target.
 
     |eps*v| <= |eps| sum |c_n| brackets every root.  Newton starts at
     target - eps*v(target), inside that bracket, and takes the exact
@@ -234,10 +219,7 @@ def _invert_lift(d, targets):
         # Inclusive ends: a converged point may land on its own bracket end.
         new = np.where((lo <= new) & (new <= hi), new, 0.5 * (lo + hi))
         if polish or count == passes:
-            # The periodic part -eps*v(new) from the values and slopes
-            # just read; the remainder eps*v''*(new - x)**2/2 is of
-            # order 1e-26 after a converged step.
-            return new, -d.eps * (values + slopes * (new - x))
+            return new
         polish = bool(np.all(np.abs(new - x) <= tol))
         x = new
 

@@ -17,16 +17,18 @@ import math
 import numpy as np
 
 from .errors import NumericalError, ValidationError
-from .fourier import derivative, evaluate_at, json_integer, norm_squared
-from .maps import Compose, Moebius, periodic_part, periodic_values
+from .fourier import json_integer, norm_squared
+from .maps import Compose, Moebius, periodic_part
 
 eps = np.finfo(float).eps
 tiny = np.finfo(float).tiny
 two_pi = 2.0 * np.pi
 
-# Half-widths for diagonal extrapolation, small enough that every
-# smooth catalog map is in its asymptotic regime.
-default_deltas = (0.02, 0.01, 0.005)
+# Half-widths for diagonal extrapolation.  Map kernels keep every digit
+# at any offset; kernels of callables subtract two large terms and need
+# wider offsets to keep theirs.
+default_deltas = (1e-3, 5e-4, 2.5e-4)
+line_deltas = (0.04, 0.02, 0.01)
 
 # Base angles at which `kernel` reports and suite criterion 9 take
 # diagonal limits.
@@ -92,10 +94,11 @@ def hs_bracket_check(f):
 def _kernel(order, dx, dh, slope_x, slope_y):
     """Kernel of the given order from x - y, h(x) - h(y), h'(x), h'(y).
 
-    The kernel is formed as a - b (b = 0 for order 0).  A value that is
-    not finite, an offset below the smallest normal float, or rounding
-    4 eps (|a| + |b|) above 1e-6 max(1, |a - b|) leaves no reliable
-    digits, and the kernel is refused rather than returned.
+    Callables have no spectrum to sum, so the kernel is formed as a - b
+    (b = 0 for order 0).  A value that is not finite, an offset below
+    the smallest normal float, or rounding 4 eps (|a| + |b|) above
+    1e-6 max(1, |a - b|) leaves no reliable digits, and the kernel is
+    refused rather than returned.
     """
     a = b = math.inf  # kept by an overflow or a division by zero
     with contextlib.suppress(ArithmeticError, ValueError):
@@ -116,30 +119,51 @@ def _kernel(order, dx, dh, slope_x, slope_y):
     return value
 
 
-def _kernel_values(m, d1, order, x, ys):
-    """Kernel values of a circle map at (x, y) for each y, and h'(x).
+# s2(t) = (cos t - sinc t)/t^2 = sum_{k>=1} (-1)^k 2k t^(2k-2)/(2k+1)!,
+# highest power first; below |t| = 1 the terms past k = 10 are < 1e-24.
+_s2_series = [
+    (-1) ** k * 2 * k / math.factorial(2 * k + 1) for k in range(10, 0, -1)
+]
 
-    d1 is the derivative of the map's resolved periodic part.  One lift
-    walk and one derivative evaluation serve x and every y; the
-    per-pair arithmetic stays scalar.
+
+def _kernel_values(m, order, x, ys):
+    """Kernel values of a circle map at (x, x) and at (x, y) for each y.
+
+    With c_n the spectrum of the resolved periodic part, d = x - y,
+    t = nd/2, w_n = c_n e^{in(x + y)/2} and s2 as above, the sums
+    D = (h(x) - h(y))/d = deg + sum w_n in sinc t,
+    alpha = (h'(x) - D)/d = sum w_n (in^2/2)(t s2 + i sinc t), beta
+    (alpha with t -> -t) and (alpha - beta)/d = sum w_n (in^3/2) s2
+    give order 0 as log D, order 1 as alpha/D and order 2 as
+    [D (alpha - beta)/d - alpha beta]/D^2.  No two large terms cancel,
+    so every offset keeps full precision, and at y = x the values are
+    the classical log h', h''/(2h') and S(h)/6.
     """
     if not all(math.isfinite(t) for t in (x, *ys)):
         raise ValidationError("kernel angles must be finite")
     if any(math.remainder(x - y, two_pi) == 0.0 for y in ys):
         raise ValidationError("kernel requires x != y (mod 2 pi)")
+    part = periodic_part(m)
+    n = np.arange(-part.bandlimit, part.bandlimit + 1)
     points = np.array([x, *ys])
-    # dh formed from the periodic parts keeps the exact multiple of
-    # x - y; differencing raw lift values would shift the kernels by
-    # cancellation noise of size eps*|lift|/(x - y).
-    parts = periodic_values(m.descriptor, points)
-    slopes = m.degree + evaluate_at(d1, points)
-    slope_x = float(slopes[0])
-    values = []
-    for j, y in enumerate(ys, 1):
-        dx = x - y
-        dh = m.degree * dx + float(parts[0] - parts[j])
-        values.append(_kernel(order, dx, dh, slope_x, float(slopes[j])))
-    return values, slope_x
+    t = np.outer(0.5 * (x - points), n)
+    w = part.coeffs * np.exp(1j * np.outer(0.5 * (x + points), n))
+    sinc = np.sinc(t / np.pi)
+    slope = m.degree + np.sum(w * (1j * n) * sinc, axis=1).real
+    if not np.all(slope > 0.0):
+        raise NumericalError("lift derivative is not positive at the point")
+    if order == 0:
+        return np.log(slope).tolist()
+    small = np.abs(t) < 1.0
+    wide = np.where(small, 1.0, t)
+    direct = (np.cos(wide) - np.sinc(wide / np.pi)) / (wide * wide)
+    s2 = np.where(small, np.polyval(_s2_series, t * t), direct)
+    alpha = np.sum(w * (0.5j * n * n) * (t * s2 + 1j * sinc), axis=1).real
+    if order == 1:
+        return (alpha / slope).tolist()
+    beta = np.sum(w * (0.5j * n * n) * (1j * sinc - t * s2), axis=1).real
+    bend = np.sum(w * (0.5j * n**3) * s2, axis=1).real
+    return ((slope * bend - alpha * beta) / slope**2).tolist()
 
 
 def _check_order(order):
@@ -160,12 +184,12 @@ def kernel_eval(h, order, x, y):
         0 for log[(h(x)-h(y))/(x-y)], 1 for h'(x)/(h(x)-h(y)) -
         1/(x-y), 2 for h'(x)h'(y)/(h(x)-h(y))^2 - 1/(x-y)^2.
     x, y : float
-        Distinct angles (mod 2 pi); lift derivatives come from
-        spectral differentiation of the resolved periodic part.
+        Distinct angles (mod 2 pi).  The kernel is summed over the
+        spectrum of the resolved periodic part, exact to rounding at
+        every offset, however small.
     """
     order = _check_order(order)
-    d1 = derivative(periodic_part(h))
-    return _kernel_values(h, d1, order, float(x), [float(y)])[0][0]
+    return _kernel_values(h, order, float(x), [float(y)])[1]
 
 
 def kernel_eval_line(h, hp, order, x, y):
@@ -248,22 +272,9 @@ def diagonal_report(h, order, x, deltas=default_deltas):
     order = _check_order(order)
     x = float(x)
     deltas = _checked_deltas(deltas)
-    d1 = derivative(periodic_part(h))
-    values, slope = _kernel_values(h, d1, order, x, [x + d for d in deltas])
+    classical, *values = _kernel_values(h, order, x, [x + d for d in deltas])
     _guard_monotone(values)
     limit = _extrapolate(deltas, values)
-
-    if slope <= 0.0:
-        raise NumericalError("lift derivative is not positive at the point")
-    if order == 0:
-        classical = math.log(slope)
-    elif order == 1:
-        classical = float(evaluate_at(derivative(d1), x)) / (2.0 * slope)
-    else:
-        d2 = derivative(d1)
-        curv = float(evaluate_at(d2, x)) / slope
-        third = float(evaluate_at(derivative(d2), x)) / slope
-        classical = (third - 1.5 * curv * curv) / 6.0
     return {
         "order": order,
         "x": x,
@@ -275,7 +286,7 @@ def diagonal_report(h, order, x, deltas=default_deltas):
     }
 
 
-def diagonal_limit_line(h, hp, order, x, deltas=default_deltas):
+def diagonal_limit_line(h, hp, order, x, deltas=line_deltas):
     """Extrapolated diagonal limit for a real map given as callables."""
     order = _check_order(order)
     x = float(x)

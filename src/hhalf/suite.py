@@ -247,24 +247,23 @@ def check_kernel_limits():
         for order in (0, 1, 2):
             for x in kernel_base_points:
                 worst_flow = max(worst_flow, diagonal_limit(h, order, x)[2])
-    wide = (0.04, 0.02, 0.01)
     worst_moebius = 0.0
     for a, beta in moebius_parameters:
         w, wp = fractional_linear(moebius_line_coefficients(moebius(a, beta)))
         for x in (0.3, -0.5, 1.0):
             worst_moebius = max(
-                worst_moebius, abs(diagonal_limit_line(w, wp, 2, x, wide))
+                worst_moebius, abs(diagonal_limit_line(w, wp, 2, x))
             )
     exp_defect = abs(
-        diagonal_limit_line(math.exp, math.exp, 2, 0.0, wide) + 1.0 / 12.0
+        diagonal_limit_line(math.exp, math.exp, 2, 0.0) + 1.0 / 12.0
     )
     detail = (
-        "flow defects <= %.3e (limit 1e-5); moebius line annihilation "
+        "flow defects <= %.3e (limit 1e-9); moebius line annihilation "
         "<= %.3e (limit 1e-8); exp value -1/12 within %.3e (limit 1e-9)"
         % (worst_flow, worst_moebius, exp_defect)
     )
     passed = (
-        worst_flow <= 1e-5 and worst_moebius <= 1e-8 and exp_defect <= 1e-9
+        worst_flow <= 1e-9 and worst_moebius <= 1e-8 and exp_defect <= 1e-9
     )
     return passed, detail
 

@@ -133,6 +133,10 @@ class TestNorm:
         assert err.startswith("error: " + message)
         assert len(err.encode()) < 200
 
+    def test_minus_zero_is_a_duplicate_of_zero(self, capsys):
+        argv = ["norm", "--modes", '{"0": 1, "-0": 2}']
+        assert run(argv, capsys) == (1, "", "error: duplicate mode index 0\n")
+
 
 class TestHilbert:
     def test_emits_a_loadable_function(self, capsys):
@@ -301,6 +305,12 @@ class TestPeriod:
         default = run(["period", "--map", flow_map], capsys)
         assert run(["period", "--map", flow_map, "--grid", "512"], capsys) == default
         assert default[0] == 0
+
+    def test_two_maps_are_refused(self, capsys):
+        argv = ["period", "--map", rotation_map, "--map", rotation_map]
+        assert run(argv, capsys) == (
+            1, "", "error: this subcommand wants --map exactly once\n"
+        )
 
 
 class TestSiegelCheck:
@@ -544,6 +554,21 @@ class TestIntegrability:
         }
         assert len(residuals) == 1
 
+    def test_small_cutoffs_use_trials_that_fit(self, monkeypatch, capsys):
+        # Fixed trials of bandlimit 8 would refuse every cutoff below 16.
+        moebius_map = '{"type": "moebius", "a": {"re": 0.3}, "beta": 0}'
+        for cutoff, bandlimit in ((2, 1), (3, 1), (8, 4), (15, 7), (16, 8)):
+            monkeypatch.setenv("HHP_CONFIG", '{"cutoff": %d}' % cutoff)
+            report = run_json(["integrability", "--map", moebius_map], capsys)
+            assert report["trial_bandlimit"] == bandlimit
+            assert report["trial_count"] == 4
+            assert report["within_tol"] is True
+        # At cutoff 1 no nonzero trial fits.
+        monkeypatch.setenv("HHP_CONFIG", '{"cutoff": 1}')
+        assert run(["integrability", "--map", moebius_map], capsys) == (
+            1, "", "error: trial bandlimit exceeds half the cutoff\n"
+        )
+
     def test_exactly_one_source(self, capsys):
         assert run(["integrability"], capsys)[0] == 1
         code, _, _ = run(
@@ -592,8 +617,9 @@ class TestQuantumHs:
 
 
 class TestKernel:
-    def test_offset_without_a_finite_kernel_is_a_numerical_failure(self, capsys):
-        # 1e-300 squared underflows: a ZeroDivisionError traceback before.
+    def test_offset_that_rounds_away_is_an_input_error(self, capsys):
+        # pi/3 + 1e-300 rounds to pi/3, so the second base point has no
+        # offset left.
         sin_two_flow = json.dumps(
             {
                 "type": "flow",
@@ -604,13 +630,12 @@ class TestKernel:
         argv = ["kernel", "--order", "2", "--window", "1e-300,1e-301",
                 "--map", sin_two_flow]
         assert run(argv, capsys) == (
-            2, "",
-            "numerical failure: order 2 kernel has no reliable digits at "
-            "offset x - y = -1e-300\n",
+            1, "", "error: kernel requires x != y (mod 2 pi)\n"
         )
 
-    def test_offset_without_reliable_digits_is_a_numerical_failure(self, capsys):
-        # Finite but pure cancellation noise: -2.97e284 at 1e-300.
+    def test_tiny_offsets_give_the_classical_value(self, capsys):
+        # Differencing lift values would give -1.75e7 for order 1 at
+        # 1e-12; the spectral sums keep every digit.
         sin_two_flow = json.dumps(
             {
                 "type": "flow",
@@ -618,13 +643,14 @@ class TestKernel:
                 "eps": 0.1,
             }
         )
-        argv = ["kernel", "--order", "1", "--window", "1e-300,1e-301",
-                "--map", sin_two_flow]
-        assert run(argv, capsys) == (
-            2, "",
-            "numerical failure: order 1 kernel has no reliable digits at "
-            "offset x - y = -1e-300\n",
-        )
+        for order in ("0", "1", "2"):
+            argv = ["kernel", "--order", order, "--window", "1e-12,5e-13",
+                    "--map", sin_two_flow]
+            report = run_json(argv, capsys)
+            for point in report["points"]:
+                for value in point["values"]:
+                    assert abs(value - point["classical"]) <= 1e-11
+            assert report["worst_defect"] <= 1e-11 and report["within_tol"]
 
     def test_rotation_kernels_vanish(self, tmp_path, capsys):
         out = tmp_path / "kernel.json"
@@ -1420,6 +1446,17 @@ def fuzzed_texts(template):
         text = json.dumps(copy)
         for value in fuzz_values:
             yield path, value, text.replace(json.dumps(marker), value)
+
+    def test_csv_into_a_missing_directory_is_an_input_error(
+        self, tmp_path, capsys
+    ):
+        path = tmp_path / "missing" / "kernel.csv"
+        argv = ["kernel", "--map", rotation_map, "--order", "0",
+                "--grid", "256", "--out", str(path)]
+        code, out, err = run(argv, capsys)
+        assert (code, out) == (1, "")
+        assert err.startswith("error: cannot write %s: " % path)
+        assert not path.parent.exists()
 
 
 class TestJsonFuzz:

@@ -407,6 +407,11 @@ class TestAnalyze:
         g = indexed_analyze(samples, grid, bandlimit)
         assert same_bits(f.coeffs, g.coeffs) and f.real == g.real
 
+    @pytest.mark.parametrize("shape", [(31,), (33,), (2, 16), ()])
+    def test_samples_off_the_grid_are_refused(self, shape):
+        with pytest.raises(GridError, match="^sample array does not match"):
+            analyze(np.zeros(shape), SampleGrid(32), 4)
+
 
 class TestNormAndInner:
     def test_cosine_norm(self):

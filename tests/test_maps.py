@@ -1,5 +1,6 @@
 """Tests for circle map construction, composition, and estimators."""
 
+import math
 import time
 import tracemalloc
 import warnings
@@ -23,7 +24,6 @@ from hhalf.maps import (
     Flow,
     compose,
     compose_descriptors,
-    descriptor_degree,
     descriptor_from_json,
     descriptor_to_json,
     evaluate_lift,
@@ -33,7 +33,6 @@ from hhalf.maps import (
     lift_bandwidth,
     make_map,
     moebius,
-    periodic_values,
     power,
     qs_ratio,
     radial_dilatation,
@@ -105,12 +104,12 @@ class TestLifts:
             assert d.v.bandlimit == m + 2
             assert d.v.coefficient(m + 2) == 1j / (m + 1)
             assert np.count_nonzero(d.v.coeffs) == 2
-        # The former walk: -(2 eps / (m+1)) sin((m+2) theta).
+        # The former walk: theta - (2 eps / (m+1)) sin((m+2) theta).
         points = grid.points()
         for m in (0, 1, 2):
-            former = -(2.0 * 0.01 / (m + 1)) * np.sin((m + 2) * points)
-            walked = periodic_values(rauch_flow(m, 0.01), points)
-            assert np.max(np.abs(walked - former)) <= 8.9e-16
+            former = points - (2.0 * 0.01 / (m + 1)) * np.sin((m + 2) * points)
+            lift = evaluate_lift(make_map(rauch_flow(m, 0.01), grid), points)
+            assert np.max(np.abs(lift - former)) <= 8.9e-16
 
     def test_flow_lift(self):
         m = make_map(flow(sin_theta, 0.25), grid)
@@ -214,6 +213,14 @@ class TestValidation:
         m = make_map(power(3), grid)
         with pytest.raises(ValidationError):
             radial_dilatation(m)
+
+    @pytest.mark.parametrize(
+        "a",
+        [complex(math.inf, 0.0), complex(0.0, -math.inf), complex(math.nan, 0.0)],
+    )
+    def test_non_finite_moebius_parameter_is_refused(self, a):
+        with pytest.raises(ValidationError, match="^moebius a must be finite$"):
+            moebius(a)
 
 
 class TestCircleMap:
@@ -331,6 +338,16 @@ class TestComposition:
         oracle = make_map(rotation(-0.8), grid)
         assert circle_distance(inverse, oracle) <= 1e-12
 
+    def test_maps_on_two_grids_do_not_compose(self):
+        outer = make_map(moebius(0.3), grid)
+        inner = make_map(flow(sin_theta, 0.1), SampleGrid(512))
+        with pytest.raises(ValidationError, match="^composition needs a common"):
+            compose(outer, inner)
+
+    def test_power_one_is_its_own_inverse(self):
+        d = power(1)
+        assert inverse_descriptor(d) is d
+
 
 class TestEstimators:
     def test_qs_identity(self):
@@ -384,32 +401,6 @@ class TestEstimators:
         assert lift_bandwidth(make_map(identity(), grid)) == 0
         assert lift_bandwidth(make_map(flow(sin_theta, 0.2), grid)) == 1
         assert lift_bandwidth(make_map(rauch_flow(2, 0.01), grid)) == 4
-
-    def test_periodic_values_match_the_lift(self):
-        descriptors = [
-            identity(),
-            rotation(0.7),
-            power(2),
-            moebius(0.3, 0.7),
-            flow(sin_theta, 0.1),
-            rauch_flow(1, 0.01),
-            compose_descriptors([flow(sin_theta, 0.1), moebius(0.2, 0.0)]),
-            inverse_descriptor(moebius(0.3, 0.5)),
-            inverse_descriptor(flow(sin_theta, 0.1)),
-            compose_descriptors(
-                [inverse_descriptor(rauch_flow(1, 0.05)), moebius(0.2, 0.0)]
-            ),
-        ]
-        points = np.array([0.0, 0.3, 2.0, 5.5])
-        for d in descriptors:
-            m = make_map(d, grid)
-            direct = evaluate_lift(m, points) - descriptor_degree(d) * points
-            assert np.max(np.abs(periodic_values(d, points) - direct)) <= 1e-12
-
-    def test_periodic_values_of_rotations_are_exact(self):
-        values = periodic_values(rotation(0.7), np.array([0.0, 100.0, -40.0]))
-        assert np.all(values == 0.7)
-        assert np.all(periodic_values(identity(), np.array([3.0])) == 0.0)
 
 
 class TestJson:

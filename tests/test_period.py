@@ -731,6 +731,11 @@ class TestIntegrability:
             with pytest.raises(ValidationError, match="coeffs must be finite"):
                 integrability_residual(p, [huge])
 
+    def test_zero_trial_is_refused(self):
+        trials = [cos_field(1), CircleFunction(2, np.zeros(5))]
+        with pytest.raises(ValidationError, match="^trial functions must be nonzero$"):
+            integrability_residual(zero_period(8), trials)
+
 
 class TestJson:
     def test_roundtrip_with_source(self):

@@ -675,6 +675,16 @@ class TestOwnGrid:
 
 
 class TestBlockOperator:
+    def test_function_past_the_cutoff_is_refused(self):
+        small = SampleGrid(64)
+        t = pullback_matrix(make_map(identity(), small), 4, small)
+        f = from_modes(5, {5: 1.0, -5: 1.0})
+        with pytest.raises(ValidationError, match="^function bandlimit exceeds"):
+            apply_operator(t, f)
+        # A bandlimit of 5 with its top modes zero is still refused.
+        with pytest.raises(ValidationError, match="^function bandlimit exceeds"):
+            apply_operator(t, from_modes(5, {1: 1.0, -1: 1.0}))
+
     def test_full_matrix_layout(self):
         rng = np.random.default_rng(21)
         a = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))

@@ -3,6 +3,7 @@
 import math
 import tracemalloc
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -54,9 +55,6 @@ grid = SampleGrid(4096)
 cos_one = from_modes(1, {1: 0.5, -1: 0.5})
 sin_one = from_modes(1, {1: -0.5j, -1: 0.5j})
 
-wide_deltas = (0.04, 0.02, 0.01)
-
-
 def random_real_modes(band, seed, decay=1.0):
     rng = np.random.default_rng(seed)
     modes = {}
@@ -105,6 +103,71 @@ def real_or_complex_functions(draw):
         modes[k] = complex(draw(parts), draw(parts))
         modes[-k] = np.conj(modes[k]) if real else complex(draw(parts), draw(parts))
     return from_modes(band, modes)
+
+
+@st.composite
+def small_flows(draw):
+    """Flows theta + eps v(theta), v real of bandlimit 1..6, 1 + eps v' >= 1/2."""
+    band = draw(st.integers(1, 6))
+    parts = draw(
+        st.lists(st.floats(-1.0, 1.0), min_size=2 * band, max_size=2 * band)
+    )
+    modes = {}
+    for k in range(1, band + 1):
+        modes[k] = complex(parts[2 * k - 2], parts[2 * k - 1])
+        modes[-k] = modes[k].conjugate()
+    v = from_modes(band, modes, real=True)
+    reach = 2.0 * sum(k * abs(modes[k]) for k in range(1, band + 1))
+    return flow(v, draw(st.floats(0.01, 0.5)) / max(1.0, reach))
+
+
+def _lift_derivatives(d, t):
+    """Lift of the flow d and its first three derivatives at t, in mpmath."""
+    k = d.v.bandlimit
+    eps = mpmath.mpf(d.eps)
+    out = [t, mpmath.mpf(1), mpmath.mpf(0), mpmath.mpf(0)]
+    for n in range(-k, k + 1):
+        term = mpmath.mpc(d.v.coefficient(n)) * mpmath.expj(n * t)
+        for j in range(4):
+            out[j] += eps * mpmath.re(term * (1j * n) ** j)
+    return out
+
+
+def reference_kernel(d, order, x, y):
+    """Kernel of a flow d at (x, y) with every digit kept, by mpmath.
+
+    The precision grows with 1/|x - y|, so the poles subtracted from
+    the order-1 and order-2 kernels cancel exactly.
+    """
+    digits = 40 + 2 * max(0, math.ceil(-math.log10(abs(x - y))))
+    with mpmath.workdps(digits):
+        x, y = mpmath.mpf(x), mpmath.mpf(y)
+        hx, sx = _lift_derivatives(d, x)[:2]
+        hy, sy = _lift_derivatives(d, y)[:2]
+        dh, dx = hx - hy, x - y
+        if order == 0:
+            return float(mpmath.log(dh / dx))
+        if order == 1:
+            return float(sx / dh - 1 / dx)
+        return float(sx * sy / dh**2 - 1 / dx**2)
+
+
+def reference_classical(d, order, x):
+    """log h', h''/(2h') or S(h)/6 of a flow d at x, by mpmath."""
+    with mpmath.workdps(40):
+        _, h1, h2, h3 = _lift_derivatives(d, mpmath.mpf(x))
+        if order == 0:
+            return float(mpmath.log(h1))
+        if order == 1:
+            return float(h2 / (2 * h1))
+        return float((h3 / h1 - 1.5 * (h2 / h1) ** 2) / 6)
+
+
+def assert_kernel_close(value, reference):
+    assert abs(value - reference) <= 1e-12 * max(1.0, abs(reference)), (
+        value,
+        reference,
+    )
 
 
 class TestQuantumDerivativeMatrix:
@@ -289,52 +352,61 @@ class TestKernelEval:
 
     @pytest.mark.parametrize(
         "order, offset",
-        # dx**2 underflows to zero at 1e-300 and 1e-320, a
-        # ZeroDivisionError; at the others both terms overflow, and
-        # inf - inf is NaN.
+        # The line path's dx**2 underflows to zero at 1e-300 and 1e-320,
+        # a ZeroDivisionError; at the others both terms overflow, and
+        # inf - inf is NaN.  The map path sums the spectrum and is exact.
         [(2, 1e-300), (2, 1e-320), (2, 1e-160), (2, 1e-155), (1, 1e-320)],
     )
     def test_offsets_without_a_finite_kernel_are_numerical_failures(
         self, order, offset
     ):
-        circle = make_map(flow(sin_field(2), 0.1), grid)
+        d = flow(sin_field(2), 0.1)
+        value = kernel_eval(make_map(d, grid), order, 0.0, offset)
+        assert_kernel_close(value, reference_kernel(d, order, 0.0, offset))
         line = fractional_linear(moebius_line_coefficients(moebius(0.3)))
         message = "^order %d kernel has no reliable digits at offset x - y = %r$"
-        for call in (
-            lambda: kernel_eval(circle, order, 0.0, offset),
-            lambda: kernel_eval_line(*line, order, 0.0, offset),
-        ):
-            with pytest.raises(NumericalError, match=message % (order, -offset)):
-                call()
+        with pytest.raises(NumericalError, match=message % (order, -offset)):
+            kernel_eval_line(*line, order, 0.0, offset)
         with pytest.raises(NumericalError, match="^order %d kernel" % order):
             diagonal_limit_line(*line, order, 0.0, (2.0 * offset, offset))
 
     @pytest.mark.parametrize(
         "order, offset",
-        # Finite but wrong: -2.97e284 and -1.56e144 where the order-1
-        # kernel is near zero, a value wrong in the 4th digit at a
-        # subnormal offset, and an order-2 difference of two 1e20 terms.
+        # Finite but without reliable digits when two large terms are
+        # subtracted: order 1 near zero at tiny offsets, order 0 at a
+        # subnormal offset, and order 2 as a difference of two 1e20
+        # terms.  The line path refuses each; the map path is exact.
         [(1, 1e-300), (1, 1e-160), (0, 1e-320), (2, 1e-10)],
     )
     def test_offsets_without_reliable_digits_are_numerical_failures(
         self, order, offset
     ):
-        circle = make_map(flow(sin_field(2), 0.1), grid)
+        d = flow(sin_field(2), 0.1)
+        value = kernel_eval(make_map(d, grid), order, 0.0, offset)
+        assert_kernel_close(value, reference_kernel(d, order, 0.0, offset))
         line = fractional_linear(moebius_line_coefficients(moebius(0.3)))
         message = "^order %d kernel has no reliable digits at offset x - y = %r$"
-        for call in (
-            lambda: kernel_eval(circle, order, 0.0, offset),
-            lambda: kernel_eval_line(*line, order, 0.0, offset),
-        ):
-            with pytest.raises(NumericalError, match=message % (order, -offset)):
-                call()
+        with pytest.raises(NumericalError, match=message % (order, -offset)):
+            kernel_eval_line(*line, order, 0.0, offset)
 
     def test_small_offsets_with_reliable_digits_are_kept(self):
-        # At 1e-4 the order-2 terms are 1e8 each and round to about
-        # 2e-7, inside the 1e-6 the refusal allows.
-        circle = make_map(flow(sin_field(2), 0.1), grid)
-        classical = diagonal_limit(circle, 2, 0.0)[1]
-        assert abs(kernel_eval(circle, 2, 0.0, 1e-4) - classical) <= 1e-6
+        d = flow(sin_field(2), 0.1)
+        value = kernel_eval(make_map(d, grid), 2, 0.0, 1e-4)
+        assert_kernel_close(value, reference_kernel(d, 2, 0.0, 1e-4))
+
+    @given(small_flows(), st.floats(0.0, 2.0 * math.pi), st.integers(1, 15))
+    @settings(max_examples=60, deadline=None)
+    def test_kernels_match_a_high_precision_reference(self, d, x, digits):
+        m = make_map(d, grid)
+        for order in (0, 1, 2):
+            for y in (x + 10.0**-digits, x - 10.0**-digits):
+                value = kernel_eval(m, order, x, y)
+                assert_kernel_close(value, reference_kernel(d, order, x, y))
+            # At offset 0 and 1e-200 the kernel is the classical value.
+            classical = reference_classical(d, order, x)
+            assert_kernel_close(diagonal_report(m, order, x)["classical"], classical)
+            at_zero = reference_classical(d, order, 0.0)
+            assert_kernel_close(kernel_eval(m, order, 0.0, 1e-200), at_zero)
 
     def test_cocycle_property_order_zero(self):
         inner = make_map(flow(sin_one, 0.1), grid)
@@ -471,6 +543,20 @@ class TestDiagonalLimit:
                 with pytest.raises(ValidationError, match=refusal):
                     call(bad)
 
+    def test_lift_that_turns_back_between_grid_points_is_refused(self):
+        # 1 + 1.2 cos(21 theta) is at least 0.4 on the 63 grid points,
+        # which see only 21 theta = 0, 2pi/3, 4pi/3, so the map is
+        # built; at theta = pi/21 the lift turns back.
+        coarse = SampleGrid(63)
+        v = from_modes(21, {21: -0.5j, -21: 0.5j}, real=True)
+        m = make_map(flow(v, 1.2 / 21), coarse)
+        refusal = "^lift derivative is not positive at the point$"
+        for order in (0, 1, 2):
+            with pytest.raises(NumericalError, match=refusal):
+                diagonal_report(m, order, math.pi / 21)
+        with pytest.raises(NumericalError, match=refusal):
+            kernel_eval(m, 0, math.pi / 21 - 0.01, math.pi / 21 + 0.01)
+
     def test_oversized_deltas_are_flagged(self):
         m = make_map(flow(sin_one, 0.1), grid)
         with pytest.raises(NumericalError):
@@ -498,8 +584,6 @@ class TestDiagonalLimit:
 class TestLineKernels:
     def test_exponential_map_reaches_minus_one_twelfth(self):
         limit = diagonal_limit_line(math.exp, math.exp, 2, 0.3)
-        assert abs(limit + 1.0 / 12.0) <= 1e-9
-        limit = diagonal_limit_line(math.exp, math.exp, 2, 0.3, wide_deltas)
         assert abs(limit + 1.0 / 12.0) <= 1e-9
 
     def test_exponential_kernel_expansion(self):
@@ -632,7 +716,7 @@ class TestLineRealization:
                 moebius_line_coefficients(moebius(a, beta))
             )
             for x in (0.3, -0.5, 1.0):
-                limit = diagonal_limit_line(value, slope, 2, x, wide_deltas)
+                limit = diagonal_limit_line(value, slope, 2, x)
                 assert abs(limit) <= 1e-8, (a, beta, x)
                 raw = kernel_eval_line(value, slope, 2, x, x + 0.04)
                 assert abs(raw) <= 1e-9
