@@ -62,26 +62,12 @@ class CircleFunction:
             raise ValidationError("coeffs must have length 2*bandlimit+1")
         if c[n] != 0:
             raise ValidationError("mean coefficient must be zero")
-        # real=True scales its tolerance by max |c|, which is finite
-        # only if every coefficient is, so it skips the full test.
-        peak = float(np.max(np.abs(c))) if self.real else math.inf
-        if not (math.isfinite(peak) or np.isfinite(c).all()):
-            raise ValidationError("coeffs must be finite")
-        upper, mirror = c[n + 1 :], np.conj(c[n - 1 :: -1])
         if self.real:
-            scale = 1.0 + peak
-            defect = float(np.max(np.abs(upper - mirror)))
-            if defect > 1e-9 * scale:
-                raise ValidationError(
-                    "real flag set but coefficients are not Hermitian "
-                    "symmetric (defect %.3e)" % defect
-                )
             c = c if c.flags.writeable else c.copy()
-            # Each half averaged with the other's conjugate: the bits of
-            # 0.5 (c + conj(c[::-1])) without a full mirrored copy.
-            lower = _average(c[:n], np.conj(c[:n:-1]))
-            c[n + 1 :], c[:n], c[n] = _average(upper, mirror), lower, 0.0
-        real = bool(self.real) or np.array_equal(upper, mirror)
+            _hermitian(c[None], n)
+        else:
+            _finite(c)
+        real = bool(self.real) or np.array_equal(c[n + 1 :], np.conj(c[n - 1 :: -1]))
         c.flags.writeable = False
         object.__setattr__(self, "coeffs", c)
         object.__setattr__(self, "real", real)
@@ -121,6 +107,43 @@ def _average(a, b):
     out.real = 0.5 * a.real + 0.5 * b.real
     out.imag = 0.5 * a.imag + 0.5 * b.imag
     return out * 1.0
+
+
+def _finite(c, peak=math.inf):
+    """c, refused unless every coefficient is finite.
+
+    A finite peak, max |c| of each row, vouches for every entry, so the
+    full test runs only without one; a finite coefficient whose modulus
+    overflows still passes.
+    """
+    if not (np.isfinite(peak).all() or np.isfinite(c).all()):
+        raise ValidationError("coeffs must be finite")
+    return c
+
+
+def _hermitian(rows, n):
+    """Rows of 2n+1 coefficients made Hermitian symmetric, in place.
+
+    The rule of CircleFunction(real=True): a row that is not finite, or
+    whose defect max |c_k - conj(c_-k)| exceeds 1e-9 (1 + max |c|), is
+    refused, the first such row naming its defect.  Otherwise each half
+    is averaged with the other's conjugate, the bits of
+    0.5 (c + conj(c[::-1])) without a full mirrored copy, and the mean
+    slot is zeroed.
+    """
+    peak = np.max(np.abs(rows), axis=1)
+    _finite(rows, peak)
+    upper, mirror = rows[:, n + 1 :], np.conj(rows[:, n - 1 :: -1])
+    defect = np.max(np.abs(upper - mirror), axis=1)
+    loose = defect > 1e-9 * (1.0 + peak)
+    if loose.any():
+        raise ValidationError(
+            "real flag set but coefficients are not Hermitian "
+            "symmetric (defect %.3e)" % defect[loose][0]
+        )
+    lower = _average(rows[:, :n], np.conj(rows[:, :n:-1]))
+    rows[:, n + 1 :], rows[:, :n], rows[:, n] = _average(upper, mirror), lower, 0.0
+    return rows
 
 
 def from_modes(bandlimit, modes, real=False):

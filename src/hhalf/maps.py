@@ -259,8 +259,8 @@ def make_map(d, grid):
     """Construct a CircleMap after validating the descriptor.
 
     Flow descriptors additionally require a field below the grid's
-    Nyquist mode and 1 + eps * v' > 0 at the grid points; the derivative
-    is evaluated from the exact coefficients of the field, not from
+    Nyquist mode and 1 + eps * v' > 0 on the whole circle, certified by
+    _certify_flow from the exact coefficients of the field, not from
     resampled values.
     """
     _validate_descriptor(d, grid)
@@ -279,16 +279,42 @@ def _validate_descriptor(d, grid):
                 "grid size %d cannot resolve a flow field of bandlimit %d, "
                 "past Nyquist mode %d" % (grid.size, d.v.bandlimit, nyquist)
             )
-        slope = 1.0 + d.eps * evaluate_at(derivative(d.v), grid.points())
-        if not np.all(slope > 0):
-            raise MonotonicityError(
-                "flow field violates 1 + eps*v' > 0 on the grid"
-            )
+        _certify_flow(d, grid.size)
     elif isinstance(d, Compose):
         for item in d.maps:
             _validate_descriptor(item, grid)
     elif isinstance(d, Inverse):
         _validate_descriptor(d.of, grid)
+
+
+def _certify_flow(d, size):
+    """Refuse a flow unless its slope 1 + eps v' is positive everywhere.
+
+    The slope changes at rate at most |eps| sum n^2 |c_n|, so within
+    half a cell pi/L of the nearest of L points 2 pi j / L it drops at
+    most (pi/L) |eps| sum n^2 |c_n| below its value there.  A minimum
+    over the points above that drop certifies the circle, and one at or
+    below zero refuses.  L starts at the grid size and grows fourfold
+    while the result is undecided; undecided at 16 times the grid size,
+    the flow is refused.
+    """
+    slope_field = derivative(d.v)
+    modes = np.arange(-d.v.bandlimit, d.v.bandlimit + 1)
+    rate = abs(d.eps) * float(np.sum(modes * modes * np.abs(d.v.coeffs)))
+    points = size
+    while True:
+        slope = 1.0 + d.eps * evaluate_at(slope_field, SampleGrid(points).points())
+        low = float(np.min(slope))
+        if not low > 0:
+            raise MonotonicityError("flow field violates 1 + eps*v' > 0")
+        if low > np.pi / points * rate:
+            return
+        if points >= 16 * size:
+            raise MonotonicityError(
+                "flow field 1 + eps*v' > 0 is not certified between %d "
+                "points (minimum %.3e)" % (points, low)
+            )
+        points *= 4
 
 
 def evaluate_lift(m, theta):

@@ -23,9 +23,10 @@ import numpy as np
 from .errors import ConditioningError, ValidationError
 from .fourier import (
     CircleFunction,
-    _average,
     _energy,
     _extended,
+    _finite,
+    _hermitian,
     h_half_norm,
     json_fields,
     matrix_from_json,
@@ -37,7 +38,7 @@ from .maps import (
     make_map,
     rauch_flow,
 )
-from .pullback import BlockOperator, pullback_matrix, read_cutoff
+from .pullback import BlockOperator, _apply_rows, pullback_matrix, read_cutoff
 
 condition_limit = 1e12
 
@@ -219,53 +220,6 @@ def structure_from_period(p):
     return BlockOperator(p.cutoff, -1j * (2 * s_inv - eye), 2j * s_inv @ z_bar)
 
 
-def _finite(c):
-    """c, refused as CircleFunction refuses a non-finite coefficient."""
-    if not np.isfinite(c).all():
-        raise ValidationError("coeffs must be finite")
-    return c
-
-
-def _hermitian_rows(c, n):
-    """Coefficient rows made real as CircleFunction(real=True) makes one.
-
-    The mean slot is zeroed, each row averaged with its mirror's
-    conjugate by _average, and a row that is not finite or whose
-    Hermitian defect exceeds 1e-9 (1 + max |c|) refused with the
-    constructor's messages.
-    """
-    c[:, n] = 0.0
-    _finite(c)
-    mirror = np.conj(c[:, ::-1])
-    defect = np.max(np.abs(c - mirror), axis=1)
-    loose = defect > 1e-9 * (1.0 + np.max(np.abs(c), axis=1))
-    if loose.any():
-        raise ValidationError(
-            "real flag set but coefficients are not Hermitian "
-            "symmetric (defect %.3e)" % defect[loose][0]
-        )
-    c = _average(c, mirror)
-    c[:, n] = 0.0
-    return c
-
-
-def _apply_real_rows(t, rows):
-    """apply_operator's real branch on each Hermitian coefficient row.
-
-    One matrix-vector product per row, as apply_operator makes it; the
-    negative half of each result is the conjugate of its positive half.
-    """
-    n = t.cutoff
-    roots = np.sqrt(np.arange(1.0, n + 1.0))
-    plus, minus = rows[:, n + 1 :] * roots, rows[:, n - 1 :: -1] * roots
-    out = np.array([t.A @ x + t.B @ y for x, y in zip(plus, minus)])
-    c = np.empty(rows.shape, np.complex128)
-    c[:, n + 1 :] = out / roots
-    c[:, :n] = (np.conj(out) / roots)[:, ::-1]
-    c[:, n] = 0.0
-    return _finite(c)
-
-
 def integrability_residual(p, trial_functions):
     """Worst multiplicativity defect of the structure built from Z.
 
@@ -279,10 +233,10 @@ def integrability_residual(p, trial_functions):
 
     The trials and their images under J are stacked as coefficient
     rows, and every pair i <= j is formed at once: one convolution per
-    product, one matrix-vector product per row, and no CircleFunction.
-    Each step is the arithmetic the function objects would do, so the
-    result is theirs bit for bit, and so are the refusals of a
-    non-finite or non-Hermitian intermediate.
+    product and no CircleFunction.  The rows go through the helpers the
+    function objects use, _hermitian for real=True and _apply_rows for
+    apply_operator, so the result is theirs bit for bit, and so are the
+    refusals of a non-finite or non-Hermitian intermediate.
     """
     if not isinstance(p, PeriodMatrix):
         raise ValidationError("structure source must be a PeriodMatrix")
@@ -301,7 +255,7 @@ def integrability_residual(p, trial_functions):
         if norms[-1] == 0.0:
             raise ValidationError("trial functions must be nonzero")
     rows = np.stack([_extended(f, n) for f in trials])
-    turned = _apply_real_rows(structure, rows)
+    turned = _finite(_apply_rows(structure, rows, True))
     i, j = np.triu_indices(len(trials))
     factors = (
         (rows[i], rows[j]),
@@ -312,8 +266,9 @@ def integrability_residual(p, trial_functions):
     products = np.array(
         [np.convolve(a, b, "same") for x, y in factors for a, b in zip(x, y)]
     )
-    plain, twisted, f_jg, g_jf = _hermitian_rows(products, n).reshape(4, len(i), -1)
-    left = _apply_real_rows(structure, _finite(plain - twisted))
+    products[:, n] = 0.0
+    plain, twisted, f_jg, g_jf = _hermitian(products, n).reshape(4, len(i), -1)
+    left = _finite(_apply_rows(structure, _finite(plain - twisted), True))
     defect = _finite(left - _finite(f_jg + g_jf))
     norms = np.array(norms)
     residuals = np.sqrt(_energy(defect, n)) / (norms[i] * norms[j])

@@ -28,6 +28,7 @@ from .errors import AliasingError, GridError, ValidationError
 from .fourier import (
     CircleFunction,
     SampleGrid,
+    _extended,
     analyze,
     json_fields,
     json_integer,
@@ -209,28 +210,35 @@ def pullback_matrix(m, cutoff, grid):
 def apply_operator(t, f):
     """Apply the block matrix to a function in normalized coordinates.
 
-    Coordinates are x+[q] = c_q sqrt(q) and x-[q] = c_{-q} sqrt(q) for
-    q = 1..cutoff.  The block-conjugate structure sends real functions
-    to real functions, and the real branch enforces that exactly.
+    The block-conjugate structure sends real functions to real
+    functions, and the real branch of _apply_rows enforces that exactly.
     """
     n = t.cutoff
     if f.bandlimit > n:
         raise ValidationError("function bandlimit exceeds the operator cutoff")
-    k = f.bandlimit
+    return CircleFunction(n, _apply_rows(t, _extended(f, n)[None], f.real)[0])
+
+
+def _apply_rows(t, rows, real):
+    """The block matrix applied to each row of 2N+1 coefficients, N the cutoff.
+
+    Coordinates are x+[q] = c_q sqrt(q) and x-[q] = c_{-q} sqrt(q) for
+    q = 1..N, and each row takes one matrix-vector product per block.
+    With real set, the rows are Hermitian and the negative half of each
+    result is the conjugate of its positive half; otherwise it is
+    conj(B) x+ + conj(A) x-.  The mean slot is zero.
+    """
+    n = t.cutoff
     roots = np.sqrt(np.arange(1.0, n + 1.0))
-    plus = np.zeros(n, np.complex128)
-    minus = np.zeros(n, np.complex128)
-    plus[:k] = f.coeffs[k + 1 :] * roots[:k]
-    minus[:k] = f.coeffs[k - 1 :: -1] * roots[:k]
-    out_plus = t.A @ plus + t.B @ minus
-    if f.real:
-        out_minus = np.conj(out_plus)
-    else:
-        out_minus = np.conj(t.B) @ plus + np.conj(t.A) @ minus
-    coeffs = np.zeros(2 * n + 1, np.complex128)
-    coeffs[n + 1 :] = out_plus / roots
-    coeffs[:n] = (out_minus / roots)[::-1]
-    return CircleFunction(n, coeffs)
+    plus, minus = rows[:, n + 1 :] * roots, rows[:, n - 1 :: -1] * roots
+    out = np.empty(rows.shape, np.complex128)
+    for c, x, y in zip(out, plus, minus):
+        top = t.A @ x + t.B @ y
+        bottom = np.conj(top) if real else np.conj(t.B) @ x + np.conj(t.A) @ y
+        c[n + 1 :] = top / roots
+        c[:n] = (bottom / roots)[::-1]
+    out[:, n] = 0.0
+    return out
 
 
 def operator_norm_estimate(t):

@@ -263,6 +263,17 @@ class TestPeriod:
         assert code == 1
         assert "violates" in err
 
+    def test_flow_that_turns_back_between_grid_points_is_refused(self, capsys):
+        # 1 + 1.2 cos 21 theta is at least 0.4 on 63 grid points and
+        # -0.2 at theta = pi/21.
+        field = function_to_json(from_modes(21, {21: -0.5j, -21: 0.5j}))
+        turning = json.dumps({"type": "flow", "v": field, "eps": 1.2 / 21})
+        for command in ("period", "kernel --order 0"):
+            argv = command.split() + ["--map", turning, "--grid", "63"]
+            assert run(argv, capsys) == (
+                1, "", "error: flow field violates 1 + eps*v' > 0\n"
+            )
+
     def test_nearly_singular_plus_block_gives_the_origin(self, capsys):
         # cond(A) ~1e14 here; Z is formed without inverting A.
         for grid in ("4096", "16384"):
@@ -744,6 +755,67 @@ class TestKernel:
         assert err.startswith(
             "numerical failure: lift spectrum does not resolve on the map grid"
         )
+
+
+class TestTolerance:
+    # --tol replaces the tolerance each subcommand consults: the report
+    # echoes the flag, and the verdict flips across the measured value,
+    # here one well above rounding for each subcommand.
+    aliased = '{"20": [0.3, 0.1], "-20": [0.3, -0.1]}'  # on 8 points
+    truncated = json.dumps(  # symmetry defect 1.2e-2 at cutoff 32
+        {
+            "type": "flow",
+            "v": function_to_json(from_modes(5, {5: -0.5j, -5: 0.5j})),
+            "eps": 0.15,
+        }
+    )
+    not_integrable = json.dumps(  # a symmetric contraction, no map's Z
+        {
+            "cutoff": 4,
+            "Z": [
+                [{"re": 0.3 if r == s else 0.1, "im": 0.05 * (r + s)} for s in range(4)]
+                for r in range(4)
+            ],
+        }
+    )
+    cases = {
+        "energy": (
+            ["energy", "--modes", aliased, "--grid", "8"],
+            lambda r: r["relative_defect"],
+            "within_tol",
+        ),
+        "siegel-check": (
+            ["siegel-check", "--map", truncated],
+            lambda r: r["report"]["symmetry_defect"] / (1.0 + r["report"]["sigma_max"]),
+            "symmetric",
+        ),
+        "equivariance": (
+            ["equivariance", "--map", moebius_half_map, "--map", flow_map],
+            lambda r: r["defect"],
+            "within_tol",
+        ),
+        "integrability": (
+            ["integrability", "--matrix", not_integrable],
+            lambda r: r["residual"],
+            "within_tol",
+        ),
+        "kernel": (
+            ["kernel", "--order", "1", "--map", flow_map],
+            lambda r: r["worst_defect"],
+            "within_tol",
+        ),
+    }
+
+    @pytest.mark.parametrize("command", sorted(cases))
+    def test_tol_sets_the_verdict(self, command, capsys):
+        argv, measured, verdict = self.cases[command]
+        value = measured(run_json(argv, capsys))
+        assert value > 0.0
+        for tol, expected in ((2.0 * value, True), (0.5 * value, False)):
+            report = run_json(argv + ["--tol", repr(tol)], capsys)
+            assert report["tol"] == tol
+            assert report[verdict] is expected
+            assert measured(report) == value
 
 
 class TestInvarianceSuite:

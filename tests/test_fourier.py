@@ -118,6 +118,16 @@ class TestConstruction:
         assert cos_theta.real
         assert from_modes(3, {2: 1.0 + 1j}).real is False
 
+    def test_negation_flips_every_sign_and_keeps_the_flag(self):
+        rng = np.random.default_rng(4)
+        c = rng.standard_normal(7) + 1j * rng.standard_normal(7)
+        c[3] = 0.0
+        for f in (random_real_function(3, rng), CircleFunction(3, c)):
+            g = -f
+            assert g.bandlimit == f.bandlimit and g.real == f.real
+            assert same_bits(g.coeffs, -f.coeffs)
+            assert not np.any((f + g).coeffs)
+
     def test_real_flag_rejects_asymmetric(self):
         with pytest.raises(ValidationError):
             from_modes(3, {2: 1.0 + 1j}, real=True)

@@ -196,6 +196,18 @@ class TestValidation:
         with pytest.raises(GridError, match="past Nyquist mode 5"):
             make_map(flow(v, 0.01), SampleGrid(12))
 
+    def test_unknown_descriptor_is_refused(self):
+        # Any object but a descriptor, here a string, reaches no family.
+        hand_built = CircleMap("not a map", grid, grid.points())
+        refusal = "^unknown map descriptor 'not a map'$"
+        for call in (
+            lambda: make_map("not a map", grid),
+            lambda: evaluate_lift(hand_built, 1.0),
+            lambda: descriptor_to_json("not a map"),
+        ):
+            with pytest.raises(ValidationError, match=refusal):
+                call()
+
     def test_power_validation(self):
         with pytest.raises(ValidationError):
             power(0)
@@ -221,6 +233,80 @@ class TestValidation:
     def test_non_finite_moebius_parameter_is_refused(self, a):
         with pytest.raises(ValidationError, match="^moebius a must be finite$"):
             moebius(a)
+
+
+def slope_field(v, eps, points):
+    """1 + eps v' at the given angles, term by term from the modes."""
+    n = v.bandlimit
+    slope = np.ones_like(points)
+    for k in range(1, n + 1):
+        c = v.coeffs[n + k]
+        slope += eps * 2.0 * (1j * k * c * np.exp(1j * k * points)).real
+    return slope
+
+
+class TestFlowCertificate:
+    # 1 + eps v' must be positive on the whole circle, not only at the
+    # grid points: between L points the slope drops at most
+    # (pi/L) |eps| sum n^2 |c_n| below the nearest one.
+    sin21 = from_modes(21, {21: -0.5j, -21: 0.5j}, real=True)
+
+    def test_flow_that_turns_back_between_grid_points_is_refused(self):
+        # 1 + 1.2 cos 21 theta is at least 0.4 on the 63 grid points,
+        # which see only 21 theta = 0, 2pi/3, 4pi/3, and -0.2 at
+        # theta = pi/21.  The 252 refined points reach it.
+        coarse = SampleGrid(63)
+        d = flow(self.sin21, 1.2 / 21)
+        assert np.min(slope_field(d.v, d.eps, coarse.points())) > 0.39
+        refusal = "^flow field violates 1 \\+ eps\\*v' > 0$"
+        for descriptor in (d, inverse_descriptor(d), compose_descriptors([d])):
+            with pytest.raises(MonotonicityError, match=refusal):
+                make_map(descriptor, coarse)
+
+    def test_refined_points_certify_a_flow_the_grid_cannot(self):
+        # 1 + 0.9 cos 21 theta >= 0.1: undecided on 63 and 252 points,
+        # certified on 1008.
+        m = make_map(flow(self.sin21, 0.9 / 21), SampleGrid(63))
+        assert m.grid.size == 63
+
+    def test_undecided_past_the_cap_is_refused(self):
+        # 1 + 0.999 cos 21 theta >= 0.001, under the drop bound 0.065
+        # of 1008 points, sixteen times the grid.  Sixteen times 8192
+        # points bring the bound to 5e-4, which certifies it.
+        refusal = "^flow field 1 \\+ eps\\*v' > 0 is not certified between 1008 points"
+        with pytest.raises(MonotonicityError, match=refusal):
+            make_map(flow(self.sin21, 0.999 / 21), SampleGrid(63))
+        make_map(flow(self.sin21, 0.999 / 21), SampleGrid(8192))
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        bandlimit=st.integers(1, 12),
+        size=st.sampled_from([32, 63, 128, 257]),
+        strength=st.floats(0.5, 1.5),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_a_built_flow_increases_everywhere(self, bandlimit, size, strength, seed):
+        # Fields scaled so max |eps v'| is about strength: a built flow
+        # has a positive slope at a dense set of points, and a refused
+        # one either dips to zero there or sits within the drop bound
+        # of sixteen times the grid.
+        rng = np.random.default_rng(seed)
+        modes = {}
+        for k in range(1, bandlimit + 1):
+            value = complex(rng.standard_normal(), rng.standard_normal()) / k**2
+            modes[k], modes[-k] = value, value.conjugate()
+        v = from_modes(bandlimit, modes, real=True)
+        dense = SampleGrid(64 * size).points()
+        eps = strength / np.max(np.abs(slope_field(v, 1.0, dense) - 1.0))
+        slope = slope_field(v, eps, dense)
+        try:
+            make_map(flow(v, eps), SampleGrid(size))
+        except MonotonicityError:
+            weights = np.arange(-bandlimit, bandlimit + 1) ** 2
+            drop = np.pi / (16 * size) * eps * np.sum(weights * np.abs(v.coeffs))
+            assert np.min(slope) <= drop + 1e-12
+        else:
+            assert np.min(slope) > 0.0
 
 
 class TestCircleMap:
@@ -396,6 +482,20 @@ class TestEstimators:
         # Differentiated anyway, this spectrum gives K = 20.856 against 19.
         with pytest.raises(AliasingError, match="does not resolve"):
             radial_dilatation(make_map(moebius(0.9), SampleGrid(64)))
+
+    def test_dilatation_refuses_a_slope_that_is_not_positive(self):
+        # Built by hand, as make_map refuses the flow: the 64 samples of
+        # theta + eps sin 16 theta increase, but the spectral slope
+        # 1 + 1.05 cos 16 theta is -0.05 at the grid point pi/16.
+        g = SampleGrid(64)
+        d = flow(from_modes(16, {16: -0.5j, -16: 0.5j}, real=True), 1.05 / 16)
+        points = g.points()
+        m = CircleMap(d, g, points + d.eps * np.sin(16 * points))
+        refusal = "^lift derivative is not positive on the grid$"
+        with pytest.raises(MonotonicityError, match=refusal):
+            radial_dilatation(m)
+        with pytest.raises(MonotonicityError, match="violates"):
+            make_map(d, g)
 
     def test_lift_bandwidth(self):
         assert lift_bandwidth(make_map(identity(), grid)) == 0

@@ -61,6 +61,7 @@ from hhalf.pullback import (
     operator_to_json,
     pullback_matrix,
 )
+from test_pullback import applied_before
 
 grid = SampleGrid(4096)
 
@@ -81,10 +82,14 @@ def _product(f, g, cutoff):
 
 
 def pairwise_residual(p, trials):
-    """integrability_residual as one pass of function objects per pair."""
+    """integrability_residual as one pass of function objects per pair.
+
+    The structure acts through applied_before, apply_operator's own
+    coordinates, not the row engine the residual shares with it.
+    """
     cutoff = p.cutoff
     structure = structure_from_period(p)
-    rotated = [apply_operator(structure, f) for f in trials]
+    rotated = [applied_before(structure, f) for f in trials]
     norms = [h_half_norm(f) for f in trials]
     worst = 0.0
     for i in range(len(trials)):
@@ -93,7 +98,7 @@ def pairwise_residual(p, trials):
             jf, jg = rotated[i], rotated[j]
             plain = _product(f, g, cutoff)
             twisted = _product(jf, jg, cutoff)
-            left = apply_operator(structure, plain - twisted)
+            left = applied_before(structure, plain - twisted)
             right = _product(f, jg, cutoff) + _product(g, jf, cutoff)
             residual = h_half_norm(left - right) / (norms[i] * norms[j])
             worst = max(worst, residual)

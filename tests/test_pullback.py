@@ -1,5 +1,6 @@
 """Tests for truncated composition operators and their block matrices."""
 
+import functools
 import json
 import math
 import tracemalloc
@@ -48,7 +49,7 @@ from hhalf.pullback import (
     sub_operator,
 )
 from hhalf.symplectic import symplectic_form
-from test_fourier import random_real_function
+from test_fourier import random_real_function, same_bits
 
 grid = SampleGrid(4096)
 # Eight times the default grid, a reference for resolved results.
@@ -166,6 +167,62 @@ def block_operators(draw, cutoff=3):
     a = (flat[:half:2] + 1j * flat[1:half:2]).reshape(cutoff, cutoff)
     b = (flat[half::2] + 1j * flat[half + 1 :: 2]).reshape(cutoff, cutoff)
     return BlockOperator(cutoff, a, b)
+
+
+def applied_before(t, f):
+    """apply_operator as it was before it shared its row engine.
+
+    One function, its own coordinate vectors: the oracle for the rows
+    that apply_operator and integrability_residual now share.
+    """
+    n = t.cutoff
+    if f.bandlimit > n:
+        raise ValidationError("function bandlimit exceeds the operator cutoff")
+    k = f.bandlimit
+    roots = np.sqrt(np.arange(1.0, n + 1.0))
+    plus = np.zeros(n, np.complex128)
+    minus = np.zeros(n, np.complex128)
+    plus[:k] = f.coeffs[k + 1 :] * roots[:k]
+    minus[:k] = f.coeffs[k - 1 :: -1] * roots[:k]
+    out_plus = t.A @ plus + t.B @ minus
+    if f.real:
+        out_minus = np.conj(out_plus)
+    else:
+        out_minus = np.conj(t.B) @ plus + np.conj(t.A) @ minus
+    coeffs = np.zeros(2 * n + 1, np.complex128)
+    coeffs[n + 1 :] = out_plus / roots
+    coeffs[:n] = (out_minus / roots)[::-1]
+    return CircleFunction(n, coeffs)
+
+
+@functools.lru_cache(maxsize=None)
+def catalog_blocks(index, cutoff):
+    m = make_map(catalog_descriptors()[index][1], grid)
+    return pullback_matrix(m, cutoff, grid)
+
+
+@st.composite
+def operator_cases(draw):
+    """A block operator at cutoff 1..32 and a function it admits.
+
+    The blocks are a catalog map's or random; the function is real or
+    complex, of bandlimit 1..cutoff.
+    """
+    cutoff = draw(st.integers(1, 32))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    index = draw(st.sampled_from([None] + list(range(len(catalog_descriptors())))))
+    if index is None:
+        shape = (cutoff, cutoff)
+        a, b = (rng.normal(size=shape) + 1j * rng.normal(size=shape) for _ in "ab")
+        t = BlockOperator(cutoff, a, b)
+    else:
+        t = catalog_blocks(index, cutoff)
+    bandlimit = draw(st.integers(1, cutoff))
+    if draw(st.booleans()):
+        f = random_real_function(bandlimit, rng)
+    else:
+        f = random_complex_function(bandlimit, rng)
+    return t, f
 
 
 class TestPullbackFunction:
@@ -779,6 +836,15 @@ class TestBlockOperator:
         scale = np.max(np.abs(tf.coeffs))
         assert_allclose(tf.coeffs[n + 1 :], y[:n] / roots, rtol=0, atol=1e-15 * scale)
         assert_allclose(tf.coeffs[n - 1 :: -1], y[n:] / roots, rtol=0, atol=1e-15 * scale)
+
+
+    @given(operator_cases())
+    @settings(max_examples=150, deadline=None)
+    def test_shared_rows_keep_the_bits_of_one_function(self, case):
+        t, f = case
+        got, expected = apply_operator(t, f), applied_before(t, f)
+        assert same_bits(got.coeffs, expected.coeffs)
+        assert got.real == expected.real
 
 
 class TestOperatorNorm:

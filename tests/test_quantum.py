@@ -12,9 +12,21 @@ from numpy.testing import assert_allclose
 
 from hhalf import quantum
 from hhalf.catalog import catalog_maps, sin_field
-from hhalf.errors import AliasingError, NumericalError, ValidationError
-from hhalf.fourier import SampleGrid, from_modes, norm_squared, zero_function
+from hhalf.errors import (
+    AliasingError,
+    MonotonicityError,
+    NumericalError,
+    ValidationError,
+)
+from hhalf.fourier import (
+    SampleGrid,
+    evaluate_at,
+    from_modes,
+    norm_squared,
+    zero_function,
+)
 from hhalf.maps import (
+    CircleMap,
     Compose,
     Moebius,
     compose,
@@ -545,11 +557,18 @@ class TestDiagonalLimit:
 
     def test_lift_that_turns_back_between_grid_points_is_refused(self):
         # 1 + 1.2 cos(21 theta) is at least 0.4 on the 63 grid points,
-        # which see only 21 theta = 0, 2pi/3, 4pi/3, so the map is
-        # built; at theta = pi/21 the lift turns back.
+        # which see only 21 theta = 0, 2pi/3, 4pi/3; at theta = pi/21
+        # the lift turns back.  make_map certifies the slope between
+        # grid points and refuses the flow.  Built by hand from its
+        # increasing grid samples, the map reaches the kernels, which
+        # refuse the point.
         coarse = SampleGrid(63)
         v = from_modes(21, {21: -0.5j, -21: 0.5j}, real=True)
-        m = make_map(flow(v, 1.2 / 21), coarse)
+        d = flow(v, 1.2 / 21)
+        with pytest.raises(MonotonicityError, match="^flow field violates"):
+            make_map(d, coarse)
+        points = coarse.points()
+        m = CircleMap(d, coarse, points + d.eps * evaluate_at(v, points))
         refusal = "^lift derivative is not positive at the point$"
         for order in (0, 1, 2):
             with pytest.raises(NumericalError, match=refusal):
