@@ -96,12 +96,10 @@ from .quantum import (
     diagonal_limit,
     diagonal_limit_line,
     diagonal_report,
-    fractional_linear,
     hs_bracket_check,
     hs_norm,
     kernel_eval,
     kernel_eval_line,
-    moebius_line_coefficients,
     quantum_derivative_matrix,
 )
 from .suite import CheckResult, run_all

@@ -254,6 +254,33 @@ class CircleMap:
         z.flags.writeable = False
         return z
 
+    @cached_property
+    def periodic_part(self):
+        """Resolved Fourier model of lift(theta) - degree*theta, mean dropped.
+
+        Computed on first use and kept.  The grid spectrum is cut a
+        little above its active band before any derivative is taken;
+        keeping it whole would amplify the rounding floor by a power of
+        the top mode.  A lift whose band reaches the grid's Nyquist mode
+        is refused, and a constant periodic part (rotations) is the zero
+        function, since its spectrum is rounding.
+        """
+        nyquist = (self.grid.size - 1) // 2
+        shifted = self.lift_samples - self.degree * self.grid.points()
+        part = analyze(shifted, self.grid, nyquist)
+        band = active_band(part)
+        if band >= nyquist:
+            raise AliasingError(
+                "lift spectrum does not resolve on the map grid; derivatives "
+                "of the lift need a smooth, resolved descriptor"
+            )
+        if band == 0:
+            return zero_function(1)
+        # Slicing the full analysis equals re-analyzing at the kept band.
+        keep = min(2 * band + 8, nyquist)
+        coeffs = part.coeffs[nyquist - keep : nyquist + keep + 1]
+        return CircleFunction(keep, coeffs)
+
 
 def make_map(d, grid):
     """Construct a CircleMap after validating the descriptor.
@@ -337,29 +364,8 @@ def compose(outer, inner):
 
 
 def periodic_part(m):
-    """Resolved Fourier model of lift(theta) - degree*theta, mean dropped.
-
-    The grid spectrum is cut a little above its active band before any
-    derivative is taken; keeping it whole would amplify the rounding
-    floor by a power of the top mode.  A lift whose band reaches the
-    grid's Nyquist mode is refused, and a constant periodic part
-    (rotations) is the zero function, since its spectrum is rounding.
-    """
-    nyquist = (m.grid.size - 1) // 2
-    points = m.grid.points()
-    part = analyze(m.lift_samples - m.degree * points, m.grid, nyquist)
-    band = active_band(part)
-    if band >= nyquist:
-        raise AliasingError(
-            "lift spectrum does not resolve on the map grid; derivatives "
-            "of the lift need a smooth, resolved descriptor"
-        )
-    if band == 0:
-        return zero_function(1)
-    # Slicing the full analysis equals re-analyzing at the kept band.
-    keep = min(2 * band + 8, nyquist)
-    coeffs = part.coeffs[nyquist - keep : nyquist + keep + 1]
-    return CircleFunction(keep, coeffs)
+    """The map's resolved periodic part, CircleMap.periodic_part."""
+    return m.periodic_part
 
 
 def active_band(part):

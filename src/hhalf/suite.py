@@ -4,7 +4,7 @@ Each check exercises one advertised identity of the library at desk
 scale and returns (passed, detail); run_all collects them into an
 ordered pass/fail matrix.  The checks are self contained so a single
 failing identity names itself instead of failing a distant assertion;
-the four over the twelve catalog maps take them as an argument, so one
+the five over the twelve catalog maps take them as an argument, so one
 pass realizes them once.
 """
 
@@ -58,19 +58,30 @@ from .pullback import (
     pullback_matrix,
 )
 from .quantum import (
+    _kernel_values,
     diagonal_limit,
-    diagonal_limit_line,
-    fractional_linear,
     hs_bracket_check,
     hs_norm,
     kernel_base_points,
-    moebius_line_coefficients,
 )
 from .symplectic import compatibility_defect
 
 moebius_parameters = tuple(
     (a, beta) for a in (0.1, 0.3, 0.5) for beta in (0.0, 1.0)
 )
+
+# Criterion 9 reads these catalog maps: the flows' kernels reach their
+# classical values, and the Moebius maps' circle-form order-2 kernel
+# vanishes at y = x and at these offsets from each kernel base point.
+kernel_flows = ("flow_sin1_0.1", "flow_sin2_0.05", "flow_cos3_0.04")
+kernel_moebius = (
+    "identity",
+    "rotation_0.7",
+    "moebius_0.1_0",
+    "moebius_0.3_1",
+    "moebius_0.5_0.5",
+)
+circle_offsets = (1e-1, 1e-3, 1e-6, 1e-10, 1e-14, 1.0, 2.5, -2.0)
 
 
 @dataclass(frozen=True)
@@ -161,13 +172,12 @@ def check_moebius_basepoint():
     return max(worst_z, worst_b, worst_gram) <= 1e-6, detail
 
 
-def check_siegel_catalog(catalog):
+def check_siegel_catalog(catalog, blocks):
     """Every catalog period matrix is a symmetric strict contraction."""
-    grid = SampleGrid(4096)
     worst_sym = worst_sigma = 0.0
     lowest = np.inf
-    for name, m in catalog:
-        report = siegel_membership(period_matrix(m, 16, grid))
+    for (name, m), t in zip(catalog, blocks):
+        report = siegel_membership(period_from_blocks(t, m.descriptor))
         if report.symmetry_defect > 1e-6 * (1.0 + report.sigma_max):
             return False, "%s is not symmetric" % name
         if not report.member:
@@ -197,14 +207,13 @@ def check_rauch_derivative():
     return passed, "; ".join(parts)
 
 
-def check_norm_bound(catalog):
+def check_norm_bound(catalog, blocks):
     """Pullback norms respect the dilatation bound sqrt(K + 1/K)."""
-    grid = SampleGrid(4096)
     slack = np.inf
-    for name, m in catalog:
+    for (name, m), t in zip(catalog, blocks):
         k = radial_dilatation(m)
         bound = math.sqrt(k + 1.0 / k) + 1e-6
-        estimate = operator_norm_estimate(pullback_matrix(m, 16, grid))
+        estimate = operator_norm_estimate(t)
         if estimate > bound:
             return False, "%s exceeded its dilatation bound" % name
         slack = min(slack, bound - estimate)
@@ -237,35 +246,27 @@ def check_quantum_hs(seed):
     return worst <= 1e-10 and failures == 0 and attained, detail
 
 
-def check_kernel_limits():
-    """Welding kernels reach their classical diagonal values."""
-    grid = SampleGrid(4096)
+def check_kernel_limits(catalog):
+    """Flow kernels reach classical values; Moebius circle kernels vanish."""
+    maps = dict(catalog)
     worst_flow = 0.0
-    for d in (flow(sin_field(1), 0.1), flow(sin_field(2), 0.05),
-              flow(cos_field(3), 0.04)):
-        h = make_map(d, grid)
+    for name in kernel_flows:
         for order in (0, 1, 2):
             for x in kernel_base_points:
-                worst_flow = max(worst_flow, diagonal_limit(h, order, x)[2])
+                defect = diagonal_limit(maps[name], order, x)[2]
+                worst_flow = max(worst_flow, defect)
+    xs = np.array(kernel_base_points)
+    ys = xs[:, None] + circle_offsets
     worst_moebius = 0.0
-    for a, beta in moebius_parameters:
-        w, wp = fractional_linear(moebius_line_coefficients(moebius(a, beta)))
-        for x in (0.3, -0.5, 1.0):
-            worst_moebius = max(
-                worst_moebius, abs(diagonal_limit_line(w, wp, 2, x))
-            )
-    exp_defect = abs(
-        diagonal_limit_line(math.exp, math.exp, 2, 0.0) + 1.0 / 12.0
-    )
+    for name in kernel_moebius:
+        circle = _kernel_values(maps[name], 2, xs, ys, circle=True)
+        worst_moebius = max(worst_moebius, float(np.max(np.abs(circle))))
     detail = (
-        "flow defects <= %.3e (limit 1e-9); moebius line annihilation "
-        "<= %.3e (limit 1e-8); exp value -1/12 within %.3e (limit 1e-9)"
-        % (worst_flow, worst_moebius, exp_defect)
+        "flow defects <= %.3e (limit 1e-9); moebius circle-form order-2 "
+        "kernel <= %.3e at y = x and %d offsets (limit 1e-10)"
+        % (worst_flow, worst_moebius, len(circle_offsets))
     )
-    passed = (
-        worst_flow <= 1e-9 and worst_moebius <= 1e-8 and exp_defect <= 1e-9
-    )
-    return passed, detail
+    return worst_flow <= 1e-9 and worst_moebius <= 1e-10, detail
 
 
 def check_integrability(seed, catalog):
@@ -325,11 +326,14 @@ def check_equivariance():
 def checks(seed=0):
     """The ordered (criterion, name, thunk) catalog.
 
-    Criteria 3, 5, 7 and 10 share one realization of the twelve catalog
-    maps on SampleGrid(4096), made when the first of them runs and kept
-    only as long as these thunks.
+    Criteria 3, 5, 7, 9 and 10 share one realization of the twelve
+    catalog maps on SampleGrid(4096), and criteria 5 and 7 their N = 16
+    blocks; each is made when the first reader runs and kept only as
+    long as these thunks.
     """
-    catalog = cache(lambda: catalog_maps(SampleGrid(4096)))
+    grid = SampleGrid(4096)
+    catalog = cache(lambda: catalog_maps(grid))
+    blocks = cache(lambda: [pullback_matrix(m, 16, grid) for _, m in catalog()])
     return (
         (1, "hilbert transform suite", lambda: check_hilbert_transform(seed)),
         (2, "douglas energy oracle", lambda: check_douglas_energy(seed)),
@@ -339,11 +343,23 @@ def checks(seed=0):
             lambda: check_symplectic_invariance(seed, catalog()),
         ),
         (4, "moebius basepoint", check_moebius_basepoint),
-        (5, "siegel membership catalog", lambda: check_siegel_catalog(catalog())),
+        (
+            5,
+            "siegel membership catalog",
+            lambda: check_siegel_catalog(catalog(), blocks()),
+        ),
         (6, "rauch derivative", check_rauch_derivative),
-        (7, "operator norm bound", lambda: check_norm_bound(catalog())),
+        (
+            7,
+            "operator norm bound",
+            lambda: check_norm_bound(catalog(), blocks()),
+        ),
         (8, "quantum hilbert-schmidt", lambda: check_quantum_hs(seed)),
-        (9, "kernel diagonal limits", check_kernel_limits),
+        (
+            9,
+            "kernel diagonal limits",
+            lambda: check_kernel_limits(catalog()),
+        ),
         (10, "integrability", lambda: check_integrability(seed, catalog())),
         (11, "equivariance", check_equivariance),
     )

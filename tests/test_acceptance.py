@@ -9,7 +9,7 @@ import json
 
 import pytest
 
-from hhalf import catalog, suite
+from hhalf import catalog, maps, period, suite
 from hhalf.fourier import CircleFunction, SampleGrid
 from hhalf.maps import descriptor_to_json
 from hhalf.suite import check_integrability, checks, run_all
@@ -59,6 +59,46 @@ def test_a_pass_realizes_the_catalog_once(monkeypatch):
     # A second pass realizes its own catalog.
     run_all(seed=1)
     assert realized == expected + expected
+
+
+def test_a_pass_shares_blocks_and_periodic_parts(monkeypatch):
+    # Criteria 5 and 7 read one assembly of the catalog's N = 16 blocks,
+    # and criterion 9 reads the periodic parts that criterion 7's
+    # dilatations analyzed, so it analyzes no lift itself.
+    realized = []
+    catalog_maps = suite.catalog_maps
+
+    def kept(grid):
+        out = catalog_maps(grid)
+        realized.extend(m for _, m in out)
+        return out
+
+    assembled = []
+    pullback_matrix = suite.pullback_matrix
+
+    def assembling(m, cutoff, grid):
+        assembled.append((id(m), cutoff))
+        return pullback_matrix(m, cutoff, grid)
+
+    analyses = []
+    analyze = maps.analyze
+
+    def analyzing(*args):
+        analyses.append(args)
+        return analyze(*args)
+
+    monkeypatch.setattr(suite, "catalog_maps", kept)
+    for module in (suite, period):
+        monkeypatch.setattr(module, "pullback_matrix", assembling)
+    monkeypatch.setattr(maps, "analyze", analyzing)
+    rows = checks(seed=0)
+    for criterion, _, thunk in rows[:8]:
+        assert thunk()[0], criterion
+    ids = {id(m) for m in realized}
+    assert [cutoff for key, cutoff in assembled if key in ids] == [16] * 12
+    before = len(analyses)
+    assert rows[8][0] == 9 and rows[8][2]()[0]
+    assert len(analyses) == before
 
 
 def test_integrability_builds_no_function_per_pair(monkeypatch):

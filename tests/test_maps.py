@@ -33,6 +33,7 @@ from hhalf.maps import (
     lift_bandwidth,
     make_map,
     moebius,
+    periodic_part,
     power,
     qs_ratio,
     radial_dilatation,
@@ -319,6 +320,24 @@ class TestCircleMap:
         assert not z.flags.writeable
         with pytest.raises(ValueError):
             z[0] = 1.0
+
+    def test_periodic_part_is_analyzed_once(self, monkeypatch):
+        m = make_map(flow(sin_theta, 0.1), grid)
+        assert "periodic_part" not in vars(m)  # computed on first use
+        calls = []
+        analyze = maps.analyze
+
+        def counted(*args):
+            calls.append(args)
+            return analyze(*args)
+
+        monkeypatch.setattr(maps, "analyze", counted)
+        part = periodic_part(m)
+        assert periodic_part(m) is part is m.periodic_part
+        radial_dilatation(m)
+        lift_bandwidth(m)
+        assert len(calls) == 1
+        assert_allclose(part.coefficient(1), -0.05j, atol=1e-15)
 
     def test_lift_that_is_not_increasing_is_refused(self):
         points = grid.points()

@@ -6,7 +6,7 @@ import tracemalloc
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
@@ -49,16 +49,16 @@ from hhalf.period import (
 from hhalf.pullback import pullback_matrix
 from hhalf.quantum import (
     _extrapolate,
+    _kernel_values,
     default_deltas,
     diagonal_limit,
     diagonal_limit_line,
     diagonal_report,
-    fractional_linear,
     hs_bracket_check,
     hs_norm,
+    kernel_base_points,
     kernel_eval,
     kernel_eval_line,
-    moebius_line_coefficients,
     quantum_derivative_matrix,
 )
 
@@ -131,6 +131,26 @@ def small_flows(draw):
     v = from_modes(band, modes, real=True)
     reach = 2.0 * sum(k * abs(modes[k]) for k in range(1, band + 1))
     return flow(v, draw(st.floats(0.01, 0.5)) / max(1.0, reach))
+
+
+# A flow whose order-1 samples at x = 0 turn within the default window
+# (steps 1.2e-8 and -2.3e-8) while their limit is right: a Hypothesis
+# draw of small_flows.
+gentle_flow = flow(
+    from_modes(
+        3,
+        {
+            1: -0.9609375,
+            -1: -0.9609375,
+            2: -0.16118388 + 0.484375j,
+            -2: -0.16118388 - 0.484375j,
+            3: 0.484375 - 0.10068091j,
+            -3: 0.484375 + 0.10068091j,
+        },
+        real=True,
+    ),
+    0.04808478040259399,
+)
 
 
 def _lift_derivatives(d, t):
@@ -375,7 +395,7 @@ class TestKernelEval:
         d = flow(sin_field(2), 0.1)
         value = kernel_eval(make_map(d, grid), order, 0.0, offset)
         assert_kernel_close(value, reference_kernel(d, order, 0.0, offset))
-        line = fractional_linear(moebius_line_coefficients(moebius(0.3)))
+        line = fractional_linear(moebius(0.3))
         message = "^order %d kernel has no reliable digits at offset x - y = %r$"
         with pytest.raises(NumericalError, match=message % (order, -offset)):
             kernel_eval_line(*line, order, 0.0, offset)
@@ -396,7 +416,7 @@ class TestKernelEval:
         d = flow(sin_field(2), 0.1)
         value = kernel_eval(make_map(d, grid), order, 0.0, offset)
         assert_kernel_close(value, reference_kernel(d, order, 0.0, offset))
-        line = fractional_linear(moebius_line_coefficients(moebius(0.3)))
+        line = fractional_linear(moebius(0.3))
         message = "^order %d kernel has no reliable digits at offset x - y = %r$"
         with pytest.raises(NumericalError, match=message % (order, -offset)):
             kernel_eval_line(*line, order, 0.0, offset)
@@ -407,6 +427,7 @@ class TestKernelEval:
         assert_kernel_close(value, reference_kernel(d, 2, 0.0, 1e-4))
 
     @given(small_flows(), st.floats(0.0, 2.0 * math.pi), st.integers(1, 15))
+    @example(d=gentle_flow, x=0.0, digits=6)
     @settings(max_examples=60, deadline=None)
     def test_kernels_match_a_high_precision_reference(self, d, x, digits):
         m = make_map(d, grid)
@@ -506,7 +527,8 @@ class TestDiagonalLimit:
     def test_moebius_lift_limit_follows_the_exponential_cocycle(self):
         # Lifting through theta -> e^{i theta} adds (1 - (h')^2)/2 to
         # the Schwarzian, so the lift path must NOT annihilate moebius
-        # maps; the vanishing law lives on the line realization.
+        # maps; the vanishing law lives in the circle form
+        # (TestCircleKernel) and on the line realization.
         m = make_map(moebius(0.3), grid)
         limit, classical, defect = diagonal_limit(m, 2, 0.3)
         slope = (1.0 - 0.09) / abs(1.0 - 0.3 * np.exp(0.3j)) ** 2
@@ -540,7 +562,7 @@ class TestDiagonalLimit:
         # math.remainder raised a bare ValueError on an infinite angle,
         # and a NaN angle passed the x != y check into a NaN kernel.
         circle = make_map(moebius(0.3), SampleGrid(256))
-        line = fractional_linear(moebius_line_coefficients(moebius(0.3)))
+        line = fractional_linear(moebius(0.3))
         calls = [
             lambda bad: kernel_eval(circle, 0, 0.3, bad),
             lambda bad: kernel_eval(circle, 0, bad, 0.3),
@@ -577,9 +599,13 @@ class TestDiagonalLimit:
             kernel_eval(m, 0, math.pi / 21 - 0.01, math.pi / 21 + 0.01)
 
     def test_oversized_deltas_are_flagged(self):
+        # A window far wider than the kernel's power series is flagged by
+        # its error estimate, where the default window's is small.
         m = make_map(flow(sin_one, 0.1), grid)
-        with pytest.raises(NumericalError):
-            diagonal_limit(m, 2, 1.0, (5.0, 2.5, 1.25))
+        wide = diagonal_report(m, 2, 1.0, (5.0, 2.5, 1.25))
+        assert wide["error_estimate"] >= 1e-3
+        assert wide["error_estimate"] >= wide["defect"] / 10.0
+        assert diagonal_report(m, 2, 1.0)["error_estimate"] <= 1e-7
 
     def test_report_record(self):
         m = make_map(flow(sin_one, 0.1), grid)
@@ -592,12 +618,26 @@ class TestDiagonalLimit:
             "limit",
             "classical",
             "defect",
+            "error_estimate",
         }
         assert record["deltas"] == list(default_deltas)
         assert record["values"] == [
             kernel_eval(m, 2, 1.0, 1.0 + d) for d in default_deltas
         ]
         assert record["defect"] <= 1e-8
+        # The last Neville correction: the limit against the extrapolant
+        # through the two smaller deltas.
+        finer = _extrapolate(list(default_deltas[1:]), record["values"][1:])
+        assert record["error_estimate"] == abs(record["limit"] - finer)
+
+    def test_samples_that_turn_near_the_diagonal_are_not_refused(self):
+        # The order-1 samples of gentle_flow at x = 0 step by 1.2e-8 and
+        # then -2.3e-8; the kernels are exact, so the limit is right.
+        m = make_map(gentle_flow, grid)
+        for order in (0, 1, 2):
+            report = diagonal_report(m, order, 0.0)
+            assert report["defect"] <= 1e-10, order
+            assert report["error_estimate"] <= 1e-7, order
 
 
 class TestLineKernels:
@@ -645,19 +685,33 @@ def cayley_line_matrix(d):
     return real / math.sqrt(real[0, 0] * real[1, 1] - real[0, 1] * real[1, 0])
 
 
+def fractional_linear(d):
+    """Callables (h, h') of the line map x -> (px + q)/(rx + s) that a
+    moebius-type descriptor d realizes, the input of the line kernels."""
+    p, q, r, s = cayley_line_matrix(d).ravel().tolist()
+
+    def value(x):
+        return (p * x + q) / (r * x + s)
+
+    def slope(x):
+        return 1.0 / (r * x + s) ** 2
+
+    return value, slope
+
+
 @st.composite
-def disk_moebius(draw):
-    radius = draw(st.floats(0.0, 0.95, exclude_max=True))
+def disk_moebius(draw, radius):
+    r = draw(st.floats(0.0, radius, exclude_max=True))
     angle = draw(st.floats(-math.pi, math.pi))
     beta = draw(st.floats(-10.0, 10.0))
-    return moebius(radius * complex(math.cos(angle), math.sin(angle)), beta)
+    return moebius(r * complex(math.cos(angle), math.sin(angle)), beta)
 
 
 class TestLineRealization:
+    """The Cayley line realization that feeds the line kernels."""
+
     def test_identity_is_the_unit_matrix(self):
-        assert np.array_equal(
-            moebius_line_coefficients(identity()), np.eye(2)
-        )
+        assert np.array_equal(cayley_line_matrix(identity()), np.eye(2))
 
     def test_rotation_realizes_as_a_circle_of_matrices(self):
         half = 0.35
@@ -667,84 +721,115 @@ class TestLineRealization:
                 [-math.sin(half), math.cos(half)],
             ]
         )
-        assert_allclose(
-            moebius_line_coefficients(rotation(0.7)), expected, atol=1e-15
-        )
+        mat = cayley_line_matrix(rotation(0.7))
+        if np.sum(mat * expected) < 0.0:  # fixed only up to sign
+            mat = -mat
+        assert_allclose(mat, expected, atol=1e-15)
 
     def test_boundary_action_parity(self):
         # Cayley-conjugating back must reproduce the disk map on the
         # circle: C(g(x)) = w(C(x)) for real x.
         for a, beta in ((0.3, 0.0), (0.3, 0.7), (0.5, 0.5), (0.1, 1.0)):
-            value, _ = fractional_linear(
-                moebius_line_coefficients(moebius(a, beta))
-            )
+            value, _ = fractional_linear(moebius(a, beta))
             for x in (-2.0, -0.5, 0.0, 0.4, 1.9):
                 z = (x - 1j) / (x + 1j)
                 w = np.exp(1j * beta) * (z - a) / (1.0 - a * z)
                 g = value(x)
                 assert abs((g - 1j) / (g + 1j) - w) <= 1e-12
 
-    def test_unit_determinant(self):
-        for d in (
-            moebius(0.3, 0.7),
-            compose_descriptors([moebius(0.2, 0.3), rotation(0.4)]),
-            inverse_descriptor(moebius(0.3, 0.5)),
-        ):
-            mat = moebius_line_coefficients(d)
-            det = mat[0, 0] * mat[1, 1] - mat[0, 1] * mat[1, 0]
-            assert_allclose(det, 1.0, rtol=1e-12)
-
     def test_composition_and_inverse_act_correctly(self):
         comp = compose_descriptors([moebius(0.2, 0.3), moebius(0.4)])
-        hc, _ = fractional_linear(moebius_line_coefficients(comp))
-        h1, _ = fractional_linear(moebius_line_coefficients(moebius(0.2, 0.3)))
-        h2, _ = fractional_linear(moebius_line_coefficients(moebius(0.4)))
+        hc, _ = fractional_linear(comp)
+        h1, _ = fractional_linear(moebius(0.2, 0.3))
+        h2, _ = fractional_linear(moebius(0.4))
         for x in (-1.0, 0.0, 0.3, 1.7):
             assert abs(hc(x) - h1(h2(x))) <= 1e-12
-        hi, _ = fractional_linear(
-            moebius_line_coefficients(inverse_descriptor(moebius(0.3, 0.5)))
-        )
-        h0, _ = fractional_linear(moebius_line_coefficients(moebius(0.3, 0.5)))
+        hi, _ = fractional_linear(inverse_descriptor(moebius(0.3, 0.5)))
+        h0, _ = fractional_linear(moebius(0.3, 0.5))
         assert abs(hi(h0(0.37)) - 0.37) <= 1e-12
-
-    @settings(max_examples=80, deadline=None)
-    @given(first=disk_moebius(), second=disk_moebius(), composed=st.booleans())
-    def test_closed_form_matches_the_cayley_conjugation(
-        self, first, second, composed
-    ):
-        d = compose_descriptors([first, second]) if composed else first
-        mat = moebius_line_coefficients(d)
-        expected = cayley_line_matrix(d)
-        if np.sum(mat * expected) < 0.0:  # the oracle fixes no sign
-            expected = -expected
-        scale = float(np.max(np.abs(mat)))
-        assert np.max(np.abs(mat - expected)) <= 1e-13 * scale
-        # Rounding p s alone costs eps |ps|, so the bound scales with the
-        # squared entries (their sum is about 39 for one factor at
-        # |a| = 0.95).
-        det = mat[0, 0] * mat[1, 1] - mat[0, 1] * mat[1, 0]
-        assert abs(det - 1.0) <= 8.0 * quantum.eps * float(np.sum(mat * mat))
-
-    def test_non_moebius_descriptors_are_rejected(self):
-        with pytest.raises(ValidationError):
-            moebius_line_coefficients(flow(sin_one, 0.1))
 
     def test_schwarzian_annihilation_on_the_line(self):
         for a, beta in ((0.1, 0.0), (0.1, 1.0), (0.3, 0.0), (0.3, 0.7), (0.5, 0.5)):
-            value, slope = fractional_linear(
-                moebius_line_coefficients(moebius(a, beta))
-            )
+            value, slope = fractional_linear(moebius(a, beta))
             for x in (0.3, -0.5, 1.0):
                 limit = diagonal_limit_line(value, slope, 2, x)
                 assert abs(limit) <= 1e-8, (a, beta, x)
                 raw = kernel_eval_line(value, slope, 2, x, x + 0.04)
                 assert abs(raw) <= 1e-9
 
-    def test_fractional_linear_validation(self):
-        with pytest.raises(ValidationError):
-            fractional_linear(np.zeros((2, 3)))
-        with pytest.raises(ValidationError):
-            fractional_linear(np.array([[1.0, 0.0], [0.0, -1.0]]))
+
+def circle_kernel(m, x, ys):
+    """Circle-form order-2 kernel of m at (x, x) and at (x, y) for each y."""
+    return _kernel_values(m, 2, x, ys, circle=True)[0]
+
+
+def reference_circle_kernel(d, x, y):
+    """Circle-form order-2 kernel of a flow d at (x, y), by mpmath.
+
+    At y = x it is [S(h) + (h'^2 - 1)/2]/6.
+    """
+    if x == y:
+        with mpmath.workdps(40):
+            _, h1, h2, h3 = _lift_derivatives(d, mpmath.mpf(x))
+            schwarzian = h3 / h1 - 1.5 * (h2 / h1) ** 2
+            return float((schwarzian + (h1**2 - 1) / 2) / 6)
+    digits = 40 + 2 * max(0, math.ceil(-math.log10(abs(x - y))))
+    with mpmath.workdps(digits):
+        x, y = mpmath.mpf(x), mpmath.mpf(y)
+        hx, sx = _lift_derivatives(d, x)[:2]
+        hy, sy = _lift_derivatives(d, y)[:2]
+        pole = 4 * mpmath.sin((x - y) / 2) ** 2
+        return float(sx * sy / (4 * mpmath.sin((hx - hy) / 2) ** 2) - 1 / pole)
+
+
+# Offsets 1e-1 ... 1e-15, both ways, and three wide ones.
+circle_offsets = [
+    sign * 10.0**-k for k in range(1, 16) for sign in (1, -1)
+] + [1.0, 2.5, -2.0]
+
+
+class TestCircleKernel:
+    """The order-2 welding kernel on S^1, where Moebius maps annihilate it."""
+
+    def test_identity_and_rotation_vanish_exactly(self):
+        for d in (identity(), rotation(0.7)):
+            m = make_map(d, grid)
+            ys = [0.3 + offset for offset in circle_offsets]
+            assert np.all(circle_kernel(m, 0.3, ys) == 0.0)
+
+    # The kernel sums n^3 c_n over the periodic part, whose FFT noise
+    # floor grows with its band: within 1e-10 up to |a| = 0.55 for one
+    # factor and 0.3 for each of two (3e-11 at those radii).
+    @settings(max_examples=40, deadline=None)
+    @given(
+        first=disk_moebius(0.55),
+        pair=st.tuples(disk_moebius(0.3), disk_moebius(0.3)),
+        composed=st.booleans(),
+        x=st.floats(-7.0, 7.0),
+    )
+    def test_moebius_maps_annihilate_it(self, first, pair, composed, x):
+        d = compose_descriptors(list(pair)) if composed else first
+        m = make_map(d, grid)
+        values = circle_kernel(m, x, [x + offset for offset in circle_offsets])
+        assert np.max(np.abs(values)) <= 1e-10
+
+    def test_flow_matches_a_high_precision_reference(self):
+        d = flow(sin_field(2), 0.1)
+        m = make_map(d, grid)
+        for x in (0.0, 1.3, -2.2):
+            ys = [x + offset for offset in circle_offsets]
+            for y, value in zip([x] + ys, circle_kernel(m, x, ys)):
+                assert_kernel_close(value, reference_circle_kernel(d, x, y))
+
+    def test_one_call_takes_every_base_point(self):
+        m = make_map(moebius(0.3, 1.0), grid)
+        xs = np.array(kernel_base_points)
+        ys = xs[:, None] + np.array(circle_offsets)
+        both = _kernel_values(m, 2, xs, ys, circle=True)
+        assert both.shape == (3, len(circle_offsets) + 1)
+        for row, x in zip(both, xs):
+            single = circle_kernel(m, x, [x + offset for offset in circle_offsets])
+            assert np.array_equal(row, single)
 
 
 class TestDeformedStructure:
