@@ -93,6 +93,7 @@ from .pullback import (
     sub_operator,
 )
 from .quantum import (
+    circle_kernel,
     diagonal_limit,
     diagonal_limit_line,
     diagonal_report,

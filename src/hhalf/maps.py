@@ -364,7 +364,7 @@ def compose(outer, inner):
 
 
 def periodic_part(m):
-    """The map's resolved periodic part, CircleMap.periodic_part."""
+    """CircleMap.periodic_part, kept as public API."""
     return m.periodic_part
 
 
@@ -380,7 +380,7 @@ def active_band(part):
 
 def lift_bandwidth(m):
     """Largest active mode of the periodic part, by coefficient size."""
-    return active_band(periodic_part(m))
+    return active_band(m.periodic_part)
 
 
 def qs_ratio(m):
@@ -411,7 +411,7 @@ def radial_dilatation(m):
     """
     if m.degree != 1:
         raise ValidationError("radial dilatation is defined for degree 1")
-    part = periodic_part(m)
+    part = m.periodic_part
     slope = 1.0 + synthesize(derivative(part), m.grid)
     low = float(np.min(slope))
     high = float(np.max(slope))

@@ -18,7 +18,6 @@ import numpy as np
 
 from .errors import NumericalError, ValidationError
 from .fourier import json_integer, norm_squared
-from .maps import periodic_part
 
 eps = np.finfo(float).eps
 tiny = np.finfo(float).tiny
@@ -154,10 +153,8 @@ def _kernel_values(m, order, xs, ys, circle=False):
     [D (alpha - beta)/d - alpha beta]/D^2.  No two large terms cancel,
     so every offset keeps full precision, and at y = x the values are
     the classical log h', h''/(2h') and S(h)/6.  With circle, order 2
-    is taken on the circle, h'(x)h'(y)/(4 sin^2((h(x) - h(y))/2)) -
-    1/(4 sin^2(d/2)): the lift kernel plus h'(x)h'(y) g(Dd) - g(d),
-    with h'(x) = D + alpha d and h'(y) = D - beta d.  It vanishes for
-    disc Moebius maps, and at y = x it is [S(h) + (h'^2 - 1)/2]/6.
+    is circle_kernel's: the lift kernel plus h'(x)h'(y) g(Dd) - g(d),
+    with h'(x) = D + alpha d and h'(y) = D - beta d.
     """
     xs = np.atleast_1d(np.asarray(xs, float))
     points = np.column_stack([xs, np.reshape(ys, (xs.size, -1))])
@@ -165,7 +162,7 @@ def _kernel_values(m, order, xs, ys, circle=False):
         raise ValidationError("kernel angles must be finite")
     if np.any(np.fmod(points[:, 1:] - xs[:, None], two_pi) == 0.0):
         raise ValidationError("kernel requires x != y (mod 2 pi)")
-    part = periodic_part(m)
+    part = m.periodic_part
     n = np.arange(-part.bandlimit, part.bandlimit + 1)
     d = xs[:, None] - points
     t = (0.5 * d)[..., None] * n
@@ -217,6 +214,16 @@ def kernel_eval(h, order, x, y):
     """
     order = _check_order(order)
     return float(_kernel_values(h, order, float(x), [float(y)])[0, 1])
+
+
+def circle_kernel(h, xs, ys):
+    """Order-2 welding kernel on the circle, one row per base point in xs.
+
+    h'(x)h'(y)/(4 sin^2((h(x) - h(y))/2)) - 1/(4 sin^2((x - y)/2)) at
+    (x, x) and then at (x, y) for each y in that point's row of ys; it
+    vanishes for disc Moebius maps and is [S(h) + (h'^2 - 1)/2]/6 at y = x.
+    """
+    return _kernel_values(h, 2, xs, ys, circle=True)
 
 
 def kernel_eval_line(h, hp, order, x, y):

@@ -58,7 +58,7 @@ from .pullback import (
     pullback_matrix,
 )
 from .quantum import (
-    _kernel_values,
+    circle_kernel,
     diagonal_limit,
     hs_bracket_check,
     hs_norm,
@@ -259,7 +259,7 @@ def check_kernel_limits(catalog):
     ys = xs[:, None] + circle_offsets
     worst_moebius = 0.0
     for name in kernel_moebius:
-        circle = _kernel_values(maps[name], 2, xs, ys, circle=True)
+        circle = circle_kernel(maps[name], xs, ys)
         worst_moebius = max(worst_moebius, float(np.max(np.abs(circle))))
     detail = (
         "flow defects <= %.3e (limit 1e-9); moebius circle-form order-2 "

@@ -49,7 +49,7 @@ from hhalf.period import (
 from hhalf.pullback import pullback_matrix
 from hhalf.quantum import (
     _extrapolate,
-    _kernel_values,
+    circle_kernel,
     default_deltas,
     diagonal_limit,
     diagonal_limit_line,
@@ -758,9 +758,9 @@ class TestLineRealization:
                 assert abs(raw) <= 1e-9
 
 
-def circle_kernel(m, x, ys):
+def circle_row(m, x, ys):
     """Circle-form order-2 kernel of m at (x, x) and at (x, y) for each y."""
-    return _kernel_values(m, 2, x, ys, circle=True)[0]
+    return circle_kernel(m, x, ys)[0]
 
 
 def reference_circle_kernel(d, x, y):
@@ -795,7 +795,7 @@ class TestCircleKernel:
         for d in (identity(), rotation(0.7)):
             m = make_map(d, grid)
             ys = [0.3 + offset for offset in circle_offsets]
-            assert np.all(circle_kernel(m, 0.3, ys) == 0.0)
+            assert np.all(circle_row(m, 0.3, ys) == 0.0)
 
     # The kernel sums n^3 c_n over the periodic part, whose FFT noise
     # floor grows with its band: within 1e-10 up to |a| = 0.55 for one
@@ -810,7 +810,7 @@ class TestCircleKernel:
     def test_moebius_maps_annihilate_it(self, first, pair, composed, x):
         d = compose_descriptors(list(pair)) if composed else first
         m = make_map(d, grid)
-        values = circle_kernel(m, x, [x + offset for offset in circle_offsets])
+        values = circle_row(m, x, [x + offset for offset in circle_offsets])
         assert np.max(np.abs(values)) <= 1e-10
 
     def test_flow_matches_a_high_precision_reference(self):
@@ -818,17 +818,17 @@ class TestCircleKernel:
         m = make_map(d, grid)
         for x in (0.0, 1.3, -2.2):
             ys = [x + offset for offset in circle_offsets]
-            for y, value in zip([x] + ys, circle_kernel(m, x, ys)):
+            for y, value in zip([x] + ys, circle_row(m, x, ys)):
                 assert_kernel_close(value, reference_circle_kernel(d, x, y))
 
     def test_one_call_takes_every_base_point(self):
         m = make_map(moebius(0.3, 1.0), grid)
         xs = np.array(kernel_base_points)
         ys = xs[:, None] + np.array(circle_offsets)
-        both = _kernel_values(m, 2, xs, ys, circle=True)
+        both = circle_kernel(m, xs, ys)
         assert both.shape == (3, len(circle_offsets) + 1)
         for row, x in zip(both, xs):
-            single = circle_kernel(m, x, [x + offset for offset in circle_offsets])
+            single = circle_row(m, x, [x + offset for offset in circle_offsets])
             assert np.array_equal(row, single)
 
 
