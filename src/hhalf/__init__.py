@@ -57,7 +57,6 @@ from .maps import (
     lift_bandwidth,
     make_map,
     moebius,
-    periodic_part,
     power,
     qs_ratio,
     radial_dilatation,

@@ -7,7 +7,7 @@ evaluation on the grid, done once, and they certify monotonicity, feed
 spectral work on the periodic part and are the lift pullbacks read.
 The lift is the one thing evaluated: derivatives and welding kernels
 read the periodic part lift - degree*theta from the samples' spectrum
-(`periodic_part`), never from differences of lift values.
+(`m.periodic_part`), never from differences of lift values.
 """
 
 import cmath
@@ -67,7 +67,7 @@ class Inverse:
     of: Flow
 
     def __post_init__(self):
-        # _invert_lift brackets roots by the flow's coefficients.
+        # _invert_lift takes Newton steps on the field's exact slope.
         if not isinstance(self.of, Flow):
             raise ValidationError(
                 "Inverse wraps only a flow; inverse_descriptor gives the rest"
@@ -185,42 +185,42 @@ def _lift_values(d, x):
 def _invert_lift(d, targets):
     """Solve x + eps*v(x) = target for a flow d by safeguarded Newton.
 
-    |eps*v| <= |eps| sum |c_n| brackets every root.  Newton starts at
-    target - eps*v(target), inside that bracket, and takes the exact
-    slope 1 + eps*v'.  Each residual's sign narrows that point's
-    bracket, and a step that leaves the bracket is replaced by its
-    midpoint.  Once every step is below 1e-13 per unit of
-    max(1, |target|), one more step polishes the roots.  The pass count
-    is capped by the bisection steps that take the bracket down to a
-    width of 2 pi 2^-60.
+    The forward lift at L = max(len(targets), 8 * bandlimit) equally
+    spaced angles, closed by one turn, is a table whose cells bracket
+    every root: with whole turns taken off each target, the cell that
+    np.searchsorted finds holds the root, by the same values Newton's
+    residuals read.  Newton starts at the cell's linear interpolant and
+    takes the exact slope 1 + eps*v'.  Each residual's sign narrows the
+    point's bracket, and a step that leaves the bracket is replaced by
+    its midpoint.  Once every step is below 1e-13, one more step
+    polishes the roots.  Halving a cell of width <= 2 pi / 8 reaches
+    rounding in under 60 passes, which caps the pass count.
     """
-    radius = abs(d.eps) * float(np.sum(np.abs(d.v.coeffs)))
-    # Rounding margin, so lift(lo) <= target <= lift(hi) in floating point.
-    radius += 64.0 * np.finfo(float).eps * (
-        1.0 + radius + float(np.max(np.abs(targets), initial=0.0))
-    )
-    lo = targets - radius
-    hi = targets + radius
-    tol = 1e-13 * np.maximum(1.0, np.abs(targets))
-    # Within about eps^2 |v v'| of the root.
-    x = targets - d.eps * evaluate_at(d.v, targets)
+    cells = max(targets.size, 8 * d.v.bandlimit)
+    angles = two_pi * np.arange(cells + 1) / cells
+    table = angles[:-1] + d.eps * evaluate_at(d.v, angles[:-1])
+    table = np.append(table, table[0] + two_pi)
+    turns = np.floor((targets - table[0]) / two_pi)
+    reduced = targets - two_pi * turns
+    cell = np.clip(np.searchsorted(table, reduced, side="right"), 1, cells)
+    lo, hi = angles[cell - 1], angles[cell]
+    x = np.interp(reduced, table, angles)
     polish = False
-    passes = max(1, math.ceil(math.log2(radius / np.pi)) + 60)
-    for count in range(1, passes + 1):
+    for count in range(1, 61):
         values, slopes = value_and_slope(d.v, x)
         lift = x + d.eps * values
-        high_side = lift > targets
+        high_side = lift > reduced
         hi = np.where(high_side, x, hi)
         lo = np.where(high_side, lo, x)
         # A flat point between grid samples gives an infinite or NaN
         # step, which fails the bracket test below.
         with np.errstate(divide="ignore", invalid="ignore"):
-            new = x - (lift - targets) / (1.0 + d.eps * slopes)
+            new = x - (lift - reduced) / (1.0 + d.eps * slopes)
         # Inclusive ends: a converged point may land on its own bracket end.
         new = np.where((lo <= new) & (new <= hi), new, 0.5 * (lo + hi))
-        if polish or count == passes:
-            return new
-        polish = bool(np.all(np.abs(new - x) <= tol))
+        if polish or count == 60:
+            return new + two_pi * turns
+        polish = bool(np.all(np.abs(new - x) <= 1e-13))
         x = new
 
 
@@ -361,11 +361,6 @@ def compose(outer, inner):
     d = Compose((outer.descriptor, inner.descriptor))
     samples = _lift_values(outer.descriptor, inner.lift_samples)
     return CircleMap(d, outer.grid, samples)
-
-
-def periodic_part(m):
-    """CircleMap.periodic_part, kept as public API."""
-    return m.periodic_part
 
 
 def active_band(part):

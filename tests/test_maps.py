@@ -33,7 +33,6 @@ from hhalf.maps import (
     lift_bandwidth,
     make_map,
     moebius,
-    periodic_part,
     power,
     qs_ratio,
     radial_dilatation,
@@ -332,8 +331,8 @@ class TestCircleMap:
             return analyze(*args)
 
         monkeypatch.setattr(maps, "analyze", counted)
-        part = periodic_part(m)
-        assert periodic_part(m) is part is m.periodic_part
+        part = m.periodic_part
+        assert m.periodic_part is part
         radial_dilatation(m)
         lift_bandwidth(m)
         assert len(calls) == 1
