@@ -5,11 +5,12 @@ import os
 
 from dataclasses import dataclass
 
-from .errors import ValidationError
+from .errors import GridError, ValidationError
 from .fourier import SampleGrid, json_fields, json_integer, json_real
 from .pullback import read_cutoff
 
 config_env_var = "HHP_CONFIG"
+max_grid_size = 2**20  # 16 MB of e^{i lift} samples per map
 _fields = ("cutoff", "grid_size", "spectral_tol", "matrix_tol", "seed")
 
 
@@ -22,8 +23,8 @@ class RunConfig:
     cutoff : int
         Truncation order N for operators and period matrices.
     grid_size : int
-        Sample count M >= 4; pullbacks refuse a grid below 4 x their
-        reach, M >= 4N for block matrices.
+        Sample count 4 <= M <= max_grid_size; pullbacks refuse a grid
+        below 4 x their reach, M >= 4N for block matrices.
     spectral_tol : float
         Pass tolerance for coefficient-level checks (energy, kernels).
     matrix_tol : float
@@ -43,6 +44,8 @@ class RunConfig:
     def __post_init__(self):
         object.__setattr__(self, "cutoff", read_cutoff(self.cutoff))
         object.__setattr__(self, "grid_size", SampleGrid(self.grid_size).size)
+        if self.grid_size > max_grid_size:
+            raise GridError("grid size must be at most %d" % max_grid_size)
         object.__setattr__(self, "seed", json_integer(self.seed, "seed", 0))
         for name in ("spectral_tol", "matrix_tol"):
             value = json_real(getattr(self, name), name)

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import GridError, ValidationError
+from .errors import AliasingError, GridError, ValidationError
 
 eps = np.finfo(float).eps
 # Largest bandlimit from_modes allocates: 32 MB of coefficients.
@@ -201,6 +201,23 @@ def analyze(samples, grid, bandlimit):
     else:
         c[:n] = raw[m - n :]
     return CircleFunction(n, c)
+
+
+def resolved_band(magnitudes, modes, reach, grid):
+    """Largest of the |modes| whose relative magnitude exceeds 1e-12.
+
+    The one test of a spectrum read on grid, whose modes reach the top
+    mode (size - 1) // 2.  A tail above 1e-12 beyond reach, from 3 size / 8
+    or the top mode if lower, folds past Nyquist: AliasingError names it.
+    """
+    start = max(min(3 * grid.size / 8, (grid.size - 1) // 2), reach + 1)
+    tail = np.max(magnitudes[modes >= start], initial=0.0)
+    if tail > 1e-12:
+        raise AliasingError(
+            "grid size %d cannot resolve bandlimit %d under this map "
+            "(spectral tail %.1e near Nyquist)" % (grid.size, reach, tail)
+        )
+    return int(np.max(modes[magnitudes > 1e-12], initial=0))
 
 
 def synthesize(f, grid):

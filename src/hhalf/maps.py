@@ -7,7 +7,8 @@ evaluation on the grid, done once, and they certify monotonicity, feed
 spectral work on the periodic part and are the lift pullbacks read.
 The lift is the one thing evaluated: derivatives and welding kernels
 read the periodic part lift - degree*theta from the samples' spectrum
-(`m.periodic_part`), never from differences of lift values.
+(`m.periodic_part`, resolved by fourier.resolved_band as pullbacks
+are), never from differences of lift values.
 """
 
 import cmath
@@ -18,7 +19,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import AliasingError, GridError, MonotonicityError, ValidationError
+from .errors import GridError, MonotonicityError, ValidationError
 from .fourier import (
     CircleFunction,
     SampleGrid,
@@ -32,6 +33,7 @@ from .fourier import (
     json_fields,
     json_integer,
     json_real,
+    resolved_band,
     synthesize,
     value_and_slope,
     zero_function,
@@ -258,22 +260,16 @@ class CircleMap:
     def periodic_part(self):
         """Resolved Fourier model of lift(theta) - degree*theta, mean dropped.
 
-        Computed on first use and kept.  The grid spectrum is cut a
-        little above its active band before any derivative is taken;
-        keeping it whole would amplify the rounding floor by a power of
-        the top mode.  A lift whose band reaches the grid's Nyquist mode
-        is refused, and a constant periodic part (rotations) is the zero
-        function, since its spectrum is rounding.
+        Computed on first use and kept.  The grid spectrum must pass
+        resolved_band, and is cut a little above its band before any
+        derivative is taken; keeping it whole would amplify the rounding
+        floor by a power of the top mode.  A constant periodic part
+        (rotations) is the zero function, since its spectrum is rounding.
         """
         nyquist = (self.grid.size - 1) // 2
         shifted = self.lift_samples - self.degree * self.grid.points()
         part = analyze(shifted, self.grid, nyquist)
-        band = active_band(part)
-        if band >= nyquist:
-            raise AliasingError(
-                "lift spectrum does not resolve on the map grid; derivatives "
-                "of the lift need a smooth, resolved descriptor"
-            )
+        band = _band(part, self.grid)
         if band == 0:
             return zero_function(1)
         # Slicing the full analysis equals re-analyzing at the kept band.
@@ -363,19 +359,16 @@ def compose(outer, inner):
     return CircleMap(d, outer.grid, samples)
 
 
-def active_band(part):
-    """Largest mode of a periodic part above 1e-12 of max(1, its peak)."""
-    mags = np.abs(part.coeffs)
-    floor = 1e-12 * max(1.0, float(mags.max()))
-    active = np.nonzero(mags > floor)[0]
-    if active.size == 0:
-        return 0
-    return int(np.max(np.abs(active - part.bandlimit)))
-
-
 def lift_bandwidth(m):
-    """Largest active mode of the periodic part, by coefficient size."""
-    return active_band(m.periodic_part)
+    """Largest mode of the periodic part above 1e-12 of max(1, its peak)."""
+    return _band(m.periodic_part, m.grid)
+
+
+def _band(part, grid):
+    magnitudes = np.abs(part.coeffs)
+    magnitudes /= max(1.0, magnitudes.max())
+    modes = np.abs(np.arange(-part.bandlimit, part.bandlimit + 1))
+    return resolved_band(magnitudes, modes, 0, grid)
 
 
 def qs_ratio(m):

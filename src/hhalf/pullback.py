@@ -15,16 +15,15 @@ working set does not grow with the cutoff.
 A grid below 4 x the reach of a result, the highest mode its input
 reaches before any spread (bandlimit x degree, or the cutoff for a
 block matrix), is refused before any FFT.  On a grid that holds it,
-a result is refused as aliased when the spectrum it is read from
-(of w^cutoff on the map's grid, for a block matrix), above the reach
-and within size/8 of Nyquist, has not decayed to 1e-12.
+the spectrum a result is read from (of w^cutoff on the map's grid,
+for a block matrix) must pass fourier.resolved_band.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import AliasingError, GridError, ValidationError
+from .errors import GridError, ValidationError
 from .fourier import (
     CircleFunction,
     SampleGrid,
@@ -33,6 +32,7 @@ from .fourier import (
     json_fields,
     json_integer,
     matrix_from_json,
+    resolved_band,
     unit_horner_sum,
 )
 from .symplectic import symplectic_form
@@ -51,24 +51,11 @@ def _own_lift(m, grid):
 
 def _refuse_coarse_grid(reach, grid, name="cutoff"):
     # Below 2 x reach modes fold past Nyquist with no tail; just above
-    # it the tail band that _refuse_tail reads is too narrow to show
+    # it the tail band that resolved_band reads is too narrow to show
     # spread, and moebius(0.3) at N = 32, M = 65 is off by 0.26.
     if grid.size < 4 * reach:
         raise GridError(
             "grid size %d is below 4 * %s = %d" % (grid.size, name, 4 * reach)
-        )
-
-
-def _refuse_tail(magnitudes, modes, reach, bandlimit, grid):
-    # magnitudes are relative to the result, at the given |modes|.
-    # Spread above reach and within size/8 of Nyquist must have
-    # decayed to 1e-12, or what lies past Nyquist folds back.
-    band = modes >= max(3 * grid.size / 8, reach + 1)
-    tail = np.max(magnitudes[band], initial=0.0)
-    if tail > 1e-12:
-        raise AliasingError(
-            "grid size %d cannot resolve bandlimit %d under this map "
-            "(spectral tail %.1e near Nyquist)" % (grid.size, bandlimit, tail)
         )
 
 
@@ -88,7 +75,7 @@ def pullback_function(m, f, grid):
     magnitudes = np.abs(vf.coeffs)
     magnitudes /= np.max(magnitudes) or 1.0
     modes = np.abs(np.arange(-vf.bandlimit, vf.bandlimit + 1))
-    _refuse_tail(magnitudes, modes, reach, f.bandlimit, grid)
+    resolved_band(magnitudes, modes, reach, grid)
     return vf
 
 
@@ -143,8 +130,8 @@ def sub_operator(t, cutoff):
 def assembly_grid(m, cutoff, grid):
     """Coarsest grid on which the blocks of V_phi resolve to 1e-12.
 
-    The reach K of w^cutoff = e^{i cutoff lift} is its largest mode
-    above 1e-12 on the map's grid.  The result is the smallest
+    The reach K of w^cutoff = e^{i cutoff lift} is its resolved_band on
+    the map's grid.  The result is the smallest
     M' = M / 2^j with M' >= 4 cutoff and 3 M' / 8 > K, so every
     resolved mode lies below the tail band that the assembly checks.
     Every 2^j-th sample of the map's grid is, bit for bit, the point
@@ -158,8 +145,7 @@ def assembly_grid(m, cutoff, grid):
     _refuse_coarse_grid(cutoff, grid)
     magnitudes = np.abs(np.fft.fft(np.exp(1j * cutoff * lift))) / size
     modes = np.abs(np.fft.fftfreq(size, 1.0 / size))
-    _refuse_tail(magnitudes, modes, cutoff, cutoff, grid)
-    reach = np.max(modes[magnitudes > 1e-12], initial=0.0)
+    reach = resolved_band(magnitudes, modes, cutoff, grid)
     while size % 2 == 0 and size // 2 >= 4 * cutoff and 3 * size / 16 > reach:
         size //= 2
     return SampleGrid(size)

@@ -17,16 +17,26 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from hhalf import cli
+from hhalf.catalog import sin_field
 from hhalf.cli import main
 from hhalf.errors import NumericalError, ValidationError
 from hhalf.fourier import (
+    SampleGrid,
     from_modes,
     function_from_json,
     function_to_json,
     matrix_from_json,
 )
+from hhalf.maps import (
+    descriptor_to_json,
+    evaluate_lift,
+    flow,
+    inverse_descriptor,
+    make_map,
+)
 from hhalf.pullback import operator_from_json
 from hhalf.suite import CheckResult
+from test_quantum import reference_inverse_classical
 
 src_dir = pathlib.Path(__file__).resolve().parent.parent / "src"
 perfbench_dir = src_dir.parent / "perfbench"
@@ -745,7 +755,7 @@ class TestKernel:
 
     def test_unresolved_lift_is_a_numerical_failure(self, capsys):
         # Refused after the FFT of the lift shows a spectrum reaching
-        # Nyquist, so exit 2, not 1.
+        # the tail band, so exit 2, not 1.
         descriptor = '{"type": "moebius", "a": {"re": 0.9, "im": 0.0}, "beta": 0}'
         code, out, err = run(
             ["kernel", "--order", "0", "--grid", "64", "--map", descriptor],
@@ -753,8 +763,30 @@ class TestKernel:
         )
         assert (code, out) == (2, "")
         assert err.startswith(
-            "numerical failure: lift spectrum does not resolve on the map grid"
+            "numerical failure: grid size 64 cannot resolve bandlimit 0 "
+            "under this map"
         )
+
+
+    def test_steep_inverse_flow_needs_a_finer_grid(self, capsys):
+        # On the default 4096 points the lift's spectral tail is 1.9e-12,
+        # where the order-2 classical values missed S(h)/6 by up to
+        # 7.7e-5 at exit 0; on 16384 points they hold to 2.3e-7.
+        d = flow(sin_field(3), 0.3)
+        inverse = descriptor_to_json(inverse_descriptor(d))
+        argv = ["kernel", "--order", "2", "--map", json.dumps(inverse)]
+        code, out, err = run(argv, capsys)
+        assert (code, out) == (2, "")
+        assert err.startswith(
+            "numerical failure: grid size 4096 cannot resolve bandlimit 0 "
+            "under this map (spectral tail 1.9e-12 near Nyquist)"
+        )
+        report = run_json(argv + ["--grid", "16384"], capsys)
+        m = make_map(inverse_descriptor(d), SampleGrid(16384))
+        for point in report["points"]:
+            x = point["x"]
+            reference = reference_inverse_classical(d, x, evaluate_lift(m, x))
+            assert abs(point["classical"] - reference) <= 1e-6, x
 
 
 class TestTolerance:
@@ -889,6 +921,15 @@ class TestPlumbing:
         monkeypatch.setenv("HHP_CONFIG", str(cfg))
         code, _, err = run(["norm", "--modes", cos_modes], capsys)
         assert code == 1 and "bogus" in err
+
+    def test_grid_above_the_cap_is_an_input_error(self, capsys, monkeypatch):
+        # 2**40 points would be 8 TB of lift samples; the size is refused
+        # before any array is allocated, from the flag and the config.
+        expected = (1, "", "error: grid size must be at most 1048576\n")
+        argv = ["period", "--map", '{"type": "identity"}']
+        assert run(argv + ["--grid", str(2**40)], capsys) == expected
+        monkeypatch.setenv("HHP_CONFIG", '{"grid_size": %d}' % 2**40)
+        assert run(argv, capsys) == expected
 
     def test_out_is_a_flag_not_a_config_field(self, tmp_path, capsys, monkeypatch):
         monkeypatch.chdir(tmp_path)

@@ -5,7 +5,12 @@ import json
 
 import pytest
 
-from hhalf.config import RunConfig, config_from_env, config_from_json
+from hhalf.config import (
+    RunConfig,
+    config_from_env,
+    config_from_json,
+    max_grid_size,
+)
 from hhalf.errors import GridError, ValidationError
 
 
@@ -29,6 +34,14 @@ class TestRunConfig:
         assert RunConfig(cutoff=32, grid_size=4).grid_size == 4
         for size in (3, True, 64.5):
             with pytest.raises(GridError, match="^grid size must be an integer >= 4$"):
+                RunConfig(grid_size=size)
+
+    def test_grid_size_is_capped(self):
+        # The largest grid the tests build, 2**17 + 1, lies below the cap.
+        assert RunConfig(grid_size=2**17 + 1).grid_size == 2**17 + 1
+        assert RunConfig(grid_size=max_grid_size).grid_size == 2**20
+        for size in (max_grid_size + 1, 2**40):
+            with pytest.raises(GridError, match="^grid size must be at most 1048576$"):
                 RunConfig(grid_size=size)
 
     def test_field_validation(self):

@@ -14,7 +14,7 @@ from numpy.testing import assert_allclose
 from hhalf import _accel
 from hhalf.catalog import trial_functions
 from hhalf.config import RunConfig
-from hhalf.errors import GridError, ValidationError
+from hhalf.errors import AliasingError, GridError, ValidationError
 from hhalf.fourier import (
     CircleFunction,
     SampleGrid,
@@ -34,6 +34,7 @@ from hhalf.fourier import (
     json_real,
     max_bandlimit,
     norm_squared,
+    resolved_band,
     synthesize,
     value_and_slope,
     zero_function,
@@ -421,6 +422,47 @@ class TestAnalyze:
     def test_samples_off_the_grid_are_refused(self, shape):
         with pytest.raises(GridError, match="^sample array does not match"):
             analyze(np.zeros(shape), SampleGrid(32), 4)
+
+
+class TestResolvedBand:
+    @pytest.mark.parametrize("size", [8, 64, 4096, 4097])
+    def test_spread_at_the_tail_edge(self, size):
+        # The tail band starts at ceil(3 size / 8): spread there must be
+        # below 1e-12, and the band returned is the largest mode above it.
+        grid = SampleGrid(size)
+        modes = np.arange(size // 2 + 1)
+        edge = math.ceil(3 * size / 8)
+        magnitudes = np.where(modes == 1, 1.0, 0.0)
+        magnitudes[edge] = 2e-12
+        message = (
+            "^grid size %d cannot resolve bandlimit 0 under this map "
+            r"\(spectral tail 2.0e-12 near Nyquist\)$" % size
+        )
+        with pytest.raises(AliasingError, match=message):
+            resolved_band(magnitudes, modes, 0, grid)
+        magnitudes[edge] = 5e-13
+        assert resolved_band(magnitudes, modes, 0, grid) == 1
+        magnitudes[edge - 1] = 5e-12
+        assert resolved_band(magnitudes, modes, 0, grid) == edge - 1
+
+    @pytest.mark.parametrize("size, top", [(4, 1), (5, 2), (6, 2), (7, 3)])
+    def test_the_top_mode_is_always_in_the_tail(self, size, top):
+        # On 4 and 6 points 3 size / 8 lies above the top mode, and the
+        # Nyquist bin of an odd spectrum such as a Moebius lift's is zero.
+        grid = SampleGrid(size)
+        modes = np.arange(size // 2 + 1)
+        magnitudes = np.where(modes == top, 1e-3, 0.0)
+        with pytest.raises(AliasingError, match="spectral tail 1.0e-03"):
+            resolved_band(magnitudes, modes, 0, grid)
+        assert resolved_band(magnitudes, modes, top, grid) == top
+
+    def test_modes_up_to_the_reach_are_not_spread(self):
+        grid = SampleGrid(64)
+        modes = np.arange(33)
+        magnitudes = np.where(modes <= 30, 1.0, 0.0)
+        assert resolved_band(magnitudes, modes, 30, grid) == 30
+        with pytest.raises(AliasingError, match="bandlimit 29 "):
+            resolved_band(magnitudes, modes, 29, grid)
 
 
 class TestNormAndInner:

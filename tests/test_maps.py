@@ -498,7 +498,7 @@ class TestEstimators:
 
     def test_dilatation_of_an_unresolved_lift_is_refused(self):
         # Differentiated anyway, this spectrum gives K = 20.856 against 19.
-        with pytest.raises(AliasingError, match="does not resolve"):
+        with pytest.raises(AliasingError, match="cannot resolve"):
             radial_dilatation(make_map(moebius(0.9), SampleGrid(64)))
 
     def test_dilatation_refuses_a_slope_that_is_not_positive(self):
