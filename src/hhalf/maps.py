@@ -187,7 +187,7 @@ def _lift_values(d, x):
 def _invert_lift(d, targets):
     """Solve x + eps*v(x) = target for a flow d by safeguarded Newton.
 
-    The forward lift at L = max(len(targets), 8 * bandlimit) equally
+    The forward lift at L = max(len(targets), 8 * bandlimit, 256) equally
     spaced angles, closed by one turn, is a table whose cells bracket
     every root: with whole turns taken off each target, the cell that
     np.searchsorted finds holds the root, by the same values Newton's
@@ -195,10 +195,12 @@ def _invert_lift(d, targets):
     takes the exact slope 1 + eps*v'.  Each residual's sign narrows the
     point's bracket, and a step that leaves the bracket is replaced by
     its midpoint.  Once every step is below 1e-13, one more step
-    polishes the roots.  Halving a cell of width <= 2 pi / 8 reaches
-    rounding in under 60 passes, which caps the pass count.
+    polishes the roots.  The 256-cell floor starts a few scalar targets
+    as close to their roots as a 256-point grid call, so strong flows
+    take as few passes there.  Halving a cell of width <= 2 pi / 256
+    reaches rounding in under 60 passes, which caps the pass count.
     """
-    cells = max(targets.size, 8 * d.v.bandlimit)
+    cells = max(targets.size, 8 * d.v.bandlimit, 256)
     angles = two_pi * np.arange(cells + 1) / cells
     table = angles[:-1] + d.eps * evaluate_at(d.v, angles[:-1])
     table = np.append(table, table[0] + two_pi)
@@ -257,6 +259,24 @@ class CircleMap:
         return z
 
     @cached_property
+    def _power_bands(self):
+        # k -> power_band(k), each probed on first use.
+        return {}
+
+    def power_band(self, k):
+        """Highest mode of w^k = e^{ik lift} above 1e-12, on the sample grid.
+
+        The spectrum of w^k is read by fourier.resolved_band with reach
+        k * degree, which refuses a tail past it.  The band is probed
+        once per k and kept, as unit_samples is, so every pullback by
+        this map at k reads one probe; a refusal is not kept.
+        """
+        bands = self._power_bands
+        if k not in bands:
+            bands[k] = _power_band(self, k)
+        return bands[k]
+
+    @cached_property
     def periodic_part(self):
         """Resolved Fourier model of lift(theta) - degree*theta, mean dropped.
 
@@ -276,6 +296,13 @@ class CircleMap:
         keep = min(2 * band + 8, nyquist)
         coeffs = part.coeffs[nyquist - keep : nyquist + keep + 1]
         return CircleFunction(keep, coeffs)
+
+
+def _power_band(m, k):
+    size = m.grid.size
+    magnitudes = np.abs(np.fft.fft(np.exp(1j * k * m.lift_samples))) / size
+    modes = np.abs(np.fft.fftfreq(size, 1.0 / size))
+    return resolved_band(magnitudes, modes, k * m.degree, m.grid)
 
 
 def make_map(d, grid):

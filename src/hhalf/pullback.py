@@ -6,17 +6,19 @@ conj(B) w+ + conj(A) w-) in the normalized basis e^{ik theta}/sqrt(k),
 k = 1..cutoff, and conjugates.  Matrix entries are Fourier integrals
 of powers of w = e^{i lift}, evaluated by FFT of the map's own lift
 samples; c_r(conj(w)^q) = conj(c_{-r}(w^q)) gives B from A's FFTs.
-Block matrices are assembled on the coarsest power-of-two sub-grid
-of the map's grid, at least 4 x cutoff, whose tail band the spectrum
-of w^cutoff leaves empty; the map's grid is the ceiling.  The powers
-are transformed a chunk of rows at a time, in place, in one buffer
-of 2**16 samples (1 MiB) or one row if that is larger, so the
+Block matrices, and functions pulled back, are read on the coarsest
+power-of-two sub-grid of the map's grid, at least 4 x the reach,
+whose tail band the spectrum of w^K leaves empty, K the cutoff or
+the function's bandlimit; the map's grid is the ceiling.  That
+spectrum is probed once per map and K (CircleMap.power_band).  The
+powers are transformed a chunk of rows at a time, in place, in one
+buffer of 2**16 samples (1 MiB) or one row if that is larger, so the
 working set does not grow with the cutoff.
 A grid below 4 x the reach of a result, the highest mode its input
 reaches before any spread (bandlimit x degree, or the cutoff for a
 block matrix), is refused before any FFT.  On a grid that holds it,
-the spectrum a result is read from (of w^cutoff on the map's grid,
-for a block matrix) must pass fourier.resolved_band.
+the spectrum of w^K on the map's grid, and a pulled-back function's
+own spectrum on its sub-grid, must pass fourier.resolved_band.
 """
 
 from dataclasses import dataclass
@@ -62,21 +64,40 @@ def _refuse_coarse_grid(reach, grid, name="cutoff"):
 def pullback_function(m, f, grid):
     """V_phi f: compose with the map, drop the mean, reanalyze.
 
-    The result carries every mode the grid resolves, so downstream
-    identities see the full spread spectrum of the composition.  f o phi
-    is summed on the map's unit_samples, e^{i lift}, so a map pays for
-    that exponential once, however many functions it pulls back.
+    f o phi = sum c_k w^k is read on assembly_grid(m, K, grid), K the
+    bandlimit of f: a power-of-two sub-grid of M' points, or the map's
+    grid.  It is summed on every (M / M')-th of the map's unit_samples,
+    e^{i lift}, and analyzed there, so a map pays for that exponential
+    and for the probe of w^K once, however many functions of bandlimit
+    K it pulls back.  The result carries every mode the sub-grid
+    resolves, bandlimit (M' - 1) // 2, so downstream identities see
+    the full spread spectrum of the composition.  A function whose top
+    power w^K does not resolve on the map's grid is refused, however
+    small its c_K.
     """
-    _own_lift(m, grid)
     reach = f.bandlimit * m.degree
-    _refuse_coarse_grid(reach, grid, "bandlimit x degree")
-    values = unit_horner_sum(f.coeffs, f.bandlimit, m.unit_samples, f.real)
-    vf = analyze(values, grid, (grid.size - 1) // 2)
+    sub = _coarsest_grid(m, f.bandlimit, grid, "bandlimit x degree")
+    z = m.unit_samples[:: grid.size // sub.size]
+    values = unit_horner_sum(f.coeffs, f.bandlimit, z, f.real)
+    vf = analyze(values, sub, (sub.size - 1) // 2)
     magnitudes = np.abs(vf.coeffs)
     magnitudes /= np.max(magnitudes) or 1.0
     modes = np.abs(np.arange(-vf.bandlimit, vf.bandlimit + 1))
-    resolved_band(magnitudes, modes, reach, grid)
+    resolved_band(magnitudes, modes, reach, sub)
     return vf
+
+
+def _coarsest_grid(m, k, grid, name):
+    # The smallest M' = M / 2^j >= 4 k degree with 3 M' / 8 above the
+    # power_band of w^k on the map's grid.
+    _own_lift(m, grid)
+    reach = k * m.degree
+    _refuse_coarse_grid(reach, grid, name)
+    band = m.power_band(k)
+    size = grid.size
+    while size % 2 == 0 and size // 2 >= 4 * reach and 3 * size / 16 > band:
+        size //= 2
+    return SampleGrid(size)
 
 
 @dataclass(frozen=True)
@@ -130,25 +151,18 @@ def sub_operator(t, cutoff):
 def assembly_grid(m, cutoff, grid):
     """Coarsest grid on which the blocks of V_phi resolve to 1e-12.
 
-    The reach K of w^cutoff = e^{i cutoff lift} is its resolved_band on
-    the map's grid.  The result is the smallest
-    M' = M / 2^j with M' >= 4 cutoff and 3 M' / 8 > K, so every
-    resolved mode lies below the tail band that the assembly checks.
-    Every 2^j-th sample of the map's grid is, bit for bit, the point
-    of SampleGrid(M').  An odd size keeps the map's grid; a grid
-    below 4 cutoff, or a spectrum that fills the map's own tail band,
+    The reach K of w^cutoff = e^{i cutoff lift} is m.power_band(cutoff),
+    its resolved_band on the map's grid, probed once per map and cutoff
+    and shared with pullback_function.  The result is the smallest
+    M' = M / 2^j with M' >= 4 cutoff d and 3 M' / 8 > K, d the degree,
+    so every resolved mode lies below the tail band that the assembly
+    checks.  Every 2^j-th sample of the map's grid is, bit for bit, the
+    point of SampleGrid(M').  An odd size keeps the map's grid; a grid
+    below 4 cutoff d, or a spectrum that fills the map's own tail band,
     is refused, as a sub-grid cannot show the modes folding past it.
     """
-    cutoff = read_cutoff(cutoff)
-    size = grid.size
-    lift = _own_lift(m, grid)
-    _refuse_coarse_grid(cutoff, grid)
-    magnitudes = np.abs(np.fft.fft(np.exp(1j * cutoff * lift))) / size
-    modes = np.abs(np.fft.fftfreq(size, 1.0 / size))
-    reach = resolved_band(magnitudes, modes, cutoff, grid)
-    while size % 2 == 0 and size // 2 >= 4 * cutoff and 3 * size / 16 > reach:
-        size //= 2
-    return SampleGrid(size)
+    name = "cutoff" if m.degree == 1 else "cutoff x degree"
+    return _coarsest_grid(m, read_cutoff(cutoff), grid, name)
 
 
 def pullback_matrix(m, cutoff, grid):

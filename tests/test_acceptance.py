@@ -12,6 +12,7 @@ import pytest
 from hhalf import catalog, maps, period, suite
 from hhalf.fourier import CircleFunction, SampleGrid
 from hhalf.maps import descriptor_to_json
+from hhalf.pullback import assembly_grid, pullback_matrix
 from hhalf.suite import check_integrability, checks, run_all
 
 suite_rows = checks(seed=2026)
@@ -99,6 +100,36 @@ def test_a_pass_shares_blocks_and_periodic_parts(monkeypatch):
     before = len(analyses)
     assert rows[8][0] == 9 and rows[8][2]()[0]
     assert len(analyses) == before
+
+
+def test_a_pass_probes_each_map_once_per_bandlimit(monkeypatch):
+    # Criterion 3 pulls twenty trials of bandlimit 8 back by each of ten
+    # catalog diffeos, and pairs of bandlimits (1, 1) and (2, 3) by
+    # power(2) and power(3).  Each map probes w^K on its full grid once
+    # per bandlimit K and keeps the band for the pullbacks after it.
+    probes = []
+    power_band = maps._power_band
+
+    def probing(m, k):
+        probes.append((json.dumps(descriptor_to_json(m.descriptor)), k))
+        return power_band(m, k)
+
+    monkeypatch.setattr(maps, "_power_band", probing)
+    criterion, _, thunk = checks(seed=0)[2]
+    assert criterion == 3 and thunk()[0]
+    diffeos = catalog.catalog_descriptors()[:10]
+    expected = [(json.dumps(descriptor_to_json(d)), 8) for _, d in diffeos]
+    for degree in (2, 3):
+        power = json.dumps(descriptor_to_json(maps.power(degree)))
+        expected += [(power, k) for k in (1, 2, 3)]
+    assert probes == expected
+    # assembly_grid and pullback_matrix read the same kept probe.
+    del probes[:]
+    grid = SampleGrid(4096)
+    m = maps.make_map(maps.moebius(0.3), grid)
+    assert assembly_grid(m, 32, grid) == assembly_grid(m, 32, grid)
+    pullback_matrix(m, 32, grid)
+    assert len(probes) == 1
 
 
 def test_integrability_builds_no_function_per_pair(monkeypatch):

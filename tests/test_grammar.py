@@ -333,15 +333,17 @@ class TestAgainstBisection:
         assert np.all(np.abs(got - expected) <= bound)
 
     def test_newton_step_outside_the_cell_falls_back(self, monkeypatch):
-        # A scalar target's table has 8 cells for bandlimit 1.  Near pi the
-        # inverse of x + 0.99 sin x is steepest (slope 100), and some
-        # Newton steps from inside a cell land outside its narrowed
-        # bracket; each is replaced by the bracket's midpoint.  Measured:
-        # 64 of 1313 steps over these targets.
-        eps = 0.99
-        d = flow(from_modes(1, {1: -0.5j, -1: 0.5j}, real=True), eps)
-        inverse = make_map(inverse_descriptor(d), grid)
-        targets = np.linspace(np.pi - 0.05, np.pi + 0.05, 201)
+        # A scalar target's table has 256 cells, 8 per period of
+        # sin 32x.  Near pi / 32 the inverse of x + (0.99 / 32) sin 32x
+        # is steepest (slope 100), and some Newton steps from inside a
+        # cell land outside its narrowed bracket; each is replaced by
+        # the bracket's midpoint.  Measured: 64 of 1283 steps over these
+        # targets.
+        eps, k = 0.99, 32
+        d = flow(from_modes(k, {k: -0.5j / k, -k: 0.5j / k}, real=True), eps)
+        fine = SampleGrid(1024)  # 256 points cannot certify this flow
+        inverse = make_map(inverse_descriptor(d), fine)
+        targets = np.linspace(np.pi - 0.05, np.pi + 0.05, 201) / k
         passes = newton_passes(monkeypatch)
         fallbacks = 0
         got = []
@@ -349,12 +351,25 @@ class TestAgainstBisection:
             passes.clear()
             got.append(evaluate_lift(inverse, t))
             for x, after in zip(passes, passes[1:]):
-                newton = x - (x + eps * np.sin(x) - t) / (1.0 + eps * np.cos(x))
-                fallbacks += int(np.abs(after - newton)[0] > 1e-9)
+                lift = x + eps * np.sin(k * x) / k
+                newton = x - (lift - t) / (1.0 + eps * np.cos(k * x))
+                fallbacks += int(np.abs(after - newton)[0] > 1e-11)
         assert fallbacks > 0
-        expected = bisect_inverse(make_map(d, grid), targets)
+        expected = bisect_inverse(make_map(d, fine), targets)
         error = np.abs(np.array(got) - expected)
         assert np.all(error <= 1e-14 * turns(expected) / (1 - eps))
+
+    def test_scalar_targets_invert_in_as_few_passes_as_a_grid(self, monkeypatch):
+        # A table of 8 * bandlimit cells took up to 9 passes for these
+        # targets near the steep point of x + 0.99 sin x; the 256-cell
+        # floor starts them as close as a 256-point grid call starts.
+        d = flow(from_modes(1, {1: -0.5j, -1: 0.5j}, real=True), 0.99)
+        inverse = make_map(inverse_descriptor(d), grid)
+        passes = newton_passes(monkeypatch)
+        for t in np.linspace(np.pi - 0.05, np.pi + 0.05, 201):
+            passes.clear()
+            evaluate_lift(inverse, t)
+            assert len(passes) <= 5, t
 
     @given(flows(0.99))
     @settings(max_examples=40, deadline=None)

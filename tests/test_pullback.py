@@ -703,22 +703,64 @@ class TestOwnGrid:
                 assert np.array_equal(m.lift_samples, evaluate_lift(m, g.points()))
 
     def test_pullback_equals_evaluation_at_the_lift(self):
-        # pullback_function sums f on the map's kept e^{i lift}; the
-        # oracle evaluates f at the lift, one fresh exponential per call.
+        # pullback_function sums f on the map's kept e^{i lift} at every
+        # R-th point, R = M / M' for the sub-grid assembly_grid picks at
+        # the bandlimit; the oracle evaluates f at those lift samples,
+        # one fresh exponential per call, and analyzes on SampleGrid(M').
         rng = np.random.default_rng(31)
         real, cplx = random_real_function(6, rng), random_complex_function(6, rng)
         assert real.real and not cplx.real
         for descriptor in family_descriptors():
             m = make_map(descriptor, grid)
+            sub = assembly_grid(m, 6, grid)
+            assert sub.size < grid.size, descriptor
+            lift = m.lift_samples[:: grid.size // sub.size]
             # The complex sum conjugates z; the second real call shows
             # that it conjugated a copy.
             for f in (real, cplx, real):
                 got = pullback_function(m, f, grid)
-                oracle = analyze(
-                    evaluate_at(f, m.lift_samples), grid, (grid.size - 1) // 2
-                )
+                oracle = analyze(evaluate_at(f, lift), sub, (sub.size - 1) // 2)
                 assert np.array_equal(got.coeffs, oracle.coeffs)
                 assert got.real == oracle.real == f.real
+
+    @pytest.mark.parametrize("size", [1024, 4096, 16384])
+    def test_sub_grid_pullback_matches_the_full_grid_analysis(self, size):
+        # The sub-grid result is the head of the analysis on the map's
+        # whole grid, and the modes it leaves out are rounding.
+        g = SampleGrid(size)
+        maps = [make_map(d, g) for _, d in catalog_descriptors()]
+        maps += [
+            compose(make_map(moebius(0.3), g), make_map(flow(sin_two_theta, 0.05), g)),
+            make_map(inverse_descriptor(flow(sin_theta, 0.1)), g),
+            make_map(moebius(0.5 + 0.2j), g),
+            make_map(power(2), g),
+            make_map(power(3), g),
+        ]
+        rng = np.random.default_rng(32)
+        for k in (1, 3, 8, 16, 32):
+            for f in (random_real_function(k, rng), random_complex_function(k, rng)):
+                for m in maps:
+                    got = pullback_function(m, f, g)
+                    full = analyze(
+                        evaluate_at(f, m.lift_samples), g, (size - 1) // 2
+                    )
+                    n, top = got.bandlimit, full.bandlimit
+                    assert n < top, (m.descriptor, k)
+                    peak = np.max(np.abs(full.coeffs))
+                    head = full.coeffs[top - n : top + n + 1]
+                    tail = np.delete(full.coeffs, np.s_[top - n : top + n + 1])
+                    assert np.max(np.abs(got.coeffs - head)) <= 1e-13 * peak
+                    assert np.max(np.abs(tail)) <= 1e-13 * peak
+
+    @pytest.mark.parametrize("size", [4095, 3001])
+    def test_odd_grid_keeps_the_full_grid(self, size):
+        g = SampleGrid(size)
+        f = random_real_function(8, np.random.default_rng(33))
+        for descriptor in family_descriptors():
+            m = make_map(descriptor, g)
+            got = pullback_function(m, f, g)
+            oracle = analyze(evaluate_at(f, m.lift_samples), g, (size - 1) // 2)
+            assert np.array_equal(got.coeffs, oracle.coeffs), descriptor
 
     def test_foreign_grid_is_refused(self):
         m = make_map(flow(sin_theta, 0.1), grid)
