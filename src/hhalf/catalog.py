@@ -77,14 +77,20 @@ def equivariance_pairs():
 
 def trial_functions(count, bandlimit, seed):
     """Reproducible random real functions, mode k scaled by k^-1.5."""
+    rows = _trial_rows(count, bandlimit, seed)
+    return [CircleFunction(bandlimit, c) for c in rows]
+
+
+def _trial_rows(count, bandlimit, seed):
+    """The Hermitian coefficient rows of trial_functions, one per function.
+
+    All normals come from one draw, the stream of one draw per function.
+    """
     rng = np.random.default_rng(seed)
     # Python's k**1.5 and a division per part give the bits of Python's
     # complex arithmetic; numpy's power and complex division can differ.
     scales = np.array([[k**1.5] for k in range(1, bandlimit + 1)])
-    out = []
-    for _ in range(count):
-        draws = rng.standard_normal((bandlimit, 2)) / scales
-        upper = draws.view(np.complex128)[:, 0]
-        c = np.concatenate([np.conj(upper[::-1]), [0.0], upper])
-        out.append(CircleFunction(bandlimit, c))
-    return out
+    draws = rng.standard_normal((count, bandlimit, 2)) / scales
+    upper = draws.view(np.complex128)[..., 0]
+    mean = np.zeros((count, 1))
+    return np.concatenate([np.conj(upper[:, ::-1]), mean, upper], axis=1)

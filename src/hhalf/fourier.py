@@ -192,15 +192,24 @@ def analyze(samples, grid, bandlimit):
         raise GridError("sample array does not match the grid size")
     if m < 2 * bandlimit + 1:
         raise GridError("grid size %d cannot resolve bandlimit %d" % (m, bandlimit))
-    raw = np.fft.fft(np.asarray(samples, np.complex128)) / m
-    n = bandlimit
-    c = np.empty(2 * n + 1, np.complex128)
-    c[n + 1 :], c[n] = raw[1 : n + 1], 0.0
+    return CircleFunction(bandlimit, _analyzed(samples, bandlimit))
+
+
+def _analyzed(samples, n):
+    """analyze's coefficients, 2n+1 per row of samples along the last axis.
+
+    One batched FFT, whose rows are the single transforms bit for bit;
+    real samples take the conjugate rule for the negative modes.
+    """
+    m = samples.shape[-1]
+    raw = np.fft.fft(np.asarray(samples, np.complex128), axis=-1) / m
+    c = np.empty(raw.shape[:-1] + (2 * n + 1,), np.complex128)
+    c[..., n + 1 :], c[..., n] = raw[..., 1 : n + 1], 0.0
     if np.isrealobj(samples):
-        c[:n] = np.conj(c[:n:-1])
+        c[..., :n] = np.conj(c[..., :n:-1])
     else:
-        c[:n] = raw[m - n :]
-    return CircleFunction(n, c)
+        c[..., :n] = raw[..., m - n :]
+    return c
 
 
 def resolved_band(magnitudes, modes, reach, grid):
@@ -250,15 +259,16 @@ def unit_horner_sum(c, n, z, real=False):
     n multiply-adds per chain: c_0 + 2 Re sum_{k>=1} c_k z^k when real
     (c Hermitian symmetric, so the result is the real float64 value),
     otherwise a second chain over the negative modes in conj(z), a
-    copy, so z itself is only read.
+    copy, so z itself is only read.  c may be a 2-D stack of coefficient
+    rows; each gives one row of values, the bits of its own call.
     """
-    values = _horner_chain(c[n + 1 :], z)
+    values = _horner_chain(c[..., n + 1 :], z)
     if real:
         values = 2.0 * values.real
-        values += c[n].real
+        values += c[..., n, None].real
     else:
-        values += _horner_chain(c[:n][::-1], np.conj(z))
-        values += c[n]
+        values += _horner_chain(c[..., :n][..., ::-1], np.conj(z))
+        values += c[..., n, None]
     return values
 
 
@@ -289,9 +299,12 @@ def _unit(x):
 
 
 def _horner_chain(c, z):
-    # sum_{k>=1} c[k-1] z^k, innermost coefficient first.
-    acc = np.zeros_like(z)
-    for ck in c[::-1]:
+    # sum_{k>=1} c[..., k-1] z^k, innermost coefficient first.  A stack
+    # of rows adds a column per step; a single row adds Python scalars,
+    # which numpy adds faster than its own.
+    acc = np.zeros(c.shape[:-1] + z.shape, z.dtype)
+    steps = c[..., ::-1].T
+    for ck in steps[..., None] if c.ndim == 2 else steps.tolist():
         acc += ck
         acc *= z
     return acc
@@ -334,8 +347,13 @@ def h_half_norm(f):
 def inner_product(f, g):
     """Hermitian pairing sum |n| c_n(f) conj(c_n(g))."""
     a, b, n = _aligned(f, g)
+    return complex(_inner_rows(a, b, n))
+
+
+def _inner_rows(a, b, n):
+    # inner_product of rows of 2n+1 coefficients, one pairwise sum per row.
     weights = np.abs(np.arange(-n, n + 1)).astype(float)
-    return complex(np.sum(weights * a * np.conj(b)))
+    return np.sum(weights * a * np.conj(b), axis=-1)
 
 
 def hilbert_transform(f):
@@ -346,9 +364,17 @@ def hilbert_transform(f):
     for real f fixes the sign of zero parts, which function_to_json prints.
     """
     n = f.bandlimit
+    return CircleFunction(n, _hilbert_rows(f.coeffs, n), f.real)
+
+
+def _hilbert_rows(c, n):
+    """The J multiplier -i sgn(k) on rows of 2n+1 coefficients.
+
+    Rows of real functions still need _hermitian, as hilbert_transform's
+    CircleFunction(real=True) applies it, for the bits of its result.
+    """
     ns = np.arange(-n, n + 1)
-    mult = np.where(ns > 0, -1j, np.where(ns < 0, 1j, 0j))
-    return CircleFunction(n, f.coeffs * mult, f.real)
+    return c * np.where(ns > 0, -1j, np.where(ns < 0, 1j, 0j))
 
 
 def douglas_energy(f, grid):

@@ -10,10 +10,13 @@ Block matrices, and functions pulled back, are read on the coarsest
 power-of-two sub-grid of the map's grid, at least 4 x the reach,
 whose tail band the spectrum of w^K leaves empty, K the cutoff or
 the function's bandlimit; the map's grid is the ceiling.  That
-spectrum is probed once per map and K (CircleMap.power_band).  The
-powers are transformed a chunk of rows at a time, in place, in one
-buffer of 2**16 samples (1 MiB) or one row if that is larger, so the
-working set does not grow with the cutoff.
+spectrum is probed once per map and K (CircleMap.power_band).
+Functions are pulled back as stacked coefficient rows of one
+bandlimit, one Horner chain and one batched FFT per stack;
+pullback_function is the one-row case.  The block powers are
+transformed a chunk of rows at a time, in place, in one buffer of
+2**16 samples (1 MiB) or one row if that is larger, so the working
+set does not grow with the cutoff.
 A grid below 4 x the reach of a result, the highest mode its input
 reaches before any spread (bandlimit x degree, or the cutoff for a
 block matrix), is refused before any FFT.  On a grid that holds it,
@@ -29,15 +32,16 @@ from .errors import GridError, ValidationError
 from .fourier import (
     CircleFunction,
     SampleGrid,
+    _analyzed,
     _extended,
-    analyze,
+    _finite,
     json_fields,
     json_integer,
     matrix_from_json,
     resolved_band,
     unit_horner_sum,
 )
-from .symplectic import symplectic_form
+from .symplectic import _form_rows, symplectic_form
 
 
 def read_cutoff(value):
@@ -73,18 +77,33 @@ def pullback_function(m, f, grid):
     resolves, bandlimit (M' - 1) // 2, so downstream identities see
     the full spread spectrum of the composition.  A function whose top
     power w^K does not resolve on the map's grid is refused, however
-    small its c_K.
+    small its c_K.  This is the one-row case of _pullback_rows.
     """
-    reach = f.bandlimit * m.degree
-    sub = _coarsest_grid(m, f.bandlimit, grid, "bandlimit x degree")
+    rows = _pullback_rows(m, f.coeffs[None], f.bandlimit, f.real, grid)
+    return CircleFunction(rows.shape[1] // 2, rows[0])
+
+
+def _pullback_rows(m, rows, k, real, grid):
+    """V_phi of each row of 2k+1 coefficients, as pullback_function reads it.
+
+    One Horner chain over the stacked rows and one batched FFT along
+    the rows, on the sub-grid of pullback_function; real rows must be
+    Hermitian and take analyze's conjugate rule.  Each row of the result
+    holds the 2 n' + 1 coefficients of its pullback, n' = (M' - 1) // 2,
+    the bits of its own pullback_function.  The rows must be finite, and
+    each row's spectrum, relative to its own peak, passes resolved_band.
+    """
+    reach = k * m.degree
+    sub = _coarsest_grid(m, k, grid, "bandlimit x degree")
     z = m.unit_samples[:: grid.size // sub.size]
-    values = unit_horner_sum(f.coeffs, f.bandlimit, z, f.real)
-    vf = analyze(values, sub, (sub.size - 1) // 2)
-    magnitudes = np.abs(vf.coeffs)
-    magnitudes /= np.max(magnitudes) or 1.0
-    modes = np.abs(np.arange(-vf.bandlimit, vf.bandlimit + 1))
-    resolved_band(magnitudes, modes, reach, sub)
-    return vf
+    n = (sub.size - 1) // 2
+    out = _finite(_analyzed(unit_horner_sum(rows, k, z, real), n))
+    magnitudes = np.abs(out)
+    peaks = np.max(magnitudes, axis=1, keepdims=True)
+    magnitudes /= np.where(peaks == 0.0, 1.0, peaks)
+    modes = np.abs(np.arange(-n, n + 1))
+    resolved_band(np.max(magnitudes, axis=0), modes, reach, sub)
+    return out
 
 
 def _coarsest_grid(m, k, grid, name):
@@ -255,6 +274,20 @@ def invariance_defect(m, f, g, grid):
     return abs(
         symplectic_form(vf, vg) - float(m.degree) * symplectic_form(f, g)
     )
+
+
+def _invariance_rows(m, f_rows, g_rows, k, grid):
+    """invariance_defect of each pair of real rows of bandlimit k, as a list.
+
+    Both stacks are pulled back by one _pullback_rows call and paired
+    by _form_rows, so each defect is the bits of its invariance_defect.
+    """
+    v = _pullback_rows(m, np.concatenate((f_rows, g_rows)), k, True, grid)
+    n, r = v.shape[1] // 2, len(f_rows)
+    pulled = _form_rows(v[:r], v[r:], n).tolist()
+    plain = _form_rows(f_rows, g_rows, k).tolist()
+    degree = float(m.degree)
+    return [abs(s - degree * t) for s, t in zip(pulled, plain)]
 
 
 def operator_to_json(t):

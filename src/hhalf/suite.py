@@ -16,6 +16,7 @@ from functools import cache
 import numpy as np
 
 from .catalog import (
+    _trial_rows,
     catalog_maps,
     cos_field,
     equivariance_pairs,
@@ -24,11 +25,13 @@ from .catalog import (
 )
 from .fourier import (
     SampleGrid,
+    _energy,
+    _hermitian,
+    _hilbert_rows,
+    _inner_rows,
     analyze,
     douglas_energy,
     from_modes,
-    h_half_norm,
-    hilbert_transform,
     norm_squared,
     synthesize,
 )
@@ -52,6 +55,7 @@ from .period import (
     structure_from_period,
 )
 from .pullback import (
+    _invariance_rows,
     apply_operator,
     invariance_defect,
     operator_norm_estimate,
@@ -64,7 +68,7 @@ from .quantum import (
     hs_norm,
     kernel_base_points,
 )
-from .symplectic import compatibility_defect
+from .symplectic import _form_rows
 
 moebius_parameters = tuple(
     (a, beta) for a in (0.1, 0.3, 0.5) for beta in (0.0, 1.0)
@@ -95,18 +99,29 @@ class CheckResult:
 
 
 def check_hilbert_transform(seed):
-    """J is an exact isometric involution; S(f, Jg) equals <f, g>."""
-    trials = trial_functions(100, 32, seed)
-    for f in trials:
-        jf = hilbert_transform(f)
-        if not np.array_equal(hilbert_transform(jf).coeffs, -f.coeffs):
-            return False, "J(Jf) != -f in coefficient arithmetic"
-        if norm_squared(jf) != norm_squared(f):
-            return False, "|Jf| != |f| in coefficient arithmetic"
-    worst = 0.0
-    for f, g in zip(trials[0::2], trials[1::2]):
-        scale = h_half_norm(f) * h_half_norm(g)
-        worst = max(worst, compatibility_defect(f, g) / scale)
+    """J is an exact isometric involution; S(f, Jg) equals <f, g>.
+
+    The 100 trials are stacked as coefficient rows and go through the
+    row rules of hilbert_transform (with _hermitian, as for a real
+    function), norm_squared, symplectic_form and inner_product, so each
+    value is the bits of its per-function call.
+    """
+    n = 32
+    rows = _trial_rows(100, n, seed)
+    turned = _hermitian(_hilbert_rows(rows, n), n)
+    if not np.array_equal(_hermitian(_hilbert_rows(turned, n), n), -rows):
+        return False, "J(Jf) != -f in coefficient arithmetic"
+    energies = _energy(rows, n)
+    if not np.array_equal(_energy(turned, n), energies):
+        return False, "|Jf| != |f| in coefficient arithmetic"
+    f, g = rows[0::2], rows[1::2]
+    forms = _form_rows(f, turned[1::2], n).tolist()
+    inner = _inner_rows(f, g, n).tolist()
+    norms = np.sqrt(energies)
+    scales = (norms[0::2] * norms[1::2]).tolist()
+    # Python's abs and max, pair by pair: a NaN never wins.
+    pairs = zip(forms, inner, scales)
+    worst = max(0.0, *(abs(form - dot) / scale for form, dot, scale in pairs))
     detail = (
         "J isometric involution exact on 100 functions; worst relative "
         "compatibility defect %.3e (limit 1e-12)" % worst
@@ -129,15 +144,17 @@ def check_douglas_energy(seed):
 
 
 def check_symplectic_invariance(seed, catalog):
-    """Pullback scales the form by the degree, exactly 1 for diffeos."""
+    """Pullback scales the form by the degree, exactly 1 for diffeos.
+
+    Each diffeo pulls back the 20 trial rows of bandlimit 8 in one
+    stack; the power-map pairs mix bandlimits and go one pair at a time.
+    """
     grid = SampleGrid(4096)
     diffeos = [m for _, m in catalog][:10]
-    trials = trial_functions(20, 8, seed + 2)
-    pairs = list(zip(trials[0::2], trials[1::2]))
+    rows = _trial_rows(20, 8, seed + 2)
     worst = 0.0
     for m in diffeos:
-        for f, g in pairs:
-            worst = max(worst, invariance_defect(m, f, g, grid))
+        worst = max(worst, *_invariance_rows(m, rows[0::2], rows[1::2], 8, grid))
     worst_power = 0.0
     for k in (2, 3):
         pm = make_map(power(k), grid)

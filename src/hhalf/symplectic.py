@@ -1,7 +1,8 @@
 """The canonical symplectic form S and its compatibility identities.
 
 The Fourier realization is assembled from real component arrays with
-separate elementwise operations.  Vectorized complex products may be
+separate elementwise operations, on stacked coefficient rows; a single
+pair is the one-row case.  Vectorized complex products may be
 contracted with fused multiply-adds, which breaks the bitwise
 commutativity the exactness contracts below rely on; plain float
 ufuncs are never contracted, so antisymmetry, S(f,f) = 0, isotropy of
@@ -21,10 +22,20 @@ def symplectic_form(f, g):
     p_n = c_n(f) c_{-n}(g) and q_n = c_{-n}(f) c_n(g).
     """
     a, b, n = _aligned(f, g)
+    return complex(_form_rows(a, b, n))
+
+
+def _form_rows(a, b, n):
+    """S of each pair of rows of 2n+1 coefficients, along the last axis.
+
+    One pairwise sum per row, so every row is the bits of its own
+    symplectic_form.
+    """
     w = np.arange(1.0, n + 1.0)
     # Slot n + k holds c_k: upper halves run k = 1..n, reversed lower
     # halves k = -1..-n.
-    x, y, u, v = a[n + 1 :], a[n - 1 :: -1], b[n + 1 :], b[n - 1 :: -1]
+    x, y = a[..., n + 1 :], a[..., n - 1 :: -1]
+    u, v = b[..., n + 1 :], b[..., n - 1 :: -1]
     xr, xi = x.real, x.imag
     yr, yi = y.real, y.imag
     ur, ui = u.real, u.imag
@@ -33,10 +44,12 @@ def symplectic_form(f, g):
     pi = xr * vi + xi * vr
     qr = yr * ur - yi * ui
     qi = yr * ui + yi * ur
-    sr = float(np.sum(w * (pr - qr)))
-    si = float(np.sum(w * (pi - qi)))
-    # Multiply the sum by -i.
-    return complex(si, -sr)
+    sr = np.sum(w * (pr - qr), axis=-1)
+    si = np.sum(w * (pi - qi), axis=-1)
+    # Multiply the sums by -i.
+    out = np.empty(np.shape(sr), np.complex128)
+    out.real, out.imag = si, -sr
+    return out
 
 
 def compatibility_defect(f, g):

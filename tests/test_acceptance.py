@@ -5,15 +5,38 @@ this file, the invariance-suite subcommand, and the library agree on
 what is being promised; the printed line carries the measured values.
 """
 
+import builtins
 import json
 
+import numpy as np
 import pytest
 
 from hhalf import catalog, maps, period, suite
-from hhalf.fourier import CircleFunction, SampleGrid
+from hhalf.catalog import cos_field, sin_field, trial_functions
+from hhalf.fourier import (
+    CircleFunction,
+    SampleGrid,
+    h_half_norm,
+    hilbert_transform,
+    norm_squared,
+)
 from hhalf.maps import descriptor_to_json
-from hhalf.pullback import assembly_grid, pullback_matrix
-from hhalf.suite import check_integrability, checks, run_all
+from hhalf.pullback import (
+    BlockOperator,
+    assembly_grid,
+    invariance_defect,
+    pullback_matrix,
+)
+from hhalf.suite import (
+    check_hilbert_transform,
+    check_integrability,
+    check_norm_bound,
+    check_siegel_catalog,
+    check_symplectic_invariance,
+    checks,
+    run_all,
+)
+from hhalf.symplectic import compatibility_defect
 
 suite_rows = checks(seed=2026)
 row_ids = ["%02d-%s" % (c, name.replace(" ", "-")) for c, name, _ in suite_rows]
@@ -178,3 +201,104 @@ seeded_rows = [
 def test_seeded_criterion_at_more_seeds(seed, criterion, name, thunk):
     passed, detail = thunk()
     assert passed, "seed %d criterion %d %s: %s" % (seed, criterion, name, detail)
+
+
+def hilbert_worst_before(seed):
+    """Criterion 1's worst compatibility defect, one function at a time."""
+    trials = trial_functions(100, 32, seed)
+    for f in trials:
+        jf = hilbert_transform(f)
+        assert np.array_equal(hilbert_transform(jf).coeffs, -f.coeffs)
+        assert norm_squared(jf) == norm_squared(f)
+    worst = 0.0
+    for f, g in zip(trials[0::2], trials[1::2]):
+        scale = h_half_norm(f) * h_half_norm(g)
+        worst = max(worst, compatibility_defect(f, g) / scale)
+    return worst
+
+
+def invariance_worst_before(seed, catalog_maps):
+    """Criterion 3's two worst defects, one function at a time."""
+    grid = SampleGrid(4096)
+    trials = trial_functions(20, 8, seed + 2)
+    worst = 0.0
+    for _, m in catalog_maps[:10]:
+        for f, g in zip(trials[0::2], trials[1::2]):
+            worst = max(worst, invariance_defect(m, f, g, grid))
+    worst_power = 0.0
+    for k in (2, 3):
+        pm = maps.make_map(maps.power(k), grid)
+        for f, g in ((cos_field(1), sin_field(1)), (cos_field(2), sin_field(3))):
+            worst_power = max(worst_power, invariance_defect(pm, f, g, grid))
+    return worst, worst_power
+
+
+def recorded_max(monkeypatch):
+    """Every value the suite module's max returns, in call order."""
+    seen = []
+
+    def recording(*args):
+        seen.append(builtins.max(*args))
+        return seen[-1]
+
+    monkeypatch.setattr(suite, "max", recording, raising=False)
+    return seen
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2, 3, 4, 5, 11, 2026])
+def test_stacked_criteria_1_and_3_keep_the_per_function_worst(seed, monkeypatch):
+    # Criteria 1 and 3 run on stacked coefficient rows; their worst
+    # values equal those of the loops over functions they replaced.
+    seen = recorded_max(monkeypatch)
+    worst = hilbert_worst_before(seed)
+    passed, detail = check_hilbert_transform(seed)
+    assert seen == [worst]
+    assert passed and "compatibility defect %.3e " % worst in detail
+    del seen[:]
+    catalog_maps = catalog.catalog_maps(SampleGrid(4096))
+    worst, worst_power = invariance_worst_before(seed, catalog_maps)
+    passed, detail = check_symplectic_invariance(seed, catalog_maps)
+    # Ten running maxima over the diffeos, then four over power pairs.
+    assert len(seen) == 14
+    assert (seen[9], seen[-1]) == (worst, worst_power)
+    assert passed and detail == (
+        "worst defect %.3e over 10 diffeos x 10 pairs (limit 1e-8); "
+        "degree 2, 3 scaling defect %.3e (limit 1e-10)" % (worst, worst_power)
+    )
+
+
+def test_criterion_1_names_a_broken_involution_or_isometry(monkeypatch):
+    hilbert_rows = suite._hilbert_rows
+    monkeypatch.setattr(suite, "_hilbert_rows", lambda c, n: 2.0 * hilbert_rows(c, n))
+    assert check_hilbert_transform(0) == (
+        False, "J(Jf) != -f in coefficient arithmetic"
+    )
+
+    def swapped(c, n):
+        # J, then modes 1 and 2 trade places (and -1 and -2): still an
+        # exact involution, but no longer an isometry.
+        order = np.arange(2 * n + 1)
+        order[[n - 2, n - 1, n + 1, n + 2]] = [n - 1, n - 2, n + 2, n + 1]
+        return hilbert_rows(c, n)[..., order]
+
+    monkeypatch.setattr(suite, "_hilbert_rows", swapped)
+    assert check_hilbert_transform(0) == (
+        False, "|Jf| != |f| in coefficient arithmetic"
+    )
+
+
+def test_criteria_5_and_7_name_a_map_whose_blocks_fail():
+    grid = SampleGrid(4096)
+    bad = [("bad", maps.make_map(maps.identity(), grid))]
+    # Z = conj(B) A^-1 = [[0, 0.5], [0, 0]] is not symmetric.
+    skew = BlockOperator(2, np.eye(2), np.array([[0.0, 0.5], [0.0, 0.0]]))
+    assert check_siegel_catalog(bad, [skew]) == (False, "bad is not symmetric")
+    # Z = 5 I is symmetric but outside the disc, and the operator norm
+    # 11 exceeds the identity's dilatation bound sqrt(2).
+    outside = BlockOperator(2, 10.0 * np.eye(2), np.eye(2))
+    assert check_siegel_catalog(bad, [outside]) == (
+        False, "bad left the siegel disc"
+    )
+    assert check_norm_bound(bad, [outside]) == (
+        False, "bad exceeded its dilatation bound"
+    )

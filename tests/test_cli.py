@@ -210,6 +210,16 @@ class TestEnergy:
             assert row["douglas_energy"] == 0.0
             assert row["relative_defect"] == 0.0
 
+    def test_csv_into_a_missing_directory_is_an_input_error(
+        self, tmp_path, capsys
+    ):
+        path = tmp_path / "missing" / "x.csv"
+        argv = ["energy", "--modes", cos_modes, "--out", str(path)]
+        code, out, err = run(argv, capsys)
+        assert (code, out) == (1, "")
+        assert err.startswith("error: cannot write %s: " % path)
+        assert not path.parent.exists()
+
     def test_csv_only_output(self, tmp_path, capsys):
         out = tmp_path / "curve.csv"
         report = run_json(

@@ -19,6 +19,9 @@ from hhalf.fourier import (
     CircleFunction,
     SampleGrid,
     _extended,
+    _hermitian,
+    _hilbert_rows,
+    _inner_rows,
     analyze,
     douglas_energy,
     douglas_pair_sum,
@@ -234,6 +237,24 @@ def indexed_analyze(samples, grid, bandlimit):
 
 def same_bits(a, b):
     return a.dtype == b.dtype and np.array_equal(a.view(np.uint64), b.view(np.uint64))
+
+
+def stacked_rows(rng, count, n, real):
+    """count coefficient rows of bandlimit n, scales 1e-3 to 1e3 by row.
+
+    About a third of the parts are +0 or -0, the mean slots are zero,
+    and real rows are exactly Hermitian.
+    """
+    shape = (count, 2 * n + 1)
+    c = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    c *= 10.0 ** rng.integers(-3, 4, (count, 1))
+    parts = c.view(np.float64)
+    parts[rng.random(parts.shape) < 0.2] = 0.0
+    parts[rng.random(parts.shape) < 0.2] = -0.0
+    if real:
+        c[:, :n] = np.conj(c[:, :n:-1])
+    c[:, n] = 0.0
+    return c
 
 
 class TestKeptArray:
@@ -515,6 +536,36 @@ class TestHilbert:
     @settings(max_examples=40, deadline=None)
     def test_isometry_exact(self, f):
         assert h_half_norm(hilbert_transform(f)) == h_half_norm(f)
+
+
+class TestRowRules:
+    # The row rules behind hilbert_transform and inner_product give each
+    # row, and each row of a strided stack, the bits of its own call.
+
+    @pytest.mark.parametrize("n", [1, 2, 7, 32, 255, 2047])
+    def test_hilbert_rows_are_the_transform_of_each_row(self, n):
+        rng = np.random.default_rng(n)
+        for real in (True, False):
+            rows = stacked_rows(rng, 8, n, real)
+            for stack in (rows, rows[1::2]):
+                turned = _hilbert_rows(stack, n)
+                if real:
+                    turned = _hermitian(turned, n)
+                for c, t in zip(stack, turned):
+                    f = CircleFunction(n, c.copy())
+                    assert f.real == real
+                    assert same_bits(hilbert_transform(f).coeffs, t)
+
+    @pytest.mark.parametrize("n", [1, 2, 7, 32, 255, 2047])
+    def test_inner_rows_are_the_product_of_each_pair(self, n):
+        rng = np.random.default_rng(n + 1)
+        a = np.concatenate([stacked_rows(rng, 4, n, r) for r in (True, False)])
+        b = np.concatenate([stacked_rows(rng, 4, n, r) for r in (False, True)])
+        for x, y in ((a, b), (a[0::2], a[1::2])):
+            got = _inner_rows(x, y, n)
+            for c, d, value in zip(x, y, got):
+                f, g = CircleFunction(n, c.copy()), CircleFunction(n, d.copy())
+                assert same_bits(np.array([inner_product(f, g)]), value[None])
 
 
 class TestPolarize:

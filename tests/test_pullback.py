@@ -36,8 +36,10 @@ from hhalf.maps import (
     rotation,
 )
 from hhalf.period import period_matrix
+from hhalf import pullback
 from hhalf.pullback import (
     BlockOperator,
+    _pullback_rows,
     apply_operator,
     assembly_grid,
     invariance_defect,
@@ -49,7 +51,7 @@ from hhalf.pullback import (
     sub_operator,
 )
 from hhalf.symplectic import symplectic_form
-from test_fourier import random_real_function, same_bits
+from test_fourier import random_real_function, same_bits, stacked_rows
 
 grid = SampleGrid(4096)
 # Eight times the default grid, a reference for resolved results.
@@ -751,6 +753,62 @@ class TestOwnGrid:
                     tail = np.delete(full.coeffs, np.s_[top - n : top + n + 1])
                     assert np.max(np.abs(got.coeffs - head)) <= 1e-13 * peak
                     assert np.max(np.abs(tail)) <= 1e-13 * peak
+
+    def test_rows_are_the_pullback_of_each_function(self):
+        # One stack per map and bandlimit, rows of scales 1e-3 to 1e3,
+        # signed zeros and (real stacks) a zero row: each row of the
+        # result is the bits of that function's pullback_function.
+        rng = np.random.default_rng(34)
+        for descriptor in family_descriptors():
+            m = make_map(descriptor, grid)
+            for k in (1, 3, 8):
+                for real in (True, False):
+                    rows = stacked_rows(rng, 6, k, real)
+                    if real:
+                        rows[2] = 0.0
+                    else:  # not Hermitian, whatever parts were zeroed
+                        rows[:, k - 1], rows[:, k + 1] = 2.0, 1.0
+                    got = _pullback_rows(m, rows, k, real, grid)
+                    for c, row in zip(rows, got):
+                        f = CircleFunction(k, c.copy())
+                        assert f.real == real
+                        expected = pullback_function(m, f, grid).coeffs
+                        assert same_bits(expected, row), (descriptor, k, real)
+
+    def test_rows_are_read_against_their_own_peaks(self, monkeypatch):
+        # resolved_band sees, per mode, the largest magnitude of any
+        # row relative to that row's own peak: a row scaled by 2^-600
+        # weighs as much as it does alone.
+        seen = []
+        resolved_band = pullback.resolved_band
+
+        def recording(magnitudes, *args):
+            seen.append(magnitudes.copy())
+            return resolved_band(magnitudes, *args)
+
+        monkeypatch.setattr(pullback, "resolved_band", recording)
+        m = make_map(moebius(0.3, 1.0), grid)
+        rng = np.random.default_rng(35)
+        big, small = random_real_function(8, rng), random_real_function(8, rng)
+        stack = np.stack([big.coeffs, small.coeffs * 2.0**-600])
+        _pullback_rows(m, stack, 8, True, grid)
+        for f in (big, small):
+            pullback_function(m, f, grid)
+        together, alone_big, alone_small = seen
+        assert np.array_equal(together, np.maximum(alone_big, alone_small))
+        assert not np.array_equal(together, alone_big)
+
+    def test_a_row_that_overflows_refuses_the_stack(self):
+        m = make_map(flow(sin_two_theta, 0.05), grid)
+        rng = np.random.default_rng(36)
+        f = random_real_function(8, rng)
+        huge = CircleFunction(8, f.coeffs * 1e308)
+        stack = np.stack([f.coeffs, huge.coeffs])
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(ValidationError, match="coeffs must be finite"):
+                pullback_function(m, huge, grid)
+            with pytest.raises(ValidationError, match="coeffs must be finite"):
+                _pullback_rows(m, stack, 8, True, grid)
 
     @pytest.mark.parametrize("size", [4095, 3001])
     def test_odd_grid_keeps_the_full_grid(self, size):

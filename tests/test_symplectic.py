@@ -19,13 +19,14 @@ from hhalf.fourier import (
     synthesize,
     zero_function,
 )
-from hhalf.symplectic import compatibility_defect, symplectic_form
+from hhalf.symplectic import _form_rows, compatibility_defect, symplectic_form
 
 from test_fourier import (
     coefficient_functions,
     random_real_function,
     same_bits,
     split_modes,
+    stacked_rows,
 )
 
 cos_theta = from_modes(4, {1: 0.5, -1: 0.5})
@@ -142,6 +143,22 @@ class TestForm:
                 rtol=0,
                 atol=1e-10 * (1 + h_half_norm(f) * h_half_norm(g)),
             )
+
+
+class TestFormRows:
+    # Each row of _form_rows, and of a strided stack, is the bits of its
+    # own symplectic_form, signs of zeros included.
+
+    @pytest.mark.parametrize("n", [1, 2, 7, 32, 255, 2047])
+    def test_rows_are_the_form_of_each_pair(self, n):
+        rng = np.random.default_rng(n)
+        a = np.concatenate([stacked_rows(rng, 4, n, r) for r in (True, False)])
+        b = np.concatenate([stacked_rows(rng, 4, n, r) for r in (False, True)])
+        for x, y in ((a, b), (a[0::2], b[1::2]), (b, a)):
+            got = _form_rows(x, y, n)
+            for c, d, value in zip(x, y, got):
+                f, g = CircleFunction(n, c.copy()), CircleFunction(n, d.copy())
+                assert same_bits(np.array([symplectic_form(f, g)]), value[None])
 
 
 class TestCompatibility:
