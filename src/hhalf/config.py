@@ -66,19 +66,20 @@ def json_argument(value, name):
     """Inline JSON when the value starts with '{', else a file path.
 
     NaN, Infinity and numbers that overflow to infinity parse as
-    floats; the field reader of each value refuses them by name.
+    floats; the field reader of each value refuses them by name.  Text
+    nested too deeply for the parser is invalid JSON too.
     """
     if value.lstrip().startswith("{"):
         try:
             return json.loads(value)
-        except ValueError as exc:
+        except (ValueError, RecursionError) as exc:
             raise ValidationError("%s is not valid JSON: %s" % (name, exc))
     try:
         with open(value) as handle:
             return json.load(handle)
     except OSError as exc:
         raise ValidationError("cannot read %s file: %s" % (name, exc))
-    except ValueError as exc:
+    except (ValueError, RecursionError) as exc:
         raise ValidationError(
             "%s file %s is not valid JSON: %s" % (name, value, exc)
         )

@@ -3,12 +3,14 @@
 Every map carries an analytic descriptor and dense lift samples on its
 sample grid.  Lift evaluation goes through the descriptor, so values at
 arbitrary angles are exact up to rounding; the samples are that same
-evaluation on the grid, done once, and they certify monotonicity, feed
-spectral work on the periodic part and are the lift pullbacks read.
+evaluation on the grid, done once, one per grid point, and they
+certify monotonicity, feed spectral work on the periodic part and are
+the lift pullbacks read, strided to their sub-grid.
 The lift is the one thing evaluated: derivatives and welding kernels
 read the periodic part lift - degree*theta from the samples' spectrum
 (`m.periodic_part`, resolved by fourier.resolved_band as pullbacks
-are), never from differences of lift values.
+are), never from differences of lift values.  The periodic part is
+the one thing a map computes on first use and keeps.
 """
 
 import cmath
@@ -23,7 +25,6 @@ from .errors import GridError, MonotonicityError, ValidationError
 from .fourier import (
     CircleFunction,
     SampleGrid,
-    _unit,
     analyze,
     derivative,
     evaluate_at,
@@ -242,6 +243,8 @@ class CircleMap:
 
     def __post_init__(self):
         samples = np.asarray(self.lift_samples, float)
+        if samples.shape != (self.grid.size,):
+            raise GridError("sample array does not match the grid size")
         closing = samples[0] + two_pi * self.degree - samples[-1]
         steps = np.concatenate([np.diff(samples), [closing]])
         if not np.all(steps > 0):
@@ -250,31 +253,6 @@ class CircleMap:
             )
         samples.flags.writeable = False
         object.__setattr__(self, "lift_samples", samples)
-
-    @cached_property
-    def unit_samples(self):
-        """e^{i lift} on the sample grid, computed on first use, read-only."""
-        z = _unit(self.lift_samples)
-        z.flags.writeable = False
-        return z
-
-    @cached_property
-    def _power_bands(self):
-        # k -> power_band(k), each probed on first use.
-        return {}
-
-    def power_band(self, k):
-        """Highest mode of w^k = e^{ik lift} above 1e-12, on the sample grid.
-
-        The spectrum of w^k is read by fourier.resolved_band with reach
-        k * degree, which refuses a tail past it.  The band is probed
-        once per k and kept, as unit_samples is, so every pullback by
-        this map at k reads one probe; a refusal is not kept.
-        """
-        bands = self._power_bands
-        if k not in bands:
-            bands[k] = _power_band(self, k)
-        return bands[k]
 
     @cached_property
     def periodic_part(self):
@@ -296,13 +274,6 @@ class CircleMap:
         keep = min(2 * band + 8, nyquist)
         coeffs = part.coeffs[nyquist - keep : nyquist + keep + 1]
         return CircleFunction(keep, coeffs)
-
-
-def _power_band(m, k):
-    size = m.grid.size
-    magnitudes = np.abs(np.fft.fft(np.exp(1j * k * m.lift_samples))) / size
-    modes = np.abs(np.fft.fftfreq(size, 1.0 / size))
-    return resolved_band(magnitudes, modes, k * m.degree, m.grid)
 
 
 def make_map(d, grid):
@@ -466,13 +437,31 @@ _descriptor_fields = {
 }
 
 
+# Compose and inverse levels a descriptor object may nest.  Building,
+# evaluating and echoing a descriptor recurse once or more per level,
+# so a deeper one would reach the interpreter's recursion limit.
+max_descriptor_depth = 64
+
+
 def descriptor_from_json(obj):
+    return _descriptor_from_json(obj, max_descriptor_depth)
+
+
+def _descriptor_from_json(obj, levels):
+    # levels: the compose and inverse levels still allowed at obj.
     try:
         kind = obj["type"]
     except (KeyError, TypeError):
         raise ValidationError("map descriptor object needs a 'type' field")
     if not isinstance(kind, str) or kind not in _descriptor_fields:
         raise ValidationError("unknown map descriptor type %r" % (kind,))
+    if kind in ("compose", "inverse"):
+        if levels == 0:
+            raise ValidationError(
+                "map descriptor nests compose and inverse past %d levels"
+                % max_descriptor_depth
+            )
+        levels -= 1
     json_fields(obj, ("type",) + _descriptor_fields[kind], "%s descriptor" % kind)
     try:
         if kind == "identity":
@@ -493,10 +482,10 @@ def descriptor_from_json(obj):
             return rauch_flow(obj["m"], obj["eps"])
         if kind == "compose":
             return compose_descriptors(
-                [descriptor_from_json(x) for x in obj["maps"]]
+                [_descriptor_from_json(x, levels) for x in obj["maps"]]
             )
         if kind == "inverse":
-            return inverse_descriptor(descriptor_from_json(obj["of"]))
+            return inverse_descriptor(_descriptor_from_json(obj["of"], levels))
     except ValidationError:
         raise
     except (KeyError, TypeError, ValueError, OverflowError) as exc:

@@ -9,8 +9,8 @@ samples; c_r(conj(w)^q) = conj(c_{-r}(w^q)) gives B from A's FFTs.
 Block matrices, and functions pulled back, are read on the coarsest
 power-of-two sub-grid of the map's grid, at least 4 x the reach,
 whose tail band the spectrum of w^K leaves empty, K the cutoff or
-the function's bandlimit; the map's grid is the ceiling.  That
-spectrum is probed once per map and K (CircleMap.power_band).
+the function's bandlimit; the map's grid is the ceiling.  Each call
+probes w^K on the full grid and computes e^{i lift} on the sub-grid.
 Functions are pulled back as stacked coefficient rows of one
 bandlimit, one Horner chain and one batched FFT per stack;
 pullback_function is the one-row case.  The block powers are
@@ -35,6 +35,7 @@ from .fourier import (
     _analyzed,
     _extended,
     _finite,
+    _unit,
     json_fields,
     json_integer,
     matrix_from_json,
@@ -49,31 +50,13 @@ def read_cutoff(value):
     return json_integer(value, "cutoff", 1)
 
 
-def _own_lift(m, grid):
-    if grid != m.grid:
-        raise ValidationError("pullback needs the map's own sample grid")
-    return m.lift_samples
-
-
-def _refuse_coarse_grid(reach, grid, name="cutoff"):
-    # Below 2 x reach modes fold past Nyquist with no tail; just above
-    # it the tail band that resolved_band reads is too narrow to show
-    # spread, and moebius(0.3) at N = 32, M = 65 is off by 0.26.
-    if grid.size < 4 * reach:
-        raise GridError(
-            "grid size %d is below 4 * %s = %d" % (grid.size, name, 4 * reach)
-        )
-
-
 def pullback_function(m, f, grid):
     """V_phi f: compose with the map, drop the mean, reanalyze.
 
     f o phi = sum c_k w^k is read on assembly_grid(m, K, grid), K the
     bandlimit of f: a power-of-two sub-grid of M' points, or the map's
-    grid.  It is summed on every (M / M')-th of the map's unit_samples,
-    e^{i lift}, and analyzed there, so a map pays for that exponential
-    and for the probe of w^K once, however many functions of bandlimit
-    K it pulls back.  The result carries every mode the sub-grid
+    grid.  It is summed on e^{i lift} at every (M / M')-th lift sample
+    and analyzed there.  The result carries every mode the sub-grid
     resolves, bandlimit (M' - 1) // 2, so downstream identities see
     the full spread spectrum of the composition.  A function whose top
     power w^K does not resolve on the map's grid is refused, however
@@ -95,7 +78,7 @@ def _pullback_rows(m, rows, k, real, grid):
     """
     reach = k * m.degree
     sub = _coarsest_grid(m, k, grid, "bandlimit x degree")
-    z = m.unit_samples[:: grid.size // sub.size]
+    z = _unit(m.lift_samples[:: grid.size // sub.size])
     n = (sub.size - 1) // 2
     out = _finite(_analyzed(unit_horner_sum(rows, k, z, real), n))
     magnitudes = np.abs(out)
@@ -107,13 +90,21 @@ def _pullback_rows(m, rows, k, real, grid):
 
 
 def _coarsest_grid(m, k, grid, name):
-    # The smallest M' = M / 2^j >= 4 k degree with 3 M' / 8 above the
-    # power_band of w^k on the map's grid.
-    _own_lift(m, grid)
+    # The one sub-grid rule, assembly_grid's at reach k x degree.  Below
+    # 2 x reach modes fold past Nyquist with no tail; just above it the
+    # tail band that resolved_band reads is too narrow to show spread,
+    # and moebius(0.3) at N = 32, M = 65 is off by 0.26.
+    if grid != m.grid:
+        raise ValidationError("pullback needs the map's own sample grid")
     reach = k * m.degree
-    _refuse_coarse_grid(reach, grid, name)
-    band = m.power_band(k)
     size = grid.size
+    if size < 4 * reach:
+        raise GridError(
+            "grid size %d is below 4 * %s = %d" % (size, name, 4 * reach)
+        )
+    magnitudes = np.abs(np.fft.fft(np.exp(1j * k * m.lift_samples))) / size
+    modes = np.abs(np.fft.fftfreq(size, 1.0 / size))
+    band = resolved_band(magnitudes, modes, reach, grid)
     while size % 2 == 0 and size // 2 >= 4 * reach and 3 * size / 16 > band:
         size //= 2
     return SampleGrid(size)
@@ -162,6 +153,7 @@ class BlockOperator:
 
 def sub_operator(t, cutoff):
     """Leading corner of a larger block operator."""
+    cutoff = read_cutoff(cutoff)
     if cutoff > t.cutoff:
         raise ValidationError("corner cutoff exceeds the operator cutoff")
     return BlockOperator(cutoff, t.A[:cutoff, :cutoff], t.B[:cutoff, :cutoff])
@@ -170,15 +162,16 @@ def sub_operator(t, cutoff):
 def assembly_grid(m, cutoff, grid):
     """Coarsest grid on which the blocks of V_phi resolve to 1e-12.
 
-    The reach K of w^cutoff = e^{i cutoff lift} is m.power_band(cutoff),
-    its resolved_band on the map's grid, probed once per map and cutoff
-    and shared with pullback_function.  The result is the smallest
-    M' = M / 2^j with M' >= 4 cutoff d and 3 M' / 8 > K, d the degree,
-    so every resolved mode lies below the tail band that the assembly
-    checks.  Every 2^j-th sample of the map's grid is, bit for bit, the
-    point of SampleGrid(M').  An odd size keeps the map's grid; a grid
-    below 4 cutoff d, or a spectrum that fills the map's own tail band,
-    is refused, as a sub-grid cannot show the modes folding past it.
+    The reach K of w^cutoff = e^{i cutoff lift} is its resolved_band on
+    the map's grid, probed on each call; pullback_function reads the
+    same rule with its bandlimit for the cutoff.  The result is the
+    smallest M' = M / 2^j with M' >= 4 cutoff d and 3 M' / 8 > K, d the
+    degree, so every resolved mode lies below the tail band that the
+    assembly checks.  Every 2^j-th sample of the map's grid is, bit for
+    bit, the point of SampleGrid(M').  An odd size keeps the map's grid;
+    a grid below 4 cutoff d, or a spectrum that fills the map's own tail
+    band, is refused, as a sub-grid cannot show the modes folding past
+    it.
     """
     name = "cutoff" if m.degree == 1 else "cutoff x degree"
     return _coarsest_grid(m, read_cutoff(cutoff), grid, name)
@@ -205,7 +198,7 @@ def pullback_matrix(m, cutoff, grid):
     if m.degree != 1:
         raise ValidationError("block matrices are defined for degree-1 maps")
     size = assembly_grid(m, cutoff, grid).size
-    w = np.exp(1j * m.lift_samples[:: grid.size // size])
+    w = _unit(m.lift_samples[:: grid.size // size])
     ps = np.arange(1, cutoff + 1)
     roots = np.sqrt(ps.astype(float))
     a = np.empty((cutoff, cutoff), np.complex128)

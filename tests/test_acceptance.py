@@ -11,7 +11,7 @@ import json
 import numpy as np
 import pytest
 
-from hhalf import catalog, maps, period, suite
+from hhalf import catalog, maps, period, pullback, suite
 from hhalf.catalog import cos_field, sin_field, trial_functions
 from hhalf.fourier import (
     CircleFunction,
@@ -125,34 +125,52 @@ def test_a_pass_shares_blocks_and_periodic_parts(monkeypatch):
     assert len(analyses) == before
 
 
-def test_a_pass_probes_each_map_once_per_bandlimit(monkeypatch):
+def test_a_pass_probes_once_per_pullback_call(monkeypatch):
     # Criterion 3 pulls twenty trials of bandlimit 8 back by each of ten
-    # catalog diffeos, and pairs of bandlimits (1, 1) and (2, 3) by
-    # power(2) and power(3).  Each map probes w^K on its full grid once
-    # per bandlimit K and keeps the band for the pullbacks after it.
+    # catalog diffeos in one stack, and pairs of bandlimits (1, 1) and
+    # (2, 3) by power(2) and power(3) one function at a time.  Every
+    # pullback call probes w^K on the map's full grid once, and no call
+    # keeps its probe on the map.
     probes = []
-    power_band = maps._power_band
+    coarsest_grid = pullback._coarsest_grid
 
-    def probing(m, k):
+    def probing(m, k, grid, name):
         probes.append((json.dumps(descriptor_to_json(m.descriptor)), k))
-        return power_band(m, k)
+        return coarsest_grid(m, k, grid, name)
 
-    monkeypatch.setattr(maps, "_power_band", probing)
+    monkeypatch.setattr(pullback, "_coarsest_grid", probing)
     criterion, _, thunk = checks(seed=0)[2]
     assert criterion == 3 and thunk()[0]
     diffeos = catalog.catalog_descriptors()[:10]
     expected = [(json.dumps(descriptor_to_json(d)), 8) for _, d in diffeos]
     for degree in (2, 3):
         power = json.dumps(descriptor_to_json(maps.power(degree)))
-        expected += [(power, k) for k in (1, 2, 3)]
+        expected += [(power, k) for k in (1, 1, 2, 3)]
     assert probes == expected
-    # assembly_grid and pullback_matrix read the same kept probe.
     del probes[:]
     grid = SampleGrid(4096)
     m = maps.make_map(maps.moebius(0.3), grid)
     assert assembly_grid(m, 32, grid) == assembly_grid(m, 32, grid)
     pullback_matrix(m, 32, grid)
-    assert len(probes) == 1
+    assert len(probes) == 3
+    assert set(vars(m)) == {"descriptor", "grid", "lift_samples"}
+
+
+def test_a_pass_leaves_only_the_periodic_part_on_its_maps(monkeypatch):
+    realized = []
+    catalog_maps = suite.catalog_maps
+
+    def kept(grid):
+        out = catalog_maps(grid)
+        realized.extend(m for _, m in out)
+        return out
+
+    monkeypatch.setattr(suite, "catalog_maps", kept)
+    assert all(r.passed for r in run_all(seed=0))
+    assert len(realized) == 12
+    fields = {"descriptor", "grid", "lift_samples"}
+    assert all(set(vars(m)) <= fields | {"periodic_part"} for m in realized)
+    assert any("periodic_part" in vars(m) for m in realized)
 
 
 def test_integrability_builds_no_function_per_pair(monkeypatch):

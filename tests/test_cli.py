@@ -73,6 +73,16 @@ def run(argv, capsys):
     return code, captured.out, captured.err
 
 
+def run_module(argv):
+    """(exit code, stdout, stderr) of python -m hhalf.cli in a new process."""
+    env = dict(os.environ, PYTHONPATH=str(src_dir))
+    done = subprocess.run(
+        [sys.executable, "-m", "hhalf.cli"] + argv,
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    return done.returncode, done.stdout, done.stderr
+
+
 def run_json(argv, capsys):
     code, out, err = run(argv, capsys)
     assert code == 0, err
@@ -1248,6 +1258,37 @@ class TestPlumbing:
         assert "report value curve[0].douglas_energy is not finite" in err
         assert list(tmp_path.iterdir()) == []
 
+    def test_module_entry_point(self, capsys):
+        # python -m hhalf.cli runs main() under __main__.
+        argv = ["norm", "--modes", '{"1": [0.5, 0.0]}']
+        code, text, err = run_module(argv)
+        assert code == 0 and err == ""
+        assert (code, text, err) == run(argv, capsys)
+        assert run_module(["norm"]) == (
+            1, "", "error: give exactly one of --input or --modes\n"
+        )
+
+    def test_deep_descriptors_are_input_errors(self, capsys):
+        # Building and echoing a map recurse per compose level, and the
+        # JSON parser has its own depth limit: past either, run_command
+        # reports an input error instead of raising RecursionError.
+        def nested(levels):
+            return (
+                '{"type": "compose", "maps": [' * levels
+                + rotation_map + "]}" * levels
+            )
+
+        depth = "error: map descriptor nests compose and inverse past 64 levels\n"
+        assert run_json(["period", "--map", nested(64)], capsys)["source"]
+        assert run(["period", "--map", nested(65)], capsys) == (1, "", depth)
+        argv = ["period", "--map", nested(300)]
+        assert run(argv, capsys) == run_module(argv) == (1, "", depth)
+        argv = ["period", "--map", nested(2000)]
+        code, text, err = run(argv, capsys)
+        assert (code, text) == (1, "")
+        assert err.startswith("error: --map is not valid JSON: ")
+        assert run_module(argv) == (code, text, err)
+
     def test_parser_reuse_leaves_nothing_behind(self, capsys):
         # One process runs the sequence; each result must equal a fresh
         # interpreter's, so append flags, --grid and an argparse error
@@ -1261,16 +1302,11 @@ class TestPlumbing:
             ["period", "--map", flow_map, "--grid", "4097"],
             ["period", "--map", flow_map],
         ]
-        env = dict(os.environ, PYTHONPATH=str(src_dir))
         results = []
         for argv in sequence:
-            fresh = subprocess.run(
-                [sys.executable, "-m", "hhalf.cli"] + argv,
-                capture_output=True, text=True, env=env, timeout=120,
-            )
+            fresh = run_module(argv)
             results.append(run(argv, capsys))
-            expected = (fresh.returncode, fresh.stdout, fresh.stderr)
-            assert results[-1] == expected
+            assert results[-1] == fresh
         assert [code for code, _, _ in results] == [0, 0, 1, 0, 0]
         assert results[1] == results[4] != results[3]
 

@@ -9,6 +9,7 @@ from hhalf.config import (
     RunConfig,
     config_from_env,
     config_from_json,
+    json_argument,
     max_grid_size,
 )
 from hhalf.errors import GridError, ValidationError
@@ -104,6 +105,20 @@ class TestLoading:
         path.write_text("{not json")
         with pytest.raises(ValidationError):
             config_from_env({"HHP_CONFIG": str(path)})
+
+    def test_json_nested_past_the_parser_is_invalid(self, tmp_path):
+        # The parser raises RecursionError, not ValueError, on this text.
+        deep = '{"a": ' * 100000 + "1" + "}" * 100000
+        path = tmp_path / "deep.json"
+        path.write_text(deep)
+        for value, message in (
+            (deep, "HHP_CONFIG is not valid JSON: "),
+            (str(path), "HHP_CONFIG file %s is not valid JSON: " % path),
+        ):
+            with pytest.raises(ValidationError) as info:
+                json_argument(value, "HHP_CONFIG")
+            assert str(info.value).startswith(message)
+            assert "recursion" in str(info.value)
 
     def test_env_default(self):
         assert config_from_env({}) == RunConfig()

@@ -310,16 +310,6 @@ class TestFlowCertificate:
 
 
 class TestCircleMap:
-    def test_unit_samples_are_kept_read_only(self):
-        m = make_map(flow(sin_theta, 0.1), grid)
-        assert "unit_samples" not in vars(m)  # computed on first use
-        z = m.unit_samples
-        assert z is m.unit_samples
-        assert np.array_equal(z, np.exp(1j * m.lift_samples))
-        assert not z.flags.writeable
-        with pytest.raises(ValueError):
-            z[0] = 1.0
-
     def test_periodic_part_is_analyzed_once(self, monkeypatch):
         m = make_map(flow(sin_theta, 0.1), grid)
         assert "periodic_part" not in vars(m)  # computed on first use
@@ -346,6 +336,19 @@ class TestCircleMap:
             with pytest.raises(MonotonicityError, match="not strictly increasing"):
                 CircleMap(identity(), grid, samples)
         assert CircleMap(identity(), grid, points).degree == 1
+
+    def test_samples_that_do_not_fit_the_grid_are_refused(self):
+        # Pullbacks stride the samples by grid.size // M', so a sample
+        # array of any other shape would be read as a wrong lift.
+        small = SampleGrid(64)
+        for samples in (
+            SampleGrid(128).points(),
+            small.points()[:-1],
+            small.points()[None],
+            np.float64(0.0),
+        ):
+            with pytest.raises(GridError, match="does not match the grid size"):
+                CircleMap(identity(), small, samples)
 
 
 class TestComposition:
@@ -549,6 +552,31 @@ class TestJson:
             {"n": -3, "re": 0.0, "im": -0.5},
             {"n": 3, "re": 0.0, "im": 0.5},
         ]
+
+    def test_nesting_past_the_limit_is_refused(self):
+        # Building, evaluating and echoing a descriptor recurse per
+        # level, so depth is capped; compose and inverse levels count
+        # alike.
+        def nested(levels):
+            d = {"type": "flow", "v": function_to_json(sin_theta), "eps": 0.1}
+            for level in range(levels):
+                if level % 2:
+                    d = {"type": "inverse", "of": d}
+                else:
+                    d = {"type": "compose", "maps": [d]}
+            return d
+
+        limit = maps.max_descriptor_depth
+        assert limit == 64
+        echo = descriptor_to_json(descriptor_from_json(nested(limit)))
+        assert descriptor_to_json(descriptor_from_json(echo)) == echo
+        assert make_map(descriptor_from_json(echo), grid).degree == 1
+        for levels in (limit + 1, 300):
+            with pytest.raises(ValidationError) as info:
+                descriptor_from_json(nested(levels))
+            assert str(info.value) == (
+                "map descriptor nests compose and inverse past 64 levels"
+            )
 
     def test_unknown_type_rejected(self):
         with pytest.raises(ValidationError):

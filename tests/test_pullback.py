@@ -783,7 +783,9 @@ class TestOwnGrid:
         resolved_band = pullback.resolved_band
 
         def recording(magnitudes, *args):
-            seen.append(magnitudes.copy())
+            # The probe of w^K on the map's full grid is not a row read.
+            if len(magnitudes) != grid.size:
+                seen.append(magnitudes.copy())
             return resolved_band(magnitudes, *args)
 
         monkeypatch.setattr(pullback, "resolved_band", recording)
@@ -918,6 +920,17 @@ class TestBlockOperator:
         assert np.array_equal(s.B, t.B[:5, :5])
         with pytest.raises(ValidationError):
             sub_operator(t, 17)
+
+    def test_sub_operator_reads_its_cutoff_first(self):
+        # The cutoff is read before it reaches the slice.
+        t = pullback_matrix(make_map(moebius(0.3), grid), 16, grid)
+        for bad in (2.5, True, "5", None):
+            with pytest.raises(ValidationError) as info:
+                sub_operator(t, bad)
+            assert str(info.value) == "cutoff must be an integer, not %r" % (bad,)
+        with pytest.raises(ValidationError, match="integer >= 1"):
+            sub_operator(t, 0)
+        assert np.array_equal(sub_operator(t, 5.0).A, t.A[:5, :5])
 
     @pytest.mark.parametrize("bandlimit", [3, 8])
     def test_complex_input_matches_the_full_matrix(self, bandlimit):
