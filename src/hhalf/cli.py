@@ -303,7 +303,7 @@ def _cmd_equivariance(args, cfg):
     inner_d = _descriptor_argument(maps[1])
     grid = _grid(cfg)
     defect = equivariance_defect(
-        make_map(outer_d, grid), make_map(inner_d, grid), cfg.cutoff, grid
+        make_map(outer_d, grid), make_map(inner_d, grid), cfg.cutoff
     )
     tol = _tolerance(args, cfg.matrix_tol)
     report = {

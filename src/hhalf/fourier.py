@@ -178,18 +178,18 @@ def _extended(f, n):
     return c
 
 
-def analyze(samples, grid, bandlimit):
+def analyze(samples, bandlimit):
     """Fourier coefficients of the trigonometric interpolant.
 
-    Exact (to rounding) for input that is bandlimited below the
-    requested bandlimit, which needs grid.size >= 2*bandlimit+1.  The
-    mean is discarded.  Real sample arrays produce a real function,
+    Exact (to rounding) for one row of M samples on the grid of size M
+    that is bandlimited below bandlimit, which needs M >= 2*bandlimit+1.
+    The mean is discarded.  Real sample arrays produce a real function,
     its negative modes the exact conjugates of its positive ones.
     """
     samples = np.asarray(samples)
-    m = grid.size
-    if samples.shape != (m,):
-        raise GridError("sample array does not match the grid size")
+    if samples.ndim != 1:
+        raise GridError("sample array must be one-dimensional")
+    m = samples.size
     if m < 2 * bandlimit + 1:
         raise GridError("grid size %d cannot resolve bandlimit %d" % (m, bandlimit))
     return CircleFunction(bandlimit, _analyzed(samples, bandlimit))

@@ -266,7 +266,7 @@ class CircleMap:
         """
         nyquist = (self.grid.size - 1) // 2
         shifted = self.lift_samples - self.degree * self.grid.points()
-        part = analyze(shifted, self.grid, nyquist)
+        part = analyze(shifted, nyquist)
         band = _band(part, self.grid)
         if band == 0:
             return zero_function(1)

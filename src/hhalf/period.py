@@ -139,15 +139,15 @@ def siegel_action(t, p):
     return PeriodMatrix(p.cutoff, moved)
 
 
-def equivariance_defect(outer, inner, cutoff, grid):
+def equivariance_defect(outer, inner, cutoff):
     """max |Z(T(psi) T(phi)) - Z(phi o psi)| for phi outer, psi inner.
 
-    Composition is the group law T(phi o psi) = T(psi) T(phi) on block
-    operators; both period matrices come from period_from_blocks.
+    Composition is the group law T(phi o psi) = T(psi) T(phi) on the
+    maps' common grid; both period matrices come from period_from_blocks.
     """
-    composed = period_matrix(compose(outer, inner), cutoff, grid)
-    product = pullback_matrix(inner, cutoff, grid) @ pullback_matrix(
-        outer, cutoff, grid
+    composed = period_matrix(compose(outer, inner), cutoff, outer.grid)
+    product = pullback_matrix(inner, cutoff, inner.grid) @ pullback_matrix(
+        outer, cutoff, outer.grid
     )
     return float(np.max(np.abs(period_from_blocks(product).Z - composed.Z)))
 

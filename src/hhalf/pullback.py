@@ -7,10 +7,10 @@ k = 1..cutoff, and conjugates.  Matrix entries are Fourier integrals
 of powers of w = e^{i lift}, evaluated by FFT of the map's own lift
 samples; c_r(conj(w)^q) = conj(c_{-r}(w^q)) gives B from A's FFTs.
 Block matrices, and functions pulled back, are read on the coarsest
-power-of-two sub-grid of the map's grid, at least 4 x the reach,
-whose tail band the spectrum of w^K leaves empty, K the cutoff or
-the function's bandlimit; the map's grid is the ceiling.  Each call
-probes w^K on the full grid and computes e^{i lift} on the sub-grid.
+power-of-two sub-grid of the grid the map keeps (pullback_matrix is also
+passed it), at least 4 x the reach, whose tail band the spectrum of w^K
+leaves empty, K the cutoff or the function's bandlimit.  Each call
+probes w^K on that grid and computes e^{i lift} on the sub-grid.
 Functions are pulled back as stacked coefficient rows of one
 bandlimit, one Horner chain and one batched FFT per stack;
 pullback_function is the one-row case.  The block powers are
@@ -50,10 +50,10 @@ def read_cutoff(value):
     return json_integer(value, "cutoff", 1)
 
 
-def pullback_function(m, f, grid):
+def pullback_function(m, f):
     """V_phi f: compose with the map, drop the mean, reanalyze.
 
-    f o phi = sum c_k w^k is read on assembly_grid(m, K, grid), K the
+    f o phi = sum c_k w^k is read on assembly_grid(m, K), K the
     bandlimit of f: a power-of-two sub-grid of M' points, or the map's
     grid.  It is summed on e^{i lift} at every (M / M')-th lift sample
     and analyzed there.  The result carries every mode the sub-grid
@@ -62,23 +62,23 @@ def pullback_function(m, f, grid):
     power w^K does not resolve on the map's grid is refused, however
     small its c_K.  This is the one-row case of _pullback_rows.
     """
-    rows = _pullback_rows(m, f.coeffs[None], f.bandlimit, f.real, grid)
+    rows = _pullback_rows(m, f.coeffs[None], f.bandlimit, f.real)
     return CircleFunction(rows.shape[1] // 2, rows[0])
 
 
-def _pullback_rows(m, rows, k, real, grid):
+def _pullback_rows(m, rows, k, real):
     """V_phi of each row of 2k+1 coefficients, as pullback_function reads it.
 
-    One Horner chain over the stacked rows and one batched FFT along
-    the rows, on the sub-grid of pullback_function; real rows must be
+    One Horner chain over the stacked rows and one batched FFT along the
+    rows, on pullback_function's sub-grid of m.grid; real rows must be
     Hermitian and take analyze's conjugate rule.  Each row of the result
     holds the 2 n' + 1 coefficients of its pullback, n' = (M' - 1) // 2,
     the bits of its own pullback_function.  The rows must be finite, and
     each row's spectrum, relative to its own peak, passes resolved_band.
     """
     reach = k * m.degree
-    sub = _coarsest_grid(m, k, grid, "bandlimit x degree")
-    z = _unit(m.lift_samples[:: grid.size // sub.size])
+    sub = _coarsest_grid(m, k, "bandlimit x degree")
+    z = _unit(m.lift_samples[:: m.grid.size // sub.size])
     n = (sub.size - 1) // 2
     out = _finite(_analyzed(unit_horner_sum(rows, k, z, real), n))
     magnitudes = np.abs(out)
@@ -89,22 +89,20 @@ def _pullback_rows(m, rows, k, real, grid):
     return out
 
 
-def _coarsest_grid(m, k, grid, name):
-    # The one sub-grid rule, assembly_grid's at reach k x degree.  Below
-    # 2 x reach modes fold past Nyquist with no tail; just above it the
-    # tail band that resolved_band reads is too narrow to show spread,
-    # and moebius(0.3) at N = 32, M = 65 is off by 0.26.
-    if grid != m.grid:
-        raise ValidationError("pullback needs the map's own sample grid")
+def _coarsest_grid(m, k, name):
+    # The one sub-grid rule, assembly_grid's at reach k x degree on
+    # m.grid.  Below 2 x reach modes fold past Nyquist with no tail;
+    # just above it the tail band that resolved_band reads is too narrow
+    # to show spread, and moebius(0.3) at N = 32, M = 65 is off by 0.26.
     reach = k * m.degree
-    size = grid.size
+    size = m.grid.size
     if size < 4 * reach:
         raise GridError(
             "grid size %d is below 4 * %s = %d" % (size, name, 4 * reach)
         )
     magnitudes = np.abs(np.fft.fft(np.exp(1j * k * m.lift_samples))) / size
     modes = np.abs(np.fft.fftfreq(size, 1.0 / size))
-    band = resolved_band(magnitudes, modes, reach, grid)
+    band = resolved_band(magnitudes, modes, reach, m.grid)
     while size % 2 == 0 and size // 2 >= 4 * reach and 3 * size / 16 > band:
         size //= 2
     return SampleGrid(size)
@@ -159,12 +157,12 @@ def sub_operator(t, cutoff):
     return BlockOperator(cutoff, t.A[:cutoff, :cutoff], t.B[:cutoff, :cutoff])
 
 
-def assembly_grid(m, cutoff, grid):
+def assembly_grid(m, cutoff):
     """Coarsest grid on which the blocks of V_phi resolve to 1e-12.
 
     The reach K of w^cutoff = e^{i cutoff lift} is its resolved_band on
-    the map's grid, probed on each call; pullback_function reads the
-    same rule with its bandlimit for the cutoff.  The result is the
+    the map's grid m.grid, probed on each call; pullback_function reads
+    the same rule with its bandlimit for the cutoff.  The result is the
     smallest M' = M / 2^j with M' >= 4 cutoff d and 3 M' / 8 > K, d the
     degree, so every resolved mode lies below the tail band that the
     assembly checks.  Every 2^j-th sample of the map's grid is, bit for
@@ -174,18 +172,18 @@ def assembly_grid(m, cutoff, grid):
     it.
     """
     name = "cutoff" if m.degree == 1 else "cutoff x degree"
-    return _coarsest_grid(m, read_cutoff(cutoff), grid, name)
+    return _coarsest_grid(m, read_cutoff(cutoff), name)
 
 
 def pullback_matrix(m, cutoff, grid):
     """Assemble the truncated block matrix of V_phi.
 
     A[p-1, q-1] = sqrt(p/q) c_p(w^q) and B[r-1, s-1] = sqrt(r/s)
-    c_r(w^{-s}), with w = e^{i lift} on assembly_grid(m, cutoff, grid),
-    the map's grid or a power-of-two sub-grid of it, which also makes
-    the grid and aliasing refusals.  Column q of both blocks comes from
-    the FFT of w^q: c_p(w^q) is read at bin p and c_r(w^{-q}) =
-    conj(c_{-r}(w^q)) at bin size - r.
+    c_r(w^{-s}), with w = e^{i lift} on assembly_grid(m, cutoff), the
+    map's grid or a power-of-two sub-grid of it, which also makes the
+    grid and aliasing refusals; grid must be that map's grid.  Column q
+    of both blocks comes from the FFT of w^q: c_p(w^q) is read at bin p
+    and c_r(w^{-q}) = conj(c_{-r}(w^q)) at bin size - r.
 
     The powers w^q are written as rows of one reused buffer of
     max(1, min(cutoff, 2**16 // size)) rows, at most 1 MiB unless a
@@ -197,7 +195,9 @@ def pullback_matrix(m, cutoff, grid):
     cutoff = read_cutoff(cutoff)
     if m.degree != 1:
         raise ValidationError("block matrices are defined for degree-1 maps")
-    size = assembly_grid(m, cutoff, grid).size
+    if grid != m.grid:
+        raise ValidationError("pullback needs the map's own sample grid")
+    size = assembly_grid(m, cutoff).size
     w = _unit(m.lift_samples[:: grid.size // size])
     ps = np.arange(1, cutoff + 1)
     roots = np.sqrt(ps.astype(float))
@@ -258,24 +258,24 @@ def operator_norm_estimate(t):
     return float(np.linalg.norm(t.full(), 2))
 
 
-def invariance_defect(m, f, g, grid):
+def invariance_defect(m, f, g):
     """|S(V f, V g) - degree * S(f, g)| for real f and g."""
     if not (f.real and g.real):
         raise ValidationError("invariance defect is stated for real functions")
-    vf = pullback_function(m, f, grid)
-    vg = pullback_function(m, g, grid)
+    vf = pullback_function(m, f)
+    vg = pullback_function(m, g)
     return abs(
         symplectic_form(vf, vg) - float(m.degree) * symplectic_form(f, g)
     )
 
 
-def _invariance_rows(m, f_rows, g_rows, k, grid):
+def _invariance_rows(m, f_rows, g_rows, k):
     """invariance_defect of each pair of real rows of bandlimit k, as a list.
 
     Both stacks are pulled back by one _pullback_rows call and paired
     by _form_rows, so each defect is the bits of its invariance_defect.
     """
-    v = _pullback_rows(m, np.concatenate((f_rows, g_rows)), k, True, grid)
+    v = _pullback_rows(m, np.concatenate((f_rows, g_rows)), k, True)
     n, r = v.shape[1] // 2, len(f_rows)
     pulled = _form_rows(v[:r], v[r:], n).tolist()
     plain = _form_rows(f_rows, g_rows, k).tolist()

@@ -165,8 +165,16 @@ def _kernel_values(m, order, xs, ys, circle=False):
     part = m.periodic_part
     n = np.arange(-part.bandlimit, part.bandlimit + 1)
     d = xs[:, None] - points
-    t = (0.5 * d)[..., None] * n
     mid = 0.5 * (xs[:, None] + points)
+    if circle:
+        # The circle form is 2 pi-periodic in y.  An offset past pi goes
+        # back by whole turns, exactly near +-2 pi, so 1/(4 sin^2(d/2))
+        # cancels no huge terms; offsets within pi keep their bits.
+        turns = np.round(d / two_pi)
+        far = np.abs(d) > np.pi
+        d = np.where(far, d - two_pi * turns, d)
+        mid = np.where(far, mid + np.pi * turns, mid)
+    t = (0.5 * d)[..., None] * n
     w = part.coeffs * np.exp(1j * (mid[..., None] * n))
     sinc = np.sinc(t / np.pi)
     slope = m.degree + np.sum(w * (1j * n) * sinc, axis=-1).real

@@ -154,12 +154,12 @@ def check_symplectic_invariance(seed, catalog):
     rows = _trial_rows(20, 8, seed + 2)
     worst = 0.0
     for m in diffeos:
-        worst = max(worst, *_invariance_rows(m, rows[0::2], rows[1::2], 8, grid))
+        worst = max(worst, *_invariance_rows(m, rows[0::2], rows[1::2], 8))
     worst_power = 0.0
     for k in (2, 3):
         pm = make_map(power(k), grid)
         for f, g in ((cos_field(1), sin_field(1)), (cos_field(2), sin_field(3))):
-            worst_power = max(worst_power, invariance_defect(pm, f, g, grid))
+            worst_power = max(worst_power, invariance_defect(pm, f, g))
     detail = (
         "worst defect %.3e over 10 diffeos x 10 pairs (limit 1e-8); "
         "degree 2, 3 scaling defect %.3e (limit 1e-10)" % (worst, worst_power)
@@ -299,7 +299,7 @@ def check_integrability(seed, catalog):
     jf, jg = apply_operator(j0, f), apply_operator(j0, g)
 
     def product(u, v):
-        return analyze(synthesize(u, grid) * synthesize(v, grid), grid, 4)
+        return analyze(synthesize(u, grid) * synthesize(v, grid), 4)
 
     left = apply_operator(j0, product(f, g) - product(jf, jg))
     right = product(f, jg) + product(g, jf)
@@ -322,7 +322,7 @@ def check_equivariance():
     worst = 0.0
     for _, outer_d, inner_d in equivariance_pairs():
         defect = equivariance_defect(
-            make_map(outer_d, grid), make_map(inner_d, grid), 16, grid
+            make_map(outer_d, grid), make_map(inner_d, grid), 16
         )
         worst = max(worst, defect)
     # Pin the composition order: the product T(phi) T(psi) in the wrong

@@ -134,9 +134,9 @@ def test_a_pass_probes_once_per_pullback_call(monkeypatch):
     probes = []
     coarsest_grid = pullback._coarsest_grid
 
-    def probing(m, k, grid, name):
+    def probing(m, k, name):
         probes.append((json.dumps(descriptor_to_json(m.descriptor)), k))
-        return coarsest_grid(m, k, grid, name)
+        return coarsest_grid(m, k, name)
 
     monkeypatch.setattr(pullback, "_coarsest_grid", probing)
     criterion, _, thunk = checks(seed=0)[2]
@@ -150,7 +150,7 @@ def test_a_pass_probes_once_per_pullback_call(monkeypatch):
     del probes[:]
     grid = SampleGrid(4096)
     m = maps.make_map(maps.moebius(0.3), grid)
-    assert assembly_grid(m, 32, grid) == assembly_grid(m, 32, grid)
+    assert assembly_grid(m, 32) == assembly_grid(m, 32)
     pullback_matrix(m, 32, grid)
     assert len(probes) == 3
     assert set(vars(m)) == {"descriptor", "grid", "lift_samples"}
@@ -242,12 +242,12 @@ def invariance_worst_before(seed, catalog_maps):
     worst = 0.0
     for _, m in catalog_maps[:10]:
         for f, g in zip(trials[0::2], trials[1::2]):
-            worst = max(worst, invariance_defect(m, f, g, grid))
+            worst = max(worst, invariance_defect(m, f, g))
     worst_power = 0.0
     for k in (2, 3):
         pm = maps.make_map(maps.power(k), grid)
         for f, g in ((cos_field(1), sin_field(1)), (cos_field(2), sin_field(3))):
-            worst_power = max(worst_power, invariance_defect(pm, f, g, grid))
+            worst_power = max(worst_power, invariance_defect(pm, f, g))
     return worst, worst_power
 
 

@@ -136,3 +136,17 @@ def test_refusal_messages_keep_the_labelled_substrings(monkeypatch):
         stderr = "numerical failure: %s\n" % raised.value
         parsed = {"code": 2, "stderr": stderr}
         assert workloads._exit_label(parsed) == label
+
+
+def test_wide_workload_calls_period_matrix_as_written(monkeypatch):
+    # WideWorkload.call runs period_matrix(m, cutoff, grid) positionally
+    # and turns any exception, a signature slip included, into a failed
+    # operation; one request through its own prepare and call must exit 0.
+    monkeypatch.syspath_prepend(str(perfbench))
+    workloads = load("workloads")
+    workload = workloads.WideWorkload(hhalf, 1)
+    execution = workload.call(workload.prepare(0))
+    assert (execution.code, execution.stderr) == (0, "")
+    z, report = execution.value
+    assert z.shape == (256, 256)
+    assert isinstance(report, hhalf.SiegelReport)

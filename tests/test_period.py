@@ -351,17 +351,17 @@ class TestEquivariance:
     def test_identity_inner_map(self):
         outer = make_map(flow(sin_two_theta, 0.05), grid)
         inner = make_map(identity(), grid)
-        assert equivariance_defect(outer, inner, 16, grid) <= 1e-13
+        assert equivariance_defect(outer, inner, 16) <= 1e-13
 
     def test_rotation_pair(self):
         outer = make_map(rotation(0.3), grid)
         inner = make_map(rotation(1.1), grid)
-        assert equivariance_defect(outer, inner, 16, grid) <= 1e-10
+        assert equivariance_defect(outer, inner, 16) <= 1e-10
 
     def test_catalog_pairs(self):
         for name, outer, inner in equivariance_pairs():
             defect = equivariance_defect(
-                make_map(outer, grid), make_map(inner, grid), 32, grid
+                make_map(outer, grid), make_map(inner, grid), 32
             )
             assert defect <= 1e-10, name
 
@@ -371,7 +371,7 @@ class TestEquivariance:
         # here would flag any order change immediately.
         outer = make_map(flow(sin_two_theta, 0.05), grid)
         inner = make_map(moebius(0.2), grid)
-        good = equivariance_defect(outer, inner, 16, grid)
+        good = equivariance_defect(outer, inner, 16)
         assert good <= 1e-9
 
         composed = period_matrix(compose(outer, inner), 16, grid)
@@ -388,7 +388,7 @@ class TestEquivariance:
         )
         composed = period_matrix(compose(outer, inner), 16, grid)
         expected = np.max(np.abs(period_from_blocks(product).Z - composed.Z))
-        assert equivariance_defect(outer, inner, 16, grid) == expected
+        assert equivariance_defect(outer, inner, 16) == expected
 
 
 def old_rauch_derivative(m, cutoff):
@@ -652,7 +652,7 @@ class TestIntegrability:
             for f, g in pairs:
                 exact = _product(f, g, cutoff)
                 samples = synthesize(f, grid) * synthesize(g, grid)
-                oracle = analyze(samples, grid, cutoff)
+                oracle = analyze(samples, cutoff)
                 scale = np.sum(np.abs(f.coeffs)) * np.sum(np.abs(g.coeffs))
                 assert exact.bandlimit == cutoff
                 assert exact.coefficient(0) == 0.0

@@ -231,7 +231,7 @@ class TestPullbackFunction:
     def test_identity_map_returns_same_coefficients(self):
         rng = np.random.default_rng(11)
         f = random_real_function(8, rng)
-        vf = pullback_function(make_map(identity(), grid), f, grid)
+        vf = pullback_function(make_map(identity(), grid), f)
         for n in range(-12, 13):
             if n == 0:
                 continue
@@ -240,7 +240,7 @@ class TestPullbackFunction:
     def test_rotation_twists_each_mode(self):
         rng = np.random.default_rng(12)
         f = random_real_function(8, rng)
-        vf = pullback_function(make_map(rotation(0.7), grid), f, grid)
+        vf = pullback_function(make_map(rotation(0.7), grid), f)
         for n in range(-8, 9):
             if n == 0:
                 continue
@@ -248,7 +248,7 @@ class TestPullbackFunction:
             assert abs(vf.coefficient(n) - expected) <= 1e-14
 
     def test_squaring_map_doubles_the_frequency(self):
-        vf = pullback_function(make_map(power(2), grid), cos_theta, grid)
+        vf = pullback_function(make_map(power(2), grid), cos_theta)
         assert abs(vf.coefficient(2) - 0.5) <= 1e-14
         assert abs(vf.coefficient(-2) - 0.5) <= 1e-14
         for n in (1, 3, 4, -1, -3, -4):
@@ -257,15 +257,15 @@ class TestPullbackFunction:
     def test_pullback_of_real_function_is_real(self):
         rng = np.random.default_rng(13)
         f = random_real_function(6, rng)
-        vf = pullback_function(make_map(moebius(0.3, 1.0), grid), f, grid)
+        vf = pullback_function(make_map(moebius(0.3, 1.0), grid), f)
         assert vf.real
 
     def test_guard_rejects_unresolvable_spread(self):
         # Bandlimit 100 under moebius(0.5) is resolved on 4096 points:
         # it matches a grid eight times finer to rounding.
         f = random_real_function(100, np.random.default_rng(14))
-        vf = pullback_function(make_map(moebius(0.5), grid), f, grid)
-        ref = pullback_function(make_map(moebius(0.5), fine), f, fine)
+        vf = pullback_function(make_map(moebius(0.5), grid), f)
+        ref = pullback_function(make_map(moebius(0.5), fine), f)
         n = vf.bandlimit
         head = ref.coeffs[ref.bandlimit - n : ref.bandlimit + n + 1]
         assert np.max(np.abs(vf.coeffs - head)) <= 1e-14
@@ -275,7 +275,7 @@ class TestPullbackFunction:
             f = random_real_function(cutoff, np.random.default_rng(14))
             phi = make_map(descriptor, coarse)
             with pytest.raises(AliasingError, match="cannot resolve"):
-                pullback_function(phi, f, coarse)
+                pullback_function(phi, f)
         # Modes that land past Nyquist fold onto clean low modes and
         # leave no tail: cos 4000 theta reads as cos 96 theta on 4096.
         # Such a grid lies below 4 x bandlimit x degree and is refused
@@ -287,7 +287,7 @@ class TestPullbackFunction:
         for descriptor, f, floor in past_nyquist:
             phi = make_map(descriptor, grid)
             with pytest.raises(GridError) as caught:
-                pullback_function(phi, f, grid)
+                pullback_function(phi, f)
             assert str(caught.value) == (
                 "grid size 4096 is below 4 * bandlimit x degree = %d" % floor
             )
@@ -299,19 +299,19 @@ class TestPullbackFunction:
         # tail check is blind, so that grid is refused.
         wide = SampleGrid(8192)
         f = random_real_function(1600, np.random.default_rng(15))
-        vf = pullback_function(make_map(identity(), wide), f, wide)
+        vf = pullback_function(make_map(identity(), wide), f)
         assert abs(vf.coefficient(1600) - f.coefficient(1600)) <= 1e-14
-        vf = pullback_function(make_map(rotation(0.7), wide), f, wide)
+        vf = pullback_function(make_map(rotation(0.7), wide), f)
         expected = f.coefficient(1555) * np.exp(1j * 1555 * 0.7)
         assert abs(vf.coefficient(1555) - expected) <= 1e-13
         with pytest.raises(GridError, match=r"below 4 \* bandlimit x degree"):
-            pullback_function(make_map(identity(), grid), f, grid)
+            pullback_function(make_map(identity(), grid), f)
         f = random_real_function(800, np.random.default_rng(16))
-        vf = pullback_function(make_map(power(2), wide), f, wide)
+        vf = pullback_function(make_map(power(2), wide), f)
         assert abs(vf.coefficient(1600) - f.coefficient(800)) <= 1e-14
         assert abs(vf.coefficient(1599)) <= 1e-14
         with pytest.raises(GridError, match=r"below 4 \* bandlimit x degree"):
-            pullback_function(make_map(power(2), grid), f, grid)
+            pullback_function(make_map(power(2), grid), f)
 
 
 class TestMatrixAssembly:
@@ -456,7 +456,7 @@ class TestChunkedAssembly:
         for descriptor in self.descriptors:
             m = make_map(descriptor, g)
             t = pullback_matrix(m, cutoff, g)
-            stride = size // assembly_grid(m, cutoff, g).size
+            stride = size // assembly_grid(m, cutoff).size
             a, b = column_blocks(m.lift_samples[::stride], cutoff)
             assert np.array_equal(t.A, a), descriptor
             assert np.array_equal(t.B, b), descriptor
@@ -482,8 +482,9 @@ class TestChunkedAssembly:
             band = modes >= max(3 * coarse.size / 8, cutoff + 1)
             tail = np.max(np.abs(probe[band])) / coarse.size
             for assemble in (assembly_grid, pullback_matrix):
+                grids = (coarse,) if assemble is pullback_matrix else ()
                 with pytest.raises(AliasingError) as caught:
-                    assemble(m, cutoff, coarse)
+                    assemble(m, cutoff, *grids)
                 assert str(caught.value) == (
                     "grid size %d cannot resolve bandlimit %d under this map "
                     "(spectral tail %.1e near Nyquist)" % (coarse.size, cutoff, tail)
@@ -516,7 +517,7 @@ class TestAssemblyGrid:
         g = SampleGrid(size)
         coarser = 0
         for name, m in self.maps(g):
-            sub = assembly_grid(m, cutoff, g)
+            sub = assembly_grid(m, cutoff)
             ratio = size // sub.size
             assert sub.size >= 4 * cutoff, name
             assert size % sub.size == 0 and ratio & (ratio - 1) == 0, name
@@ -529,7 +530,7 @@ class TestAssemblyGrid:
             g = SampleGrid(size)
             for name, m in self.maps(g):
                 try:
-                    sub = assembly_grid(m, cutoff, g)
+                    sub = assembly_grid(m, cutoff)
                 except AliasingError:
                     refused.append((cutoff, size, name))
                 else:
@@ -539,7 +540,7 @@ class TestAssemblyGrid:
         for descriptor, cutoff, coarse in under_resolved_cases():
             m = make_map(descriptor, coarse)
             with pytest.raises(AliasingError, match="^grid size %d " % coarse.size):
-                assembly_grid(m, cutoff, coarse)
+                assembly_grid(m, cutoff)
 
     @pytest.mark.parametrize("k", [61, 62, 63, 64])
     @pytest.mark.parametrize("eps, size", [(1e-3, 1024), (1e-2, 2048)])
@@ -552,7 +553,7 @@ class TestAssemblyGrid:
         # by 1.2e-4 to 0.16.  Read on the map's grid, the spectrum
         # keeps every spread mode below the tail band of M'.
         m = make_map(flow(sin_field(k), eps), grid)
-        assert assembly_grid(m, 32, grid).size == size
+        assert assembly_grid(m, 32).size == size
         t = pullback_matrix(m, 32, grid)
         a, b = bessel_blocks(k, -1.0, eps, 32)
         assert np.max(np.abs(t.A - a)) <= 1e-14
@@ -564,12 +565,13 @@ class TestAssemblyGrid:
         # 0 halved the grid to one point, -1 reached numpy's "negative
         # dimensions", True and 2.5 a bare TypeError or a grid.
         m = make_map(moebius(0.3), grid)
+        grids = (grid,) if assemble is pullback_matrix else ()
         with pytest.raises(ValidationError, match="^cutoff must be an integer"):
-            assemble(m, cutoff, grid)
+            assemble(m, cutoff, *grids)
 
     def test_integral_float_cutoff_reads_as_its_integer(self):
         m = make_map(moebius(0.3), grid)
-        assert assembly_grid(m, 32.0, grid) == assembly_grid(m, 32, grid)
+        assert assembly_grid(m, 32.0) == assembly_grid(m, 32)
         t, exact = pullback_matrix(m, 32.0, grid), pullback_matrix(m, 32, grid)
         assert t.cutoff == 32
         assert np.array_equal(t.A, exact.A) and np.array_equal(t.B, exact.B)
@@ -586,9 +588,9 @@ class TestAssemblyGrid:
         g = SampleGrid(size)
         for name, descriptor in catalog_descriptors():
             m = make_map(descriptor, g)
-            sub = assembly_grid(m, cutoff, g)
+            sub = assembly_grid(m, cutoff)
             rebuilt = make_map(descriptor, sub)
-            assert assembly_grid(rebuilt, cutoff, sub) == sub, name
+            assert assembly_grid(rebuilt, cutoff) == sub, name
             t = pullback_matrix(m, cutoff, g)
             u = pullback_matrix(rebuilt, cutoff, sub)
             assert np.array_equal(t.A, u.A), name
@@ -602,7 +604,7 @@ class TestAssemblyGrid:
         # rauch_flow(m, eps) is v = -c sin k theta, k = m + 2, c = 2/(m + 1).
         g = SampleGrid(size)
         m = make_map(rauch_flow(index, eps), g)
-        assert assembly_grid(m, cutoff, g).size < size
+        assert assembly_grid(m, cutoff).size < size
         t = pullback_matrix(m, cutoff, g)
         a, b = bessel_blocks(index + 2, 2.0 / (index + 1), eps, cutoff)
         assert np.max(np.abs(t.A - a)) <= 1e-13
@@ -670,7 +672,7 @@ class TestGridFloor:
             for size in (65, 66):
                 g = SampleGrid(size)
                 with pytest.raises(GridError, match=r"below 4 \* bandlimit"):
-                    pullback_function(make_map(descriptor, g), f, g)
+                    pullback_function(make_map(descriptor, g), f)
 
 
 def family_descriptors():
@@ -714,14 +716,14 @@ class TestOwnGrid:
         assert real.real and not cplx.real
         for descriptor in family_descriptors():
             m = make_map(descriptor, grid)
-            sub = assembly_grid(m, 6, grid)
+            sub = assembly_grid(m, 6)
             assert sub.size < grid.size, descriptor
             lift = m.lift_samples[:: grid.size // sub.size]
             # The complex sum conjugates z; the second real call shows
             # that it conjugated a copy.
             for f in (real, cplx, real):
-                got = pullback_function(m, f, grid)
-                oracle = analyze(evaluate_at(f, lift), sub, (sub.size - 1) // 2)
+                got = pullback_function(m, f)
+                oracle = analyze(evaluate_at(f, lift), (sub.size - 1) // 2)
                 assert np.array_equal(got.coeffs, oracle.coeffs)
                 assert got.real == oracle.real == f.real
 
@@ -742,9 +744,9 @@ class TestOwnGrid:
         for k in (1, 3, 8, 16, 32):
             for f in (random_real_function(k, rng), random_complex_function(k, rng)):
                 for m in maps:
-                    got = pullback_function(m, f, g)
+                    got = pullback_function(m, f)
                     full = analyze(
-                        evaluate_at(f, m.lift_samples), g, (size - 1) // 2
+                        evaluate_at(f, m.lift_samples), (size - 1) // 2
                     )
                     n, top = got.bandlimit, full.bandlimit
                     assert n < top, (m.descriptor, k)
@@ -768,11 +770,11 @@ class TestOwnGrid:
                         rows[2] = 0.0
                     else:  # not Hermitian, whatever parts were zeroed
                         rows[:, k - 1], rows[:, k + 1] = 2.0, 1.0
-                    got = _pullback_rows(m, rows, k, real, grid)
+                    got = _pullback_rows(m, rows, k, real)
                     for c, row in zip(rows, got):
                         f = CircleFunction(k, c.copy())
                         assert f.real == real
-                        expected = pullback_function(m, f, grid).coeffs
+                        expected = pullback_function(m, f).coeffs
                         assert same_bits(expected, row), (descriptor, k, real)
 
     def test_rows_are_read_against_their_own_peaks(self, monkeypatch):
@@ -793,9 +795,9 @@ class TestOwnGrid:
         rng = np.random.default_rng(35)
         big, small = random_real_function(8, rng), random_real_function(8, rng)
         stack = np.stack([big.coeffs, small.coeffs * 2.0**-600])
-        _pullback_rows(m, stack, 8, True, grid)
+        _pullback_rows(m, stack, 8, True)
         for f in (big, small):
-            pullback_function(m, f, grid)
+            pullback_function(m, f)
         together, alone_big, alone_small = seen
         assert np.array_equal(together, np.maximum(alone_big, alone_small))
         assert not np.array_equal(together, alone_big)
@@ -808,9 +810,9 @@ class TestOwnGrid:
         stack = np.stack([f.coeffs, huge.coeffs])
         with np.errstate(over="ignore", invalid="ignore"):
             with pytest.raises(ValidationError, match="coeffs must be finite"):
-                pullback_function(m, huge, grid)
+                pullback_function(m, huge)
             with pytest.raises(ValidationError, match="coeffs must be finite"):
-                _pullback_rows(m, stack, 8, True, grid)
+                _pullback_rows(m, stack, 8, True)
 
     @pytest.mark.parametrize("size", [4095, 3001])
     def test_odd_grid_keeps_the_full_grid(self, size):
@@ -818,15 +820,13 @@ class TestOwnGrid:
         f = random_real_function(8, np.random.default_rng(33))
         for descriptor in family_descriptors():
             m = make_map(descriptor, g)
-            got = pullback_function(m, f, g)
-            oracle = analyze(evaluate_at(f, m.lift_samples), g, (size - 1) // 2)
+            got = pullback_function(m, f)
+            oracle = analyze(evaluate_at(f, m.lift_samples), (size - 1) // 2)
             assert np.array_equal(got.coeffs, oracle.coeffs), descriptor
 
     def test_foreign_grid_is_refused(self):
         m = make_map(flow(sin_theta, 0.1), grid)
         other = SampleGrid(2048)
-        with pytest.raises(ValidationError, match="own sample grid"):
-            pullback_function(m, cos_theta, other)
         with pytest.raises(ValidationError, match="own sample grid"):
             pullback_matrix(m, 8, other)
         with pytest.raises(ValidationError, match="own sample grid"):
@@ -1004,13 +1004,13 @@ class TestOperatorNorm:
 class TestInvariance:
     def test_identity_defect_vanishes(self):
         assert invariance_defect(
-            make_map(identity(), grid), cos_theta, sin_theta, grid
+            make_map(identity(), grid), cos_theta, sin_theta
         ) == 0.0
 
     def test_covering_maps_scale_by_the_degree(self):
         for k in (2, 3):
             defect = invariance_defect(
-                make_map(power(k), grid), cos_theta, sin_theta, grid
+                make_map(power(k), grid), cos_theta, sin_theta
             )
             assert defect <= 1e-10
 
@@ -1027,12 +1027,12 @@ class TestInvariance:
             for _ in range(5):
                 f = random_real_function(10, rng)
                 g = random_real_function(10, rng)
-                assert invariance_defect(m, f, g, grid) <= 1e-8
+                assert invariance_defect(m, f, g) <= 1e-8
 
     def test_complex_input_is_rejected(self):
         f = from_modes(2, {1: 1.0})
         with pytest.raises(ValidationError):
-            invariance_defect(make_map(identity(), grid), f, f, grid)
+            invariance_defect(make_map(identity(), grid), f, f)
 
 
 class TestJson:

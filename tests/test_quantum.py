@@ -857,6 +857,25 @@ class TestCircleKernel:
             single = circle_row(m, x, [x + offset for offset in circle_offsets])
             assert np.array_equal(row, single)
 
+    @pytest.mark.parametrize(
+        "offset",
+        [
+            2 * np.pi - 1e-3,
+            2 * np.pi - 1e-9,
+            -2 * np.pi + 1e-6,
+            2 * np.pi + 1e-12,
+            4 * np.pi + 0.5,
+        ],
+    )
+    def test_offsets_near_whole_turns_keep_it_zero(self, offset):
+        # The form is 2 pi-periodic in y.  Summed at x - y near +-2 pi,
+        # 1/(4 sin^2((x - y)/2)) cancelled against huge terms and read
+        # 9.4e-7 to 8.7e20 here; offsets past pi go back by whole turns.
+        m = make_map(moebius(0.3, 1.0), grid)
+        xs = np.array(kernel_base_points)
+        values = circle_kernel(m, xs, xs[:, None] + offset)
+        assert np.max(np.abs(values[:, 1:])) <= 1e-10
+
 
 class TestDeformedStructure:
     """The structure pulled back by a map, T J0 T^{-1}, read from its operator."""
