@@ -243,10 +243,15 @@ def _cmd_siegel_check(args, cfg):
     tol = _tolerance(args, cfg.matrix_tol)
     p = _period_argument(args, cfg)
     report = siegel_membership(p)
-    symmetric = report.symmetry_defect <= tol * (1.0 + report.sigma_max)
+    # An emitted Z is exactly symmetric; its truncation shows in the
+    # estimate it carries.
+    defect = max(report.symmetry_defect, p.truncation_estimate)
+    symmetric = defect <= tol * (1.0 + report.sigma_max)
     out = {
         "command": "siegel-check",
         "cutoff": p.cutoff,
+        "inner_width": p.inner_width,
+        "truncation_estimate": p.truncation_estimate,
         "tol": tol,
         "member": bool(report.member),
         "symmetric": bool(symmetric),

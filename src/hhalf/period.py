@@ -6,8 +6,14 @@ blocks.  The block operator is symplectic, A A* - B B* = I, so Z is
 computed as conj(B) A* (I + B B*)^{-1}, whose inverted matrix is
 Hermitian with eigenvalues >= 1 (Nag and Sullivan, Osaka J. Math. 32,
 1995).  Z is symmetric and strictly contractive, so it lands in the
-Siegel disc; at a finite cutoff the symmetry defect is the truncation
-signal.  Composition acts on block operators by the group law
+Siegel disc.  At a finite width the solved matrix Z0 is not exactly
+symmetric; for a forward map its truncation error sits in the upper
+triangle, so every Z formed here keeps the lower triangle of Z0,
+mirrored, and carries max |Z0 - Z0^T| as its truncation estimate.  The
+estimate is not a bound: an inverse flow's error is nearly symmetric,
+and the estimate sees only part of it.  period_matrix widens the
+blocks until the N x N corner's estimate is at most truncation_limit,
+or refuses.  Composition acts on block operators by the group law
 T(phi o psi) = T(psi) T(phi), which equivariance_defect compares
 through Z, and the first variation of Z along a vector field has a
 closed form checked here by finite differences.  Every complex
@@ -16,11 +22,18 @@ pulled-back structure T J0 T^{-1}, and any block operator T enters
 through period_from_blocks(T), its image of the origin.
 """
 
+import math
+
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConditioningError, ValidationError
+from .errors import (
+    AliasingError,
+    ConditioningError,
+    NumericalError,
+    ValidationError,
+)
 from .fourier import (
     CircleFunction,
     _energy,
@@ -29,6 +42,8 @@ from .fourier import (
     _hermitian,
     h_half_norm,
     json_fields,
+    json_integer,
+    json_real,
     matrix_from_json,
 )
 from .maps import (
@@ -41,6 +56,8 @@ from .maps import (
 from .pullback import BlockOperator, _apply_rows, pullback_matrix, read_cutoff
 
 condition_limit = 1e12
+# Largest truncation estimate period_matrix emits.
+truncation_limit = 1e-6
 
 
 def _right_divide(numerator, denominator, name):
@@ -57,13 +74,18 @@ def _right_divide(numerator, denominator, name):
 class PeriodMatrix:
     """Symmetric contraction Z describing a deformed polarization.
 
-    A complex128 array given for Z is kept, not copied, and becomes
-    read-only.
+    inner_width is the block width Z was solved at, and
+    truncation_estimate estimates how far Z is from the converged
+    period matrix; left out, they are the cutoff and Z's own symmetry defect
+    max |Z - Z^T|.  A complex128 array given for Z is kept, not copied,
+    and becomes read-only.
     """
 
     cutoff: int
     Z: np.ndarray
     source: object = None
+    inner_width: int = None
+    truncation_estimate: float = None
 
     def __post_init__(self):
         n = read_cutoff(self.cutoff)
@@ -73,8 +95,17 @@ class PeriodMatrix:
             raise ValidationError("Z must be %d x %d" % (n, n))
         if not np.all(np.isfinite(z)):
             raise ValidationError("Z entries must be finite")
+        width = self.inner_width
+        width = n if width is None else json_integer(width, "inner_width", n)
+        estimate = self.truncation_estimate
+        if estimate is None:
+            estimate = float(np.max(np.abs(z - z.T)))
+        elif json_real(estimate, "truncation_estimate") < 0.0:
+            raise ValidationError("truncation_estimate must be >= 0")
         z.flags.writeable = False
         object.__setattr__(self, "Z", z)
+        object.__setattr__(self, "inner_width", width)
+        object.__setattr__(self, "truncation_estimate", float(estimate))
 
 
 @dataclass(frozen=True)
@@ -91,31 +122,79 @@ class SiegelReport:
 
 
 def period_matrix(m, cutoff, grid):
-    """Period matrix of a circle map from its truncated pullback blocks."""
-    return period_from_blocks(pullback_matrix(m, cutoff, grid), m.descriptor)
+    """Period matrix of a circle map, converged in the block width.
+
+    The blocks are assembled at width N' = N, the cutoff, and solved;
+    while the truncation estimate of the N x N corner exceeds
+    truncation_limit, N' doubles, up to min(8 N, M / 4) on the map's M
+    grid points.  Past that cap, or where the grid cannot resolve the
+    wider blocks, the map is refused with a NumericalError that names
+    the estimate and N'.  The mirrored corner is returned with
+    inner_width N' and its estimate; at N' = N it is
+    period_from_blocks(pullback_matrix(m, N, grid), m.descriptor).
+    """
+    n = read_cutoff(cutoff)
+    z, estimate = _mirrored_corner(pullback_matrix(m, n, grid), n)
+    width, cap = n, min(8 * n, grid.size // 4)
+    while estimate > truncation_limit:
+        unconverged = (
+            "Z has not converged: truncation estimate %.3e exceeds %g "
+            "at inner width %d" % (estimate, truncation_limit, width)
+        )
+        if width >= cap:
+            raise NumericalError(unconverged + ", the cap min(8 N, M / 4)")
+        width = min(2 * width, cap)
+        try:
+            t = pullback_matrix(m, width, grid)
+        except AliasingError as exc:
+            raise NumericalError("%s; width %d: %s" % (unconverged, width, exc))
+        z, estimate = _mirrored_corner(t, n)
+    return PeriodMatrix(n, z, m.descriptor, width, estimate)
 
 
 def period_from_blocks(t, source=None):
     """Z = conj(B) A* (I + B B*)^{-1} of a block operator at its cutoff.
 
     This is conj(B) A^{-1}, the image of the origin, through the
-    symplectic identity A A* = I + B B*; the solved matrix is Hermitian
-    with eigenvalues >= 1, so no refusal is needed.  Z is not
-    symmetrised: its symmetry defect shows the truncation.  source is
-    the map descriptor behind t, if any.
+    symplectic identity A A* = I + B B*; the solved matrix Z0 is
+    Hermitian with eigenvalues >= 1, so no refusal is needed.  Z keeps
+    the lower triangle of Z0, tril(Z0) + tril(Z0, -1)^T, so it is
+    exactly symmetric, with inner_width the cutoff and truncation
+    estimate max |Z0 - Z0^T|, where the truncation error shows.  source
+    is the map descriptor behind t, if any.
+    """
+    z, estimate = _mirrored_corner(t, t.cutoff)
+    return PeriodMatrix(t.cutoff, z, source, t.cutoff, estimate)
+
+
+def _mirrored_corner(t, n):
+    """The n x n corner of Z0 = conj(B) A* (I + B B*)^{-1}, mirrored.
+
+    Returns tril(Z0) + tril(Z0, -1)^T on that corner, each entry on or
+    below the diagonal and its mirror image taken from Z0 as is, and
+    the symmetry defect max |Z0 - Z0^T| before mirroring.  Only the
+    first n columns of the solve are formed.
     """
     gram = np.eye(t.cutoff) + t.B @ np.conj(t.B.T)
-    z = np.conj(np.linalg.solve(gram, t.A @ t.B.T)).T
-    return PeriodMatrix(t.cutoff, z, source)
+    z = np.conj(np.linalg.solve(gram, t.A @ t.B[:n].T)[:n]).T
+    defect = float(np.max(np.abs(z - z.T)))
+    return np.where(np.tri(n, dtype=bool), z, z.T), defect
 
 
 def siegel_membership(p):
     """Report symmetry and contraction diagnostics for Z.
 
-    The smallest eigenvalue is taken on the Hermitian part of
-    I - Z conj(Z), which is the exact matrix when Z is symmetric.
+    An exactly symmetric Z, as every Z formed here is, takes one
+    Hermitian eigensolve: Z conj(Z) = Z Z*, so the eigenvalues of
+    I - Z conj(Z) are 1 - lambda for lambda those of Z Z*, and
+    sigma_max is sqrt(lambda_max).  Any other Z takes an SVD for
+    sigma_max and the smallest eigenvalue of the Hermitian part of
+    I - Z conj(Z).
     """
     z = p.Z
+    if np.array_equal(z, z.T):
+        top = float(np.linalg.eigvalsh(z @ np.conj(z.T))[-1])
+        return SiegelReport(0.0, math.sqrt(max(top, 0.0)), 1.0 - top)
     defect = float(np.max(np.abs(z - z.T)))
     sigma = float(np.linalg.svd(z, compute_uv=False)[0])
     gram = np.eye(p.cutoff) - z @ np.conj(z)
@@ -143,9 +222,12 @@ def equivariance_defect(outer, inner, cutoff):
     """max |Z(T(psi) T(phi)) - Z(phi o psi)| for phi outer, psi inner.
 
     Composition is the group law T(phi o psi) = T(psi) T(phi) on the
-    maps' common grid; both period matrices come from period_from_blocks.
+    maps' common grid; both period matrices come from period_from_blocks
+    at width N, like for like, so neither side is widened.
     """
-    composed = period_matrix(compose(outer, inner), cutoff, outer.grid)
+    composed = period_from_blocks(
+        pullback_matrix(compose(outer, inner), cutoff, outer.grid)
+    )
     product = pullback_matrix(inner, cutoff, inner.grid) @ pullback_matrix(
         outer, cutoff, outer.grid
     )
@@ -279,17 +361,35 @@ def integrability_residual(p, trial_functions):
 def period_to_json(p):
     """Record of a period matrix; Z stays a complex array."""
     source = None if p.source is None else descriptor_to_json(p.source)
-    return {"cutoff": p.cutoff, "Z": p.Z, "source": source}
+    return {
+        "cutoff": p.cutoff,
+        "Z": p.Z,
+        "source": source,
+        "inner_width": p.inner_width,
+        "truncation_estimate": p.truncation_estimate,
+    }
 
 
 def period_from_json(obj):
+    """Inverse of period_to_json, with validation.
+
+    An artifact without inner_width or truncation_estimate takes the
+    cutoff and Z's own symmetry defect, as PeriodMatrix does.
+    """
+    fields = ("cutoff", "Z", "source", "inner_width", "truncation_estimate")
     try:
-        json_fields(obj, ("cutoff", "Z", "source"), "PeriodMatrix")
+        json_fields(obj, fields, "PeriodMatrix")
         z = matrix_from_json(obj["Z"], "Z")
         source = obj.get("source")
         if source is not None:
             source = descriptor_from_json(source)
-        return PeriodMatrix(obj["cutoff"], z, source)
+        return PeriodMatrix(
+            obj["cutoff"],
+            z,
+            source,
+            obj.get("inner_width"),
+            obj.get("truncation_estimate"),
+        )
     except (KeyError, TypeError, ValueError) as exc:
         raise ValidationError("malformed PeriodMatrix object: %s" % exc)
 

@@ -150,3 +150,21 @@ def test_wide_workload_calls_period_matrix_as_written(monkeypatch):
     z, report = execution.value
     assert z.shape == (256, 256)
     assert isinstance(report, hhalf.SiegelReport)
+
+
+def test_wide_reports_match_the_benchmark_formulas(monkeypatch):
+    # The 12 seed-1 wide-256 maps give exactly symmetric Z, whose report
+    # comes from one eigensolve of Z Z*; the benchmark recomputes it by
+    # an SVD and the Hermitian part of I - Z conj(Z) (siegel_values).
+    monkeypatch.syspath_prepend(str(perfbench))
+    workloads = load("workloads")
+    workload = workloads.WideWorkload(hhalf, 1)
+    assert len(workload.requests) == 12
+    for index in range(12):
+        execution = workload.call(workload.prepare(index))
+        assert execution.code == 0, execution.stderr
+        z, report = execution.value
+        assert np.array_equal(z, z.T)
+        got = (report.symmetry_defect, report.sigma_max, report.min_eig_I_minus_ZZbar)
+        for value, expected in zip(got, workloads.siegel_values(z)):
+            assert abs(value - expected) <= 1e-13, index

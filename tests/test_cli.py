@@ -53,6 +53,14 @@ flow_map = json.dumps(
 moebius_half_map = (
     '{"type": "moebius", "a": {"re": 0.5, "im": 0.0}, "beta": 0.5}'
 )
+
+
+def sine_flow_map(k, eps):
+    """A flow along sin k theta, as JSON."""
+    v = function_to_json(from_modes(k, {k: -0.5j, -k: 0.5j}))
+    return json.dumps({"type": "flow", "v": v, "eps": eps})
+
+
 steep_flow_map = json.dumps(
     {
         "type": "flow",
@@ -312,7 +320,14 @@ class TestPeriod:
             )
             z = matrix_from_json(report["Z"], "Z")
             assert np.max(np.abs(z)) <= 1e-14
-            assert set(report) == {"cutoff", "Z", "source"}
+            assert set(report) == {
+                "cutoff",
+                "Z",
+                "source",
+                "inner_width",
+                "truncation_estimate",
+            }
+            assert report["inner_width"] == 32
         report = run_json(["integrability", "--map", moebius_half_map], capsys)
         assert report["within_tol"] is True
 
@@ -410,6 +425,51 @@ class TestSiegelCheck:
         report = run_json(["siegel-check", "--matrix", str(path)], capsys)
         assert report["member"] is False
         assert report["passed"] is False
+
+    def test_echoes_the_width_and_estimate_of_a_widened_z(self, capsys):
+        report = run_json(["siegel-check", "--map", sine_flow_map(5, 0.15)], capsys)
+        assert report["inner_width"] == 256
+        assert 4.2e-8 <= report["truncation_estimate"] <= 4.4e-8
+        assert report["report"]["symmetry_defect"] == 0.0
+        assert report["symmetric"] is True and report["passed"] is True
+
+    def test_the_estimate_decides_symmetric(self, capsys):
+        z = [[{"re": 0.1, "im": 0.0}]]
+        for estimate, symmetric in ((1e-3, False), (1e-9, True)):
+            artifact = {"cutoff": 1, "Z": z, "truncation_estimate": estimate}
+            report = run_json(
+                ["siegel-check", "--matrix", json.dumps(artifact)], capsys
+            )
+            assert report["report"]["symmetry_defect"] == 0.0
+            assert report["truncation_estimate"] == estimate
+            assert report["inner_width"] == 1
+            assert report["member"] is True
+            assert report["symmetric"] is symmetric
+            assert report["passed"] is symmetric
+
+    def test_an_older_artifact_is_judged_by_its_own_defect(self, capsys):
+        z = [[{"re": 0.1, "im": 0.0}, {"re": 0.2, "im": 0.0}],
+             [{"re": 0.2 + 1e-3, "im": 0.0}, {"re": 0.1, "im": 0.0}]]
+        artifact = json.dumps({"cutoff": 2, "Z": z})
+        report = run_json(["siegel-check", "--matrix", artifact], capsys)
+        defect = report["report"]["symmetry_defect"]
+        assert 0.0 < defect == report["truncation_estimate"]
+        assert report["symmetric"] is False
+
+    def test_unconverged_maps_are_numerical_failures(self, capsys):
+        # flow(sin 5 theta, 0.18) reads 9.3e-4 at N' = 256 = 8 N; on 512
+        # points flow(sin 5 theta, 0.15) cannot widen past N' = 32.
+        cases = (
+            (sine_flow_map(5, 0.18), [], "at inner width 256, the cap"),
+            (sine_flow_map(5, 0.15), ["--grid", "512"], "at inner width 32;"),
+        )
+        for descriptor, grid, where in cases:
+            for command in ("period", "siegel-check"):
+                argv = [command, "--map", descriptor] + grid
+                code, out, err = run(argv, capsys)
+                assert (code, out) == (2, "")
+                assert err.startswith("numerical failure: Z has not converged")
+                assert where in err
 
     def test_exactly_one_source(self, capsys):
         code, _, _ = run(["siegel-check"], capsys)
@@ -814,7 +874,8 @@ class TestTolerance:
     # echoes the flag, and the verdict flips across the measured value,
     # here one well above rounding for each subcommand.
     aliased = '{"20": [0.3, 0.1], "-20": [0.3, -0.1]}'  # on 8 points
-    truncated = json.dumps(  # symmetry defect 1.2e-2 at cutoff 32
+    # Widened to inner width 256 at cutoff 32, truncation estimate 4.3e-8.
+    truncated = json.dumps(
         {
             "type": "flow",
             "v": function_to_json(from_modes(5, {5: -0.5j, -5: 0.5j})),
@@ -838,7 +899,7 @@ class TestTolerance:
         ),
         "siegel-check": (
             ["siegel-check", "--map", truncated],
-            lambda r: r["report"]["symmetry_defect"] / (1.0 + r["report"]["sigma_max"]),
+            lambda r: r["truncation_estimate"] / (1.0 + r["report"]["sigma_max"]),
             "symmetric",
         ),
         "equivariance": (

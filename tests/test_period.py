@@ -1,5 +1,6 @@
 """Tests for period matrices, Siegel membership, and deformations."""
 
+import functools
 import json
 import math
 
@@ -9,7 +10,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
-from hhalf import cli
 from hhalf.catalog import (
     catalog_descriptors,
     catalog_maps,
@@ -18,7 +18,8 @@ from hhalf.catalog import (
     sin_field,
     trial_functions,
 )
-from hhalf.errors import ConditioningError, ValidationError
+from hhalf import cli, period
+from hhalf.errors import ConditioningError, NumericalError, ValidationError
 from hhalf.fourier import (
     CircleFunction,
     SampleGrid,
@@ -33,6 +34,7 @@ from hhalf.maps import (
     compose_descriptors,
     flow,
     identity,
+    inverse_descriptor,
     make_map,
     moebius,
     power,
@@ -234,6 +236,31 @@ class TestPeriodMatrix:
             with pytest.raises(ValidationError, match="finite"):
                 siegel_membership(PeriodMatrix(1, [[bad]]))
 
+    def test_diagnostics_default_to_the_cutoff_and_the_own_defect(self):
+        z = np.array([[0.1, 0.2], [0.2 + 3e-9, 0.1]])
+        p = PeriodMatrix(2, z)
+        assert (p.inner_width, p.truncation_estimate) == (2, z[1, 0] - z[0, 1])
+        q = PeriodMatrix(2, z, None, 16.0, 0)
+        assert (q.inner_width, q.truncation_estimate) == (16, 0.0)
+        assert type(q.inner_width) is int
+        assert type(q.truncation_estimate) is float
+
+    @pytest.mark.parametrize(
+        "width, estimate, message",
+        [
+            (1, None, "^inner_width must be an integer >= 2$"),
+            (2.5, None, "^inner_width must be an integer, not 2.5$"),
+            (True, None, "^inner_width must be an integer, not True$"),
+            (None, -1e-9, "^truncation_estimate must be >= 0$"),
+            (None, math.nan, "^truncation_estimate must be finite$"),
+            (None, math.inf, "^truncation_estimate must be finite$"),
+            (None, "0", "^truncation_estimate must be a number, not '0'$"),
+        ],
+    )
+    def test_diagnostics_are_refused_by_name(self, width, estimate, message):
+        with pytest.raises(ValidationError, match=message):
+            PeriodMatrix(2, np.zeros((2, 2)), None, width, estimate)
+
     def test_complex_z_is_kept_read_only(self):
         z = 0.5 * np.eye(2, dtype=complex)
         p = PeriodMatrix(2, z)
@@ -245,35 +272,168 @@ class TestPeriodMatrix:
         assert bad.flags.writeable
 
 
+def unmirrored(t):
+    """Z0 = conj(B) A* (I + B B*)^{-1} of t, the solve before mirroring.
+
+    A test-side copy of the solve inside period_from_blocks.
+    """
+    gram = np.eye(t.cutoff) + t.B @ np.conj(t.B.T)
+    return np.conj(np.linalg.solve(gram, t.A @ t.B.T)).T
+
+
+def general_siegel_values(z):
+    """Symmetry defect, sigma_max and min eig of the Hermitian part of
+    I - Z conj(Z), by an SVD and a second eigensolve: the report's
+    formulas for a Z that is not exactly symmetric."""
+    defect = float(np.max(np.abs(z - z.T)))
+    sigma = float(np.linalg.svd(z, compute_uv=False)[0])
+    gram = np.eye(len(z)) - z @ np.conj(z)
+    gram = 0.5 * (gram + np.conj(gram.T))
+    return defect, sigma, float(np.min(np.linalg.eigvalsh(gram)))
+
+
+strong_maps = [
+    compose_descriptors([flow(sin_field(3), 0.2), moebius(0.3)]),
+    flow(sin_field(5), 0.15),
+    flow(sin_field(3), 0.2),
+    compose_descriptors([moebius(0.39), flow(sin_field(2), 0.215)]),
+]
+# Index 4 of converged_corner.
+inverse_sin_field = inverse_descriptor(strong_maps[1])
+
+
+@functools.cache
+def converged_corner(index):
+    """32 x 32 corner of Z0 at N' = 512 on M = 32768.
+
+    For strong_maps[index], or inverse_sin_field at index 4.  Its own
+    symmetry defect is below 2e-14 on each of the four strong maps.
+    """
+    fine = SampleGrid(32768)
+    d = (strong_maps + [inverse_sin_field])[index]
+    t = pullback_matrix(make_map(d, fine), 512, fine)
+    return unmirrored(t)[:32, :32]
+
+
 class TestTruncationDefect:
-    """Measured facts about the width-N truncation error of Z.
+    """Measured facts about the width-N truncation error of Z0.
 
     On four strong maps, at N = 32 on M = 4096, against the 32 x 32
-    corner of Z at N' = 256 on M = 16384: the error max |Z - Z_ref|
-    equals the symmetry defect max |Z - Z^T| (to 3 digits), and the
-    lower triangle mirrored, tril(Z) + tril(Z, -1)^T, is off by only
-    0.033, 0.162, 0.017 and 3e-4 of that defect.
+    corner of Z0 at N' = 256 on M = 16384: the error max |Z0 - Z_ref|
+    equals the symmetry defect max |Z0 - Z0^T| (to 3 digits), and the
+    lower triangle mirrored, tril(Z0) + tril(Z0, -1)^T, is off by only
+    0.033, 0.162, 0.017 and 3e-4 of that defect.  Z0 is the solve
+    before mirroring, read from the test-side copy unmirrored.
     """
 
-    @pytest.mark.parametrize(
-        "descriptor",
-        [
-            compose_descriptors([flow(sin_field(3), 0.2), moebius(0.3)]),
-            flow(sin_field(5), 0.15),
-            flow(sin_field(3), 0.2),
-            compose_descriptors([moebius(0.39), flow(sin_field(2), 0.215)]),
-        ],
-    )
+    @pytest.mark.parametrize("descriptor", strong_maps)
     def test_symmetry_defect_measures_the_error_the_mirror_removes(
         self, descriptor
     ):
-        z = period_matrix(make_map(descriptor, grid), 32, grid).Z
+        z = unmirrored(pullback_matrix(make_map(descriptor, grid), 32, grid))
         wide = SampleGrid(16384)
-        ref = period_matrix(make_map(descriptor, wide), 256, wide).Z[:32, :32]
+        t = pullback_matrix(make_map(descriptor, wide), 256, wide)
+        ref = unmirrored(t)[:32, :32]
         defect = np.max(np.abs(z - z.T))
         assert abs(np.max(np.abs(z - ref)) - defect) <= 0.05 * defect
         mirrored = np.tril(z) + np.tril(z, -1).T
         assert np.max(np.abs(mirrored - ref)) <= 0.2 * defect
+
+    @pytest.mark.parametrize("descriptor", strong_maps)
+    def test_blocks_give_the_mirrored_solve_and_its_defect(self, descriptor):
+        t = pullback_matrix(make_map(descriptor, grid), 32, grid)
+        z = unmirrored(t)
+        p = period_from_blocks(t, descriptor)
+        assert np.array_equal(p.Z, np.tril(z) + np.tril(z, -1).T)
+        assert np.array_equal(p.Z, p.Z.T)
+        assert p.truncation_estimate == np.max(np.abs(z - z.T))
+        assert (p.inner_width, p.source) == (32, descriptor)
+
+
+class TestConvergedPeriod:
+    """period_matrix widens the blocks until the corner's estimate is <= 1e-6.
+
+    At N = 32 on M = 4096, against converged_corner (N' = 512 on
+    M = 32768).  Measured errors: 7.2e-13, 7.9e-10, 4.0e-15, 6.5e-16.
+    """
+
+    @pytest.mark.parametrize(
+        "index, width, estimate",
+        [(0, 128, 2.8e-9), (1, 256, 4.3e-8), (2, 128, 3.3e-11), (3, 64, 2.1e-9)],
+    )
+    def test_widened_z_is_within_its_estimate(self, index, width, estimate):
+        p = period_matrix(make_map(strong_maps[index], grid), 32, grid)
+        assert p.inner_width == width
+        assert_allclose(p.truncation_estimate, estimate, rtol=0.05)
+        assert np.array_equal(p.Z, p.Z.T)
+        error = np.max(np.abs(p.Z - converged_corner(index)))
+        assert error <= 1e-8
+        assert error <= p.truncation_estimate
+
+    def test_the_estimate_understates_an_inverse_flow(self):
+        # A known defect, pinned so that it shows: the truncation error of
+        # an inverse flow's Z is nearly symmetric, on the diagonal too,
+        # so the symmetry defect misses most of it.  The inverse of
+        # flow(sin 5 theta, 0.15) passes the gate at N' = 64 with 9.5e-7
+        # and is off by 2.9e-6.
+        p = period_matrix(make_map(inverse_sin_field, grid), 32, grid)
+        assert p.inner_width == 64
+        assert 9.4e-7 <= p.truncation_estimate <= 9.5e-7
+        error = np.max(np.abs(p.Z - converged_corner(4)))
+        assert 2.8e-6 <= error <= 3.0e-6
+
+    @pytest.mark.parametrize("cutoff", [16, 32])
+    def test_unwidened_z_is_period_from_blocks_bit_for_bit(self, cutoff):
+        # No catalog map widens at N = 16 or 32.
+        for name, m in catalog_maps(grid):
+            p = period_matrix(m, cutoff, grid)
+            q = period_from_blocks(pullback_matrix(m, cutoff, grid), m.descriptor)
+            assert p.inner_width == q.inner_width == cutoff, name
+            assert np.array_equal(p.Z, q.Z), name
+            assert p.truncation_estimate == q.truncation_estimate, name
+            assert p.truncation_estimate <= 1e-6, name
+
+    def test_unconverged_map_is_refused_at_the_cap(self):
+        # 9.3e-4 at N' = 256 = 8 N.
+        m = make_map(flow(sin_field(5), 0.18), grid)
+        match = (
+            "^Z has not converged: truncation estimate 9.305e-04 exceeds "
+            "1e-06 at inner width 256, the cap min\\(8 N, M / 4\\)$"
+        )
+        with pytest.raises(NumericalError, match=match):
+            period_matrix(m, 32, grid)
+
+    def test_a_grid_that_cannot_resolve_the_wider_blocks_refuses(self):
+        # On 512 points the N' = 64 blocks of this flow alias: the
+        # refusal is numerical (exit 2) and names the last estimate.
+        small = SampleGrid(512)
+        m = make_map(flow(sin_field(5), 0.15), small)
+        with pytest.raises(NumericalError) as raised:
+            period_matrix(m, 32, small)
+        assert not isinstance(raised.value, ValidationError)
+        assert str(raised.value).startswith(
+            "Z has not converged: truncation estimate 1.188e-02 exceeds 1e-06 "
+            "at inner width 32; width 64: grid size 512 cannot resolve "
+            "bandlimit 64 under this map"
+        )
+
+    def test_widening_stops_at_a_quarter_of_the_grid(self, monkeypatch):
+        # No map found resolves its blocks at N' = M / 4 < 8 N while
+        # still above 1e-6 (the 1e-12 tail rule refuses first), so the
+        # limit is lowered to reach the cap: 16, 32, 64 = 256 / 4.
+        monkeypatch.setattr(period, "truncation_limit", 0.0)
+        widths = []
+        assemble = period.pullback_matrix
+        monkeypatch.setattr(
+            period,
+            "pullback_matrix",
+            lambda m, n, g: widths.append(n) or assemble(m, n, g),
+        )
+        small = SampleGrid(256)
+        m = make_map(flow(sin_two_theta, 0.01), small)
+        with pytest.raises(NumericalError, match="at inner width 64, the cap"):
+            period_matrix(m, 16, small)
+        assert widths == [16, 32, 64]
 
 
 class TestSiegelMembership:
@@ -320,6 +480,40 @@ class TestSiegelMembership:
         assert report.symmetry_defect == 0.0
         assert report.sigma_max <= 0.4 + 1e-12
         assert report.member
+
+    @given(symmetric_contractions())
+    @settings(max_examples=40, deadline=None)
+    def test_one_eigensolve_matches_the_general_formulas(self, p):
+        report = siegel_membership(p)
+        expected = general_siegel_values(p.Z)
+        assert report.symmetry_defect == expected[0] == 0.0
+        assert abs(report.sigma_max - expected[1]) <= 1e-13
+        assert abs(report.min_eig_I_minus_ZZbar - expected[2]) <= 1e-13
+
+    @pytest.mark.parametrize("cutoff", [16, 32])
+    def test_catalog_reports_match_the_general_formulas(self, cutoff):
+        for name, m in catalog_maps(grid):
+            z = period_matrix(m, cutoff, grid).Z
+            assert np.array_equal(z, z.T), name
+            report = siegel_membership(PeriodMatrix(cutoff, z))
+            defect, sigma, low = general_siegel_values(z)
+            assert report.symmetry_defect == defect == 0.0, name
+            assert abs(report.sigma_max - sigma) <= 1e-13, name
+            assert abs(report.min_eig_I_minus_ZZbar - low) <= 1e-13, name
+
+    def test_one_ulp_of_asymmetry_takes_the_general_path(self):
+        rng = np.random.default_rng(7)
+        raw = rng.normal(size=(6, 6)) + 1j * rng.normal(size=(6, 6))
+        z = 0.1 * (raw + raw.T)
+        z[1, 4] = complex(np.nextafter(z[1, 4].real, np.inf), z[1, 4].imag)
+        report = siegel_membership(PeriodMatrix(6, z))
+        got = (
+            report.symmetry_defect,
+            report.sigma_max,
+            report.min_eig_I_minus_ZZbar,
+        )
+        assert got == general_siegel_values(z)
+        assert report.symmetry_defect > 0.0
 
 
 class TestSiegelAction:
@@ -757,6 +951,42 @@ class TestJson:
         back = period_from_json(json.loads(cli._json_text(period_to_json(p))))
         assert back.source is None
         assert np.array_equal(back.Z, p.Z)
+
+    def test_roundtrip_keeps_the_width_and_estimate(self):
+        p = period_matrix(make_map(strong_maps[1], grid), 32, grid)
+        record = json.loads(cli._json_text(period_to_json(p)))
+        assert (record["inner_width"], record["truncation_estimate"]) == (
+            256,
+            p.truncation_estimate,
+        )
+        back = period_from_json(record)
+        assert (back.inner_width, back.truncation_estimate) == (
+            256,
+            p.truncation_estimate,
+        )
+        assert np.array_equal(back.Z, p.Z)
+
+    def test_an_older_artifact_takes_the_cutoff_and_its_own_defect(self):
+        z = [[{"re": 0.1, "im": 0.0}, {"re": 0.2, "im": 0.0}],
+             [{"re": 0.25, "im": 0.0}, {"re": 0.1, "im": 0.0}]]
+        back = period_from_json({"cutoff": 2, "Z": z, "source": None})
+        assert back.inner_width == 2
+        assert back.truncation_estimate == 0.25 - 0.2
+
+    @pytest.mark.parametrize(
+        "field, value, message",
+        [
+            ("inner_width", 1, "inner_width must be an integer >= 2$"),
+            ("inner_width", "4", "inner_width must be an integer, not '4'$"),
+            ("truncation_estimate", -0.5, "truncation_estimate must be >= 0$"),
+            ("truncation_estimate", math.inf, "truncation_estimate must be finite$"),
+            ("truncation_estimate", [1], "truncation_estimate must be a number"),
+        ],
+    )
+    def test_bad_diagnostics_are_refused_by_name(self, field, value, message):
+        obj = {"cutoff": 2, "Z": [[{"re": 0.0, "im": 0.0}] * 2] * 2, field: value}
+        with pytest.raises(ValidationError, match=message):
+            period_from_json(obj)
 
     def test_malformed_objects_are_rejected(self):
         with pytest.raises(ValidationError):
